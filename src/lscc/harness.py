@@ -10,6 +10,7 @@ CSV bytes.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import zlib
@@ -154,9 +155,9 @@ def check_edge_mismatch_batch(
     xi = {}
     gap = {}
     for v in range(scheme.num_vertices):
-        rows = np.conj(scheme.vertex_frames[v].rows)
-        x = rows @ fs
-        y = rows @ gs
+        op = scheme.vertex_operator(v)
+        x = op @ fs
+        y = op @ gs
         if scheme.field == REAL:
             plus = _batch_pnorm(x - y, p)
             minus = _batch_pnorm(x + y, p)
@@ -269,7 +270,7 @@ def noisy_recovery_gap(
 
         def objective(params: np.ndarray) -> float:
             g = unpack(params)
-            return p_norm(np.abs(np.conj(scheme.stacked_rows) @ g) - z, p)
+            return p_norm(np.abs(scheme.measurement_operator @ g) - z, p)
 
         best_params = pack(fv)
         best_obj = objective(best_params)
@@ -342,11 +343,11 @@ def format_cell(value) -> str:
 
 
 def write_csv(path: str, header: list[str], rows: list[dict]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(row[h]) for h in header))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    """RFC 4180 CSV; only cells holding a comma, quote or newline are quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format_cell(row[h]) for h in header] for row in rows)
 
 
 def write_manifest(path: str, payload: dict) -> None:

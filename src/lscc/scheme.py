@@ -1,7 +1,8 @@
 """Measurement schemes over a base graph and the graphs they induce per signal.
 
 A scheme attaches to every vertex a locally phase-retrievable frame together
-with a projection onto the subspace it sees, and to every edge a family of
+with the coordinate projection onto the subspace it sees (stored as its
+sorted coordinate support), and to every edge a family of
 "gluing" functionals dominated by both endpoint frames.  Measuring a signal f
 induces a weighted graph: vertex weights ||Phi_v(f)||_p^p, edge weights
 ||Psi_uv(f)||_p^p, keeping strictly positive weights only.  Connectivity of
@@ -30,6 +31,8 @@ from .measurement import COMPLEX, REAL, Frame, Signal, align_phase, as_field_arr
 RETRIEVABLE = "RetrievableByConnectivity"
 INCONCLUSIVE = "Inconclusive"
 
+#: layout of `scheme_to_dict`: supports and local blocks instead of dense matrices
+DESCRIPTOR_VERSION = 2
 #: relative weight threshold below which induced vertices/edges are dropped
 DEFAULT_ZERO_TOL = 1e-12
 _RATIO_GUARD = 1e-14
@@ -90,7 +93,7 @@ class LsccScheme:
     ambient_dim: int
     graph: BaseGraph
     vertex_frames: tuple[Frame, ...]
-    vertex_projections: tuple[np.ndarray, ...]
+    vertex_projections: tuple[np.ndarray, ...]  # P_v as its sorted int64 coordinate support
     edge_functionals: dict[tuple[int, int], np.ndarray]
     local_stability: float  # C0
     edge_domination: float  # C1
@@ -110,6 +113,9 @@ class LsccScheme:
         for fr in self.vertex_frames:
             if fr.dim != self.ambient_dim:
                 raise SchemeError("vertex frame dimension != ambient dimension")
+        self.vertex_projections = tuple(
+            _as_support(s, self.ambient_dim) for s in self.vertex_projections
+        )
         keys = {tuple(sorted(e)) for e in self.edge_functionals}
         if keys != set(self.graph.edges):
             raise SchemeError("edge functionals must cover exactly the base edges")
@@ -125,9 +131,16 @@ class LsccScheme:
         return self.graph.num_vertices
 
     @cached_property
-    def stacked_rows(self) -> np.ndarray:
-        """All vertex frame rows concatenated in vertex order."""
-        return np.vstack([fr.rows for fr in self.vertex_frames])
+    def measurement_operator(self) -> np.ndarray:
+        """Conjugated frame rows stacked in vertex order: measure(f) = op @ f."""
+        op = np.conj(np.vstack([fr.rows for fr in self.vertex_frames]))
+        op.setflags(write=False)
+        return op
+
+    @cached_property
+    def row_offsets(self) -> np.ndarray:
+        """Start of each vertex's rows in the operator, then the total row count."""
+        return np.cumsum([0] + [fr.num_rows for fr in self.vertex_frames])
 
     def coerce(self, f) -> np.ndarray:
         if isinstance(f, Signal):
@@ -143,16 +156,20 @@ class LsccScheme:
         return p_norm(self.coerce(f), self.p)
 
     def measure(self, f) -> np.ndarray:
-        return np.conj(self.stacked_rows) @ self.coerce(f)
+        return self.measurement_operator @ self.coerce(f)
 
     def measure_batch(self, columns: np.ndarray) -> np.ndarray:
-        return np.conj(self.stacked_rows) @ columns
+        return self.measurement_operator @ columns
 
     def phaseless(self, f) -> np.ndarray:
         return np.abs(self.measure(f))
 
+    def vertex_operator(self, v: int) -> np.ndarray:
+        """Rows of the measurement operator that belong to vertex v."""
+        return self.measurement_operator[self.row_offsets[v] : self.row_offsets[v + 1]]
+
     def measure_vertex(self, v: int, f) -> np.ndarray:
-        return np.conj(self.vertex_frames[v].rows) @ self.coerce(f)
+        return self.vertex_operator(v) @ self.coerce(f)
 
     def measure_edge(self, edge: tuple[int, int], f) -> np.ndarray:
         mat = self.edge_functionals[tuple(sorted(edge))]
@@ -165,8 +182,34 @@ class LsccScheme:
         return rng.standard_normal(shape)
 
     def descriptor_hash(self) -> str:
-        payload = json.dumps(scheme_to_dict(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return hashlib.sha256(scheme_to_json(self).encode()).hexdigest()
+
+
+def _as_support(support, dim: int) -> np.ndarray:
+    """Validate a coordinate support: sorted, distinct integers in [0, dim)."""
+    arr = np.asarray(support)
+    if arr.size == 0:
+        arr = np.zeros(0, dtype=np.int64)
+    if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
+        raise SchemeError("a projection is given by its support: a 1-D array of integer indices")
+    if np.any(np.diff(arr) <= 0):
+        raise SchemeError("projection support must be sorted without duplicates")
+    if arr.size and (arr[0] < 0 or arr[-1] >= dim):
+        raise SchemeError(f"projection support leaves the coordinate range [0, {dim})")
+    arr = arr.astype(np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
+def _restrict(f: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """P_v f as a full-length vector: f on the support, zero elsewhere.
+
+    Reductions over this vector are bit-identical to those over the dense
+    product with the projection matrix.
+    """
+    out = np.zeros_like(f)
+    out[support] = f[support]
+    return out
 
 
 @dataclass
@@ -188,8 +231,8 @@ def induce_graph(scheme: LsccScheme, f, zero_tol: float = DEFAULT_ZERO_TOL) -> W
         raise SchemeError("zero_tol must be nonnegative")
     vec = scheme.coerce(f)
     p = scheme.p
-    w_v = np.array(
-        [float(np.sum(np.abs(np.conj(fr.rows) @ vec) ** p)) for fr in scheme.vertex_frames]
+    w_v = np.add.reduceat(
+        np.abs(scheme.measurement_operator @ vec) ** p, scheme.row_offsets[:-1]
     )
     w_e = {
         e: float(np.sum(np.abs(np.conj(mat) @ vec) ** p))
@@ -230,20 +273,20 @@ def _probe_pairs(scheme: LsccScheme, v: int, trials: int, rng: np.random.Generat
     against frames whose rows split into two rank-deficient halves, so they
     catch non-retrievable local frames deterministically.
     """
-    proj = scheme.vertex_projections[v]
-    support = np.flatnonzero(np.linalg.norm(proj, axis=0) > 1e-12)
+    support = scheme.vertex_projections[v]
     basis = []
-    for i in support[: min(4, support.size)]:
-        e = np.zeros(scheme.ambient_dim, dtype=proj.dtype)
+    for i in support[:4]:
+        e = np.zeros(scheme.ambient_dim)
         e[i] = 1.0
-        basis.append(proj @ e)
+        basis.append(e)
     for i in range(len(basis)):
         for j in range(i, len(basis)):
             yield basis[i], basis[j]
             if j > i:
                 yield basis[i] + basis[j], basis[i] - basis[j]
     for _ in range(trials):
-        yield proj @ scheme.random_signal(rng), proj @ scheme.random_signal(rng)
+        fv = _restrict(scheme.random_signal(rng), support)
+        yield fv, _restrict(scheme.random_signal(rng), support)
 
 
 def validate_local_phase_retrieval(
@@ -267,14 +310,14 @@ def validate_local_phase_retrieval(
     frame_lo, frame_hi = math.inf, 0.0
     collision = False
     for v in range(scheme.num_vertices):
-        rows = scheme.vertex_frames[v].rows
+        op = scheme.vertex_operator(v)
         for fv, gv in _probe_pairs(scheme, v, trials, rng):
-            x = np.conj(rows) @ fv
-            y = np.conj(rows) @ gv
+            x = op @ fv
+            y = op @ gv
             for sig in (fv, gv):
                 nrm = p_norm(sig, scheme.p)
                 if nrm > 0.0:
-                    r = p_norm(np.conj(rows) @ sig, scheme.p) / nrm
+                    r = p_norm(op @ sig, scheme.p) / nrm
                     frame_lo = min(frame_lo, r)
                     frame_hi = max(frame_hi, r)
             den = p_norm(np.abs(x) - np.abs(y), scheme.p)
@@ -365,8 +408,8 @@ def validate_exhaustion(
         if base == 0.0:
             continue
         agg = 0.0
-        for proj in scheme.vertex_projections:
-            agg += p_norm(proj @ f, scheme.p) ** scheme.p
+        for support in scheme.vertex_projections:
+            agg += p_norm(_restrict(f, support), scheme.p) ** scheme.p
         ratio = agg ** (1.0 / scheme.p) / base
         if ratio < lo:
             lo, witness_lo = ratio, f
@@ -438,25 +481,33 @@ def check_edge_phase_consistency(
     return True
 
 
-def _matrix_to_lists(mat: np.ndarray, field: str):
+def _block_to_dict(mat: np.ndarray, field: str) -> dict:
+    """A dense m x n matrix as {m, support, block}: its nonzero columns only."""
+    mat = np.atleast_2d(mat)
+    support = np.flatnonzero(np.any(mat != 0, axis=0))
+    block = mat[:, support]
     if field == COMPLEX:
-        return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(mat)]
-    return [[float(x) for x in row] for row in np.atleast_2d(mat)]
+        block = np.stack([block.real, block.imag], axis=-1)
+    return {"m": mat.shape[0], "support": support.tolist(), "block": block.tolist()}
 
 
-def _matrix_from_lists(data, field: str) -> np.ndarray:
+def _block_from_dict(entry: dict, n: int, field: str) -> np.ndarray:
+    """The exact dense rows `_block_to_dict` was given."""
+    m = int(entry["m"])
+    support = _as_support(entry["support"], n)
+    shape = (m, support.size, 2) if field == COMPLEX else (m, support.size)
+    block = np.reshape(np.asarray(entry["block"], dtype=np.float64), shape)
     if field == COMPLEX:
-        arr = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in data],
-            dtype=np.complex128,
-        )
-    else:
-        arr = np.array(data, dtype=np.float64)
-    return arr
+        block = block.view(np.complex128)[..., 0]
+    mat = np.zeros((m, n), dtype=block.dtype)
+    mat[:, support] = block
+    return mat
 
 
 def scheme_to_dict(scheme: LsccScheme) -> dict:
+    """Descriptor v2: projections as supports, frames and functionals as local blocks."""
     return {
+        "version": DESCRIPTOR_VERSION,
         "name": scheme.name,
         "field": scheme.field,
         "p": scheme.p,
@@ -466,11 +517,10 @@ def scheme_to_dict(scheme: LsccScheme) -> dict:
             "edges": [list(e) for e in scheme.graph.edges],
             "topology": scheme.graph.topology,
         },
-        "frames": [_matrix_to_lists(fr.rows, scheme.field) for fr in scheme.vertex_frames],
-        "projections": [_matrix_to_lists(pr, scheme.field) for pr in scheme.vertex_projections],
+        "frames": [_block_to_dict(fr.rows, scheme.field) for fr in scheme.vertex_frames],
+        "projections": [support.tolist() for support in scheme.vertex_projections],
         "edgeFunctionals": [
-            _matrix_to_lists(scheme.edge_functionals[e], scheme.field)
-            for e in scheme.graph.edges
+            _block_to_dict(scheme.edge_functionals[e], scheme.field) for e in scheme.graph.edges
         ],
         "constants": {
             "D": scheme.graph.degree_bound,
@@ -484,49 +534,59 @@ def scheme_to_dict(scheme: LsccScheme) -> dict:
 
 
 def scheme_from_dict(d: dict) -> LsccScheme:
-    field = d["field"]
-    p = float(d["p"])
-    n = int(d["n"])
-    labels = tuple(d["graph"]["V"])
-    edges = tuple(tuple(e) for e in d["graph"]["edges"])
-    graph = BaseGraph(len(labels), edges, d["graph"].get("topology"))
-    consts = d["constants"]
-    frames = tuple(
-        Frame(
-            _matrix_from_lists(rows, field),
-            p=p,
-            field=field,
-            lower=float(consts["A"]),
-            upper=float(consts["B"]),
+    version = d.get("version") if isinstance(d, dict) else None
+    if version != DESCRIPTOR_VERSION:
+        raise SchemeError(
+            f"scheme descriptor version {version!r} is not supported; expected "
+            f"version {DESCRIPTOR_VERSION} (supports and local blocks)"
         )
-        for rows in d["frames"]
-    )
-    projections = tuple(_matrix_from_lists(pr, field) for pr in d["projections"])
-    functionals = {
-        e: _matrix_from_lists(mat, field) for e, mat in zip(graph.edges, d["edgeFunctionals"])
-    }
-    lo, hi = d.get("exhaustion", [0.0, math.inf])
-    return LsccScheme(
-        name=d.get("name", "loaded"),
-        field=field,
-        p=p,
-        ambient_dim=n,
-        graph=graph,
-        vertex_frames=frames,
-        vertex_projections=projections,
-        edge_functionals=functionals,
-        local_stability=float(consts["C0"]),
-        edge_domination=float(consts["C1"]),
-        frame_lower=float(consts["A"]),
-        frame_upper=float(consts["B"]),
-        exhaustion_lower=float(lo),
-        exhaustion_upper=float(hi),
-        vertex_labels=labels,
-    )
+    try:
+        field = d["field"]
+        p = float(d["p"])
+        n = int(d["n"])
+        labels = tuple(d["graph"]["V"])
+        edges = tuple(tuple(e) for e in d["graph"]["edges"])
+        graph = BaseGraph(len(labels), edges, d["graph"].get("topology"))
+        consts = d["constants"]
+        frames = tuple(
+            Frame(
+                _block_from_dict(entry, n, field),
+                p=p,
+                field=field,
+                lower=float(consts["A"]),
+                upper=float(consts["B"]),
+            )
+            for entry in d["frames"]
+        )
+        functionals = {
+            e: _block_from_dict(entry, n, field)
+            for e, entry in zip(graph.edges, d["edgeFunctionals"])
+        }
+        lo, hi = d.get("exhaustion", [0.0, math.inf])
+        return LsccScheme(
+            name=d.get("name", "loaded"),
+            field=field,
+            p=p,
+            ambient_dim=n,
+            graph=graph,
+            vertex_frames=frames,
+            vertex_projections=tuple(d["projections"]),
+            edge_functionals=functionals,
+            local_stability=float(consts["C0"]),
+            edge_domination=float(consts["C1"]),
+            frame_lower=float(consts["A"]),
+            frame_upper=float(consts["B"]),
+            exhaustion_lower=float(lo),
+            exhaustion_upper=float(hi),
+            vertex_labels=labels,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemeError(f"malformed scheme descriptor: {exc!r}") from exc
 
 
 def scheme_to_json(scheme: LsccScheme) -> str:
-    return json.dumps(scheme_to_dict(scheme), indent=2, sort_keys=True)
+    """Compact, key-sorted descriptor JSON; `descriptor_hash` hashes exactly this."""
+    return json.dumps(scheme_to_dict(scheme), sort_keys=True, separators=(",", ":"))
 
 
 def scheme_from_json(text: str) -> LsccScheme:
@@ -534,10 +594,10 @@ def scheme_from_json(text: str) -> LsccScheme:
 
 
 def check_projection_axioms(scheme: LsccScheme, tol: float = 1e-10) -> bool:
-    """Structural identities: P_v is idempotent and Phi_v * P_v = Phi_v."""
-    for fr, proj in zip(scheme.vertex_frames, scheme.vertex_projections):
-        if np.max(np.abs(proj @ proj - proj)) > tol:
-            return False
-        if np.max(np.abs(fr.rows @ proj - fr.rows)) > tol:
+    """Structural identity Phi_v * P_v = Phi_v: every frame row vanishes off the
+    support of P_v.  A coordinate projection is idempotent by construction."""
+    for fr, support in zip(scheme.vertex_frames, scheme.vertex_projections):
+        outside = np.delete(fr.rows, support, axis=1)
+        if outside.size and np.max(np.abs(outside)) > tol:
             return False
     return True

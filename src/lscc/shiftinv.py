@@ -164,11 +164,8 @@ def build_shiftinv_scheme(gen: GeneratorModel, R: int) -> LsccScheme:
         rows = np.zeros((local.shape[0], dim))
         block = [coefficient_index(gen, R, ell + kk) for kk in range(-gen.N + 1, 1)]
         rows[:, block] = local
-        proj = np.zeros((dim, dim))
-        for j in block:
-            proj[j, j] = 1.0
         frames.append(Frame(rows, p=gen.p, field=REAL, lower=lower, upper=upper))
-        projections.append(proj)
+        projections.append(block)
 
     functionals = {}
     for v in range(n_vert - 1):

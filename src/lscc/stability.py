@@ -44,6 +44,8 @@ ADVERSARIAL = "Adversarial"
 DENOM_CUTOFF = 1e-14
 #: cap on enumerated sign patterns
 SIGN_FLIP_CAP = 1 << 20
+#: spawn key of stability_report's comparison stream under its seed
+COMPARISON_SPAWN_KEY = (1,)
 
 
 def real_constant(scheme: LsccScheme) -> float:
@@ -280,8 +282,12 @@ def stability_report(
     region_size: int = 1,
     adversarial=None,
 ) -> StabilityReport:
-    """Full per-signal analysis: verdict, connectivity, bound, sampled ratio."""
-    rng = np.random.default_rng(seed)
+    """Full per-signal analysis: verdict, connectivity, bound, sampled ratio.
+
+    Comparison signals come from a stream spawned off `seed`, so a signal
+    drawn from `default_rng(seed)` is never compared against itself.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=COMPARISON_SPAWN_KEY))
     fv = scheme.coerce(f)
     graph = induce_graph(scheme, fv)
     verdict = is_phase_retrievable(scheme, fv)

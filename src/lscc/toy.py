@@ -31,11 +31,8 @@ def toy_scheme() -> LsccScheme:
     for k in range(3):
         rows = np.zeros((3, n))
         rows[:, k : k + 2] = _LOCAL_ROWS
-        proj = np.zeros((n, n))
-        proj[k, k] = 1.0
-        proj[k + 1, k + 1] = 1.0
         frames.append(rows)
-        projections.append(proj)
+        projections.append([k, k + 1])
     functionals = {}
     for k in range(2):
         delta = np.zeros((1, n))

@@ -154,11 +154,8 @@ def build_windowed_scheme(cfg: WindowedConfig) -> LsccScheme:
         rows = np.zeros((local.shape[0], d), dtype=local.dtype)
         for j in range(n_local):
             rows[:, (ell * cfg.a + j) % d] = local[:, j]
-        proj = np.zeros((d, d))
-        for k in window_support(cfg, ell):
-            proj[k, k] = 1.0
         frames.append(Frame(rows, p=2.0, field=cfg.field, lower=lower, upper=upper))
-        projections.append(proj)
+        projections.append(window_support(cfg, ell))
 
     functionals = {}
     for u, v in graph.edges:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import numpy as np
+
 from lscc.cli import main
 from lscc.scheme import scheme_to_json
 from lscc.toy import toy_scheme
@@ -45,6 +47,15 @@ class TestAnalyze:
 
     def test_bad_scheme_source(self):
         assert run(["analyze", "--scheme", "nonsense", "--signal", "1,2"]) == 1
+
+    def test_random_signal_is_not_its_own_first_comparison(self, capsys):
+        # with a single comparison drawn from the signal's own stream, the pair
+        # was phase-equivalent and the sampled worst ratio degenerated to 0
+        code = run(
+            ["analyze", "--scheme", "toy", "--signal", "random", "--seed", "5", "--trials", "1"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["empiricalWorstRatio"] > 0.0
 
     def test_wrong_length_signal(self):
         assert run(["analyze", "--scheme", "toy", "--signal", "1,2"]) == 1
@@ -207,6 +218,23 @@ class TestSchemeLoading:
         path = tmp_path / "scheme.json"
         path.write_text(scheme_to_json(toy_scheme()))
         assert run(["analyze", "--scheme", str(path), "--signal", "1,2,3,4", "--trials", "30"]) == 0
+
+    def test_dense_descriptor_rejected_with_message(self, tmp_path, capsys):
+        # the earlier layout: no version, d x d projection matrices, dense frames
+        toy = toy_scheme()
+        data = json.loads(scheme_to_json(toy))
+        del data["version"]
+        data["frames"] = [fr.rows.tolist() for fr in toy.vertex_frames]
+        data["projections"] = [
+            np.diag(np.isin(np.arange(4), s).astype(float)).tolist()
+            for s in toy.vertex_projections
+        ]
+        data["edgeFunctionals"] = [toy.edge_functionals[e].tolist() for e in toy.graph.edges]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data))
+        assert run(["validate", "--scheme", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load scheme") and "version" in err
 
     def test_env_seed_respected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LSCC_SEED", "99")

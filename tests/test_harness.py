@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -15,7 +16,8 @@ from lscc.harness import (
     signal_bound,
     write_csv,
 )
-from lscc.measurement import COMPLEX
+from lscc.measurement import COMPLEX, REAL
+from lscc.shiftinv import GeneratorModel, build_shiftinv_scheme
 from lscc.toy import FIXTURE_BROKEN, FIXTURE_CONNECTED, toy_scheme
 from lscc.windowed import WindowedConfig, build_windowed_scheme
 
@@ -139,6 +141,30 @@ class TestCsvPlumbing:
         write_csv(str(path2), ["a", "b"], rows)
         assert path1.read_bytes() == path2.read_bytes()
         assert path1.read_text() == "a,b\n1,0.5\n2,inf\n"
+
+    def test_fuzz_csv_keeps_scheme_names_with_commas(self, tmp_path):
+        from lscc.harness import run_fuzz_experiment
+
+        # the 17 schemes of the acceptance fuzz
+        schemes = [toy_scheme()]
+        schemes += [
+            build_windowed_scheme(WindowedConfig(a=a, L=L, field=field, seed=7))
+            for a in (1, 2)
+            for L in (4, 8, 16)
+            for field in (REAL, COMPLEX)
+        ]
+        schemes += [build_shiftinv_scheme(GeneratorModel(N=n), r) for n in (2, 3) for r in (8, 16)]
+        out = tmp_path / "fuzz.csv"
+        spec = ExperimentSpec(kind="fuzz", scheme="test_04", trials=200, seed=1, output=str(out))
+        assert run_fuzz_experiment(spec, schemes) == 0
+        with open(out, newline="") as handle:
+            reader = csv.DictReader(handle)
+            rows = list(reader)
+        assert reader.fieldnames == ["scheme", "pairs", "max_quotient", "violations"]
+        assert len(rows) == 17
+        assert all(len(row) == 4 and None not in row for row in rows)
+        assert [row["scheme"] for row in rows] == [s.name for s in schemes]
+        assert "windowed(a=1,L=4,real)" in [row["scheme"] for row in rows]
 
     def test_experiment_spec_roundtrip(self):
         spec = ExperimentSpec(kind="fuzz", scheme="toy", trials=10, seed=3)

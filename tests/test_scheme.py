@@ -9,6 +9,7 @@ from lscc.errors import SchemeError
 from lscc.graphs import is_connected
 from lscc.measurement import COMPLEX, REAL, Frame
 from lscc.scheme import (
+    DESCRIPTOR_VERSION,
     INCONCLUSIVE,
     RETRIEVABLE,
     BaseGraph,
@@ -17,7 +18,9 @@ from lscc.scheme import (
     check_projection_axioms,
     induce_graph,
     is_phase_retrievable,
+    scheme_from_dict,
     scheme_from_json,
+    scheme_to_dict,
     scheme_to_json,
     validate_edge_domination,
     validate_exhaustion,
@@ -31,12 +34,33 @@ from lscc.toy import (
     FIXTURE_LOCAL,
     toy_scheme,
 )
+from lscc.shiftinv import GeneratorModel, build_shiftinv_scheme
 from lscc.windowed import WindowedConfig, build_windowed_scheme
 
 
 @pytest.fixture(scope="module")
 def toy():
     return toy_scheme()
+
+
+def with_projections(scheme, projections):
+    """Copy of `scheme` with other vertex projections (supports)."""
+    return LsccScheme(
+        name=scheme.name,
+        field=scheme.field,
+        p=scheme.p,
+        ambient_dim=scheme.ambient_dim,
+        graph=scheme.graph,
+        vertex_frames=scheme.vertex_frames,
+        vertex_projections=projections,
+        edge_functionals=dict(scheme.edge_functionals),
+        local_stability=scheme.local_stability,
+        edge_domination=scheme.edge_domination,
+        frame_lower=scheme.frame_lower,
+        frame_upper=scheme.frame_upper,
+        exhaustion_lower=scheme.exhaustion_lower,
+        exhaustion_upper=scheme.exhaustion_upper,
+    )
 
 
 def degenerate_two_row_scheme():
@@ -49,7 +73,7 @@ def degenerate_two_row_scheme():
         ambient_dim=2,
         graph=BaseGraph(1, ()),
         vertex_frames=(Frame(rows, lower=1.0, upper=1.0),),
-        vertex_projections=(np.eye(2),),
+        vertex_projections=(np.array([0, 1]),),
         edge_functionals={},
         local_stability=10.0,
         edge_domination=1.0,
@@ -207,26 +231,9 @@ class TestValidators:
         assert report.witness is not None
 
     def test_exhaustion_gap_fails(self, toy):
-        # drop the last coordinate from every projection: e_4 is invisible
-        mangled = tuple(p.copy() for p in toy.vertex_projections)
-        for proj in mangled:
-            proj[3, 3] = 0.0
-        bad = LsccScheme(
-            name="bad-exhaustion",
-            field=toy.field,
-            p=toy.p,
-            ambient_dim=toy.ambient_dim,
-            graph=toy.graph,
-            vertex_frames=toy.vertex_frames,
-            vertex_projections=mangled,
-            edge_functionals=dict(toy.edge_functionals),
-            local_stability=toy.local_stability,
-            edge_domination=toy.edge_domination,
-            frame_lower=toy.frame_lower,
-            frame_upper=toy.frame_upper,
-            exhaustion_lower=toy.exhaustion_lower,
-            exhaustion_upper=toy.exhaustion_upper,
-        )
+        # drop the last coordinate from every support: e_4 is invisible
+        mangled = tuple(support[support != 3] for support in toy.vertex_projections)
+        bad = with_projections(toy, mangled)
         report = validate_exhaustion(bad, trials=50, rng=np.random.default_rng(5))
         assert not report.passed
 
@@ -245,6 +252,43 @@ class TestValidators:
 
     def test_projection_axioms(self, toy):
         assert check_projection_axioms(toy)
+
+    def test_projection_axioms_catch_rows_off_support(self, toy):
+        # vertex 2's frame reads coordinates 2 and 3; a support of {2} misses one
+        supports = toy.vertex_projections[:2] + (np.array([2]),)
+        assert not check_projection_axioms(with_projections(toy, supports))
+
+
+class TestProjectionSupports:
+    def test_builders_store_sorted_int64_supports(self, toy):
+        assert [s.tolist() for s in toy.vertex_projections] == [[0, 1], [1, 2], [2, 3]]
+        windowed = build_windowed_scheme(WindowedConfig(a=2, L=4, field=REAL, seed=0))
+        assert windowed.vertex_projections[3].tolist() == [0, 1, 6, 7]
+        for scheme in (toy, windowed):
+            for support in scheme.vertex_projections:
+                assert support.dtype == np.int64
+
+    def test_rejects_non_integer_support(self, toy):
+        with pytest.raises(SchemeError):
+            with_projections(toy, (np.array([0.0, 1.0]),) + toy.vertex_projections[1:])
+
+    def test_rejects_dense_projection_matrix(self, toy):
+        dense = np.diag([1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(SchemeError):
+            with_projections(toy, (dense,) + toy.vertex_projections[1:])
+
+    def test_rejects_unsorted_support(self, toy):
+        with pytest.raises(SchemeError):
+            with_projections(toy, ([1, 0],) + toy.vertex_projections[1:])
+
+    def test_rejects_duplicated_support(self, toy):
+        with pytest.raises(SchemeError):
+            with_projections(toy, ([1, 1],) + toy.vertex_projections[1:])
+
+    @pytest.mark.parametrize("support", [[-1, 0], [3, 4]])
+    def test_rejects_out_of_range_support(self, toy, support):
+        with pytest.raises(SchemeError):
+            with_projections(toy, (support,) + toy.vertex_projections[1:])
 
 
 class TestEdgePhaseConsistency:
@@ -266,11 +310,12 @@ class TestEdgePhaseConsistency:
 
 class TestSerialization:
     def test_roundtrip_real(self, toy):
-        text = scheme_to_json(toy)
-        again = scheme_from_json(text)
-        assert scheme_to_json(again) == text
-        f = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(again.measure(f), toy.measure(f))
+        for scheme in (toy, build_shiftinv_scheme(GeneratorModel(N=3), 6)):
+            text = scheme_to_json(scheme)
+            again = scheme_from_json(text)
+            assert scheme_to_json(again) == text
+            f = scheme.random_signal(np.random.default_rng(11))
+            assert np.array_equal(again.measure(f), scheme.measure(f))
 
     def test_roundtrip_complex(self):
         scheme = build_windowed_scheme(WindowedConfig(a=1, L=4, field=COMPLEX, seed=4))
@@ -280,6 +325,47 @@ class TestSerialization:
         rng = np.random.default_rng(10)
         f = scheme.random_signal(rng)
         assert np.allclose(again.measure(f), scheme.measure(f), rtol=0, atol=0)
+        for fr, fr2 in zip(scheme.vertex_frames, again.vertex_frames):
+            assert fr2.rows.dtype == fr.rows.dtype and np.array_equal(fr2.rows, fr.rows)
+        for e, mat in scheme.edge_functionals.items():
+            assert np.array_equal(again.edge_functionals[e], mat)
+
+    def test_descriptor_stores_supports_and_local_blocks(self, toy):
+        d = scheme_to_dict(toy)
+        assert d["version"] == DESCRIPTOR_VERSION == 2
+        assert d["projections"] == [[0, 1], [1, 2], [2, 3]]
+        assert d["frames"][1] == {"m": 3, "support": [1, 2], "block": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}
+        assert d["edgeFunctionals"][0] == {"m": 1, "support": [1], "block": [[1.0]]}
+
+    def test_rejects_descriptor_without_version_2(self, toy):
+        d = scheme_to_dict(toy)
+        d["version"] = 1
+        with pytest.raises(SchemeError, match="version"):
+            scheme_from_dict(d)
+        del d["version"]
+        with pytest.raises(SchemeError, match="version"):
+            scheme_from_dict(d)
+
+    def test_rejects_malformed_block(self, toy):
+        d = scheme_to_dict(toy)
+        d["frames"][0]["block"] = [[1.0]]
+        with pytest.raises(SchemeError):
+            scheme_from_dict(d)
 
     def test_hash_stable(self, toy):
         assert toy.descriptor_hash() == toy_scheme().descriptor_hash()
+
+
+class TestLocalStorageGuards:
+    """Descriptors and in-memory projections grow with the supports, not with d^2."""
+
+    def test_windowed_descriptor_size(self):
+        scheme = build_windowed_scheme(WindowedConfig(a=2, L=64, field=COMPLEX, seed=0))
+        assert len(scheme_to_json(scheme).encode()) <= 256 * 1024
+
+    def test_shiftinv_array_footprint(self):
+        scheme = build_shiftinv_scheme(GeneratorModel(N=2), 512)
+        arrays = [fr.rows for fr in scheme.vertex_frames]
+        arrays += list(scheme.vertex_projections) + list(scheme.edge_functionals.values())
+        arrays += [a for a in vars(scheme).values() if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) <= 64 * 2**20
