@@ -25,6 +25,7 @@ from .graphs import graph_to_dict
 from .harness import format_cell, write_csv, write_manifest
 from .measurement import COMPLEX, REAL
 from .scheme import (
+    DEFAULT_ZERO_TOL,
     LsccScheme,
     induce_graph,
     scheme_from_json,
@@ -110,7 +111,10 @@ def resolve_signal(spec: str, scheme: LsccScheme, seed: int) -> np.ndarray:
         return np.ones(scheme.ambient_dim, dtype=dtype)
     if spec.startswith("random"):
         opts = spec.partition(":")[2]
-        rng = np.random.default_rng(int(opts) if opts else seed)
+        try:
+            rng = np.random.default_rng(int(opts) if opts else seed)
+        except ValueError as exc:
+            raise InputError(f"malformed signal {spec!r}: {exc}") from exc
         return scheme.random_signal(rng)
     if spec.startswith("@"):
         path = spec[1:]
@@ -193,7 +197,9 @@ def cmd_validate(args) -> int:
     return 0 if all_ok else 2
 
 
-def _doubling(lo: int, hi: int) -> list[int]:
+def _doubling(lo: int, hi: int, option: str) -> list[int]:
+    if lo < 1:
+        raise InputError(f"{option} must be >= 1, got {lo}")
     vals = []
     v = lo
     while v <= hi:
@@ -203,7 +209,7 @@ def _doubling(lo: int, hi: int) -> list[int]:
 
 
 def cmd_sweep_windowed(args) -> int:
-    l_values = _doubling(args.Lmin, args.Lmax)
+    l_values = _doubling(args.Lmin, args.Lmax, "--Lmin")
     if not l_values:
         print("error: empty L range", file=sys.stderr)
         return 1
@@ -242,7 +248,7 @@ def cmd_sweep_windowed(args) -> int:
 
 
 def cmd_sweep_shiftinv(args) -> int:
-    r_values = [r for r in _doubling(args.Rmin, args.Rmax) if r >= args.N]
+    r_values = [r for r in _doubling(args.Rmin, args.Rmax, "--Rmin") if r >= args.N]
     if not r_values:
         print("error: empty R range", file=sys.stderr)
         return 1
@@ -366,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--scheme", required=True)
     pg.add_argument("--signal", required=True)
     pg.add_argument("--seed", type=int, default=default_seed)
-    pg.add_argument("--zero-tol", type=float, default=1e-12, dest="zero_tol")
+    pg.add_argument("--zero-tol", type=float, default=DEFAULT_ZERO_TOL, dest="zero_tol")
     pg.add_argument("--out")
     pg.set_defaults(func=cmd_graph)
 

@@ -22,7 +22,7 @@ class BudgetExceededError(LsccError):
 
 
 class TopologyError(LsccError):
-    """Graph does not carry the path/cycle structure the caller claimed."""
+    """Graph is not ring-shaped: an edge is neither (i, i+1) nor (0, n-1)."""
 
 
 class EmptyGraphError(LsccError):

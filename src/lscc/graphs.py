@@ -2,9 +2,11 @@
 
 The Cheeger value of a cut S is (boundary edge weight) / (vertex weight of S),
 minimized over nonempty proper subsets whose volume is at most half the total.
-Three routes are provided: exact subset enumeration (budgeted), an O(n^2)
-interval reduction for path/cycle topologies, and a spectral sweep producing a
-certified [lambda/2-derived lower, sweep-cut upper] sandwich.
+`cheeger` picks one of three routes from the graph's own edges: ring-shaped
+graphs (every edge (i, i+1) or, with n > 2, (0, n-1)) take an O(n^2) interval
+reduction at any size; other graphs get exact subset enumeration up to
+EXACT_BUDGET vertices, then a spectral sweep producing a certified
+[lambda/2-derived lower, sweep-cut upper] sandwich.
 
 Exact and interval enumeration accumulate vertex/edge sums in ascending index
 order so that both return bit-identical values whenever both apply.
@@ -208,37 +210,38 @@ def cheeger_exact(g: WeightedGraph, budget: int = EXACT_BUDGET) -> CheegerResult
     return CheegerResult(best, best, EXACT_ENUMERATION, witness)
 
 
-def _consecutive_edge_weights(g: WeightedGraph, topology: str) -> tuple[np.ndarray, float]:
-    """Edge weights keyed by position; reject edges off the path/cycle."""
+def _ring_weights(g: WeightedGraph) -> np.ndarray | None:
+    """ew[i] = weight of edge (i, i+1 mod n), 0 when absent; None unless the
+    graph is ring-shaped (every edge (i, i+1) or, with n > 2, (0, n-1))."""
     n = g.num_vertices
-    ew = np.zeros(n)  # ew[i] = weight of edge (i, i+1)
-    wrap = 0.0
+    ew = np.zeros(n)
     for u, v, w_e in g.edges:
         if v == u + 1:
             ew[u] = w_e
-        elif topology == "cycle" and u == 0 and v == n - 1 and n > 2:
-            wrap = w_e
+        elif u == 0 and v == n - 1 and n > 2:
+            ew[v] = w_e
         else:
-            raise TopologyError(f"edge ({u},{v}) violates {topology} structure")
-    return ew, wrap
+            return None
+    return ew
 
 
-def cheeger_interval(g: WeightedGraph, topology: str = "path") -> CheegerResult:
-    """Exact Cheeger constant for ordered path/cycle graphs in O(n^2).
+def cheeger_interval(g: WeightedGraph) -> CheegerResult:
+    """Exact Cheeger constant of a ring-shaped graph in O(n^2).
 
-    On such graphs every optimal cut may be assumed connected (a contiguous
-    interval, or an arc for cycles), so enumerating intervals is exhaustive.
-    Matches cheeger_exact bit-for-bit wherever both run.
+    A graph without the wrap edge is a path, otherwise a cycle.  On such
+    graphs every optimal cut may be assumed connected (a contiguous interval,
+    or an arc for cycles), so enumerating intervals is exhaustive.  Matches
+    cheeger_exact bit-for-bit wherever both run.
     """
     if g.is_empty:
         raise EmptyGraphError("Cheeger constant of the empty graph is undefined")
-    if topology not in ("path", "cycle"):
-        raise TopologyError(f"unknown topology {topology!r}")
+    ew = _ring_weights(g)
+    if ew is None:
+        raise TopologyError("graph is not ring-shaped: an edge is neither (i, i+1) nor (0, n-1)")
     n = g.num_vertices
     if n == 1:
         return _singleton_result(g, INTERVAL_REDUCTION)
     w = g.vertex_weights
-    ew, wrap = _consecutive_edge_weights(g, topology)
     half = 0.5 * g.total_volume()
 
     best = math.inf
@@ -260,25 +263,10 @@ def cheeger_interval(g: WeightedGraph, topology: str = "path") -> CheegerResult:
                 continue  # full vertex set is not a cut
             if acc > half:
                 continue
-            bd = 0.0
-            if topology == "cycle":
-                if k == 0:
-                    bd += wrap
-                    bd += ew[ell]
-                elif ell == n - 1:
-                    bd += wrap
-                    bd += ew[k - 1]
-                else:
-                    bd += ew[k - 1]
-                    bd += ew[ell]
-            else:
-                if k > 0:
-                    bd += ew[k - 1]
-                if ell < n - 1:
-                    bd += ew[ell]
-            consider(bd / acc, tuple(range(k, ell + 1)))
+            # ew[-1] is the wrap edge (0 on a path) bounding intervals at 0 or n-1
+            consider((ew[k - 1] + ew[ell]) / acc, tuple(range(k, ell + 1)))
 
-    if topology == "cycle" and n > 2:
+    if ew[-1] > 0.0:
         # arcs wrapping through the (0, n-1) edge: [0..j] followed by [k..n-1].
         # Below the exact-enumeration budget, volumes are accumulated member by
         # member in ascending order so values match cheeger_exact bitwise; the
@@ -431,14 +419,14 @@ def cheeger_sweep(g: WeightedGraph) -> CheegerResult:
     return CheegerResult(lower, best, SPECTRAL_SWEEP, witness)
 
 
-def cheeger(g: WeightedGraph, topology: str | None = None, budget: int = EXACT_BUDGET) -> CheegerResult:
-    """Best available Cheeger route: interval, exact, then sweep fallback."""
-    if topology in ("path", "cycle"):
-        return cheeger_interval(g, topology)
-    try:
-        return cheeger_exact(g, budget=budget)
-    except BudgetExceededError:
-        return cheeger_sweep(g)
+def cheeger(g: WeightedGraph) -> CheegerResult:
+    """Cheeger constant by the route the edges allow: interval on ring-shaped
+    graphs, exact enumeration up to EXACT_BUDGET vertices, else the sandwich."""
+    if _ring_weights(g) is not None:
+        return cheeger_interval(g)
+    if g.num_vertices <= EXACT_BUDGET:
+        return cheeger_exact(g)
+    return cheeger_sweep(g)
 
 
 def check_cheeger_inequality(

@@ -20,10 +20,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import SchemeError
-from .graphs import algebraic_connectivity, cheeger
 from .measurement import COMPLEX, REAL, align_phase, align_phase_batch, p_norm
-from .scheme import LsccScheme, induce_graph
-from .stability import complex_bound, real_bound
+from .scheme import LsccScheme
+from .stability import signal_bound
 
 BOUND_SLACK = 1e-9
 
@@ -50,18 +49,6 @@ def _batch_align(x: np.ndarray, y: np.ndarray, field: str, p: float) -> np.ndarr
         minus = _batch_pnorm(x + y, p)
         return np.minimum(plus, minus)
     return np.array([align_phase(x[:, j], y[:, j], field, p)[1] for j in range(x.shape[1])])
-
-
-def signal_bound(scheme: LsccScheme, f) -> float:
-    """Field-appropriate stability bound of a single signal."""
-    graph = induce_graph(scheme, f)
-    if graph.is_empty:
-        return math.inf
-    if scheme.field == REAL:
-        che = cheeger(graph, topology=scheme.graph.topology)
-        return real_bound(scheme, f, cheeger_result=che)
-    spec = algebraic_connectivity(graph)
-    return complex_bound(scheme, f, spectral=spec)
 
 
 def fuzz_bounds(

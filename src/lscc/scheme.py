@@ -40,11 +40,10 @@ _RATIO_GUARD = 1e-14
 
 @dataclass(frozen=True)
 class BaseGraph:
-    """Unweighted simple graph with its maximum degree and optional ordering."""
+    """Unweighted simple graph with its maximum degree."""
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
-    topology: str | None = None  # "path" / "cycle" when vertices carry that order
 
     def __post_init__(self):
         if self.num_vertices < 1:
@@ -70,14 +69,14 @@ class BaseGraph:
 
 
 def path_graph(n: int) -> BaseGraph:
-    return BaseGraph(n, tuple((i, i + 1) for i in range(n - 1)), topology="path")
+    return BaseGraph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> BaseGraph:
     edges = [(i, i + 1) for i in range(n - 1)]
     if n > 2:
         edges.append((0, n - 1))
-    return BaseGraph(n, tuple(edges), topology="cycle" if n > 2 else "path")
+    return BaseGraph(n, tuple(edges))
 
 
 @dataclass
@@ -515,7 +514,6 @@ def scheme_to_dict(scheme: LsccScheme) -> dict:
         "graph": {
             "V": list(scheme.vertex_labels),
             "edges": [list(e) for e in scheme.graph.edges],
-            "topology": scheme.graph.topology,
         },
         "frames": [_block_to_dict(fr.rows, scheme.field) for fr in scheme.vertex_frames],
         "projections": [support.tolist() for support in scheme.vertex_projections],
@@ -546,7 +544,7 @@ def scheme_from_dict(d: dict) -> LsccScheme:
         n = int(d["n"])
         labels = tuple(d["graph"]["V"])
         edges = tuple(tuple(e) for e in d["graph"]["edges"])
-        graph = BaseGraph(len(labels), edges, d["graph"].get("topology"))
+        graph = BaseGraph(len(labels), edges)
         consts = d["constants"]
         frames = tuple(
             Frame(

@@ -272,7 +272,7 @@ def decay_cheeger_study(gen: GeneratorModel, profile: DecayProfile, R_values: li
         # the profile's weights decay through the relative drop threshold yet
         # stay strictly positive, so induction must use exact positivity here
         graph = induce_graph(scheme, f, zero_tol=0.0)
-        che = cheeger_interval(graph, "path")
+        che = cheeger_interval(graph)
         if profile.kind == EXPONENTIAL:
             reference = exponential_floor(gen, profile.beta)
             passed = che.value >= reference * (1.0 - 1e-9)

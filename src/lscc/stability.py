@@ -64,10 +64,8 @@ def complex_constant(scheme: LsccScheme) -> float:
     return max(4.0 * c0 * c1 * math.sqrt(d), math.sqrt(8.0 * c0**2 + 2.0))
 
 
-def _cheeger_of(scheme: LsccScheme, graph: WeightedGraph) -> CheegerResult | None:
-    if graph.is_empty:
-        return None
-    return cheeger(graph, topology=scheme.graph.topology)
+def _cheeger_of(graph: WeightedGraph) -> CheegerResult | None:
+    return None if graph.is_empty else cheeger(graph)
 
 
 def real_bound(
@@ -85,7 +83,7 @@ def real_bound(
         raise FieldError("real bound applies to real-field schemes")
     if cheeger_result is None:
         graph = induce_graph(scheme, f) if graph is None else graph
-        cheeger_result = _cheeger_of(scheme, graph)
+        cheeger_result = _cheeger_of(graph)
     c2 = real_constant(scheme)
     if cheeger_result is None:  # empty graph: no connectivity to exploit
         return math.inf
@@ -121,8 +119,9 @@ def complex_bound(
     return c3 * (1.0 + spectral.lam ** (-0.5))
 
 
-def stability_bound(scheme: LsccScheme, f) -> float:
-    """Field-appropriate bound for a single signal."""
+def signal_bound(scheme: LsccScheme, f) -> float:
+    """Field-appropriate stability bound of a single signal; infinite when its
+    induced graph is empty."""
     if scheme.field == REAL:
         return real_bound(scheme, f)
     return complex_bound(scheme, f)
@@ -287,11 +286,13 @@ def stability_report(
     Comparison signals come from a stream spawned off `seed`, so a signal
     drawn from `default_rng(seed)` is never compared against itself.
     """
+    if trials < 1:
+        raise DegenerateFamilyError("trials must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=COMPARISON_SPAWN_KEY))
     fv = scheme.coerce(f)
     graph = induce_graph(scheme, fv)
     verdict = is_phase_retrievable(scheme, fv)
-    che = _cheeger_of(scheme, graph)
+    che = _cheeger_of(graph)
     spec = None
     if scheme.p == 2.0 and not graph.is_empty:
         spec = algebraic_connectivity(graph)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .certify import real_local_stability, sigma_strong
 from .measurement import REAL, Frame
-from .scheme import BaseGraph, LsccScheme
+from .scheme import LsccScheme, path_graph
 
 FIXTURE_CONNECTED = (1.0, 2.0, 3.0, 4.0)
 FIXTURE_BROKEN = (1.0, 2.0, 0.0, 1.0)
@@ -25,7 +25,7 @@ _LOCAL_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 def toy_scheme() -> LsccScheme:
     n = 4
-    graph = BaseGraph(3, ((0, 1), (1, 2)), topology="path")
+    graph = path_graph(3)
     frames = []
     projections = []
     for k in range(3):

@@ -279,7 +279,7 @@ def lower_bound_constants(cfg: WindowedConfig, f, scheme: LsccScheme | None = No
     scheme = build_windowed_scheme(cfg) if scheme is None else scheme
     factor = cfg.s**2 / (2.0 * scheme.frame_upper**2 * cfg.t**2)
     graph = induce_graph(scheme, f)
-    che = cheeger_interval(graph, "cycle" if cfg.L > 2 else "path")
+    che = cheeger_interval(graph)
     spec = algebraic_connectivity(graph)
     return LowerBoundCheck(
         cheeger_floor=factor * unweighted_cycle_cheeger(cfg.L),
@@ -314,7 +314,7 @@ def scaling_sweep(
         scheme = build_windowed_scheme(cfg)
         f = np.ones(cfg.d, dtype=np.complex128 if field == COMPLEX else np.float64)
         graph = induce_graph(scheme, f)
-        che = cheeger_interval(graph, "cycle")
+        che = cheeger_interval(graph)
         spec = algebraic_connectivity(graph)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(idx,)).generate_state(1)[0]

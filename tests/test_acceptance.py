@@ -95,7 +95,7 @@ def test_02_cycle_closed_forms():
         g = WeightedGraph(np.ones(L), tuple(edges))
         lam = algebraic_connectivity(g).lam
         assert abs(lam - 2.0 * (1.0 - math.cos(2.0 * math.pi / L))) <= 1e-10
-        che = cheeger_interval(g, "cycle").upper
+        che = cheeger_interval(g).upper
         assert abs(che - 2.0 / (L // 2)) <= 1e-10
         if L <= 14:
             assert cheeger_exact(g).upper == che
@@ -218,7 +218,7 @@ def test_08_window_class_connectivity_floors():
                 for _ in range(100):
                     f = sample_class_signal(cfg, rng)
                     graph = induce_graph(scheme, f)
-                    che = cheeger_interval(graph, "cycle").upper
+                    che = cheeger_interval(graph).upper
                     lam = algebraic_connectivity(graph).lam
                     assert che >= che_floor * (1.0 - 1e-9)
                     assert lam >= lam_floor * (1.0 - 1e-9)
@@ -264,7 +264,7 @@ def test_10_sigma_crosscheck_and_combined_inequality():
     for _ in range(100):
         f = rng.standard_normal(scheme.ambient_dim)
         graph = induce_graph(scheme, f)
-        che = cheeger_interval(graph, "path").upper
+        che = cheeger_interval(graph).upper
         assert che > 0.0
         factor = 1.0 + che ** (-0.5)
         x = scheme.measure(f)

@@ -1,7 +1,13 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from lscc.cli import main
 from lscc.scheme import scheme_to_json
@@ -10,6 +16,28 @@ from lscc.toy import toy_scheme
 
 def run(argv):
     return main(argv)
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def run_subprocess(argv, cwd):
+    """The CLI in a child process capped at 1 GB and 60 s, so a runaway input
+    fails the test instead of hanging it or exhausting memory."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "lscc.cli", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_cap_address_space,
+    )
 
 
 class TestAnalyze:
@@ -59,6 +87,18 @@ class TestAnalyze:
 
     def test_wrong_length_signal(self):
         assert run(["analyze", "--scheme", "toy", "--signal", "1,2"]) == 1
+
+    def test_zero_trials_exit_one(self, capsys):
+        code = run(["analyze", "--scheme", "toy", "--signal", "1,2,3,4", "--trials", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "trials must be >= 1" in captured.err
+
+    def test_malformed_random_seed_exit_one(self, capsys):
+        code = run(["analyze", "--scheme", "toy", "--signal", "random:abc"])
+        assert code == 1
+        assert "malformed signal 'random:abc'" in capsys.readouterr().err
 
 
 class TestValidate:
@@ -123,6 +163,22 @@ class TestSweeps:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["windowed", "--Lmin", "0"],
+            ["windowed", "--Lmin", "-1"],
+            ["shiftinv", "--kind", "poly", "--beta", "2", "--Rmin", "0"],
+            ["shiftinv", "--kind", "exp", "--beta", "1", "--Rmin", "-3"],
+        ],
+    )
+    def test_nonpositive_lower_end_exit_one(self, tmp_path, argv):
+        # doubling from a lower end <= 0 never passes the upper end
+        proc = run_subprocess(["sweep", *argv, "--out", str(tmp_path / "x.csv")], tmp_path)
+        assert proc.returncode == 1
+        assert "must be >= 1" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
 
     def test_shiftinv_exp_floor_pass(self, tmp_path):
         out = tmp_path / "decay.csv"

@@ -135,7 +135,7 @@ class TestCheegerInterval:
             edges = [(i, i + 1, float(rng.uniform(0.1, 2.0))) for i in range(n - 1)]
             edges.append((0, n - 1, float(rng.uniform(0.1, 2.0))))
             g = WeightedGraph(weights, tuple(edges))
-            assert cheeger_interval(g, "cycle").upper == cheeger_exact(g).upper
+            assert cheeger_interval(g).upper == cheeger_exact(g).upper
 
     def test_path_matches_exact_bitwise(self):
         rng = np.random.default_rng(2)
@@ -143,23 +143,44 @@ class TestCheegerInterval:
             weights = rng.uniform(0.2, 3.0, n)
             edges = tuple((i, i + 1, float(rng.uniform(0.1, 2.0))) for i in range(n - 1))
             g = WeightedGraph(weights, edges)
-            assert cheeger_interval(g, "path").upper == cheeger_exact(g).upper
+            assert cheeger_interval(g).upper == cheeger_exact(g).upper
 
     def test_four_cycle(self):
-        assert cheeger_interval(unweighted_cycle(4), "cycle").upper == 1.0
+        assert cheeger_interval(unweighted_cycle(4)).upper == 1.0
 
     def test_two_path(self):
-        assert cheeger_interval(unweighted_path(2), "path").upper == 1.0
+        assert cheeger_interval(unweighted_path(2)).upper == 1.0
 
     def test_topology_mismatch(self):
         g = WeightedGraph(np.ones(4), ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
         with pytest.raises(TopologyError):
-            cheeger_interval(g, "path")
+            cheeger_interval(g)
 
     def test_cycle_closed_form_large(self):
         for L in (32, 48, 64):
-            res = cheeger_interval(unweighted_cycle(L), "cycle")
+            res = cheeger_interval(unweighted_cycle(L))
             assert res.upper == pytest.approx(2.0 / (L // 2), abs=1e-10)
+
+    def test_ring_route_matches_exact(self):
+        # rings with dropped edges (broken cycles, broken paths, disconnected
+        # pieces), with continuous and tie-prone integer weights
+        rng = np.random.default_rng(4)
+        for trial in range(300):
+            n = int(rng.integers(2, 13))
+            ring = [(i, i + 1) for i in range(n - 1)] + ([(0, n - 1)] if n > 2 else [])
+            kept = [e for e in ring if rng.random() < 0.8]
+            if trial % 2:
+                w = rng.uniform(0.2, 3.0, n)
+                ew = rng.uniform(0.1, 2.0, len(kept))
+            else:
+                w = rng.integers(1, 4, n).astype(float)
+                ew = rng.integers(1, 4, len(kept)).astype(float)
+            g = WeightedGraph(w, tuple((u, v, float(x)) for (u, v), x in zip(kept, ew)))
+            res, exact = cheeger(g), cheeger_exact(g)
+            assert res.method == "IntervalReduction"
+            assert res.value == exact.value
+            if exact.value > 0.0:  # zero-value cuts of disconnected graphs tie widely
+                assert res.witness == exact.witness
 
     def test_agreement_at_enumeration_budget(self):
         # the full 24-vertex budget: 2^23 cuts against the O(n^2) reduction
@@ -168,10 +189,10 @@ class TestCheegerInterval:
         w = rng.uniform(0.2, 3.0, n)
         path_edges = tuple((i, i + 1, float(rng.uniform(0.1, 2.0))) for i in range(n - 1))
         path = WeightedGraph(w, path_edges)
-        assert cheeger_interval(path, "path").upper == cheeger_exact(path).upper
+        assert cheeger_interval(path).upper == cheeger_exact(path).upper
         cyc = WeightedGraph(w, path_edges + ((0, n - 1, float(rng.uniform(0.1, 2.0))),))
         exact = cheeger_exact(cyc)
-        interval = cheeger_interval(cyc, "cycle")
+        interval = cheeger_interval(cyc)
         assert interval.upper == exact.upper
         assert interval.witness == exact.witness
 
@@ -261,14 +282,13 @@ class TestCheegerSweep:
             assert bd / vol == pytest.approx(sw.upper, abs=1e-10)
 
     def test_fallback_dispatch(self):
-        res = cheeger(unweighted_cycle(30), topology="cycle")
-        assert res.method == "IntervalReduction"
-        g30 = WeightedGraph(
-            np.ones(30),
-            tuple((i, i + 1, 1.0) for i in range(29)) + ((0, 29, 1.0), (0, 15, 1.0)),
-        )
-        assert cheeger(g30).method == "SpectralSweepSandwich"
-        assert cheeger(unweighted_cycle(12)).method == "ExactEnumeration"
+        # the route follows the edges: a ring takes the interval reduction at
+        # any size; one chord sends it to enumeration, then to the sandwich
+        assert cheeger(unweighted_cycle(30)).method == "IntervalReduction"
+        for n, method in ((12, "ExactEnumeration"), (30, "SpectralSweepSandwich")):
+            ring = tuple((i, i + 1, 1.0) for i in range(n - 1)) + ((0, n - 1, 1.0),)
+            chorded = WeightedGraph(np.ones(n), ring + ((0, n // 2, 1.0),))
+            assert cheeger(chorded).method == method
 
 
 class TestCheegerInequality:

@@ -352,6 +352,17 @@ class TestSerialization:
         with pytest.raises(SchemeError):
             scheme_from_dict(d)
 
+    def test_loads_descriptor_with_topology_key(self):
+        # descriptors written before the route was read off the edges carry a
+        # "topology" entry; the reader ignores it
+        scheme = build_windowed_scheme(WindowedConfig(a=2, L=8, field=COMPLEX))
+        d = scheme_to_dict(scheme)
+        d["graph"]["topology"] = "cycle"
+        again = scheme_from_dict(d)
+        assert scheme_to_json(again) == scheme_to_json(scheme)
+        f = scheme.random_signal(np.random.default_rng(12))
+        assert np.array_equal(again.measure(f), scheme.measure(f))
+
     def test_hash_stable(self, toy):
         assert toy.descriptor_hash() == toy_scheme().descriptor_hash()
 

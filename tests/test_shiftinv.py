@@ -189,7 +189,7 @@ class TestDecayStudies:
             for profile in profiles:
                 f = profile_signal(gen, radius, profile)
                 graph = induce_graph(scheme, f, zero_tol=0.0)
-                assert cheeger_interval(graph, "path").upper == cheeger_exact(graph).upper
+                assert cheeger_interval(graph).upper == cheeger_exact(graph).upper
 
     def test_exponential_floor_holds(self):
         gen = GeneratorModel(N=2)
@@ -256,7 +256,7 @@ class TestCombinedBound:
             x, y = scheme.measure(f), scheme.measure(g)
             lhs = min(np.linalg.norm(x - y), np.linalg.norm(x + y))
             graph = induce_graph(scheme, f)
-            che = cheeger_interval(graph, "path").upper if graph.num_vertices > 1 else math.inf
+            che = cheeger_interval(graph).upper if graph.num_vertices > 1 else math.inf
             if che <= 0.0:
                 continue
             factor = 1.0 if math.isinf(che) else 1.0 + che ** (-0.5)

@@ -33,7 +33,6 @@ def scheme_with_constants(p, c0, c1, degree):
 
     class _G:
         degree_bound = degree
-        topology = "path"
         edges = base.graph.edges
         num_vertices = base.graph.num_vertices
 
