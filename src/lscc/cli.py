@@ -137,6 +137,8 @@ def resolve_signal(spec: str, scheme: LsccScheme, seed: int) -> np.ndarray:
         arr = np.array([v.real for v in values])
     else:
         arr = np.array(values, dtype=np.complex128)
+    if not np.all(np.isfinite(arr)):
+        raise InputError("signal has non-finite entries")
     if arr.size != scheme.ambient_dim:
         raise InputError(
             f"signal length {arr.size} != scheme ambient dimension {scheme.ambient_dim}"

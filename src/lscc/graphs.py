@@ -3,10 +3,14 @@
 The Cheeger value of a cut S is (boundary edge weight) / (vertex weight of S),
 minimized over nonempty proper subsets whose volume is at most half the total.
 `cheeger` picks one of three routes from the graph's own edges: ring-shaped
-graphs (every edge (i, i+1) or, with n > 2, (0, n-1)) take an O(n^2) interval
+graphs (every edge (i, i+1) or, with n > 2, (0, n-1)) take the interval
 reduction at any size; other graphs get exact subset enumeration up to
 EXACT_BUDGET vertices, then a spectral sweep producing a certified
 [lambda/2-derived lower, sweep-cut upper] sandwich.
+
+The interval reduction is O(n^2) arithmetic in numpy blocks of at most _CHUNK
+cells, with O(n + _CHUNK) memory; witness tuples are built only for cuts that
+equal the running minimum.
 
 Exact and interval enumeration accumulate vertex/edge sums in ascending index
 order so that both return bit-identical values whenever both apply.
@@ -226,12 +230,19 @@ def _ring_weights(g: WeightedGraph) -> np.ndarray | None:
 
 
 def cheeger_interval(g: WeightedGraph) -> CheegerResult:
-    """Exact Cheeger constant of a ring-shaped graph in O(n^2).
+    """Exact Cheeger constant of a ring-shaped graph.
 
     A graph without the wrap edge is a path, otherwise a cycle.  On such
     graphs every optimal cut may be assumed connected (a contiguous interval,
-    or an arc for cycles), so enumerating intervals is exhaustive.  Matches
-    cheeger_exact bit-for-bit wherever both run.
+    or an arc for cycles), so enumerating intervals is exhaustive.
+
+    The O(n^2) candidate cuts are evaluated in numpy blocks of start rows,
+    each of at most _CHUNK cells, so memory stays O(n + _CHUNK).  Member
+    tuples are built only for cells equal to the running minimum; ties go to
+    the lexicographically smallest witness, as in cheeger_exact.  Volumes are
+    sums in ascending index order (running sums from the interval's left end;
+    arcs below EXACT_BUDGET add [0..j] then [k..n-1] member by member), so
+    values and witnesses match cheeger_exact bit-for-bit wherever both run.
     """
     if g.is_empty:
         raise EmptyGraphError("Cheeger constant of the empty graph is undefined")
@@ -242,52 +253,70 @@ def cheeger_interval(g: WeightedGraph) -> CheegerResult:
     if n == 1:
         return _singleton_result(g, INTERVAL_REDUCTION)
     w = g.vertex_weights
-    half = 0.5 * g.total_volume()
+    total = g.total_volume()
+    half = 0.5 * total
 
     best = math.inf
     best_witness: tuple[int, ...] | None = None
 
-    def consider(ratio: float, members: tuple[int, ...]):
+    def consider(bd, vol, cut, members, row: int) -> None:
+        # One block of candidate cuts.  Among the rows holding the running
+        # minimum, `row` (0 or -1) is the one whose cuts compare smallest, and
+        # within a row the first hit compares smallest; members(r, c) builds
+        # the cut at row r, column c.
         nonlocal best, best_witness
-        if ratio < best:
-            best = ratio
-            best_witness = members
-        elif ratio == best and (best_witness is None or members < best_witness):
-            best_witness = members
+        cut &= vol <= half
+        ratio = np.divide(bd, vol, out=np.full(vol.shape, math.inf), where=cut)
+        low = ratio.min()
+        if math.isinf(low) or low > best:
+            return
+        if low < best:
+            best, best_witness = low, None
+        hit = ratio == best
+        r = int(np.flatnonzero(hit.any(axis=1))[row])
+        cand = members(r, int(hit[r].argmax()))
+        if best_witness is None or cand < best_witness:
+            best_witness = cand
 
-    for k in range(n):
-        acc = 0.0
-        for ell in range(k, n):
-            acc += w[ell]
-            if k == 0 and ell == n - 1:
-                continue  # full vertex set is not a cut
-            if acc > half:
-                continue
-            # ew[-1] is the wrap edge (0 on a path) bounding intervals at 0 or n-1
-            consider((ew[k - 1] + ew[ell]) / acc, tuple(range(k, ell + 1)))
+    block_rows = max(1, _CHUNK // n)
+    for k0 in range(0, n, block_rows):
+        # intervals [k..ell] for k in the block and ell >= k: zeros before
+        # column k make each running sum exactly w[k] + ... + w[ell]
+        ks = np.arange(k0, min(k0 + block_rows, n))[:, None]
+        cut = np.arange(k0, n) >= ks
+        vol = np.cumsum(np.where(cut, w[k0:], 0.0), axis=1)
+        if k0 == 0:
+            cut[0, -1] = False  # full vertex set is not a cut
+        # ew[-1] is the wrap edge (0 on a path) bounding intervals at 0 or n-1
+        bd = ew[ks - 1] + ew[k0:]
+        # an interval starting at a smaller k compares smaller: first row
+        consider(bd, vol, cut, lambda r, c: tuple(range(k0 + r, k0 + c + 1)), 0)
 
     if ew[-1] > 0.0:
-        # arcs wrapping through the (0, n-1) edge: [0..j] followed by [k..n-1].
-        # Below the exact-enumeration budget, volumes are accumulated member by
-        # member in ascending order so values match cheeger_exact bitwise; the
-        # faster complement-subtraction route is only mathematically equal.
-        small = n <= EXACT_BUDGET
-        total = g.total_volume()
+        # arcs wrapping through the (0, n-1) edge: [0..j] followed by [k..n-1]
+        # with k >= j + 2.  Below the exact-enumeration budget, volumes are
+        # accumulated member by member in ascending order so values match
+        # cheeger_exact bitwise; the faster complement-subtraction route is
+        # only mathematically equal.
         csum = np.concatenate(([0.0], np.cumsum(w)))
-        for j in range(n - 2):
-            for k in range(j + 2, n):
-                if small:
-                    acc = 0.0
-                    for i in range(j + 1):
-                        acc += w[i]
-                    for i in range(k, n):
-                        acc += w[i]
-                else:
-                    acc = total - float(csum[k] - csum[j + 1])
-                if acc > half:
-                    continue
-                bd = ew[j] + ew[k - 1]
-                consider(bd / acc, tuple(range(j + 1)) + tuple(range(k, n)))
+        for j0 in range(0, n - 2, block_rows):
+            js = np.arange(j0, min(j0 + block_rows, n - 2))[:, None]
+            ks = np.arange(j0 + 2, n)
+            if n <= EXACT_BUDGET:
+                vol = np.repeat(csum[js + 1], ks.size, axis=1)
+                for i in range(j0 + 2, n):
+                    vol[:, : i - j0 - 1] += w[i]  # columns with k <= i
+            else:
+                vol = total - (csum[ks] - csum[js + 1])
+            bd = ew[js] + ew[ks - 1]
+            # a larger j puts j + 1 < k at position j + 1: the last row is smallest
+            consider(
+                bd,
+                vol,
+                ks >= js + 2,
+                lambda r, c: tuple(range(j0 + r + 1)) + tuple(range(j0 + c + 2, n)),
+                -1,
+            )
 
     assert best_witness is not None
     witness = tuple(g.labels[i] for i in best_witness)

@@ -82,6 +82,8 @@ class GeneratorModel:
     def __post_init__(self):
         if self.N < 2:
             raise SchemeError("support length N must be >= 2")
+        if not (1.0 <= self.p < math.inf):
+            raise SchemeError(f"p must lie in [1, inf), got {self.p}")
         if not self.offsets:
             object.__setattr__(self, "offsets", default_offsets(self.N))
         for g in self.offsets:

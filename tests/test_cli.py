@@ -100,6 +100,29 @@ class TestAnalyze:
         assert code == 1
         assert "malformed signal 'random:abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("signal", ["nan,1,2,3", "inf,1,2,3", "1,2,-inf,3"])
+    def test_non_finite_signal_exit_one(self, capsys, signal):
+        # a nan/inf entry used to yield bound "inf" with boundSatisfied true
+        code = run(["analyze", "--scheme", "toy", "--signal", signal, "--trials", "10"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "signal has non-finite entries" in captured.err
+
+    def test_non_finite_signal_file_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "signal.json"
+        path.write_text("[1, [NaN, 0], 2, 3]")
+        code = run(["analyze", "--scheme", "toy", "--signal", f"@{path}", "--trials", "10"])
+        assert code == 1
+        assert "signal has non-finite entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["0", "-1"])
+    def test_shiftinv_p_below_one_exit_one(self, capsys, p):
+        # p=0 used to die with a ZeroDivisionError in p_frame_bounds
+        code = run(["analyze", "--scheme", f"shiftinv:p={p}", "--signal", "ones", "--trials", "5"])
+        assert code == 1
+        assert "p must lie in [1, inf)" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_toy_passes(self, capsys):

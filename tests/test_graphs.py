@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import lscc.graphs
 
 from lscc.errors import (
     BudgetExceededError,
@@ -10,6 +13,7 @@ from lscc.errors import (
     TopologyError,
 )
 from lscc.graphs import (
+    EXACT_BUDGET,
     WeightedGraph,
     algebraic_connectivity,
     check_cheeger_inequality,
@@ -36,6 +40,78 @@ def unweighted_cycle(n):
 
 def unweighted_path(n):
     return WeightedGraph(np.ones(n), tuple((i, i + 1, 1.0) for i in range(n - 1)))
+
+
+def scalar_cheeger_interval(g):
+    """Reference (value, witness) of the interval reduction: the plain scalar
+    double loop, one member tuple per admissible interval or arc."""
+    n = g.num_vertices
+    if n == 1:
+        return math.inf, ()
+    ew = np.zeros(n)
+    for u, v, w_e in g.edges:
+        ew[u if v == u + 1 else v] = w_e
+    w = g.vertex_weights
+    half = 0.5 * g.total_volume()
+    best = math.inf
+    best_witness = None
+
+    def consider(ratio, members):
+        nonlocal best, best_witness
+        if ratio < best:
+            best = ratio
+            best_witness = members
+        elif ratio == best and (best_witness is None or members < best_witness):
+            best_witness = members
+
+    for k in range(n):
+        acc = 0.0
+        for ell in range(k, n):
+            acc += w[ell]
+            if k == 0 and ell == n - 1:
+                continue
+            if acc > half:
+                continue
+            consider((ew[k - 1] + ew[ell]) / acc, tuple(range(k, ell + 1)))
+
+    if ew[-1] > 0.0:
+        small = n <= EXACT_BUDGET
+        total = g.total_volume()
+        csum = np.concatenate(([0.0], np.cumsum(w)))
+        for j in range(n - 2):
+            for k in range(j + 2, n):
+                if small:
+                    acc = 0.0
+                    for i in range(j + 1):
+                        acc += w[i]
+                    for i in range(k, n):
+                        acc += w[i]
+                else:
+                    acc = total - float(csum[k] - csum[j + 1])
+                if acc > half:
+                    continue
+                bd = ew[j] + ew[k - 1]
+                consider(bd / acc, tuple(range(j + 1)) + tuple(range(k, n)))
+
+    return float(best), tuple(g.labels[i] for i in best_witness)
+
+
+def random_ring_graph(rng, n, style):
+    """Path or cycle on n vertices with edges dropped; style 0 draws
+    continuous weights, 1 small integers, 2 unit vertices (tie-prone)."""
+    ring = [(i, i + 1) for i in range(n - 1)] + ([(0, n - 1)] if n > 2 else [])
+    keep = rng.choice([1.0, 0.97, 0.8])
+    if rng.random() < 0.3:
+        ring = ring[: n - 1]  # a path
+    kept = [e for e in ring if rng.random() < keep]
+    if style == 0:
+        w, ew = rng.uniform(0.2, 3.0, n), rng.uniform(0.1, 2.0, len(kept))
+    elif style == 1:
+        w = rng.integers(1, 4, n).astype(float)
+        ew = rng.integers(1, 4, len(kept)).astype(float)
+    else:
+        w, ew = np.ones(n), np.full(len(kept), rng.choice([0.1, 1.0]))
+    return WeightedGraph(w, tuple((u, v, float(x)) for (u, v), x in zip(kept, ew)))
 
 
 def random_connected_graph(rng, n):
@@ -181,6 +257,34 @@ class TestCheegerInterval:
             assert res.value == exact.value
             if exact.value > 0.0:  # zero-value cuts of disconnected graphs tie widely
                 assert res.witness == exact.witness
+
+    def test_blocks_match_scalar_oracle(self, monkeypatch):
+        # bit-identical value and witness to the scalar double loop, across
+        # EXACT_BUDGET, under the default block size and under blocks of 1-4
+        # start rows (many blocks, a partial last block)
+        rng = np.random.default_rng(5)
+        for trial in range(500):
+            n = int(rng.integers(1, 301) if trial % 50 == 0 else rng.integers(1, 41))
+            g = random_ring_graph(rng, n, trial % 3)
+            chunk = lscc.graphs._CHUNK if trial % 2 else int(rng.integers(1, 4 * n + 1))
+            monkeypatch.setattr(lscc.graphs, "_CHUNK", chunk)
+            res = cheeger_interval(g)
+            assert (res.upper, res.witness) == scalar_cheeger_interval(g), (trial, n, chunk)
+
+    def test_large_cycle_tie_and_memory(self):
+        # every 2048-arc of the unweighted 4096-cycle ties; the smallest
+        # witness wins, and no n x n block (134 MB of float64) is formed
+        n = 4096
+        g = unweighted_cycle(n)
+        tracemalloc.start()
+        try:
+            res = cheeger_interval(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.value == 4.0 / n
+        assert res.witness == tuple(range(n // 2))
+        assert peak < 16 * 2**20
 
     def test_agreement_at_enumeration_budget(self):
         # the full 24-vertex budget: 2^23 cuts against the O(n^2) reduction

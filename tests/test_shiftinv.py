@@ -64,6 +64,11 @@ class TestGeneratorModel:
         with pytest.raises(SchemeError):
             GeneratorModel(N=3, offsets=(0.25, 0.75))
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, 0.5, math.nan, math.inf])
+    def test_rejects_p_outside_one_to_inf(self, p):
+        with pytest.raises(SchemeError, match=r"p must lie in \[1, inf\)"):
+            GeneratorModel(N=2, p=p)
+
     def test_sigma_paths_bit_identical(self):
         for n in (2, 3):
             a, b = sigma_crosscheck(GeneratorModel(N=n))
