@@ -20,7 +20,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import BudgetExceededError, DegenerateFrameError
 from .measurement import COMPLEX, align_phase, align_phase_batch
@@ -140,6 +139,8 @@ def p_frame_bounds(m: np.ndarray, p: float, grid: int = 4096, rng=None) -> tuple
     if n == 1:
         v = ratio(np.ones(1))
         return v, v
+    from scipy.optimize import minimize
+
     if n == 2:
         thetas = np.linspace(0.0, math.pi, grid, endpoint=False)
         dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)

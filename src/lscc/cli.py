@@ -72,6 +72,18 @@ def _parse_kv(spec: str) -> dict:
     return out
 
 
+def _env_seed() -> int:
+    """The default seed: LSCC_SEED if set, which must be a non-negative integer."""
+    text = os.environ.get("LSCC_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise InputError(f"LSCC_SEED must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def resolve_scheme(source: str, seed: int) -> LsccScheme:
     if source == "toy":
         return toy_scheme()
@@ -123,7 +135,12 @@ def resolve_signal(spec: str, scheme: LsccScheme, seed: int) -> np.ndarray:
                 data = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot load signal {path!r}: {exc}") from exc
-        values = [complex(e[0], e[1]) if isinstance(e, list) else complex(e) for e in data]
+        try:
+            if not isinstance(data, list):
+                raise ValueError(f"expected a JSON list, got {type(data).__name__}")
+            values = [_file_entry(e) for e in data]
+        except (ValueError, OverflowError) as exc:
+            raise InputError(f"malformed signal file {path!r}: {exc}") from exc
     else:
         try:
             values = [complex(tok) for tok in spec.split(",") if tok.strip()]
@@ -144,6 +161,16 @@ def resolve_signal(spec: str, scheme: LsccScheme, seed: int) -> np.ndarray:
             f"signal length {arr.size} != scheme ambient dimension {scheme.ambient_dim}"
         )
     return arr
+
+
+def _file_entry(entry) -> complex:
+    """One entry of a signal file: a number, or a [real, imag] pair of numbers."""
+    parts = entry if isinstance(entry, list) else [entry, 0.0]
+    if len(parts) != 2 or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts
+    ):
+        raise ValueError(f"entry {entry!r} is neither a number nor a [real, imag] pair")
+    return complex(parts[0], parts[1])
 
 
 def _sha256(path: str) -> str:
@@ -311,10 +338,16 @@ def cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read report: {exc}", file=sys.stderr)
         return 1
+    if not isinstance(data, dict):
+        print(f"error: report is a JSON {type(data).__name__}, not an object", file=sys.stderr)
+        return 1
+    che = data.get("cheeger")
+    if che and not (isinstance(che, dict) and {"lower", "upper", "method"} <= che.keys()):
+        print("error: report cheeger must be an object with lower, upper, method", file=sys.stderr)
+        return 1
     print(f"scheme:       {data.get('scheme')}")
     print(f"field/p:      {data.get('field')} / {data.get('p')}")
     print(f"verdict:      {data.get('retrievability')}")
-    che = data.get("cheeger")
     if che:
         print(f"cheeger:      [{che['lower']}, {che['upper']}] via {che['method']}")
     print(f"lambda:       {data.get('lambda')}")
@@ -329,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lscc",
         description="Stability analysis of locally stable phase retrieval schemes",
     )
-    default_seed = int(os.environ.get("LSCC_SEED", "0"))
+    default_seed = _env_seed()
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="per-signal stability report")
@@ -386,14 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LsccError as exc:
+    except (InputError, LsccError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

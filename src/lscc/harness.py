@@ -17,7 +17,6 @@ import zlib
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import SchemeError
 from .measurement import COMPLEX, REAL, align_phase, align_phase_batch, p_norm
@@ -226,6 +225,8 @@ def noisy_recovery_gap(
     which is what the inequality chain needs.  The solver is a heuristic:
     gaps are upper bounds on solver quality, not on the bound itself.
     """
+    from scipy.optimize import minimize
+
     if eta_norm < 0.0:
         raise SchemeError("eta_norm must be nonnegative")
     rng = derive_rng(seed, "noise", scheme.name)

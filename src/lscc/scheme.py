@@ -226,8 +226,8 @@ def induce_graph(scheme: LsccScheme, f, zero_tol: float = DEFAULT_ZERO_TOL) -> W
 
     An all-zero measurement yields the empty graph (`is_empty`).
     """
-    if zero_tol < 0.0:
-        raise SchemeError("zero_tol must be nonnegative")
+    if not 0.0 <= zero_tol < math.inf:
+        raise SchemeError(f"zero_tol must lie in [0, inf), got {zero_tol}")
     vec = scheme.coerce(f)
     p = scheme.p
     w_v = np.add.reduceat(

@@ -23,14 +23,14 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def run_subprocess(argv, cwd):
-    """The CLI in a child process capped at 1 GB and 60 s, so a runaway input
-    fails the test instead of hanging it or exhausting memory."""
+def run_python(args, cwd):
+    """A fresh interpreter capped at 1 GB and 60 s, so a runaway input fails
+    the test instead of hanging it or exhausting memory."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "lscc.cli", *argv],
+        [sys.executable, *args],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -38,6 +38,41 @@ def run_subprocess(argv, cwd):
         timeout=60,
         preexec_fn=_cap_address_space,
     )
+
+
+def run_subprocess(argv, cwd):
+    """The CLI in a child process."""
+    return run_python(["-m", "lscc.cli", *argv], cwd)
+
+
+class TestColdImport:
+    """In fresh processes: the test process itself already holds scipy."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        # scipy.optimize alone costs about 0.5 s per CLI call; it is imported
+        # only inside the functions that call it
+        code = (
+            "import sys, lscc, lscc.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = run_python(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_deferred_scipy_paths_run_cold(self, tmp_path):
+        code = (
+            "import numpy as np\n"
+            "from lscc.certify import p_frame_bounds\n"
+            "lo, hi = p_frame_bounds(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 3.0)\n"
+            "assert 0.0 < lo <= hi, (lo, hi)\n"
+        )
+        proc = run_python(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        proc = run_subprocess(
+            ["analyze", "--scheme", "shiftinv:p=3", "--signal", "ones", "--trials", "20"], tmp_path
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["p"] == 3.0
 
 
 class TestAnalyze:
@@ -123,6 +158,30 @@ class TestAnalyze:
         assert code == 1
         assert "p must lie in [1, inf)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ['{"a": 1}', "5", '["x"]', "[null]"])
+    def test_malformed_signal_file_exit_one(self, tmp_path, capsys, content):
+        # each of these used to escape resolve_signal as a ValueError or TypeError
+        path = tmp_path / "signal.json"
+        path.write_text(content)
+        code = run(["analyze", "--scheme", "toy", "--signal", f"@{path}", "--trials", "10"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "malformed signal file" in captured.err
+
+    def test_negative_seed_exit_one(self, capsys):
+        # a negative seed used to reach numpy and die with a traceback
+        code = run(["analyze", "--scheme", "toy", "--signal", "ones", "--seed", "-1"])
+        assert code == 1
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_bad_env_seed_exit_one(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("LSCC_SEED", value)
+        code = run(["analyze", "--scheme", "toy", "--signal", "ones", "--trials", "10"])
+        assert code == 1
+        assert f"LSCC_SEED must be a non-negative integer, got '{value}'" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_toy_passes(self, capsys):
@@ -132,6 +191,10 @@ class TestValidate:
 
     def test_windowed_passes(self):
         assert run(["validate", "--scheme", "windowed:a=2,L=8", "--trials", "50"]) == 0
+
+    def test_negative_seed_exit_one(self, capsys):
+        assert run(["validate", "--scheme", "toy", "--seed", "-1"]) == 1
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
     def test_corrupted_constant_fails(self, tmp_path, capsys):
         scheme = toy_scheme()
@@ -263,6 +326,14 @@ class TestGraphDump:
         assert payload["edges"] == [[0, 1, 4.0]]
         assert payload["empty"] is False
 
+    def test_nan_zero_tol_exit_one(self, capsys):
+        # nan used to drop every vertex and print an empty graph with exit 0
+        code = run(["graph", "--scheme", "toy", "--signal", "ones", "--zero-tol", "nan"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "zero_tol must lie in [0, inf), got nan" in captured.err
+
 
 class TestReport:
     def test_roundtrip_render(self, tmp_path, capsys):
@@ -290,6 +361,16 @@ class TestReport:
 
     def test_missing_report(self):
         assert run(["report", "--in", "/no/such/report.json"]) == 1
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '{"cheeger": "x"}', '{"cheeger": {"lower": 1}}'])
+    def test_malformed_report_exit_one(self, tmp_path, capsys, content):
+        # these used to die with AttributeError, TypeError or KeyError
+        path = tmp_path / "report.json"
+        path.write_text(content)
+        assert run(["report", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: report ")
 
 
 class TestSchemeLoading:

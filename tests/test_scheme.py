@@ -143,6 +143,12 @@ class TestInduceGraph:
         assert [e[:2] for e in kept.edges] == [(0, 1), (1, 2)]
         assert [e[:2] for e in dropped.edges] == [(0, 1)]
 
+    @pytest.mark.parametrize("zero_tol", [-1e-12, math.nan, math.inf])
+    def test_zero_tol_outside_zero_to_inf_rejected(self, toy, zero_tol):
+        # nan used to compare false against every weight and return an empty graph
+        with pytest.raises(SchemeError, match="zero_tol must lie in"):
+            induce_graph(toy, np.ones(4), zero_tol=zero_tol)
+
     def test_vertex_and_edge_sets_subset_of_base(self, toy):
         rng = np.random.default_rng(0)
         for _ in range(20):
