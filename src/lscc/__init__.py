@@ -55,7 +55,6 @@ from .scheme import (
     BaseGraph,
     LsccScheme,
     ValidationReport,
-    check_edge_phase_consistency,
     induce_graph,
     is_phase_retrievable,
     scheme_from_json,

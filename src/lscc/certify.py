@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import BudgetExceededError, DegenerateFrameError
-from .measurement import COMPLEX, align_phase, align_phase_batch
+from .measurement import COMPLEX, pair_ratios
 
 #: largest row count for 2^m subset enumeration
 SIGMA_BUDGET = 20
@@ -170,8 +170,9 @@ def estimate_local_stability(
     """Empirical worst ratio of aligned to phaseless measurement distance.
 
     Samples random pairs plus near-phase-equivalent pairs, where the ratio
-    approaches its supremum.  A lower bound on the true constant: callers
-    needing an upper bound must add a margin.
+    approaches its supremum; pairs that `pair_ratios` calls phase-equivalent
+    are skipped.  A lower bound on the true constant: callers needing an
+    upper bound must add a margin.
     """
     n = m.shape[1]
 
@@ -194,16 +195,8 @@ def estimate_local_stability(
         xi = np.where(rng.random(half) < 0.5, 1.0, -1.0)
     blocks.append((f, xi[None, :] * f + eps[None, :] * h))
     for fs, gs in blocks:
-        x = np.conj(m) @ fs
-        y = np.conj(m) @ gs
-        num = align_phase_batch(x, y, field) if p == 2.0 else None
-        if num is None:
-            num = np.array(
-                [align_phase(x[:, j], y[:, j], field, p)[1] for j in range(x.shape[1])]
-            )
-        den = np.sum(np.abs(np.abs(x) - np.abs(y)) ** p, axis=0) ** (1.0 / p)
-        scale = np.sum(np.abs(x) ** p, axis=0) ** (1.0 / p)
-        good = den > 1e-14 * np.maximum(scale, 1e-300)
+        num, den, equivalent, _ = pair_ratios(np.conj(m) @ fs, np.conj(m) @ gs, field, p)
+        good = ~equivalent
         if np.any(good):
             worst = max(worst, float(np.max(num[good] / den[good])))
     return worst

@@ -370,7 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--signal", required=True)
     pa.add_argument("--seed", type=int, default=default_seed)
     pa.add_argument("--trials", type=int, default=1000)
-    pa.add_argument("--strategy", choices=["gaussian", "signflips"], default="gaussian")
+    pa.add_argument(
+        "--strategy",
+        choices=["gaussian", "signflips"],
+        default="gaussian",
+        help="gaussian: --trials random comparison signals; signflips: ignores "
+        "--trials and enumerates min(2^(d-1)-1, 2^20) sign patterns of the "
+        "d-dimensional signal (real schemes only), so its cost doubles with d",
+    )
     pa.add_argument("--out")
     pa.set_defaults(func=cmd_analyze)
 

@@ -25,6 +25,10 @@ COMPLEX = "complex"
 PHASE_GRID = 4096
 #: relative tolerance of the golden-section refinement for p != 2 alignment
 PHASE_REFINE_RTOL = 1e-10
+#: phase-equivalence cutoff on || |x| - |y| ||_p relative to ||x||_p (pair_ratios)
+DENOM_CUTOFF = 1e-14
+#: collision threshold on min_xi ||x - xi*y||_p relative to ||x||_p (pair_ratios)
+COLLISION_RTOL = 1e-9
 
 
 def _check_field(field: str) -> str:
@@ -187,23 +191,65 @@ def _align_phase_grid(xv: np.ndarray, yv: np.ndarray, p: float) -> tuple[complex
     return xi, p_norm(xv - xi * yv, p)
 
 
-def align_phase_batch(x: np.ndarray, y: np.ndarray, field: str) -> np.ndarray:
-    """Column-wise aligned residuals ||x_j - xi_j y_j||_2 for p = 2.
+def _column_pnorms(arr: np.ndarray, p: float) -> np.ndarray:
+    """p-norm of every column of a 2-D array."""
+    if p == 2.0:
+        return np.linalg.norm(arr, axis=0)
+    return np.sum(np.abs(arr) ** p, axis=0) ** (1.0 / p)
 
-    Vectorized companion of align_phase for fuzzing loops; x and y are
-    (m, T) arrays of measurement columns.
+
+def align_phase_batch(
+    x: np.ndarray, y: np.ndarray, field: str, p: float = 2.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column-wise align_phase: (phases xi_j, residuals ||x_j - xi_j y_j||_p).
+
+    x and y are (m, T) arrays of measurement columns.  Real field: both signs
+    as column p-norms (ties prefer +1); complex field with p = 2: the closed
+    form; complex field with p != 2: align_phase on each column.
     """
     _check_field(field)
     if x.shape != y.shape:
         raise DimensionError(f"shape mismatch {x.shape} != {y.shape}")
     if field == REAL:
-        r_plus = np.linalg.norm(x - y, axis=0)
-        r_minus = np.linalg.norm(x + y, axis=0)
-        return np.minimum(r_plus, r_minus)
+        r_plus = _column_pnorms(x - y, p)
+        r_minus = _column_pnorms(x + y, p)
+        return np.where(r_plus <= r_minus, 1.0, -1.0), np.minimum(r_plus, r_minus)
+    if p != 2.0:
+        aligned = [align_phase(x[:, j], y[:, j], field, p) for j in range(x.shape[1])]
+        aligned = np.array(aligned, dtype=np.complex128).reshape(-1, 2)
+        return aligned[:, 0], aligned[:, 1].real
     inner = np.sum(x * np.conj(y), axis=0)
     mag = np.abs(inner)
     xi = np.where(mag > 0.0, inner / np.where(mag > 0.0, mag, 1.0), 1.0)
-    return np.linalg.norm(x - xi[None, :] * y, axis=0)
+    return xi, np.linalg.norm(x - xi[None, :] * y, axis=0)
+
+
+def pair_ratios(x, ys, field: str, p: float = 2.0):
+    """(num, den, equivalent, collision) of x against ys: the one rule for
+    phase equivalence.
+
+    num = min_{|xi|=1} ||x - xi*y||_p and den = || |x| - |y| ||_p.  A pair is
+    phase-equivalent when den <= DENOM_CUTOFF * ||x||_p (its ratio is 0/0),
+    and a collision when it is equivalent with num > COLLISION_RTOL * ||x||_p:
+    equal moduli, no common phase.  ||x||_p is floored at 1e-300, so x = y = 0
+    is equivalent.  A 1-D `ys` is one pair (p_norm and one align_phase call,
+    scalar results); a 2-D `ys` holds columns compared against a 1-D x or a
+    same-shape x column by column (column p-norms and align_phase_batch).
+    """
+    x = np.asarray(x)
+    ys = np.asarray(ys)
+    scale = p_norm(x, p) if x.ndim == 1 else _column_pnorms(x, p)
+    if ys.ndim == 1:
+        den = p_norm(np.abs(x) - np.abs(ys), p)
+        _, num = align_phase(x, ys, field, p)
+        floor = max(scale, 1e-300)
+    else:
+        x = np.broadcast_to(x.reshape(len(x), -1), ys.shape)
+        den = _column_pnorms(np.abs(x) - np.abs(ys), p)
+        _, num = align_phase_batch(x, ys, field, p)
+        floor = np.maximum(scale, 1e-300)
+    equivalent = den <= DENOM_CUTOFF * floor
+    return num, den, equivalent, equivalent & (num > COLLISION_RTOL * floor)
 
 
 def linear_align(x, y) -> tuple[complex, float]:

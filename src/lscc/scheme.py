@@ -26,7 +26,16 @@ import numpy as np
 
 from .errors import DimensionError, FieldError, SchemeError
 from .graphs import WeightedGraph, is_connected
-from .measurement import COMPLEX, REAL, Frame, Signal, align_phase, as_field_array, p_norm
+from .measurement import (
+    COMPLEX,
+    DENOM_CUTOFF,
+    REAL,
+    Frame,
+    Signal,
+    as_field_array,
+    p_norm,
+    pair_ratios,
+)
 
 RETRIEVABLE = "RetrievableByConnectivity"
 INCONCLUSIVE = "Inconclusive"
@@ -35,7 +44,6 @@ INCONCLUSIVE = "Inconclusive"
 DESCRIPTOR_VERSION = 2
 #: relative weight threshold below which induced vertices/edges are dropped
 DEFAULT_ZERO_TOL = 1e-12
-_RATIO_GUARD = 1e-14
 
 
 @dataclass(frozen=True)
@@ -295,7 +303,8 @@ def validate_local_phase_retrieval(
     estimate: bool = False,
 ) -> ValidationReport:
     """Sample pairs inside each vertex subspace and compare the aligned
-    measurement distance against the phaseless distance.
+    measurement distance against the phaseless distance (`pair_ratios`:
+    phase-equivalent pairs pass, a collision fails the check).
 
     Also reports empirical per-vertex frame constants (min/max of
     ||Phi_v f||_p / ||f||_p) and their envelope.  In estimate mode the worst
@@ -313,19 +322,17 @@ def validate_local_phase_retrieval(
         for fv, gv in _probe_pairs(scheme, v, trials, rng):
             x = op @ fv
             y = op @ gv
-            for sig in (fv, gv):
+            for sig, meas in ((fv, x), (gv, y)):
                 nrm = p_norm(sig, scheme.p)
                 if nrm > 0.0:
-                    r = p_norm(op @ sig, scheme.p) / nrm
+                    r = p_norm(meas, scheme.p) / nrm
                     frame_lo = min(frame_lo, r)
                     frame_hi = max(frame_hi, r)
-            den = p_norm(np.abs(x) - np.abs(y), scheme.p)
-            scale = max(p_norm(x, scheme.p), p_norm(y, scheme.p))
-            _, num = align_phase(x, y, scheme.field, scheme.p)
-            if den <= _RATIO_GUARD * max(scale, 1e-300):
-                if num > 1e-9 * max(scale, 1e-300):
-                    collision = True
-                    witness = (v, fv, gv)
+            num, den, equivalent, collides = pair_ratios(x, y, scheme.field, scheme.p)
+            if collides:
+                collision = True
+                witness = (v, fv, gv)
+            if equivalent:
                 continue  # phase-equivalent pair: 0/0, counts as pass
             ratio = num / den
             if ratio > worst:
@@ -368,7 +375,7 @@ def validate_edge_domination(
             low = min(n_u, n_v)
             if n_psi == 0.0:
                 continue
-            if low <= _RATIO_GUARD * n_psi:
+            if low <= DENOM_CUTOFF * n_psi:
                 return ValidationReport(
                     check="edge-domination",
                     passed=False,
@@ -438,46 +445,6 @@ def validate_scheme(
         validate_edge_domination(scheme, trials, rng),
         validate_exhaustion(scheme, trials, rng),
     ]
-
-
-def check_edge_phase_consistency(
-    scheme: LsccScheme, f, g, tol: float = 1e-9, zero_tol: float = DEFAULT_ZERO_TOL
-) -> bool:
-    """Per-edge bound tying aligned local phases to the phaseless mismatch.
-
-    For every edge (u, v) retained by f's induced graph, with xi_u, xi_v the
-    optimal local alignment phases of g against f:
-
-        |xi_u - xi_v|^p * w_uv
-            <= 2^(p-1) C0^p C1^p (||...||_{Phi_v}^p + ||...||_{Phi_u}^p)
-
-    where the right side measures || |Phi(f)| - |Phi(g)| || on each endpoint.
-    """
-    fv = scheme.coerce(f)
-    gv = scheme.coerce(g)
-    p = scheme.p
-    graph = induce_graph(scheme, fv, zero_tol)
-    if graph.is_empty:
-        return True
-    label_to_base = {lab: idx for idx, lab in enumerate(scheme.vertex_labels)}
-    xi: dict[int, complex] = {}
-    gap: dict[int, float] = {}
-    for lab in graph.labels:
-        v = label_to_base[lab]
-        x = scheme.measure_vertex(v, fv)
-        y = scheme.measure_vertex(v, gv)
-        xi_v, _ = align_phase(x, y, scheme.field, p)
-        xi[v] = xi_v
-        gap[v] = p_norm(np.abs(x) - np.abs(y), p) ** p
-    c = 2.0 ** (p - 1.0) * scheme.local_stability**p * scheme.edge_domination**p
-    for iu, iv, w_uv in graph.edges:
-        u = label_to_base[graph.labels[iu]]
-        v = label_to_base[graph.labels[iv]]
-        lhs = abs(xi[u] - xi[v]) ** p * w_uv
-        rhs = c * (gap[v] + gap[u])
-        if lhs > rhs + tol * (rhs + 2.0**p * w_uv):
-            return False
-    return True
 
 
 def _block_to_dict(mat: np.ndarray, field: str) -> dict:

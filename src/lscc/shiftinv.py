@@ -214,6 +214,8 @@ class DecayProfile:
     def __post_init__(self):
         if self.kind not in (EXPONENTIAL, POLYNOMIAL):
             raise SchemeError(f"unknown decay kind {self.kind!r}")
+        if not math.isfinite(self.beta):
+            raise SchemeError(f"beta must be finite, got {self.beta}")
         if self.kind == EXPONENTIAL and self.beta <= 0.0:
             raise SchemeError("exponential decay needs beta > 0")
         if self.kind == POLYNOMIAL and self.beta <= 1.0:

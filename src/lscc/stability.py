@@ -10,9 +10,11 @@ and for complex schemes with p = 2
     C3 * (1 + lambda_G(f)^(-1/2)),   C3 = max{4 C0 C1 sqrt(D), sqrt(8 C0^2 + 2)}.
 
 Vanishing connectivity yields an infinite (never NaN) bound.  Empirical
-ratios are sampled lower bounds on the true stability constant; a sampled
-pair with equal phaseless measurements but misaligned measurements is a
-retrieval-failure certificate and reported as an infinite ratio.
+ratios are sampled lower bounds on the true stability constant.  Each sampled
+pair goes through `measurement.pair_ratios`, the one place that decides when
+a pair is phase-equivalent (skipped, its ratio is 0/0) and when it is a
+collision: equal phaseless measurements but misaligned measurements, a
+retrieval-failure certificate reported as an infinite ratio.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .graphs import (
     algebraic_connectivity,
     cheeger,
 )
-from .measurement import COMPLEX, REAL, align_phase, p_norm
+from .measurement import COMPLEX, DENOM_CUTOFF, REAL, pair_ratios
 from .scheme import LsccScheme, induce_graph, is_phase_retrievable
 
 RANDOM_GAUSSIAN = "RandomGaussian"
@@ -39,9 +41,6 @@ LOCAL_PERTURBATION = "LocalPerturbation"
 SIGN_FLIPS = "SignFlips"
 ADVERSARIAL = "Adversarial"
 
-#: relative denominator cutoff below which a comparison signal is considered
-#: phase-equivalent to the reference
-DENOM_CUTOFF = 1e-14
 #: cap on enumerated sign patterns
 SIGN_FLIP_CAP = 1 << 20
 #: spawn key of stability_report's comparison stream under its seed
@@ -181,28 +180,26 @@ def empirical_worst_ratio(
 
     Returns (ratio, witness signal).  An infinite ratio certifies a retrieval
     failure: the witness has the same phaseless measurements as f but is not
-    phase-equivalent.  Raises DegenerateFamilyError when every sample was
-    phase-equivalent to f.
+    phase-equivalent (a collision under `pair_ratios`).  Raises
+    DegenerateFamilyError when every sample was phase-equivalent to f.
     """
     if trials < 1:
         raise DegenerateFamilyError("trials must be >= 1")
     rng = np.random.default_rng(0) if rng is None else rng
     fv = scheme.coerce(f)
     x = scheme.measure(fv)
-    scale = p_norm(x, scheme.p)
     worst = -math.inf
     witness = None
     valid = 0
     for g in _comparison_signals(scheme, fv, strategy, trials, rng, adversarial, region_size):
-        y = scheme.measure(g)
-        den = p_norm(np.abs(x) - np.abs(y), scheme.p)
-        if den < DENOM_CUTOFF * scale:
-            _, num = align_phase(x, y, scheme.field, scheme.p)
-            if num > 1e-9 * max(scale, 1e-300):
-                return math.inf, g  # collision certificate
+        num, den, equivalent, collision = pair_ratios(
+            x, scheme.measure(g), scheme.field, scheme.p
+        )
+        if collision:
+            return math.inf, g  # collision certificate
+        if equivalent:
             continue
         valid += 1
-        _, num = align_phase(x, y, scheme.field, scheme.p)
         ratio = num / den
         if ratio > worst:
             worst = ratio

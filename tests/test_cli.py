@@ -266,6 +266,15 @@ class TestSweeps:
         assert "must be >= 1" in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["exp", "poly"])
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_shiftinv_non_finite_beta_exit_one(self, tmp_path, capsys, kind, beta):
+        out = tmp_path / "x.csv"
+        code = run(["sweep", "shiftinv", "--kind", kind, "--beta", beta, "--out", str(out)])
+        assert code == 1
+        assert "beta must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_shiftinv_exp_floor_pass(self, tmp_path):
         out = tmp_path / "decay.csv"
         code = run(

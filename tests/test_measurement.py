@@ -17,8 +17,10 @@ from lscc.measurement import (
     linear_align,
     measure,
     p_norm,
+    pair_ratios,
     phaseless_measure,
 )
+from lscc.toy import FIXTURE_BROKEN, FIXTURE_BROKEN_TWIN, toy_scheme
 
 TOY_LOCAL = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
 
@@ -172,9 +174,72 @@ class TestAlignPhase:
             if cplx:
                 x = x + 1j * rng.standard_normal((7, 20))
                 y = y + 1j * rng.standard_normal((7, 20))
-            batch = align_phase_batch(x, y, field)
-            scalar = [align_phase(x[:, j], y[:, j], field)[1] for j in range(20)]
-            assert np.allclose(batch, scalar, atol=1e-12)
+            for p in (2.0, 1.0, 3.0):
+                phases, residuals = align_phase_batch(x, y, field, p)
+                for j in range(20):
+                    xi, res = align_phase(x[:, j], y[:, j], field, p)
+                    assert phases[j] == pytest.approx(xi, abs=1e-12)
+                    assert residuals[j] == pytest.approx(res, rel=1e-12)
+
+
+def _columns(rng, field, m, t):
+    cols = rng.standard_normal((m, t))
+    if field == COMPLEX:
+        cols = cols + 1j * rng.standard_normal((m, t))
+    return cols
+
+
+class TestPairRatios:
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_scalar_and_batched_routes_agree(self, field, p):
+        rng = np.random.default_rng(11)
+        x = _columns(rng, field, 6, 1)[:, 0]
+        ys = _columns(rng, field, 6, 12)
+        ys[:, 0] = x  # identical
+        ys[:, 1] = -x  # phase-equivalent in both fields
+        ys[:, 2] = 0.0  # phaseless distance ||x||_p
+        ys[:, 3] = np.abs(x)  # equal moduli, no common phase in general
+        scale = p_norm(x, p)
+        for refs in (x, np.repeat(x[:, None], ys.shape[1], axis=1)):
+            num, den, equivalent, collision = pair_ratios(refs, ys, field, p)
+            for j in range(ys.shape[1]):
+                n1, d1, e1, c1 = pair_ratios(x, ys[:, j], field, p)
+                assert e1 == equivalent[j] and c1 == collision[j]
+                assert num[j] == pytest.approx(n1, rel=1e-12, abs=1e-12 * scale)
+                assert den[j] == pytest.approx(d1, rel=1e-12, abs=1e-12 * scale)
+        assert list(equivalent[:4]) == [True, True, False, True]
+        assert list(collision[:4]) == [False, False, False, True]
+        assert not np.any(equivalent[4:])
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_zero_pair_is_equivalent(self, field):
+        zero = np.zeros(5)
+        num, den, equivalent, collision = pair_ratios(zero, zero, field)
+        assert num == 0.0 and den == 0.0
+        assert equivalent and not collision
+        _, _, equivalent, collision = pair_ratios(zero, np.zeros((5, 3)), field, 3.0)
+        assert np.all(equivalent) and not np.any(collision)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_unimodular_multiple_is_equivalent(self, p):
+        rng = np.random.default_rng(12)
+        x = _columns(rng, COMPLEX, 8, 1)[:, 0]
+        for xi in (np.exp(0.7j), -1.0, 1j):
+            _, _, equivalent, collision = pair_ratios(x, xi * x, COMPLEX, p)
+            assert equivalent and not collision
+        _, _, equivalent, collision = pair_ratios(x.real, -x.real, REAL, p)
+        assert equivalent and not collision
+
+    def test_broken_twin_is_collision(self):
+        toy = toy_scheme()
+        x = toy.measure(FIXTURE_BROKEN)
+        y = toy.measure(FIXTURE_BROKEN_TWIN)
+        num, den, equivalent, collision = pair_ratios(x, y, REAL, toy.p)
+        assert den == 0.0 and num > 0.0
+        assert equivalent and collision
+        _, _, equivalent, collision = pair_ratios(x, y[:, None], REAL, toy.p)
+        assert equivalent[0] and collision[0]
 
 
 class TestPhaseInvariance:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lscc.errors import SchemeError
 from lscc.graphs import is_connected
+from lscc.harness import check_edge_mismatch_batch
 from lscc.measurement import COMPLEX, REAL, Frame
 from lscc.scheme import (
     DESCRIPTOR_VERSION,
@@ -14,7 +15,6 @@ from lscc.scheme import (
     RETRIEVABLE,
     BaseGraph,
     LsccScheme,
-    check_edge_phase_consistency,
     check_projection_axioms,
     induce_graph,
     is_phase_retrievable,
@@ -298,12 +298,15 @@ class TestProjectionSupports:
 
 
 class TestEdgePhaseConsistency:
+    """The per-edge mismatch bound, one pair at a time as one-column batches."""
+
     def test_toy_random_pairs(self, toy):
         rng = np.random.default_rng(8)
         for _ in range(200):
             f = rng.standard_normal(4)
             g = rng.standard_normal(4)
-            assert check_edge_phase_consistency(toy, f, g)
+            checked, bad = check_edge_mismatch_batch(toy, f[:, None], g[:, None])
+            assert (checked, bad) == (len(toy.graph.edges), 0)
 
     def test_windowed_complex_pairs(self):
         scheme = build_windowed_scheme(WindowedConfig(a=1, L=4, field=COMPLEX, seed=3))
@@ -311,7 +314,8 @@ class TestEdgePhaseConsistency:
         for _ in range(100):
             f = scheme.random_signal(rng)
             g = scheme.random_signal(rng)
-            assert check_edge_phase_consistency(scheme, f, g)
+            checked, bad = check_edge_mismatch_batch(scheme, f[:, None], g[:, None])
+            assert (checked, bad) == (len(scheme.graph.edges), 0)
 
 
 class TestSerialization:

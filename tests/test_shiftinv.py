@@ -228,6 +228,12 @@ class TestDecayStudies:
         with pytest.raises(SchemeError):
             DecayProfile("gaussian", 1.0)
 
+    @pytest.mark.parametrize("kind", [EXPONENTIAL, POLYNOMIAL])
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_profile_rejects_non_finite_beta(self, kind, beta):
+        with pytest.raises(SchemeError, match="beta must be finite"):
+            DecayProfile(kind, beta)
+
 
 class TestPhasePropagation:
     def test_zero_block_disconnects_and_creates_collision(self):
