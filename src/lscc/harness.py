@@ -124,24 +124,19 @@ def check_edge_mismatch_batch(
     Returns (instances checked, violations).
     """
     p = scheme.p
-    xi = {}
-    gap = {}
-    for v in range(scheme.num_vertices):
-        op = scheme.vertex_operator(v)
-        x = op @ fs
-        y = op @ gs
-        xi[v], _ = align_phase_batch(x, y, scheme.field, p)
-        gap[v] = np.sum(np.abs(np.abs(x) - np.abs(y)) ** p, axis=0)
+    op = scheme.vertex_operator
+    x, y = op @ fs, op @ gs
+    bounds = zip(op.offsets[:-1], op.offsets[1:])
+    xi = np.array([align_phase_batch(x[lo:hi], y[lo:hi], scheme.field, p)[0] for lo, hi in bounds])
+    gap = np.add.reduceat(np.abs(np.abs(x) - np.abs(y)) ** p, op.offsets[:-1], axis=0)
+    us, vs = np.array(scheme.graph.edges, dtype=np.int64).reshape(-1, 2).T
     c = 2.0 ** (p - 1.0) * scheme.local_stability**p * scheme.edge_domination**p
-    checked = 0
-    bad = 0
-    for (u, v), mat in sorted(scheme.edge_functionals.items()):
-        w_uv = np.sum(np.abs(np.conj(mat) @ fs) ** p, axis=0)
-        lhs = np.abs(xi[u] - xi[v]) ** p * w_uv
-        rhs = c * (gap[u] + gap[v])
-        mask = w_uv > 0.0
-        checked += int(np.sum(mask))
-        bad += int(np.sum(lhs[mask] > rhs[mask] + tol * (rhs[mask] + 2.0**p * w_uv[mask])))
+    w_uv = scheme.edge_operator.power_sums(fs, p)
+    lhs = np.abs(xi[us] - xi[vs]) ** p * w_uv
+    rhs = c * (gap[us] + gap[vs])
+    mask = w_uv > 0.0
+    checked = int(np.sum(mask))
+    bad = int(np.sum(mask & (lhs > rhs + tol * (rhs + 2.0**p * w_uv))))
     return checked, bad
 
 
@@ -237,7 +232,7 @@ def noisy_recovery_gap(
 
         def objective(params: np.ndarray) -> float:
             g = unpack(params)
-            return p_norm(np.abs(scheme.measurement_operator @ g) - z, p)
+            return p_norm(np.abs(scheme.vertex_operator @ g) - z, p)
 
         best_params = pack(fv)
         best_obj = objective(best_params)

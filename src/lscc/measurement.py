@@ -100,10 +100,6 @@ class Frame:
         self.rows.setflags(write=False)
 
     @property
-    def num_rows(self) -> int:
-        return self.rows.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.rows.shape[1]
 

@@ -87,10 +87,58 @@ def cycle_graph(n: int) -> BaseGraph:
     return BaseGraph(n, tuple(edges))
 
 
+class BlockOperator:
+    """Local blocks applied without an m x d matrix.
+
+    Member k reads the coordinates `supports[k]` through the conjugated rows
+    of `blocks[k]`; `op @ F` lists every member's measurements in member
+    order, for a signal F or a (d, T) array of columns.  Blocks of one shape
+    form one (k, r, s) stack applied as `stack @ F[cols]`, so time and memory
+    grow with the sum of r * s over the members, never with m * d.
+    """
+
+    def __init__(self, supports, blocks):
+        #: start of each member's rows in `op @ F`, then the total row count
+        self.offsets = np.cumsum([0] + [block.shape[0] for block in blocks])
+        by_shape = {}
+        for k, block in enumerate(blocks):
+            by_shape.setdefault(block.shape, []).append(k)
+        self.stacks = [
+            (
+                np.array([supports[k] for k in members], dtype=np.int64).reshape(len(members), s),
+                np.conj(np.array([blocks[k] for k in members])),
+                (self.offsets[members][:, None] + np.arange(r)).ravel(),
+            )
+            for (r, s), members in by_shape.items()
+        ]
+
+    def __matmul__(self, F) -> np.ndarray:
+        F = np.asarray(F)
+        tail, width = F.shape[1:], math.prod(F.shape[1:])
+        prods = [
+            (rows, (stack @ F[cols].reshape(cols.shape + (width,))).reshape((rows.size,) + tail))
+            for cols, stack, rows in self.stacks
+        ]
+        if len(prods) == 1:  # one stack holds every member, in order
+            return prods[0][1]
+        out = np.empty((self.offsets[-1],) + tail, dtype=np.result_type(F, *(p for _, p in prods)))
+        for rows, prod in prods:
+            out[rows] = prod
+        return out
+
+    def power_sums(self, F, p: float) -> np.ndarray:
+        """||B_k F[supp_k]||_p^p for every member k (one column per column of F)."""
+        return np.add.reduceat(np.abs(self @ F) ** p, self.offsets[:-1], axis=0)
+
+
 @dataclass
 class LsccScheme:
     """A validated-by-construction measurement scheme.
 
+    Every local object is a support plus a small block: frame v is an
+    r_v x |supp_v| block in the coordinates of `vertex_projections[v]`, and
+    the functional of edge e is an r_e x |supp_e| block on
+    `edge_supports[e]`.  Builders may share one Frame between vertices.
     Treat instances as immutable; every operation on them is pure.
     """
 
@@ -101,7 +149,8 @@ class LsccScheme:
     graph: BaseGraph
     vertex_frames: tuple[Frame, ...]
     vertex_projections: tuple[np.ndarray, ...]  # P_v as its sorted int64 coordinate support
-    edge_functionals: dict[tuple[int, int], np.ndarray]
+    edge_functionals: dict[tuple[int, int], np.ndarray]  # Psi_uv as a block on its support
+    edge_supports: dict[tuple[int, int], np.ndarray]
     local_stability: float  # C0
     edge_domination: float  # C1
     frame_lower: float  # A
@@ -117,19 +166,27 @@ class LsccScheme:
             raise SchemeError("one frame per vertex required")
         if len(self.vertex_projections) != self.graph.num_vertices:
             raise SchemeError("one projection per vertex required")
-        for fr in self.vertex_frames:
-            if fr.dim != self.ambient_dim:
-                raise SchemeError("vertex frame dimension != ambient dimension")
-        self.vertex_projections = tuple(
-            _as_support(s, self.ambient_dim) for s in self.vertex_projections
-        )
-        keys = {tuple(sorted(e)) for e in self.edge_functionals}
-        if keys != set(self.graph.edges):
-            raise SchemeError("edge functionals must cover exactly the base edges")
+        dim = self.ambient_dim
+        self.vertex_projections = tuple(_as_support(s, dim) for s in self.vertex_projections)
+        self.edge_supports = {
+            tuple(sorted(e)): _as_support(s, dim) for e, s in self.edge_supports.items()
+        }
         self.edge_functionals = {
             tuple(sorted(e)): as_field_array(mat, self.field)
             for e, mat in self.edge_functionals.items()
         }
+        if not set(self.graph.edges) == set(self.edge_functionals) == set(self.edge_supports):
+            raise SchemeError("edge functionals and supports must cover exactly the base edges")
+        frames = enumerate(zip(self.vertex_frames, self.vertex_projections))
+        blocks = [(f"frame {v}", fr.rows, support) for v, (fr, support) in frames]
+        edges = self.edge_functionals.items()
+        blocks += [(f"edge {e}", mat, self.edge_supports[e]) for e, mat in edges]
+        for name, block, support in blocks:
+            if block.ndim != 2 or block.shape[0] < 1 or block.shape[1] != support.size:
+                raise SchemeError(
+                    f"{name} has shape {block.shape}: a block needs a row and must stay "
+                    f"inside its support of {support.size} coordinates"
+                )
         if not self.vertex_labels:
             self.vertex_labels = tuple(range(self.graph.num_vertices))
 
@@ -138,16 +195,17 @@ class LsccScheme:
         return self.graph.num_vertices
 
     @cached_property
-    def measurement_operator(self) -> np.ndarray:
-        """Conjugated frame rows stacked in vertex order: measure(f) = op @ f."""
-        op = np.conj(np.vstack([fr.rows for fr in self.vertex_frames]))
-        op.setflags(write=False)
-        return op
+    def vertex_operator(self) -> BlockOperator:
+        """Every vertex frame on its support, in vertex order: measure(f) = op @ f."""
+        return BlockOperator(self.vertex_projections, [fr.rows for fr in self.vertex_frames])
 
     @cached_property
-    def row_offsets(self) -> np.ndarray:
-        """Start of each vertex's rows in the operator, then the total row count."""
-        return np.cumsum([0] + [fr.num_rows for fr in self.vertex_frames])
+    def edge_operator(self) -> BlockOperator:
+        """Every edge functional on its support, in `graph.edges` order."""
+        edges = self.graph.edges
+        return BlockOperator(
+            [self.edge_supports[e] for e in edges], [self.edge_functionals[e] for e in edges]
+        )
 
     def coerce(self, f) -> np.ndarray:
         if isinstance(f, Signal):
@@ -159,28 +217,17 @@ class LsccScheme:
             )
         return vec
 
-    def signal_norm(self, f) -> float:
-        return p_norm(self.coerce(f), self.p)
-
     def measure(self, f) -> np.ndarray:
-        return self.measurement_operator @ self.coerce(f)
+        return self.vertex_operator @ self.coerce(f)
 
     def measure_batch(self, columns: np.ndarray) -> np.ndarray:
-        return self.measurement_operator @ columns
+        return self.vertex_operator @ columns
 
     def phaseless(self, f) -> np.ndarray:
         return np.abs(self.measure(f))
 
-    def vertex_operator(self, v: int) -> np.ndarray:
-        """Rows of the measurement operator that belong to vertex v."""
-        return self.measurement_operator[self.row_offsets[v] : self.row_offsets[v + 1]]
-
     def measure_vertex(self, v: int, f) -> np.ndarray:
-        return self.vertex_operator(v) @ self.coerce(f)
-
-    def measure_edge(self, edge: tuple[int, int], f) -> np.ndarray:
-        mat = self.edge_functionals[tuple(sorted(edge))]
-        return np.conj(mat) @ self.coerce(f)
+        return np.conj(self.vertex_frames[v].rows) @ self.coerce(f)[self.vertex_projections[v]]
 
     def random_signal(self, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
         shape = (self.ambient_dim,) if count is None else (self.ambient_dim, count)
@@ -208,17 +255,6 @@ def _as_support(support, dim: int) -> np.ndarray:
     return arr
 
 
-def _restrict(f: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """P_v f as a full-length vector: f on the support, zero elsewhere.
-
-    Reductions over this vector are bit-identical to those over the dense
-    product with the projection matrix.
-    """
-    out = np.zeros_like(f)
-    out[support] = f[support]
-    return out
-
-
 @dataclass
 class ValidationReport:
     check: str
@@ -237,24 +273,18 @@ def induce_graph(scheme: LsccScheme, f, zero_tol: float = DEFAULT_ZERO_TOL) -> W
     if not 0.0 <= zero_tol < math.inf:
         raise SchemeError(f"zero_tol must lie in [0, inf), got {zero_tol}")
     vec = scheme.coerce(f)
-    p = scheme.p
-    w_v = np.add.reduceat(
-        np.abs(scheme.measurement_operator @ vec) ** p, scheme.row_offsets[:-1]
-    )
-    w_e = {
-        e: float(np.sum(np.abs(np.conj(mat) @ vec) ** p))
-        for e, mat in scheme.edge_functionals.items()
-    }
-    w_max = max(float(np.max(w_v)) if w_v.size else 0.0, max(w_e.values(), default=0.0))
+    w_v = scheme.vertex_operator.power_sums(vec, scheme.p)
+    w_e = scheme.edge_operator.power_sums(vec, scheme.p)
+    w_max = max(np.max(w_v, initial=0.0), np.max(w_e, initial=0.0))
     if w_max == 0.0:
         return WeightedGraph(np.zeros(0), (), ())
     cut = zero_tol * w_max
     keep = [v for v in range(scheme.num_vertices) if w_v[v] > cut]
     pos = {v: i for i, v in enumerate(keep)}
     edges = tuple(
-        (pos[u], pos[v], w_e[(u, v)])
-        for (u, v) in scheme.graph.edges
-        if u in pos and v in pos and w_e[(u, v)] > cut
+        (pos[u], pos[v], float(w))
+        for (u, v), w in zip(scheme.graph.edges, w_e)
+        if u in pos and v in pos and w > cut
     )
     labels = tuple(scheme.vertex_labels[v] for v in keep)
     return WeightedGraph(w_v[keep], edges, labels)
@@ -274,26 +304,24 @@ def is_phase_retrievable(scheme: LsccScheme, f, zero_tol: float = DEFAULT_ZERO_T
 
 
 def _probe_pairs(scheme: LsccScheme, v: int, trials: int, rng: np.random.Generator):
-    """Random pairs in range(P_v), preceded by canonical basis probes.
+    """Random pairs in range(P_v) as vectors on its support, preceded by
+    canonical basis probes.
 
     The sum/difference pairs (b_i + b_j, b_i - b_j) are the classic witnesses
     against frames whose rows split into two rank-deficient halves, so they
-    catch non-retrievable local frames deterministically.
+    catch non-retrievable local frames deterministically.  Each random vector
+    is a full-length draw restricted to the support.
     """
     support = scheme.vertex_projections[v]
-    basis = []
-    for i in support[:4]:
-        e = np.zeros(scheme.ambient_dim)
-        e[i] = 1.0
-        basis.append(e)
+    basis = np.eye(min(4, support.size), support.size)
     for i in range(len(basis)):
         for j in range(i, len(basis)):
             yield basis[i], basis[j]
             if j > i:
                 yield basis[i] + basis[j], basis[i] - basis[j]
     for _ in range(trials):
-        fv = _restrict(scheme.random_signal(rng), support)
-        yield fv, _restrict(scheme.random_signal(rng), support)
+        fv = scheme.random_signal(rng)[support]
+        yield fv, scheme.random_signal(rng)[support]
 
 
 def validate_local_phase_retrieval(
@@ -308,7 +336,9 @@ def validate_local_phase_retrieval(
 
     Also reports empirical per-vertex frame constants (min/max of
     ||Phi_v f||_p / ||f||_p) and their envelope.  In estimate mode the worst
-    ratio is reported as a lower bound for C0 instead of a pass/fail.
+    ratio is reported as a lower bound for C0 instead of a pass/fail.  The
+    witness is the first collision if there is one, else the worst pair,
+    as (v, f, g) with full-length f and g.
     """
     if trials < 1:
         raise SchemeError("trials must be >= 1")
@@ -317,11 +347,10 @@ def validate_local_phase_retrieval(
     witness = None
     frame_lo, frame_hi = math.inf, 0.0
     collision = False
-    for v in range(scheme.num_vertices):
-        op = scheme.vertex_operator(v)
+    for v, fr in enumerate(scheme.vertex_frames):
+        op = np.conj(fr.rows)
         for fv, gv in _probe_pairs(scheme, v, trials, rng):
-            x = op @ fv
-            y = op @ gv
+            x, y = op @ fv, op @ gv
             for sig, meas in ((fv, x), (gv, y)):
                 nrm = p_norm(sig, scheme.p)
                 if nrm > 0.0:
@@ -329,7 +358,7 @@ def validate_local_phase_retrieval(
                     frame_lo = min(frame_lo, r)
                     frame_hi = max(frame_hi, r)
             num, den, equivalent, collides = pair_ratios(x, y, scheme.field, scheme.p)
-            if collides:
+            if collides and not collision:
                 collision = True
                 witness = (v, fv, gv)
             if equivalent:
@@ -337,9 +366,15 @@ def validate_local_phase_retrieval(
             ratio = num / den
             if ratio > worst:
                 worst = ratio
-                witness = (v, fv, gv)
+                if not collision:
+                    witness = (v, fv, gv)
     declared = scheme.local_stability
     passed = (not collision) and (estimate or worst <= declared * (1.0 + 1e-9))
+    if witness is not None:
+        v, fv, gv = witness
+        full = np.zeros((2, scheme.ambient_dim), dtype=np.result_type(fv, gv))
+        full[:, scheme.vertex_projections[v]] = fv, gv
+        witness = (v, full[0], full[1])
     return ValidationReport(
         check="local-phase-retrieval",
         passed=passed,
@@ -355,44 +390,57 @@ def validate_local_phase_retrieval(
     )
 
 
+def _probe_chunks(scheme: LsccScheme, trials: int, rng: np.random.Generator):
+    """The probes of the two batched validators as (d, k) column chunks of
+    about 2^12 entries: `trials` random signals, all drawn before the first
+    chunk is used, then the coordinate basis, built chunk by chunk."""
+    dim = scheme.ambient_dim
+    probes = np.stack([scheme.random_signal(rng) for _ in range(trials)], axis=1)
+    width = max(1, 2**12 // dim)
+    for start in range(0, trials, width):
+        yield probes[:, start : start + width]
+    for start in range(0, dim, width):
+        yield np.eye(dim, min(width, dim - start), -start, dtype=probes.dtype)
+
+
 def validate_edge_domination(
     scheme: LsccScheme, trials: int = 200, rng: np.random.Generator | None = None
 ) -> ValidationReport:
-    """Check ||Psi_uv f||_p <= C1 * min(||Phi_u f||_p, ||Phi_v f||_p) on probes."""
+    """Check ||Psi_uv f||_p <= C1 * min(||Phi_u f||_p, ||Phi_v f||_p) on probes.
+
+    Probes are taken in order, and the edges of each probe in `graph.edges`
+    order; the first pair whose min(...) vanishes against ||Psi_uv f||_p
+    fails the check, otherwise the first worst pair is the witness.
+    """
     if trials < 1:
         raise SchemeError("trials must be >= 1")
     rng = np.random.default_rng(0) if rng is None else rng
-    probes = [scheme.random_signal(rng) for _ in range(trials)]
-    eye = np.eye(scheme.ambient_dim, dtype=np.complex128 if scheme.field == COMPLEX else np.float64)
-    probes.extend(eye)
+    p, edges = scheme.p, scheme.graph.edges
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
     worst = 0.0
     witness = None
-    for f in probes:
-        for (u, v), mat in sorted(scheme.edge_functionals.items()):
-            n_psi = p_norm(np.conj(mat) @ f, scheme.p)
-            n_u = p_norm(scheme.measure_vertex(u, f), scheme.p)
-            n_v = p_norm(scheme.measure_vertex(v, f), scheme.p)
-            low = min(n_u, n_v)
-            if n_psi == 0.0:
-                continue
-            if low <= DENOM_CUTOFF * n_psi:
-                return ValidationReport(
-                    check="edge-domination",
-                    passed=False,
-                    worst=math.inf,
-                    detail={"declared_c1": scheme.edge_domination, "edge": (u, v)},
-                    witness=((u, v), f),
-                )
-            ratio = n_psi / low
-            if ratio > worst:
-                worst = ratio
-                witness = ((u, v), f)
+    for probes in _probe_chunks(scheme, trials, rng):
+        n_psi = scheme.edge_operator.power_sums(probes, p) ** (1.0 / p)
+        n_phi = scheme.vertex_operator.power_sums(probes, p) ** (1.0 / p)
+        low = np.minimum(n_phi[ends[:, 0]], n_phi[ends[:, 1]])
+        lost = (n_psi != 0.0) & (low <= DENOM_CUTOFF * n_psi)
+        ratios = np.divide(n_psi, low, out=np.zeros_like(n_psi), where=(n_psi != 0.0) & ~lost)
+        ratios[lost] = math.inf
+        if ratios.size:
+            t, e = divmod(int(np.argmax(ratios.T)), len(edges))  # first in probe order
+            if ratios[e, t] > worst:
+                worst, witness = float(ratios[e, t]), (edges[e], probes[:, t].copy())
+        if math.isinf(worst):
+            break
     passed = worst <= scheme.edge_domination * (1.0 + 1e-9)
+    detail = {"declared_c1": scheme.edge_domination}
+    if math.isinf(worst):
+        detail["edge"] = witness[0]
     return ValidationReport(
         check="edge-domination",
         passed=passed,
         worst=worst,
-        detail={"declared_c1": scheme.edge_domination},
+        detail=detail,
         witness=witness if not passed else None,
     )
 
@@ -400,27 +448,27 @@ def validate_edge_domination(
 def validate_exhaustion(
     scheme: LsccScheme, trials: int = 200, rng: np.random.Generator | None = None
 ) -> ValidationReport:
-    """Check the declared norm equivalence of f against (sum_v ||P_v f||_p^p)^(1/p)."""
+    """Check the declared norm equivalence of f against (sum_v ||P_v f||_p^p)^(1/p).
+
+    The sum counts |f_i|^p once per support holding coordinate i; the
+    witnesses are the first probes reaching the lowest and highest ratio.
+    """
     if trials < 1:
         raise SchemeError("trials must be >= 1")
     rng = np.random.default_rng(0) if rng is None else rng
-    probes = [scheme.random_signal(rng) for _ in range(trials)]
-    eye = np.eye(scheme.ambient_dim, dtype=np.complex128 if scheme.field == COMPLEX else np.float64)
-    probes.extend(eye)
+    p = scheme.p
+    cover = np.bincount(np.concatenate(scheme.vertex_projections), minlength=scheme.ambient_dim)
     lo, hi = math.inf, 0.0
     witness_lo = witness_hi = None
-    for f in probes:
-        base = p_norm(f, scheme.p)
-        if base == 0.0:
-            continue
-        agg = 0.0
-        for support in scheme.vertex_projections:
-            agg += p_norm(_restrict(f, support), scheme.p) ** scheme.p
-        ratio = agg ** (1.0 / scheme.p) / base
-        if ratio < lo:
-            lo, witness_lo = ratio, f
-        if ratio > hi:
-            hi, witness_hi = ratio, f
+    for probes in _probe_chunks(scheme, trials, rng):
+        powers = np.abs(probes) ** p
+        base = np.sum(powers, axis=0)
+        live = np.flatnonzero(base > 0.0)
+        ratios = (cover @ powers[:, live]) ** (1.0 / p) / base[live] ** (1.0 / p)
+        if live.size and ratios.min() < lo:
+            lo, witness_lo = float(ratios.min()), probes[:, live[np.argmin(ratios)]].copy()
+        if live.size and ratios.max() > hi:
+            hi, witness_hi = float(ratios.max()), probes[:, live[np.argmax(ratios)]].copy()
     passed = lo >= scheme.exhaustion_lower * (1.0 - 1e-9) and hi <= scheme.exhaustion_upper * (
         1.0 + 1e-9
     )
@@ -447,27 +495,24 @@ def validate_scheme(
     ]
 
 
-def _block_to_dict(mat: np.ndarray, field: str) -> dict:
-    """A dense m x n matrix as {m, support, block}: its nonzero columns only."""
-    mat = np.atleast_2d(mat)
-    support = np.flatnonzero(np.any(mat != 0, axis=0))
-    block = mat[:, support]
+def _block_to_dict(support: np.ndarray, block: np.ndarray, field: str) -> dict:
+    """A local block as {m, support, block}: its nonzero columns only."""
+    keep = np.any(block != 0, axis=0)
+    block = block[:, keep]
     if field == COMPLEX:
         block = np.stack([block.real, block.imag], axis=-1)
-    return {"m": mat.shape[0], "support": support.tolist(), "block": block.tolist()}
+    return {"m": block.shape[0], "support": support[keep].tolist(), "block": block.tolist()}
 
 
-def _block_from_dict(entry: dict, n: int, field: str) -> np.ndarray:
-    """The exact dense rows `_block_to_dict` was given."""
+def _block_from_dict(entry: dict, n: int, field: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (support, block) pair `_block_to_dict` wrote."""
     m = int(entry["m"])
     support = _as_support(entry["support"], n)
     shape = (m, support.size, 2) if field == COMPLEX else (m, support.size)
     block = np.reshape(np.asarray(entry["block"], dtype=np.float64), shape)
     if field == COMPLEX:
         block = block.view(np.complex128)[..., 0]
-    mat = np.zeros((m, n), dtype=block.dtype)
-    mat[:, support] = block
-    return mat
+    return support, block
 
 
 def scheme_to_dict(scheme: LsccScheme) -> dict:
@@ -482,10 +527,14 @@ def scheme_to_dict(scheme: LsccScheme) -> dict:
             "V": list(scheme.vertex_labels),
             "edges": [list(e) for e in scheme.graph.edges],
         },
-        "frames": [_block_to_dict(fr.rows, scheme.field) for fr in scheme.vertex_frames],
+        "frames": [
+            _block_to_dict(support, fr.rows, scheme.field)
+            for fr, support in zip(scheme.vertex_frames, scheme.vertex_projections)
+        ],
         "projections": [support.tolist() for support in scheme.vertex_projections],
         "edgeFunctionals": [
-            _block_to_dict(scheme.edge_functionals[e], scheme.field) for e in scheme.graph.edges
+            _block_to_dict(scheme.edge_supports[e], scheme.edge_functionals[e], scheme.field)
+            for e in scheme.graph.edges
         ],
         "constants": {
             "D": scheme.graph.degree_bound,
@@ -513,20 +562,17 @@ def scheme_from_dict(d: dict) -> LsccScheme:
         edges = tuple(tuple(e) for e in d["graph"]["edges"])
         graph = BaseGraph(len(labels), edges)
         consts = d["constants"]
-        frames = tuple(
-            Frame(
-                _block_from_dict(entry, n, field),
-                p=p,
-                field=field,
-                lower=float(consts["A"]),
-                upper=float(consts["B"]),
-            )
-            for entry in d["frames"]
-        )
-        functionals = {
-            e: _block_from_dict(entry, n, field)
-            for e, entry in zip(graph.edges, d["edgeFunctionals"])
-        }
+        projections = [_as_support(support, n) for support in d["projections"]]
+        frames = []
+        for projection, entry in zip(projections, d["frames"], strict=True):
+            support, block = _block_from_dict(entry, n, field)
+            if not np.all(np.isin(support, projection)):
+                raise SchemeError("a frame's support must lie inside its projection's support")
+            rows = np.zeros((block.shape[0], projection.size), dtype=block.dtype)
+            rows[:, np.searchsorted(projection, support)] = block
+            frames.append(Frame(rows, p, field, float(consts["A"]), float(consts["B"])))
+        blocks = [_block_from_dict(entry, n, field) for entry in d["edgeFunctionals"]]
+        functionals = dict(zip(graph.edges, blocks, strict=True))
         lo, hi = d.get("exhaustion", [0.0, math.inf])
         return LsccScheme(
             name=d.get("name", "loaded"),
@@ -534,9 +580,10 @@ def scheme_from_dict(d: dict) -> LsccScheme:
             p=p,
             ambient_dim=n,
             graph=graph,
-            vertex_frames=frames,
-            vertex_projections=tuple(d["projections"]),
-            edge_functionals=functionals,
+            vertex_frames=tuple(frames),
+            vertex_projections=tuple(projections),
+            edge_functionals={e: block for e, (_, block) in functionals.items()},
+            edge_supports={e: support for e, (support, _) in functionals.items()},
             local_stability=float(consts["C0"]),
             edge_domination=float(consts["C1"]),
             frame_lower=float(consts["A"]),
@@ -556,13 +603,3 @@ def scheme_to_json(scheme: LsccScheme) -> str:
 
 def scheme_from_json(text: str) -> LsccScheme:
     return scheme_from_dict(json.loads(text))
-
-
-def check_projection_axioms(scheme: LsccScheme, tol: float = 1e-10) -> bool:
-    """Structural identity Phi_v * P_v = Phi_v: every frame row vanishes off the
-    support of P_v.  A coordinate projection is idempotent by construction."""
-    for fr, support in zip(scheme.vertex_frames, scheme.vertex_projections):
-        outside = np.delete(fr.rows, support, axis=1)
-        if outside.size and np.max(np.abs(outside)) > tol:
-            return False
-    return True

@@ -160,23 +160,12 @@ def build_shiftinv_scheme(gen: GeneratorModel, R: int) -> LsccScheme:
     local = gen.local_matrix
     lower, upper = gen.frame_bounds
 
-    frames = []
-    projections = []
-    for ell in range(-R, R + 1):
-        rows = np.zeros((local.shape[0], dim))
-        block = [coefficient_index(gen, R, ell + kk) for kk in range(-gen.N + 1, 1)]
-        rows[:, block] = local
-        frames.append(Frame(rows, p=gen.p, field=REAL, lower=lower, upper=upper))
-        projections.append(block)
-
-    functionals = {}
-    for v in range(n_vert - 1):
-        ell = v - R
-        overlap = [coefficient_index(gen, R, k) for k in range(ell - gen.N + 2, ell + 1)]
-        mat = np.zeros((len(overlap), dim))
-        for r, j in enumerate(overlap):
-            mat[r, j] = 1.0
-        functionals[(v, v + 1)] = mat
+    projections = [
+        [coefficient_index(gen, R, ell + kk) for kk in range(-gen.N + 1, 1)]
+        for ell in range(-R, R + 1)
+    ]
+    # the gluing functionals evaluate the N-1 coefficients vertices v, v+1 share
+    overlaps = {(v, v + 1): projections[v + 1][:-1] for v in range(n_vert - 1)}
 
     if gen.p == 2.0:
         c0, c1, _ = sigma_based_constants(gen)
@@ -191,9 +180,10 @@ def build_shiftinv_scheme(gen: GeneratorModel, R: int) -> LsccScheme:
         p=gen.p,
         ambient_dim=dim,
         graph=path_graph(n_vert),
-        vertex_frames=tuple(frames),
+        vertex_frames=(Frame(local, p=gen.p, field=REAL, lower=lower, upper=upper),) * n_vert,
         vertex_projections=tuple(projections),
-        edge_functionals=functionals,
+        edge_functionals=dict.fromkeys(overlaps, np.eye(gen.N - 1)),
+        edge_supports=overlaps,
         local_stability=c0,
         edge_domination=c1,
         frame_lower=lower,

@@ -24,35 +24,20 @@ _LOCAL_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
 def toy_scheme() -> LsccScheme:
-    n = 4
-    graph = path_graph(3)
-    frames = []
-    projections = []
-    for k in range(3):
-        rows = np.zeros((3, n))
-        rows[:, k : k + 2] = _LOCAL_ROWS
-        frames.append(rows)
-        projections.append([k, k + 1])
-    functionals = {}
-    for k in range(2):
-        delta = np.zeros((1, n))
-        delta[0, k + 1] = 1.0
-        functionals[(k, k + 1)] = delta
-
     svals = np.linalg.svd(_LOCAL_ROWS, compute_uv=False)
     lower, upper = float(svals[-1]), float(svals[0])
     c0 = real_local_stability(_LOCAL_ROWS, sigma_strong(_LOCAL_ROWS))
+    frame = Frame(_LOCAL_ROWS, p=2.0, field=REAL, lower=lower, upper=upper)
     return LsccScheme(
         name="toy",
         field=REAL,
         p=2.0,
-        ambient_dim=n,
-        graph=graph,
-        vertex_frames=tuple(
-            Frame(rows, p=2.0, field=REAL, lower=lower, upper=upper) for rows in frames
-        ),
-        vertex_projections=tuple(projections),
-        edge_functionals=functionals,
+        ambient_dim=4,
+        graph=path_graph(3),
+        vertex_frames=(frame,) * 3,
+        vertex_projections=tuple([k, k + 1] for k in range(3)),
+        edge_functionals={(k, k + 1): np.ones((1, 1)) for k in range(2)},
+        edge_supports={(k, k + 1): [k + 1] for k in range(2)},
         local_stability=c0,
         edge_domination=1.0 / lower,
         frame_lower=lower,

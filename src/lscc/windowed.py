@@ -146,36 +146,29 @@ def build_windowed_scheme(cfg: WindowedConfig) -> LsccScheme:
         )
         c0 = COMPLEX_C0_MARGIN * est
 
-    d = cfg.d
     graph = cycle_graph(cfg.L)
-    frames = []
-    projections = []
-    for ell in range(cfg.L):
-        rows = np.zeros((local.shape[0], d), dtype=local.dtype)
-        for j in range(n_local):
-            rows[:, (ell * cfg.a + j) % d] = local[:, j]
-        frames.append(Frame(rows, p=2.0, field=cfg.field, lower=lower, upper=upper))
-        projections.append(window_support(cfg, ell))
+    # window ell < L-1 reads local column j at coordinate ell*a + j; the last
+    # window wraps, and its sorted support [0, a) + [d-a, d) puts columns a.. first
+    consts = {"p": 2.0, "field": cfg.field, "lower": lower, "upper": upper}
+    frames = [Frame(local, **consts)] * (cfg.L - 1)
+    frames.append(Frame(np.roll(local, -cfg.a, axis=1), **consts))
 
-    functionals = {}
-    for u, v in graph.edges:
-        overlap = sorted(set(window_support(cfg, u)) & set(window_support(cfg, v)))
-        if len(overlap) != cfg.a:
-            raise SchemeError(f"edge ({u},{v}) overlap has {len(overlap)} coordinates")
-        mat = np.zeros((len(overlap), d), dtype=local.dtype)
-        for r, k in enumerate(overlap):
-            mat[r, k] = 1.0
-        functionals[(u, v)] = mat
+    # neighbouring windows share a coordinates, glued by point evaluations
+    overlaps = {
+        (u, v): sorted(set(window_support(cfg, u)) & set(window_support(cfg, v)))
+        for u, v in graph.edges
+    }
 
     return LsccScheme(
         name=f"windowed(a={cfg.a},L={cfg.L},{cfg.field})",
         field=cfg.field,
         p=2.0,
-        ambient_dim=d,
+        ambient_dim=cfg.d,
         graph=graph,
         vertex_frames=tuple(frames),
-        vertex_projections=tuple(projections),
-        edge_functionals=functionals,
+        vertex_projections=tuple(window_support(cfg, ell) for ell in range(cfg.L)),
+        edge_functionals=dict.fromkeys(overlaps, np.eye(cfg.a, dtype=local.dtype)),
+        edge_supports=overlaps,
         local_stability=c0,
         edge_domination=1.0 / lower,
         frame_lower=lower,

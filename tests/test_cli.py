@@ -393,12 +393,22 @@ class TestSchemeLoading:
         toy = toy_scheme()
         data = json.loads(scheme_to_json(toy))
         del data["version"]
-        data["frames"] = [fr.rows.tolist() for fr in toy.vertex_frames]
+
+        def dense(block, support):
+            rows = np.zeros((block.shape[0], 4))
+            rows[:, support] = block
+            return rows.tolist()
+
+        data["frames"] = [
+            dense(fr.rows, s) for fr, s in zip(toy.vertex_frames, toy.vertex_projections)
+        ]
         data["projections"] = [
             np.diag(np.isin(np.arange(4), s).astype(float)).tolist()
             for s in toy.vertex_projections
         ]
-        data["edgeFunctionals"] = [toy.edge_functionals[e].tolist() for e in toy.graph.edges]
+        data["edgeFunctionals"] = [
+            dense(toy.edge_functionals[e], toy.edge_supports[e]) for e in toy.graph.edges
+        ]
         path = tmp_path / "old.json"
         path.write_text(json.dumps(data))
         assert run(["validate", "--scheme", str(path)]) == 1

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +11,13 @@ from hypothesis import strategies as st
 from lscc.errors import SchemeError
 from lscc.graphs import is_connected
 from lscc.harness import check_edge_mismatch_batch
-from lscc.measurement import COMPLEX, REAL, Frame
+from lscc.measurement import COMPLEX, DENOM_CUTOFF, REAL, Frame, p_norm, pair_ratios
 from lscc.scheme import (
     DESCRIPTOR_VERSION,
     INCONCLUSIVE,
     RETRIEVABLE,
     BaseGraph,
     LsccScheme,
-    check_projection_axioms,
     induce_graph,
     is_phase_retrievable,
     scheme_from_dict,
@@ -34,7 +36,13 @@ from lscc.toy import (
     FIXTURE_LOCAL,
     toy_scheme,
 )
-from lscc.shiftinv import GeneratorModel, build_shiftinv_scheme
+from lscc.shiftinv import (
+    POLYNOMIAL,
+    DecayProfile,
+    GeneratorModel,
+    build_shiftinv_scheme,
+    profile_signal,
+)
 from lscc.windowed import WindowedConfig, build_windowed_scheme
 
 
@@ -43,17 +51,18 @@ def toy():
     return toy_scheme()
 
 
-def with_projections(scheme, projections):
-    """Copy of `scheme` with other vertex projections (supports)."""
+def with_projections(scheme, projections, frames=None):
+    """Copy of `scheme` with other vertex projections (supports) and frames."""
     return LsccScheme(
         name=scheme.name,
         field=scheme.field,
         p=scheme.p,
         ambient_dim=scheme.ambient_dim,
         graph=scheme.graph,
-        vertex_frames=scheme.vertex_frames,
+        vertex_frames=scheme.vertex_frames if frames is None else frames,
         vertex_projections=projections,
         edge_functionals=dict(scheme.edge_functionals),
+        edge_supports=dict(scheme.edge_supports),
         local_stability=scheme.local_stability,
         edge_domination=scheme.edge_domination,
         frame_lower=scheme.frame_lower,
@@ -75,6 +84,7 @@ def degenerate_two_row_scheme():
         vertex_frames=(Frame(rows, lower=1.0, upper=1.0),),
         vertex_projections=(np.array([0, 1]),),
         edge_functionals={},
+        edge_supports={},
         local_stability=10.0,
         edge_domination=1.0,
         frame_lower=1.0,
@@ -194,6 +204,17 @@ class TestValidators:
         assert math.isinf(report.worst)
         assert report.detail["collision_found"]
 
+    def test_collision_witness_is_a_collision(self):
+        # a later non-equivalent pair with a larger ratio used to overwrite
+        # the witness of the first collision
+        scheme = degenerate_two_row_scheme()
+        report = validate_local_phase_retrieval(scheme, trials=50, rng=np.random.default_rng(1))
+        v, f, g = report.witness
+        assert v == 0 and f.shape == g.shape == (2,)
+        x, y = scheme.measure(f), scheme.measure(g)
+        _, _, equivalent, collision = pair_ratios(x, y, scheme.field, scheme.p)
+        assert equivalent and collision
+
     def test_local_validation_equal_pairs_pass(self, toy):
         # all-equal sampling degenerates to 0/0 ratios, which count as pass
         class ConstRng:
@@ -225,6 +246,7 @@ class TestValidators:
             vertex_frames=toy.vertex_frames,
             vertex_projections=toy.vertex_projections,
             edge_functionals={e: 10.0 * m for e, m in toy.edge_functionals.items()},
+            edge_supports=toy.edge_supports,
             local_stability=toy.local_stability,
             edge_domination=toy.edge_domination,
             frame_lower=toy.frame_lower,
@@ -237,11 +259,16 @@ class TestValidators:
         assert report.witness is not None
 
     def test_exhaustion_gap_fails(self, toy):
-        # drop the last coordinate from every support: e_4 is invisible
-        mangled = tuple(support[support != 3] for support in toy.vertex_projections)
-        bad = with_projections(toy, mangled)
+        # drop the last coordinate from every support, and the frame columns
+        # reading it: e_4 is invisible
+        keep = [support != 3 for support in toy.vertex_projections]
+        mangled = tuple(support[k] for support, k in zip(toy.vertex_projections, keep))
+        frames = tuple(Frame(fr.rows[:, k]) for fr, k in zip(toy.vertex_frames, keep))
+        bad = with_projections(toy, mangled, frames)
+        assert all(3 not in support for support in bad.vertex_projections)
         report = validate_exhaustion(bad, trials=50, rng=np.random.default_rng(5))
         assert not report.passed
+        assert report.detail["observed"][0] == 0.0
 
     def test_single_vertex_full_projection_ratio_one(self):
         scheme = degenerate_two_row_scheme()
@@ -257,12 +284,15 @@ class TestValidators:
         assert hi <= math.sqrt(2.0) + 1e-12
 
     def test_projection_axioms(self, toy):
-        assert check_projection_axioms(toy)
+        # Phi_v P_v = Phi_v by construction: each frame is a block on its support
+        for fr, support in zip(toy.vertex_frames, toy.vertex_projections):
+            assert fr.rows.shape == (3, support.size)
 
     def test_projection_axioms_catch_rows_off_support(self, toy):
         # vertex 2's frame reads coordinates 2 and 3; a support of {2} misses one
         supports = toy.vertex_projections[:2] + (np.array([2]),)
-        assert not check_projection_axioms(with_projections(toy, supports))
+        with pytest.raises(SchemeError, match="inside its support"):
+            with_projections(toy, supports)
 
 
 class TestProjectionSupports:
@@ -339,6 +369,7 @@ class TestSerialization:
             assert fr2.rows.dtype == fr.rows.dtype and np.array_equal(fr2.rows, fr.rows)
         for e, mat in scheme.edge_functionals.items():
             assert np.array_equal(again.edge_functionals[e], mat)
+            assert np.array_equal(again.edge_supports[e], scheme.edge_supports[e])
 
     def test_descriptor_stores_supports_and_local_blocks(self, toy):
         d = scheme_to_dict(toy)
@@ -354,6 +385,12 @@ class TestSerialization:
             scheme_from_dict(d)
         del d["version"]
         with pytest.raises(SchemeError, match="version"):
+            scheme_from_dict(d)
+
+    def test_rejects_frame_off_its_projection(self, toy):
+        d = scheme_to_dict(toy)
+        d["projections"][2] = [2]  # frame 2 still reads coordinates 2 and 3
+        with pytest.raises(SchemeError, match="inside its projection"):
             scheme_from_dict(d)
 
     def test_rejects_malformed_block(self, toy):
@@ -377,6 +414,206 @@ class TestSerialization:
         assert toy.descriptor_hash() == toy_scheme().descriptor_hash()
 
 
+def mixed_block_scheme():
+    """A complex JSON scheme whose frames and functionals come in three block
+    shapes each; frame 2 reads only part of its projection."""
+    rng = np.random.default_rng(13)
+
+    def block(m, support):
+        values = rng.standard_normal((m, len(support), 2))
+        return {"m": m, "support": support, "block": values.tolist()}
+
+    descriptor = {
+        "version": DESCRIPTOR_VERSION,
+        "name": "mixed",
+        "field": COMPLEX,
+        "p": 2.0,
+        "n": 8,
+        "graph": {"V": [0, 1, 2, 3], "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]},
+        "projections": [[0, 1, 2], [2, 3], [3, 4, 5, 6], [0, 6, 7]],
+        "frames": [
+            block(8, [0, 1, 2]), block(4, [2, 3]), block(8, [3, 5, 6]), block(8, [0, 6, 7])
+        ],
+        "edgeFunctionals": [block(1, [2]), block(2, [0, 6]), block(1, [3]), block(3, [6])],
+        "constants": {"D": 2, "C0": 10.0, "C1": 10.0, "A": 0.1, "B": 10.0},
+        "exhaustion": [1.0, 2.0],
+    }
+    return scheme_from_json(json.dumps(descriptor))
+
+
+ORACLE_SCHEMES = {
+    "toy": toy_scheme,
+    **{
+        f"windowed-{field}-a{a}": (
+            lambda a=a, field=field: build_windowed_scheme(
+                WindowedConfig(a=a, L=5, field=field, seed=a)
+            )
+        )
+        for field in (REAL, COMPLEX)
+        for a in (1, 2, 3)
+    },
+    "shiftinv-N2": lambda: build_shiftinv_scheme(GeneratorModel(N=2), 4),
+    "shiftinv-N3-p3": lambda: build_shiftinv_scheme(GeneratorModel(N=3, p=3.0), 5),
+    "json-mixed-shapes": mixed_block_scheme,
+}
+
+
+def dense_rows(scheme):
+    """Each frame and edge functional as dense rows over all d coordinates."""
+    dtype = np.complex128 if scheme.field == COMPLEX else np.float64
+
+    def dense(block, support):
+        rows = np.zeros((block.shape[0], scheme.ambient_dim), dtype=dtype)
+        rows[:, support] = block
+        return rows
+
+    vertex = [dense(fr.rows, s) for fr, s in zip(scheme.vertex_frames, scheme.vertex_projections)]
+    edge = [dense(scheme.edge_functionals[e], scheme.edge_supports[e]) for e in scheme.graph.edges]
+    return vertex, edge
+
+
+def assert_rel_close(actual, expected, rtol=1e-13):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
+
+
+class TestBlockOperatorOracle:
+    """The block operators against dense m x d matrices assembled from the blocks."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SCHEMES))
+    def test_matches_dense(self, name):
+        scheme = ORACLE_SCHEMES[name]()
+        vertex, edge = dense_rows(scheme)
+        op = np.conj(np.vstack(vertex))
+        rng = np.random.default_rng(21)
+        p = scheme.p
+        for _ in range(5):
+            f = scheme.random_signal(rng)
+            columns = scheme.random_signal(rng, 6)
+            assert_rel_close(scheme.measure(f), op @ f)
+            assert_rel_close(scheme.measure_batch(columns), op @ columns)
+            graph = induce_graph(scheme, f, zero_tol=0.0)
+            w_v = [np.sum(np.abs(np.conj(rows) @ f) ** p) for rows in vertex]
+            w_e = [np.sum(np.abs(np.conj(rows) @ f) ** p) for rows in edge]
+            assert graph.num_vertices == scheme.num_vertices
+            assert_rel_close(graph.vertex_weights, w_v)
+            assert [e[:2] for e in graph.edges] == list(scheme.graph.edges)
+            assert_rel_close([e[2] for e in graph.edges], w_e)
+
+    def test_mixed_shapes_form_one_stack_per_shape(self):
+        scheme = mixed_block_scheme()
+        shapes = sorted(stack.shape for _, stack, _ in scheme.vertex_operator.stacks)
+        assert shapes == [(1, 4, 2), (1, 8, 4), (2, 8, 3)]
+        assert len(scheme.edge_operator.stacks) == 3
+        # frame 2 reads coordinates 3, 5, 6 of its projection {3, 4, 5, 6}
+        assert np.all(scheme.vertex_frames[2].rows[:, 1] == 0)
+        assert scheme_to_json(scheme_from_json(scheme_to_json(scheme))) == scheme_to_json(scheme)
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (toy_scheme, "f7cb81efdc0ef02cfa747f98d138dec05ed1584e71b6668c407fbfbd1849890d"),
+            (
+                lambda: build_windowed_scheme(WindowedConfig(a=2, L=64, field=COMPLEX, seed=0)),
+                "18e0690e0aedf035b166537321e49633d8502677a797f33e040587b9f8368dc6",
+            ),
+            (
+                lambda: build_shiftinv_scheme(GeneratorModel(N=2), 64),
+                "755af875a96357b1d1dbeddc465eb90b641d7a940193d8f7272b0ba18d853d05",
+            ),
+        ],
+    )
+    def test_descriptor_hash_pinned(self, build, digest):
+        # the local layout writes the same descriptor v2 bytes as dense rows did
+        assert build().descriptor_hash() == digest
+
+
+def reference_edge_domination(scheme, trials, rng):
+    """The scalar loop the batched check replaced: (worst, edge, probe) of the
+    first vanishing pair, else of the first worst pair."""
+    vertex, edge = dense_rows(scheme)
+    dtype = np.complex128 if scheme.field == COMPLEX else np.float64
+    probes = [scheme.random_signal(rng) for _ in range(trials)]
+    probes.extend(np.eye(scheme.ambient_dim, dtype=dtype))
+    worst, witness = 0.0, None
+    for f in probes:
+        for rows, (u, v) in zip(edge, scheme.graph.edges):
+            n_psi = p_norm(np.conj(rows) @ f, scheme.p)
+            low = min(p_norm(np.conj(vertex[w]) @ f, scheme.p) for w in (u, v))
+            if n_psi == 0.0:
+                continue
+            if low <= DENOM_CUTOFF * n_psi:
+                return math.inf, (u, v), f
+            if n_psi / low > worst:
+                worst, witness = n_psi / low, ((u, v), f)
+    return (worst,) + witness
+
+
+def reference_exhaustion(scheme, trials, rng):
+    """The scalar loop the batched check replaced: (lo, hi)."""
+    dtype = np.complex128 if scheme.field == COMPLEX else np.float64
+    probes = [scheme.random_signal(rng) for _ in range(trials)]
+    probes.extend(np.eye(scheme.ambient_dim, dtype=dtype))
+    ratios = []
+    for f in probes:
+        base = p_norm(f, scheme.p)
+        if base > 0.0:
+            agg = sum(p_norm(f[s], scheme.p) ** scheme.p for s in scheme.vertex_projections)
+            ratios.append(agg ** (1.0 / scheme.p) / base)
+    return min(ratios), max(ratios)
+
+
+def toy_with_blind_frames():
+    """Toy with frame 2 reading only coordinate 3 and edge (0, 1) reading
+    coordinate 3, which frame 0 does not see: probe e_3 loses edge (1, 2),
+    and the later probe e_4 loses edge (0, 1)."""
+    toy = toy_scheme()
+    return dataclasses.replace(
+        toy,
+        vertex_projections=toy.vertex_projections[:2] + (np.array([3]),),
+        vertex_frames=toy.vertex_frames[:2] + (Frame(toy.vertex_frames[2].rows[:, 1:]),),
+        edge_supports={**toy.edge_supports, (0, 1): np.array([3])},
+    )
+
+
+class TestBatchedValidators:
+    """The batched edge-domination and exhaustion checks against their loops."""
+
+    @pytest.mark.parametrize(
+        "name", ["toy", "windowed-complex-a2", "shiftinv-N3-p3", "json-mixed-shapes", "blind"]
+    )
+    def test_edge_domination_matches_loop(self, name):
+        scheme = toy_with_blind_frames() if name == "blind" else ORACLE_SCHEMES[name]()
+        scheme.edge_domination = 1e-3  # below the worst ratio, so the witness is reported
+        report = validate_edge_domination(scheme, trials=40, rng=np.random.default_rng(30))
+        worst, edge, probe = reference_edge_domination(scheme, 40, np.random.default_rng(30))
+        assert not report.passed
+        if math.isinf(worst):
+            assert math.isinf(report.worst) and report.detail["edge"] == edge
+            assert report.witness[0] == edge and np.array_equal(report.witness[1], probe)
+        else:
+            assert report.worst == pytest.approx(worst, rel=1e-12)
+            witness_edge, witness_probe = report.witness
+            i = scheme.graph.edges.index(witness_edge)
+            n_psi = scheme.edge_operator.power_sums(witness_probe, scheme.p)[i]
+            n_phi = scheme.vertex_operator.power_sums(witness_probe, scheme.p)[list(witness_edge)]
+            ratio = (n_psi / min(n_phi)) ** (1.0 / scheme.p)
+            assert ratio == pytest.approx(worst, rel=1e-12)
+
+    def test_first_vanishing_pair_in_probe_order(self):
+        report = validate_edge_domination(toy_with_blind_frames(), trials=40)
+        assert math.isinf(report.worst) and report.detail["edge"] == (1, 2)
+        assert np.array_equal(report.witness[1], [0.0, 0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SCHEMES))
+    def test_exhaustion_matches_loop(self, name):
+        scheme = ORACLE_SCHEMES[name]()
+        report = validate_exhaustion(scheme, trials=40, rng=np.random.default_rng(31))
+        lo, hi = reference_exhaustion(scheme, 40, np.random.default_rng(31))
+        assert report.detail["observed"] == pytest.approx([lo, hi], rel=1e-12)
+
+
 class TestLocalStorageGuards:
     """Descriptors and in-memory projections grow with the supports, not with d^2."""
 
@@ -388,5 +625,37 @@ class TestLocalStorageGuards:
         scheme = build_shiftinv_scheme(GeneratorModel(N=2), 512)
         arrays = [fr.rows for fr in scheme.vertex_frames]
         arrays += list(scheme.vertex_projections) + list(scheme.edge_functionals.values())
+        arrays += list(scheme.edge_supports.values())
+        for op in (scheme.vertex_operator, scheme.edge_operator):
+            arrays += [op.offsets] + [a for stack in op.stacks for a in stack]
         arrays += [a for a in vars(scheme).values() if isinstance(a, np.ndarray)]
-        assert sum(a.nbytes for a in arrays) <= 64 * 2**20
+        assert sum(a.nbytes for a in arrays) <= 2**20
+
+    def test_shiftinv_build_and_induce_peak(self):
+        # one dense frame stack of this scheme is 25 MB
+        gen = GeneratorModel(N=2)
+        profile = DecayProfile(POLYNOMIAL, 2.0)
+        tracemalloc.start()
+        try:
+            scheme = build_shiftinv_scheme(gen, 512)
+            graph = induce_graph(scheme, profile_signal(gen, 512, profile), zero_tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.num_vertices == 1025
+        assert peak < 2 * 2**20
+
+    def test_windowed_build_and_measure_peak(self):
+        # one m x d operator of this scheme is 384 MiB
+        cfg = WindowedConfig(a=2, L=1024, field=COMPLEX, seed=0)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            scheme = build_windowed_scheme(cfg)
+            x = scheme.measure(scheme.random_signal(rng))
+            batch = scheme.measure_batch(scheme.random_signal(rng, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (12 * 1024,) and batch.shape == (12 * 1024, 8)
+        assert peak < 16 * 2**20

@@ -11,6 +11,7 @@ from lscc.windowed import (
     WindowedConfig,
     adversarial_pair,
     build_windowed_scheme,
+    default_local_rows,
     fit_loglog_slope,
     lower_bound_constants,
     sample_class_signal,
@@ -78,10 +79,16 @@ class TestConstruction:
         assert np.all(counts == 2)
 
     def test_projection_axioms(self):
-        from lscc.scheme import check_projection_axioms
-
-        scheme = build_windowed_scheme(WindowedConfig(a=2, L=4, field=COMPLEX, seed=0))
-        assert check_projection_axioms(scheme)
+        # windows share the local block; the wrap window (coordinates 6, 7, 0, 1)
+        # stores it with columns in the order of its sorted support [0, 1, 6, 7]
+        cfg = WindowedConfig(a=2, L=4, field=COMPLEX, seed=0)
+        scheme = build_windowed_scheme(cfg)
+        local = default_local_rows(cfg)
+        frames = scheme.vertex_frames
+        assert frames[0] is frames[1] is frames[2]
+        assert np.array_equal(frames[0].rows, local)
+        assert scheme.vertex_projections[3].tolist() == [0, 1, 6, 7]
+        assert np.array_equal(frames[3].rows, local[:, [2, 3, 0, 1]])
 
 
 class TestMembership:
