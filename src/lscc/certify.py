@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import BudgetExceededError, DegenerateFrameError
-from .measurement import COMPLEX, pair_ratios
+from .measurement import COMPLEX, gaussian, pair_ratios
 
 #: largest row count for 2^m subset enumeration
 SIGMA_BUDGET = 20
@@ -174,20 +174,12 @@ def estimate_local_stability(
     are skipped.  A lower bound on the true constant: callers needing an
     upper bound must add a margin.
     """
-    n = m.shape[1]
-
-    def draw(count: int) -> np.ndarray:
-        if field == COMPLEX:
-            return rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
-        return rng.standard_normal((n, count))
-
     worst = 1.0
-    blocks = []
     half = max(trials // 2, 1)
-    blocks.append((draw(half), draw(half)))
+    shape = (m.shape[1], half)
+    blocks = [(gaussian(rng, shape, field), gaussian(rng, shape, field))]
     # near-collinear pairs: g = xi*f + eps*h with shrinking eps
-    f = draw(half)
-    h = draw(half)
+    f, h = gaussian(rng, shape, field), gaussian(rng, shape, field)
     eps = np.logspace(-6, 0, half)
     if field == COMPLEX:
         xi = np.exp(2j * math.pi * rng.random(half))

@@ -18,12 +18,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import SchemeError
-from .measurement import COMPLEX, align_phase, align_phase_batch, p_norm, pair_ratios
+from .errors import DegenerateFamilyError, SchemeError
+from .measurement import COMPLEX, align_phase, align_phase_batch, gaussian, p_norm, pair_ratios
 from .scheme import LsccScheme
 from .stability import signal_bound
 
 BOUND_SLACK = 1e-9
+#: measurement entries per fuzz_bounds column chunk: keeps pair_ratios' temporaries in cache
+_CHUNK = 1 << 14
 
 
 def derive_rng(seed: int, *keys) -> np.random.Generator:
@@ -42,13 +44,15 @@ def fuzz_bounds(
 ) -> dict:
     """Assert bound domination on random signal pairs for every scheme.
 
-    Pairs are organized as reference signals x comparison batches so the
-    per-reference connectivity bound is computed once.  Reports the max
-    observed ratio/bound quotient per scheme; quotients must stay <= 1 up to
-    slack, otherwise the offending pair is serialized into the report.
+    Pairs are organized as reference signals x comparison batches (scored in
+    column chunks of _CHUNK measurements) so the per-reference bound is
+    computed once.  Reports the max observed ratio/bound quotient per scheme;
+    quotients must stay <= 1 up to slack, else the offending pair is serialized.
     `pairs` counts the pairs that are not phase-equivalent under
     `pair_ratios`; a collision is a violation unless the bound is infinite.
     """
+    if pairs_per_scheme < 1:
+        raise DegenerateFamilyError("pairs_per_scheme must be >= 1")
     report = {"pairs_per_scheme": pairs_per_scheme, "schemes": [], "passed": True}
     for scheme in schemes:
         n_refs = refs_per_scheme or max(1, min(200, pairs_per_scheme // 500))
@@ -62,8 +66,10 @@ def fuzz_bounds(
             bound = signal_bound(scheme, f)
             comparisons = scheme.random_signal(rng, per_ref)
             x = scheme.measure(f)
-            ys = scheme.measure_batch(comparisons)
-            num, den, equivalent, collision = pair_ratios(x, ys, scheme.field, scheme.p)
+            width = max(1, _CHUNK // x.size)
+            cols = np.split(comparisons, range(width, per_ref, width), axis=1)
+            chunks = [pair_ratios(x, scheme.measure_batch(c), scheme.field, scheme.p) for c in cols]
+            num, den, equivalent, collision = (np.concatenate(parts) for parts in zip(*chunks))
             good = ~equivalent
             pairs += int(np.sum(good))
             if math.isinf(bound):
@@ -151,17 +157,16 @@ def inequality_suite(seed: int = 0, trials: int = 100_000, length: int = 16) -> 
     from .toy import toy_scheme
 
     rng = derive_rng(seed, "alignment-suite")
-    x = rng.standard_normal((length, trials)) + 1j * rng.standard_normal((length, trials))
-    y = rng.standard_normal((length, trials)) + 1j * rng.standard_normal((length, trials))
+    x = gaussian(rng, (length, trials), COMPLEX)
+    y = gaussian(rng, (length, trials), COMPLEX)
     y[:, 0] = 0.0  # stated degenerate case
     y[:, 1] = x[:, 1]
-    _, lhs = align_phase_batch(x, y, COMPLEX)
+    lhs, modgap, _, _ = pair_ratios(x, y, COMPLEX)
     inner = np.sum(np.conj(y) * x, axis=0)
     ynorm2 = np.sum(np.abs(y) ** 2, axis=0)
     xnorm2 = np.sum(np.abs(x) ** 2, axis=0)
     proj = np.where(ynorm2 > 0.0, np.abs(inner) ** 2 / np.where(ynorm2 > 0.0, ynorm2, 1.0), 0.0)
     linear = np.sqrt(np.maximum(xnorm2 - proj, 0.0))
-    modgap = np.linalg.norm(np.abs(x) - np.abs(y), axis=0)
     scale = np.sqrt(xnorm2) + np.sqrt(ynorm2)
     align_bad = int(np.sum(lhs > math.sqrt(2.0) * linear + modgap + BOUND_SLACK * (scale + 1.0)))
 

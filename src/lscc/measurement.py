@@ -187,11 +187,23 @@ def _align_phase_grid(xv: np.ndarray, yv: np.ndarray, p: float) -> tuple[complex
     return xi, p_norm(xv - xi * yv, p)
 
 
-def _column_pnorms(arr: np.ndarray, p: float) -> np.ndarray:
-    """p-norm of every column of a 2-D array."""
+def gaussian(rng: np.random.Generator, shape, field: str) -> np.ndarray:
+    """Standard normal draw over `field`; a complex one fills real, then imaginary parts."""
+    if _check_field(field) == REAL:
+        return rng.standard_normal(shape)
+    out = np.empty(shape, dtype=np.complex128)
+    out.real, out.imag = rng.standard_normal(shape), rng.standard_normal(shape)
+    return out
+
+
+def _column_pnorms(a: np.ndarray, p: float) -> np.ndarray:
+    """Column p-norms of a real (m, T) array, computed in place in np.linalg.norm's order."""
     if p == 2.0:
-        return np.linalg.norm(arr, axis=0)
-    return np.sum(np.abs(arr) ** p, axis=0) ** (1.0 / p)
+        return np.sqrt(np.add.reduce(np.square(a, out=a), axis=0))
+    np.abs(a, out=a)
+    if p != 1.0:
+        np.power(a, p, out=a)
+    return np.add.reduce(a, axis=0) ** (1.0 / p)
 
 
 def align_phase_batch(
@@ -199,25 +211,28 @@ def align_phase_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Column-wise align_phase: (phases xi_j, residuals ||x_j - xi_j y_j||_p).
 
-    x and y are (m, T) arrays of measurement columns.  Real field: both signs
-    as column p-norms (ties prefer +1); complex field with p = 2: the closed
-    form; complex field with p != 2: align_phase on each column.
+    y holds (m, T) measurement columns, x the same shape or one (m, 1) column.
+    Real field: both signs as column p-norms (ties prefer +1); complex field:
+    the closed form in one (m, T) temporary at p = 2, else align_phase per column.
     """
     _check_field(field)
-    if x.shape != y.shape:
+    if x.shape != y.shape and x.shape != (len(y), 1):
         raise DimensionError(f"shape mismatch {x.shape} != {y.shape}")
     if field == REAL:
-        r_plus = _column_pnorms(x - y, p)
-        r_minus = _column_pnorms(x + y, p)
+        r_plus, r_minus = _column_pnorms(x - y, p), _column_pnorms(x + y, p)
         return np.where(r_plus <= r_minus, 1.0, -1.0), np.minimum(r_plus, r_minus)
     if p != 2.0:
+        x = np.broadcast_to(x, y.shape)
         aligned = [align_phase(x[:, j], y[:, j], field, p) for j in range(x.shape[1])]
         aligned = np.array(aligned, dtype=np.complex128).reshape(-1, 2)
         return aligned[:, 0], aligned[:, 1].real
-    inner = np.sum(x * np.conj(y), axis=0)
+    work = np.multiply(np.conj(x), y, out=np.empty(y.shape, dtype=np.complex128))
+    inner = np.conj(np.add.reduce(work, axis=0))  # == sum(x * conj(y)), bit for bit
     mag = np.abs(inner)
-    xi = np.where(mag > 0.0, inner / np.where(mag > 0.0, mag, 1.0), 1.0)
-    return xi, np.linalg.norm(x - xi[None, :] * y, axis=0)
+    xi = np.divide(inner, mag, out=np.ones_like(inner), where=mag > 0.0)
+    np.subtract(x, np.multiply(xi, y, out=work), out=work)
+    parts = np.square(work.view(np.float64), out=work.view(np.float64))  # re^2, im^2
+    return xi, np.sqrt(np.add.reduce(parts[:, 0::2] + parts[:, 1::2], axis=0))
 
 
 def pair_ratios(x, ys, field: str, p: float = 2.0):
@@ -229,20 +244,28 @@ def pair_ratios(x, ys, field: str, p: float = 2.0):
     and a collision when it is equivalent with num > COLLISION_RTOL * ||x||_p:
     equal moduli, no common phase.  ||x||_p is floored at 1e-300, so x = y = 0
     is equivalent.  A 1-D `ys` is one pair (p_norm and one align_phase call,
-    scalar results); a 2-D `ys` holds columns compared against a 1-D x or a
-    same-shape x column by column (column p-norms and align_phase_batch).
+    scalar results); a 2-D `ys` holds columns compared against a 1-D x (one
+    (m, 1) column) or a same-shape x, with in-place temporaries; a real den
+    comes from the residuals, as | |a|-|b| | == min(|a-b|, |a+b|) in IEEE.
     """
     x = np.asarray(x)
     ys = np.asarray(ys)
-    scale = p_norm(x, p) if x.ndim == 1 else _column_pnorms(x, p)
+    scale = p_norm(x, p) if x.ndim == 1 else _column_pnorms(np.abs(x), p)
     if ys.ndim == 1:
         den = p_norm(np.abs(x) - np.abs(ys), p)
         _, num = align_phase(x, ys, field, p)
         floor = max(scale, 1e-300)
     else:
-        x = np.broadcast_to(x.reshape(len(x), -1), ys.shape)
-        den = _column_pnorms(np.abs(x) - np.abs(ys), p)
-        _, num = align_phase_batch(x, ys, field, p)
+        x = x.reshape(len(x), -1)
+        if field == REAL:
+            plus, minus = (np.abs(r, out=r) for r in (x - ys, x + ys))  # xi = +1, -1
+            gap = np.minimum(plus, minus)
+            num = np.minimum(_column_pnorms(plus, p), _column_pnorms(minus, p))
+        else:
+            gap = np.abs(ys)
+            np.subtract(np.abs(x), gap, out=gap)
+            _, num = align_phase_batch(x, ys, field, p)
+        den = _column_pnorms(gap, p)
         floor = np.maximum(scale, 1e-300)
     equivalent = den <= DENOM_CUTOFF * floor
     return num, den, equivalent, equivalent & (num > COLLISION_RTOL * floor)

@@ -33,6 +33,7 @@ from .measurement import (
     Frame,
     Signal,
     as_field_array,
+    gaussian,
     p_norm,
     pair_ratios,
 )
@@ -231,9 +232,7 @@ class LsccScheme:
 
     def random_signal(self, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
         shape = (self.ambient_dim,) if count is None else (self.ambient_dim, count)
-        if self.field == COMPLEX:
-            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return rng.standard_normal(shape)
+        return gaussian(rng, shape, self.field)
 
     def descriptor_hash(self) -> str:
         return hashlib.sha256(scheme_to_json(self).encode()).hexdigest()
@@ -310,7 +309,7 @@ def _probe_pairs(scheme: LsccScheme, v: int, trials: int, rng: np.random.Generat
     The sum/difference pairs (b_i + b_j, b_i - b_j) are the classic witnesses
     against frames whose rows split into two rank-deficient halves, so they
     catch non-retrievable local frames deterministically.  Each random vector
-    is a full-length draw restricted to the support.
+    is a full-length draw restricted to the support, taken from 2^16-entry blocks.
     """
     support = scheme.vertex_projections[v]
     basis = np.eye(min(4, support.size), support.size)
@@ -319,9 +318,12 @@ def _probe_pairs(scheme: LsccScheme, v: int, trials: int, rng: np.random.Generat
             yield basis[i], basis[j]
             if j > i:
                 yield basis[i] + basis[j], basis[i] - basis[j]
-    for _ in range(trials):
-        fv = scheme.random_signal(rng)[support]
-        yield fv, scheme.random_signal(rng)[support]
+    shape = (2, scheme.ambient_dim) if scheme.field == COMPLEX else (scheme.ambient_dim,)
+    width = max(1, 2**15 // math.prod(shape))  # pairs per draw
+    for start in range(0, trials, width):
+        draws = rng.standard_normal((2 * min(width, trials - start),) + shape)[..., support]
+        draws = draws[:, 0] + 1j * draws[:, 1] if scheme.field == COMPLEX else draws
+        yield from zip(draws[0::2], draws[1::2])
 
 
 def validate_local_phase_retrieval(

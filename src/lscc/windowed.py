@@ -28,7 +28,7 @@ from .certify import (
 )
 from .errors import ClassError, FieldError, SchemeError
 from .graphs import algebraic_connectivity, cheeger_interval
-from .measurement import COMPLEX, REAL, Frame, align_phase, as_field_array
+from .measurement import COMPLEX, REAL, Frame, align_phase, as_field_array, gaussian
 from .scheme import LsccScheme, cycle_graph, induce_graph
 from .stability import (
     complex_bound,
@@ -97,10 +97,8 @@ def default_local_rows(cfg: WindowedConfig) -> np.ndarray:
     """
     n_local = 2 * cfg.a
     rng = np.random.default_rng(cfg.seed)
-    if cfg.field == COMPLEX:
-        m = max(4 * cfg.a + 2, 8 * cfg.a - 4)
-        return rng.standard_normal((m, n_local)) + 1j * rng.standard_normal((m, n_local))
-    return rng.standard_normal((4 * cfg.a + 2, n_local))
+    m = max(4 * cfg.a + 2, 8 * cfg.a - 4) if cfg.field == COMPLEX else 4 * cfg.a + 2
+    return gaussian(rng, (m, n_local), cfg.field)
 
 
 def window_support(cfg: WindowedConfig, ell: int) -> list[int]:

@@ -1,10 +1,13 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import lscc.harness as harness
+from lscc.errors import DegenerateFamilyError
 from lscc.harness import (
     ExperimentSpec,
     check_edge_mismatch_batch,
@@ -16,7 +19,8 @@ from lscc.harness import (
     signal_bound,
     write_csv,
 )
-from lscc.measurement import COMPLEX, REAL
+from lscc.measurement import COMPLEX, REAL, Frame
+from lscc.scheme import BaseGraph, LsccScheme
 from lscc.shiftinv import GeneratorModel, build_shiftinv_scheme
 from lscc.toy import FIXTURE_BROKEN, FIXTURE_CONNECTED, toy_scheme
 from lscc.windowed import WindowedConfig, build_windowed_scheme
@@ -34,7 +38,104 @@ class TestSeeding:
         assert not np.array_equal(a, b)
 
 
+def sign_blind_scheme():
+    """One vertex seeing R^2 through e1 and e2: flipping the sign of one
+    coordinate keeps every modulus, a collision with a finite bound."""
+    return LsccScheme(
+        name="sign-blind",
+        field=REAL,
+        p=2.0,
+        ambient_dim=2,
+        graph=BaseGraph(1, ()),
+        vertex_frames=(Frame(np.eye(2), lower=1.0, upper=1.0),),
+        vertex_projections=(np.array([0, 1]),),
+        edge_functionals={},
+        edge_supports={},
+        local_stability=10.0,
+        edge_domination=1.0,
+        frame_lower=1.0,
+        frame_upper=1.0,
+        exhaustion_lower=1.0,
+        exhaustion_upper=1.0,
+    )
+
+
+class RoundedRng:
+    """Integer-valued draws: equal moduli, phase-equivalent pairs and exact
+    arithmetic become common."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def standard_normal(self, shape):
+        return np.round(self._rng.standard_normal(shape))
+
+
+def fuzz_by_chunk(monkeypatch, schemes, chunks, pairs, **kwargs):
+    """One fuzz_bounds report per column-chunk budget."""
+    reports = []
+    for chunk in chunks:
+        monkeypatch.setattr(harness, "_CHUNK", chunk)
+        reports.append(fuzz_bounds(schemes, pairs, **kwargs))
+    return reports
+
+
 class TestFuzzBounds:
+    @pytest.mark.parametrize("pairs", [0, -5])
+    def test_rejects_vacuous_pair_counts(self, pairs, tmp_path):
+        with pytest.raises(DegenerateFamilyError, match="pairs_per_scheme must be >= 1"):
+            fuzz_bounds([toy_scheme()], pairs)
+        spec = ExperimentSpec(
+            kind="fuzz", scheme="toy", trials=pairs, seed=0, output=str(tmp_path / "f.csv")
+        )
+        with pytest.raises(DegenerateFamilyError):
+            harness.run_fuzz_experiment(spec, [toy_scheme()])
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_column_chunks_keep_witnesses_and_collisions(self, monkeypatch):
+        # one-column chunks against one chunk per reference: with integer
+        # draws the arithmetic is exact, so the reports must be equal,
+        # collision witnesses and their order included
+        original = harness.derive_rng
+        monkeypatch.setattr(harness, "derive_rng", lambda *a: RoundedRng(original(*a)))
+        broken = toy_scheme()
+        broken.local_stability = 1e-3
+        schemes = [sign_blind_scheme(), broken]
+        one, whole = fuzz_by_chunk(
+            monkeypatch, schemes, (1, 10**9), 600, seed=1, refs_per_scheme=6
+        )
+        assert one == whole
+        blind, toy = whole["schemes"]
+        assert len(blind["violations"]) > 1 and blind["violations"][0]["ratio"] == "inf"
+        assert toy["violations"] and toy["pairs"] < 600
+
+    def test_column_chunks_keep_pairs_and_quotients(self, monkeypatch):
+        # a one-column chunk is measured by a matrix-vector product and summed
+        # pairwise, so max_quotient may move in its last bits: 1e-15 relative
+        schemes = [
+            build_windowed_scheme(WindowedConfig(a=2, L=8, field=REAL, seed=7)),
+            build_windowed_scheme(WindowedConfig(a=2, L=8, field=COMPLEX, seed=7)),
+            build_shiftinv_scheme(GeneratorModel(N=2), 8),
+        ]
+        reports = fuzz_by_chunk(monkeypatch, schemes, (1, 2**14, 10**9), 2000, seed=4)
+        for entries in zip(*(r["schemes"] for r in reports)):
+            assert len({(e["pairs"], len(e["violations"])) for e in entries}) == 1
+            quotients = [e["max_quotient"] for e in entries]
+            assert max(quotients) - min(quotients) <= 1e-15 * max(quotients)
+
+    def test_chunked_fuzz_memory_stays_small(self):
+        # one unchunked batch of 500 columns peaks at 4.8 MB here; chunks of
+        # 2^14 measurement entries stay near 1 MB
+        scheme = build_windowed_scheme(WindowedConfig(a=2, L=16, field=COMPLEX, seed=7))
+        fuzz_bounds([scheme], 500, seed=0)  # build the cached operators first
+        tracemalloc.start()
+        try:
+            fuzz_bounds([scheme], 20_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_toy_clean(self):
         report = fuzz_bounds([toy_scheme()], pairs_per_scheme=3000, seed=0)
         assert report["passed"]

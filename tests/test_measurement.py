@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from lscc.errors import DimensionError, FieldError
 from lscc.measurement import (
+    COLLISION_RTOL,
     COMPLEX,
+    DENOM_CUTOFF,
     REAL,
     Frame,
     Signal,
@@ -189,7 +191,64 @@ def _columns(rng, field, m, t):
     return cols
 
 
+def _reference_pair_ratios(x, ys, field, p):
+    """The 2-D pair_ratios route in plain broadcast form (x broadcast to ys'
+    shape, fresh temporaries, den from |x| - |y|): the oracle of the in-place route."""
+
+    def column_pnorms(arr):
+        if p == 2.0:
+            return np.linalg.norm(arr, axis=0)
+        return np.sum(np.abs(arr) ** p, axis=0) ** (1.0 / p)
+
+    scale = p_norm(x, p) if x.ndim == 1 else column_pnorms(x)
+    x = np.broadcast_to(x.reshape(len(x), -1), ys.shape)
+    den = column_pnorms(np.abs(x) - np.abs(ys))
+    if field == REAL:
+        num = np.minimum(column_pnorms(x - ys), column_pnorms(x + ys))
+    else:
+        inner = np.sum(x * np.conj(ys), axis=0)
+        mag = np.abs(inner)
+        xi = np.where(mag > 0.0, inner / np.where(mag > 0.0, mag, 1.0), 1.0)
+        num = np.linalg.norm(x - xi[None, :] * ys, axis=0)
+    floor = np.maximum(scale, 1e-300)
+    equivalent = den <= DENOM_CUTOFF * floor
+    return num, den, equivalent, equivalent & (num > COLLISION_RTOL * floor)
+
+
+def _special_columns(rng, field, x, t):
+    """t random columns, then a zero column, x, -x, |x| and (complex) e^{0.7i} x."""
+    extra = [np.zeros_like(x), x, -x, np.abs(x)] + ([np.exp(0.7j) * x] if field == COMPLEX else [])
+    return np.column_stack([_columns(rng, field, len(x), t)] + extra)
+
+
 class TestPairRatios:
+    @pytest.mark.parametrize(
+        "field, p", [(REAL, 1.0), (REAL, 2.0), (REAL, 3.0), (COMPLEX, 2.0)]
+    )
+    def test_batched_route_matches_reference_formulas(self, field, p):
+        # bit for bit in the real field; the complex products may round
+        # differently (FMA, broadcast loops), so 1e-15 relative there, with
+        # cancelled residues of unimodular multiples compared against ||x||
+        rng = np.random.default_rng(13)
+        x = _columns(rng, field, 40, 1)[:, 0]
+        ys = _special_columns(rng, field, x, 30)
+        cases = [
+            (x, ys),
+            (np.zeros_like(x), ys),  # x = 0
+            (_columns(rng, field, 40, ys.shape[1]), ys),  # same-shape x
+        ]
+        for refs, batch in cases:
+            got = pair_ratios(refs, batch, field, p)
+            want = _reference_pair_ratios(refs, batch, field, p)
+            for g, w in zip(got[2:], want[2:]):
+                assert np.array_equal(g, w)
+            for g, w in zip(got[:2], want[:2]):
+                if field == REAL:
+                    assert np.array_equal(g, w)
+                else:
+                    atol = 1e-15 * np.linalg.norm(refs, axis=0)
+                    assert np.all(np.abs(g - w) <= 1e-15 * np.abs(w) + atol)
+
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_scalar_and_batched_routes_agree(self, field, p):
