@@ -22,6 +22,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,47 +44,64 @@ EXACT_BUDGET = 24
 _CHUNK = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightedGraph:
     """Vertex- and edge-weighted graph; all retained weights strictly positive.
 
-    Edges use positional vertex indices (u < v) and are stored in ascending
-    lexicographic order.  `labels` carries the original vertex identifiers of
-    an induced subgraph (defaults to 0..n-1).
+    Edge k joins positional vertices u[k] < v[k] with weight w[k]; the three
+    read-only arrays are sorted lexicographically by (u, v).  `edges` may be
+    given as (u, v, w) rows, or as the column triple (u, v, w) of 1-D arrays.
+    `labels` carries the original vertex identifiers of an induced subgraph
+    (defaults to 0..n-1).
     """
 
     vertex_weights: np.ndarray
-    edges: tuple[tuple[int, int, float], ...]
-    labels: tuple[int, ...] | None = None
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    labels: tuple
 
-    def __post_init__(self):
-        w = np.asarray(self.vertex_weights, dtype=np.float64)
-        object.__setattr__(self, "vertex_weights", w)
-        w.setflags(write=False)
-        n = w.size
-        if n and (not np.all(np.isfinite(w)) or np.any(w <= 0.0)):
-            raise InvalidWeightError("vertex weights must be finite and positive")
-        seen = set()
-        edges = []
-        for u, v, ew in self.edges:
-            if u == v:
-                raise InvalidWeightError(f"self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidWeightError(f"edge ({u},{v}) outside vertex range")
-            if (u, v) in seen:
-                raise InvalidWeightError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            ew = float(ew)
-            if not math.isfinite(ew) or ew <= 0.0:
-                raise InvalidWeightError(f"edge ({u},{v}) weight must be positive")
-            edges.append((u, v, ew))
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
-        if self.labels is None:
-            object.__setattr__(self, "labels", tuple(range(n)))
-        elif len(self.labels) != n:
+    def __init__(self, vertex_weights, edges=(), labels=None):
+        vw = np.asarray(vertex_weights, dtype=np.float64)
+        n = vw.size
+        if vw.ndim != 1 or (n and not (vw.min() > 0.0 and vw.max() < math.inf)):
+            raise InvalidWeightError("vertex weights must be finite and positive, in a 1-D array")
+        if labels is None:
+            labels = tuple(range(n))
+        elif len(labels) != n:
             raise InvalidWeightError("labels length must match vertex count")
+        columns = isinstance(edges, tuple) and len(edges) == 3
+        if not (columns and all(isinstance(c, np.ndarray) and c.ndim == 1 for c in edges)):
+            try:
+                edges = np.asarray(edges, dtype=np.float64).reshape(len(edges), 3).T
+            except (TypeError, ValueError):
+                raise InvalidWeightError("edges must be (u, v, w) triples") from None
+        a, b, w = edges
+        if not a.size == b.size == w.size:
+            raise InvalidWeightError("edge columns u, v, w must have one length")
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        w = np.array(w, dtype=np.float64)
+        ok = (lo >= 0) & (hi < n) & (lo < hi) & (w > 0.0) & (w < math.inf)
+        if lo.dtype.kind == "f":
+            ok &= (np.trunc(lo) == lo) & (np.trunc(hi) == hi)
+        if not ok.all():
+            raise InvalidWeightError(_edge_fault(a, b, n, int(np.argmin(ok))))
+        lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
+        key = lo * n + hi
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            lo, hi, w, key = lo[order], hi[order], w[order], key[order]
+            if (dup := np.flatnonzero(key[1:] == key[:-1])).size:
+                raise InvalidWeightError(f"duplicate edge ({lo[dup[0]]},{hi[dup[0]]})")
+        for name, arr in (("vertex_weights", vw), ("u", lo), ("v", hi), ("w", w)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "labels", labels)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edge arrays as (u, v, w) tuples of Python numbers."""
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     @property
     def num_vertices(self) -> int:
@@ -94,17 +112,37 @@ class WeightedGraph:
         return self.num_vertices == 0
 
     def total_volume(self) -> float:
-        acc = 0.0
-        for wv in self.vertex_weights:
-            acc += wv
-        return acc
+        # a running sum adds in ascending index order, as the Cheeger routes do
+        return float(self.vertex_weights.cumsum()[-1]) if self.num_vertices else 0.0
+
+    @cached_property
+    def ring_weights(self) -> np.ndarray | None:
+        """ew[i] = weight of edge (i, i+1 mod n), 0 when absent; None unless the
+        graph is ring-shaped (every edge (i, i+1) or, with n > 2, (0, n-1))."""
+        n = self.num_vertices
+        step = self.v - self.u
+        unit = step == 1
+        if not (unit | (step == n - 1)).all():  # only (0, n-1) has step n-1 > 1
+            return None
+        ew = np.zeros(n)
+        ew[np.where(unit, self.u, self.v)] = self.w
+        ew.setflags(write=False)
+        return ew
 
     def scaled(self, c: float) -> "WeightedGraph":
-        return WeightedGraph(
-            self.vertex_weights * c,
-            tuple((u, v, w * c) for u, v, w in self.edges),
-            self.labels,
-        )
+        return WeightedGraph(self.vertex_weights * c, (self.u, self.v, self.w * c), self.labels)
+
+
+def _edge_fault(a, b, n: int, k: int) -> str:
+    """Message for the invalid edge k, checked in the order the fields are read."""
+    a, b = float(a[k]), float(b[k])
+    if not (a.is_integer() and b.is_integer()):
+        return f"edge ({a:g},{b:g}) endpoints must be integers"
+    a, b = sorted((int(a), int(b)))
+    if a == b:
+        return f"self-loop at vertex {a}"
+    fault = "outside vertex range" if a < 0 or b >= n else "weight must be positive"
+    return f"edge ({a},{b}) {fault}"
 
 
 @dataclass(frozen=True)
@@ -132,23 +170,15 @@ class SpectralResult:
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    """BFS over retained edges."""
+    """Ring-shaped graphs by their edge count, others by an array BFS."""
     if g.is_empty:
         raise EmptyGraphError("connectivity of the empty graph is undefined")
-    n = g.num_vertices
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
+    if g.ring_weights is not None:
+        return g.w.size >= g.num_vertices - 1
+    seen = np.zeros(g.num_vertices, dtype=bool)
     seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
+    while np.any(cross := seen[g.u] != seen[g.v]):
+        seen[g.u[cross]] = seen[g.v[cross]] = True
     return bool(seen.all())
 
 
@@ -179,18 +209,15 @@ def cheeger_exact(g: WeightedGraph, budget: int = EXACT_BUDGET) -> CheegerResult
     top = 1 << (n - 1)  # vertex n-1 always on the complement side
     for start in range(1, top, _CHUNK):
         masks = np.arange(start, min(start + _CHUNK, top), dtype=np.int64)
-        bits = [((masks >> i) & 1).astype(np.float64) for i in range(n - 1)]
-        vol_s = np.zeros(masks.size)
-        vol_c = np.zeros(masks.size)
+        bits = ((masks >> np.arange(n)[:, None]) & 1).astype(np.float64)  # row n-1 is 0
+        vol_s, vol_c = np.zeros(masks.size), np.zeros(masks.size)
         for i in range(n - 1):
             vol_s += w[i] * bits[i]
             vol_c += w[i] * (1.0 - bits[i])
         vol_c += w[n - 1]
         bd = np.zeros(masks.size)
-        for u, v, ew in g.edges:
-            bu = bits[u] if u < n - 1 else 0.0
-            bv = bits[v] if v < n - 1 else 0.0
-            bd += ew * np.abs(bu - bv)
+        for u, v, ew in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
+            bd += ew * np.abs(bits[u] - bits[v])
         ratio_s = np.where(vol_s <= half, bd / vol_s, math.inf)
         ratio_c = np.where(vol_c <= half, bd / vol_c, math.inf)
         chunk_min = min(ratio_s.min(), ratio_c.min())
@@ -214,21 +241,6 @@ def cheeger_exact(g: WeightedGraph, budget: int = EXACT_BUDGET) -> CheegerResult
     return CheegerResult(best, best, EXACT_ENUMERATION, witness)
 
 
-def _ring_weights(g: WeightedGraph) -> np.ndarray | None:
-    """ew[i] = weight of edge (i, i+1 mod n), 0 when absent; None unless the
-    graph is ring-shaped (every edge (i, i+1) or, with n > 2, (0, n-1))."""
-    n = g.num_vertices
-    ew = np.zeros(n)
-    for u, v, w_e in g.edges:
-        if v == u + 1:
-            ew[u] = w_e
-        elif u == 0 and v == n - 1 and n > 2:
-            ew[v] = w_e
-        else:
-            return None
-    return ew
-
-
 def cheeger_interval(g: WeightedGraph) -> CheegerResult:
     """Exact Cheeger constant of a ring-shaped graph.
 
@@ -246,7 +258,7 @@ def cheeger_interval(g: WeightedGraph) -> CheegerResult:
     """
     if g.is_empty:
         raise EmptyGraphError("Cheeger constant of the empty graph is undefined")
-    ew = _ring_weights(g)
+    ew = g.ring_weights
     if ew is None:
         raise TopologyError("graph is not ring-shaped: an edge is neither (i, i+1) nor (0, n-1)")
     n = g.num_vertices
@@ -323,15 +335,16 @@ def cheeger_interval(g: WeightedGraph) -> CheegerResult:
     return CheegerResult(float(best), float(best), INTERVAL_REDUCTION, witness)
 
 
+def _degrees(g: WeightedGraph) -> np.ndarray:
+    """Weighted degrees, summed edge by edge in list order (u, then v)."""
+    ends = np.stack((g.u, g.v), axis=1).ravel()
+    return np.bincount(ends, np.repeat(g.w, 2), g.num_vertices)
+
+
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """Dense symmetric L = D - A; row sums are zero."""
-    n = g.num_vertices
-    lap = np.zeros((n, n))
-    for u, v, w_e in g.edges:
-        lap[u, v] -= w_e
-        lap[v, u] -= w_e
-        lap[u, u] += w_e
-        lap[v, v] += w_e
+    lap = np.diag(_degrees(g))
+    lap[g.u, g.v] = lap[g.v, g.u] = -g.w
     return lap
 
 
@@ -366,8 +379,6 @@ def algebraic_connectivity(g: WeightedGraph) -> SpectralResult:
     n = g.num_vertices
     if n == 1:
         return SpectralResult(math.inf, None)
-    if np.any(g.vertex_weights <= 0.0):
-        raise InvalidWeightError("zero vertex weight reached the eigensolver")
     m = normalized_laplacian(g)
     s_half = np.sqrt(g.vertex_weights)
     q = _orthogonal_complement_basis(s_half)
@@ -378,80 +389,58 @@ def algebraic_connectivity(g: WeightedGraph) -> SpectralResult:
     y = q @ evecs[:, 0]
     z = y / s_half
     z /= math.sqrt(float(np.sum(g.vertex_weights * z * z)))
-    for zi in z:
-        if abs(zi) > 1e-12 * np.max(np.abs(z)):
-            if zi < 0.0:
-                z = -z
-            break
+    size = np.abs(z)
+    if z[np.argmax(size > 1e-12 * size.max())] < 0.0:
+        z = -z
     return SpectralResult(lam, z)
 
 
 def rayleigh_quotient(g: WeightedGraph, z: np.ndarray) -> float:
     """Edge energy over weighted vertex norm for a graph signal z."""
-    num = 0.0
-    for u, v, w_e in g.edges:
-        num += w_e * abs(z[u] - z[v]) ** 2
-    den = float(np.sum(g.vertex_weights * np.abs(z) ** 2))
-    return num / den
+    num = float(np.sum(g.w * np.abs(z[g.u] - z[g.v]) ** 2))
+    return num / float(np.sum(g.vertex_weights * np.abs(z) ** 2))
 
 
 def normalized_degree(g: WeightedGraph) -> float:
     """max_v sum_u w_uv / w_v, the degree bound entering the Cheeger inequality."""
-    n = g.num_vertices
-    acc = np.zeros(n)
-    for u, v, w_e in g.edges:
-        acc[u] += w_e
-        acc[v] += w_e
-    return float(np.max(acc / g.vertex_weights)) if n else 0.0
+    return float(np.max(_degrees(g) / g.vertex_weights)) if g.num_vertices else 0.0
 
 
 def cheeger_sweep(g: WeightedGraph) -> CheegerResult:
     """Certified Cheeger sandwich from the connectivity eigenvector.
 
-    Upper bound: best of the n-1 prefix cuts in eigenvector order.  Lower
-    bound: lambda/2, valid by the Cheeger inequality.
+    Upper bound: best of the n-1 prefix cuts in eigenvector order (the first
+    on ties).  Lower bound: lambda/2, valid by the Cheeger inequality.
     """
-    if g.num_vertices < 2:
+    n = g.num_vertices
+    if n < 2:
         raise EmptyGraphError("sweep needs at least two vertices")
     spec = algebraic_connectivity(g)
     order = np.argsort(spec.fiedler, kind="stable")
-    w = g.vertex_weights
+    rank = np.argsort(order)  # the sweep step at which each vertex joins S
     total = g.total_volume()
-    half = 0.5 * total
-
-    in_s = np.zeros(g.num_vertices, dtype=bool)
-    vol = 0.0
-    best = math.inf
-    best_members: tuple[int, ...] = ()
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.num_vertices)]
-    for u, v, w_e in g.edges:
-        adj[u].append((v, w_e))
-        adj[v].append((u, w_e))
-    bd = 0.0
-    for i in range(g.num_vertices - 1):
-        u = int(order[i])
-        in_s[u] = True
-        vol += w[u]
-        for v, w_e in adj[u]:
-            bd += -w_e if in_s[v] else w_e
-        small_side_in_s = vol <= half
-        denom = vol if small_side_in_s else total - vol
-        ratio = bd / denom
-        if ratio < best:
-            best = ratio
-            if small_side_in_s:
-                best_members = tuple(int(x) for x in np.flatnonzero(in_s))
-            else:
-                best_members = tuple(int(x) for x in np.flatnonzero(~in_s))
-    lower = min(0.5 * spec.lam, best)
-    witness = tuple(g.labels[i] for i in best_members)
-    return CheegerResult(lower, best, SPECTRAL_SWEEP, witness)
+    # the boundary is a running sum over edge ends in step order (edge-list order
+    # within a step): +w while the other end is outside S, -w once it is inside
+    at = rank[np.stack((g.u, g.v), axis=1)]
+    by_step = np.argsort(at, axis=None, kind="stable")
+    change = np.where(at < at[:, ::-1], g.w[:, None], -g.w[:, None]).ravel()[by_step]
+    done = np.searchsorted(at.ravel()[by_step], np.arange(n - 1), side="right")
+    bd = np.concatenate(([0.0], np.cumsum(change)))[done]
+    vol = np.cumsum(g.vertex_weights[order])[: n - 1]
+    small = vol <= 0.5 * total
+    denom = np.where(small, vol, total - vol)
+    ratio = np.divide(bd, denom, out=np.full(n - 1, math.inf), where=denom > 0.0)
+    i = int(np.argmin(ratio))
+    best = float(ratio[i])
+    members = np.sort(order[: i + 1] if small[i] else order[i + 1 :]).tolist()
+    witness = tuple(g.labels[j] for j in members) if best < math.inf else ()
+    return CheegerResult(min(0.5 * spec.lam, best), best, SPECTRAL_SWEEP, witness)
 
 
 def cheeger(g: WeightedGraph) -> CheegerResult:
     """Cheeger constant by the route the edges allow: interval on ring-shaped
     graphs, exact enumeration up to EXACT_BUDGET vertices, else the sandwich."""
-    if _ring_weights(g) is not None:
+    if g.ring_weights is not None:
         return cheeger_interval(g)
     if g.num_vertices <= EXACT_BUDGET:
         return cheeger_exact(g)
@@ -495,18 +484,24 @@ def check_cheeger_inequality(
 def graph_to_dict(g: WeightedGraph) -> dict:
     """Deterministic serialization: vertices ascending, edges lexicographic."""
     label = list(g.labels)
+    ends = zip(g.u.tolist(), g.v.tolist(), g.w.tolist())
     return {
         "V": label,
-        "vertexWeights": [float(x) for x in g.vertex_weights],
-        "edges": [[label[u], label[v], float(w)] for u, v, w in g.edges],
+        "vertexWeights": g.vertex_weights.tolist(),
+        "edges": [[label[u], label[v], w] for u, v, w in ends],
     }
 
 
 def graph_from_dict(d: dict) -> WeightedGraph:
     labels = tuple(d["V"])
     pos = {lab: i for i, lab in enumerate(labels)}
-    edges = tuple((pos[u], pos[v], float(w)) for u, v, w in d["edges"])
-    return WeightedGraph(np.asarray(d["vertexWeights"], dtype=np.float64), edges, labels)
+    if len(pos) != len(labels):
+        raise InvalidWeightError("vertex labels must be distinct")
+    try:
+        edges = [(pos[u], pos[v], w) for u, v, w in d["edges"]]
+    except KeyError as exc:
+        raise InvalidWeightError(f"edge endpoint {exc.args[0]!r} is not a vertex label") from None
+    return WeightedGraph(d["vertexWeights"], edges, labels)
 
 
 def graph_to_json(g: WeightedGraph) -> str:

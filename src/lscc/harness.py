@@ -53,15 +53,18 @@ def fuzz_bounds(
     """
     if pairs_per_scheme < 1:
         raise DegenerateFamilyError("pairs_per_scheme must be >= 1")
+    if refs_per_scheme is None:
+        refs_per_scheme = max(1, min(200, pairs_per_scheme // 500))
+    elif refs_per_scheme < 1:
+        raise DegenerateFamilyError("refs_per_scheme must be >= 1")
+    per_ref = math.ceil(pairs_per_scheme / refs_per_scheme)
     report = {"pairs_per_scheme": pairs_per_scheme, "schemes": [], "passed": True}
     for scheme in schemes:
-        n_refs = refs_per_scheme or max(1, min(200, pairs_per_scheme // 500))
-        per_ref = math.ceil(pairs_per_scheme / n_refs)
         rng = derive_rng(seed, "fuzz", scheme.name)
         max_quotient = 0.0
         violations = []
         pairs = 0
-        for _ in range(n_refs):
+        for _ in range(refs_per_scheme):
             f = scheme.random_signal(rng)
             bound = signal_bound(scheme, f)
             comparisons = scheme.random_signal(rng, per_ref)
@@ -135,7 +138,7 @@ def check_edge_mismatch_batch(
     bounds = zip(op.offsets[:-1], op.offsets[1:])
     xi = np.array([align_phase_batch(x[lo:hi], y[lo:hi], scheme.field, p)[0] for lo, hi in bounds])
     gap = np.add.reduceat(np.abs(np.abs(x) - np.abs(y)) ** p, op.offsets[:-1], axis=0)
-    us, vs = np.array(scheme.graph.edges, dtype=np.int64).reshape(-1, 2).T
+    us, vs = scheme.graph.u, scheme.graph.v
     c = 2.0 ** (p - 1.0) * scheme.local_stability**p * scheme.edge_domination**p
     w_uv = scheme.edge_operator.power_sums(fs, p)
     lhs = np.abs(xi[us] - xi[vs]) ** p * w_uv

@@ -49,10 +49,12 @@ DEFAULT_ZERO_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BaseGraph:
-    """Unweighted simple graph with its maximum degree."""
+    """Unweighted simple graph with its maximum degree; `u`, `v` hold the edge ends."""
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
+    u: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    v: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_vertices < 1:
@@ -67,14 +69,16 @@ class BaseGraph:
         if len(norm) != len(self.edges):
             raise SchemeError("duplicate edges")
         object.__setattr__(self, "edges", tuple(sorted(norm)))
+        ends = np.array(self.edges).reshape(-1, 2)
+        if ends.size and ends.dtype.kind not in "iu":
+            raise SchemeError("edge endpoints must be integers")
+        for name, column in zip("uv", ends.astype(np.int64).T):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
-    @property
+    @cached_property
     def degree_bound(self) -> int:
-        deg = [0] * self.num_vertices
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return max(deg) if deg else 0
+        return int(np.bincount(np.concatenate((self.u, self.v)), minlength=self.num_vertices).max())
 
 
 def path_graph(n: int) -> BaseGraph:
@@ -274,19 +278,16 @@ def induce_graph(scheme: LsccScheme, f, zero_tol: float = DEFAULT_ZERO_TOL) -> W
     vec = scheme.coerce(f)
     w_v = scheme.vertex_operator.power_sums(vec, scheme.p)
     w_e = scheme.edge_operator.power_sums(vec, scheme.p)
-    w_max = max(np.max(w_v, initial=0.0), np.max(w_e, initial=0.0))
+    w_max = max(w_v.max(initial=0.0), w_e.max(initial=0.0))
     if w_max == 0.0:
         return WeightedGraph(np.zeros(0), (), ())
     cut = zero_tol * w_max
-    keep = [v for v in range(scheme.num_vertices) if w_v[v] > cut]
-    pos = {v: i for i, v in enumerate(keep)}
-    edges = tuple(
-        (pos[u], pos[v], float(w))
-        for (u, v), w in zip(scheme.graph.edges, w_e)
-        if u in pos and v in pos and w > cut
-    )
-    labels = tuple(scheme.vertex_labels[v] for v in keep)
-    return WeightedGraph(w_v[keep], edges, labels)
+    keep = w_v > cut
+    u, v = scheme.graph.u, scheme.graph.v
+    kept = keep[u] & keep[v] & (w_e > cut)
+    index = keep.cumsum() - 1  # kept vertices keep their order
+    labels = tuple(scheme.vertex_labels[i] for i in keep.nonzero()[0].tolist())
+    return WeightedGraph(w_v[keep], (index[u[kept]], index[v[kept]], w_e[kept]), labels)
 
 
 def is_phase_retrievable(scheme: LsccScheme, f, zero_tol: float = DEFAULT_ZERO_TOL) -> str:
@@ -418,13 +419,12 @@ def validate_edge_domination(
         raise SchemeError("trials must be >= 1")
     rng = np.random.default_rng(0) if rng is None else rng
     p, edges = scheme.p, scheme.graph.edges
-    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
     worst = 0.0
     witness = None
     for probes in _probe_chunks(scheme, trials, rng):
         n_psi = scheme.edge_operator.power_sums(probes, p) ** (1.0 / p)
         n_phi = scheme.vertex_operator.power_sums(probes, p) ** (1.0 / p)
-        low = np.minimum(n_phi[ends[:, 0]], n_phi[ends[:, 1]])
+        low = np.minimum(n_phi[scheme.graph.u], n_phi[scheme.graph.v])
         lost = (n_psi != 0.0) & (low <= DENOM_CUTOFF * n_psi)
         ratios = np.divide(n_psi, low, out=np.zeros_like(n_psi), where=(n_psi != 0.0) & ~lost)
         ratios[lost] = math.inf

@@ -21,6 +21,7 @@ from lscc.graphs import (
     cheeger_exact,
     cheeger_interval,
     cheeger_sweep,
+    graph_from_dict,
     graph_from_json,
     graph_to_json,
     is_connected,
@@ -96,6 +97,95 @@ def scalar_cheeger_interval(g):
     return float(best), tuple(g.labels[i] for i in best_witness)
 
 
+def scalar_total_volume(g):
+    """Reference total volume: vertex weights added one by one in index order."""
+    acc = 0.0
+    for wv in g.vertex_weights:
+        acc += wv
+    return acc
+
+
+def scalar_degrees(g):
+    """Reference weighted degrees: each edge adds to u, then v, in list order."""
+    acc = np.zeros(g.num_vertices)
+    for u, v, w_e in g.edges:
+        acc[u] += w_e
+        acc[v] += w_e
+    return acc
+
+
+def scalar_laplacian(g):
+    """Reference D - A, built entry by entry one edge at a time."""
+    n = g.num_vertices
+    lap = np.zeros((n, n))
+    for u, v, w_e in g.edges:
+        lap[u, v] -= w_e
+        lap[v, u] -= w_e
+        lap[u, u] += w_e
+        lap[v, v] += w_e
+    return lap
+
+
+def scalar_normalized_degree(g):
+    n = g.num_vertices
+    return float(np.max(scalar_degrees(g) / g.vertex_weights)) if n else 0.0
+
+
+def scalar_ring_weights(g):
+    """Reference ring weights: ew[i] for edge (i, i+1), ew[n-1] for the wrap
+    edge (0, n-1) with n > 2, None as soon as an edge is neither."""
+    n = g.num_vertices
+    ew = np.zeros(n)
+    for u, v, w_e in g.edges:
+        if v == u + 1:
+            ew[u] = w_e
+        elif u == 0 and v == n - 1 and n > 2:
+            ew[v] = w_e
+        else:
+            return None
+    return ew
+
+
+def scalar_is_connected(g):
+    """Reference connectivity: depth-first search over adjacency lists."""
+    adj = [[] for _ in range(g.num_vertices)]
+    for u, v, _ in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == g.num_vertices
+
+
+def scalar_cheeger_sweep(g):
+    """Reference (upper, witness) of the sweep: vertices join S in Fiedler
+    order, and each one walks its adjacency list to update the boundary."""
+    order = np.argsort(algebraic_connectivity(g).fiedler, kind="stable")
+    w = g.vertex_weights
+    total = g.total_volume()
+    adj = [[] for _ in range(g.num_vertices)]
+    for u, v, w_e in g.edges:
+        adj[u].append((v, w_e))
+        adj[v].append((u, w_e))
+    in_s = np.zeros(g.num_vertices, dtype=bool)
+    vol, bd, best, members = 0.0, 0.0, math.inf, ()
+    for i in range(g.num_vertices - 1):
+        u = int(order[i])
+        in_s[u] = True
+        vol += w[u]
+        for v, w_e in adj[u]:
+            bd += -w_e if in_s[v] else w_e
+        small = vol <= 0.5 * total
+        ratio = bd / (vol if small else total - vol)
+        if ratio < best:
+            best, members = ratio, tuple(np.flatnonzero(in_s if small else ~in_s).tolist())
+    return float(best), tuple(g.labels[i] for i in members)
+
+
 def random_ring_graph(rng, n, style):
     """Path or cycle on n vertices with edges dropped; style 0 draws
     continuous weights, 1 small integers, 2 unit vertices (tie-prone)."""
@@ -130,21 +220,140 @@ def random_connected_graph(rng, n):
 
 
 class TestConstruction:
-    def test_rejects_zero_weight(self):
-        with pytest.raises(InvalidWeightError):
-            WeightedGraph(np.array([1.0, 0.0]), ((0, 1, 1.0),))
-
-    def test_rejects_self_loop(self):
-        with pytest.raises(InvalidWeightError):
-            WeightedGraph(np.ones(2), ((0, 0, 1.0),))
-
-    def test_rejects_duplicate_edge(self):
-        with pytest.raises(InvalidWeightError):
-            WeightedGraph(np.ones(2), ((0, 1, 1.0), (1, 0, 2.0)))
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: WeightedGraph(np.array([1.0, 0.0]), ((0, 1, 1.0),)), "finite and positive"),
+            (lambda: WeightedGraph(np.ones((2, 2)), ((0, 1, 1.0),)), "1-D array"),
+            (lambda: WeightedGraph(np.ones(2), ((0, 0, 1.0),)), "self-loop at vertex 0"),
+            (
+                lambda: WeightedGraph(np.ones(2), ((0, 1, 1.0), (1, 0, 2.0))),
+                r"duplicate edge \(0,1\)",
+            ),
+            (lambda: WeightedGraph(np.ones(3), ((0.5, 1, 1.0),)), "must be integers"),
+            (lambda: WeightedGraph(np.ones(3), ((0, 1, math.nan),)), "weight must be positive"),
+            (lambda: WeightedGraph(np.ones(3), ((0, 1, math.inf),)), "weight must be positive"),
+            (lambda: WeightedGraph(np.ones(3), ((1, 3, 1.0),)), "outside vertex range"),
+            (lambda: WeightedGraph(np.ones(3), ((-1, 2, 1.0),)), "outside vertex range"),
+            (lambda: WeightedGraph(np.ones(3), ((0, 1),)), r"\(u, v, w\) triples"),
+            (lambda: WeightedGraph(np.ones(3), ((0, 1, 1.0, 5),) * 3), r"\(u, v, w\) triples"),
+            (lambda: WeightedGraph(np.ones(2), (), labels=(4, 5, 6)), "labels length"),
+            (
+                lambda: WeightedGraph(np.ones(3), (np.arange(2), np.arange(1, 3), np.ones(1))),
+                "one length",
+            ),
+            (
+                lambda: graph_from_dict(
+                    {"V": [7, 8], "vertexWeights": [1, 1], "edges": [[7, 9, 1]]}
+                ),
+                "9 is not a vertex label",
+            ),
+            (
+                lambda: graph_from_dict({"V": [7, 7, 8], "vertexWeights": [1, 1, 1], "edges": []}),
+                "distinct",
+            ),
+        ],
+        ids=[
+            "zero-weight",
+            "2d-vertex-weights",
+            "self-loop",
+            "duplicate-edge",
+            "fractional-endpoint",
+            "nan-edge-weight",
+            "inf-edge-weight",
+            "index-too-large",
+            "negative-index",
+            "edge-not-a-triple",
+            "four-element-rows",
+            "labels-length",
+            "column-lengths",
+            "dict-unknown-label",
+            "dict-duplicate-labels",
+        ],
+    )
+    def test_rejects_invalid_input(self, build, message):
+        with pytest.raises(InvalidWeightError, match=message):
+            build()
 
     def test_edges_normalized_sorted(self):
         g = WeightedGraph(np.ones(3), ((2, 1, 1.0), (1, 0, 2.0)))
         assert g.edges == ((0, 1, 2.0), (1, 2, 1.0))
+        assert g.u.dtype == g.v.dtype == np.int64 and g.w.dtype == np.float64
+        assert not (g.u.flags.writeable or g.v.flags.writeable or g.w.flags.writeable)
+
+    def test_column_form_matches_rows(self):
+        rows = ((2, 1, 1.5), (0, 2, 0.25), (1, 0, 2.0))
+        u, v, w = (np.array(c) for c in zip(*rows))
+        by_rows, by_columns = WeightedGraph(np.ones(3), rows), WeightedGraph(np.ones(3), (u, v, w))
+        assert by_rows.edges == by_columns.edges == ((0, 1, 2.0), (0, 2, 0.25), (1, 2, 1.5))
+
+
+def oracle_graphs(seed=0):
+    """Paths and cycles (some with dropped edges), chorded cycles, random
+    connected graphs and n = 1, 2, with weights spread over 16 decades so
+    that a changed summation order changes the bits."""
+    rng = np.random.default_rng(seed)
+
+    def spread(size):
+        return rng.uniform(1.0, 2.0, size) * 10.0 ** rng.integers(-8, 8, size)
+
+    def reweighted(n, pairs):
+        return WeightedGraph(spread(n), [(u, v, x) for (u, v), x in zip(pairs, spread(len(pairs)))])
+
+    graphs = [reweighted(1, []), reweighted(2, [(0, 1)])]
+    for n in range(3, 40):
+        ring = random_ring_graph(rng, n, int(rng.integers(0, 3)))
+        graphs.append(reweighted(n, [(u, v) for u, v, _ in ring.edges]))
+        cycle = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+        chords = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(n // 2)}
+        graphs.append(reweighted(n, sorted(set(cycle) | chords)))
+        other = random_connected_graph(rng, n)
+        graphs.append(reweighted(n, [(u, v) for u, v, _ in other.edges]))
+    return graphs
+
+
+class TestArrayWalkersMatchScalarOracles:
+    """The array walkers keep the summation order of the per-edge loops they
+    replaced, so every value is equal bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_volume_laplacian_degree_ring_weights(self, seed):
+        rings = 0
+        for g in oracle_graphs(seed):
+            assert g.total_volume() == scalar_total_volume(g)
+            assert laplacian(g).tobytes() == scalar_laplacian(g).tobytes()
+            assert normalized_degree(g) == scalar_normalized_degree(g)
+            expected = scalar_ring_weights(g)
+            if expected is None:
+                assert g.ring_weights is None
+            else:
+                rings += 1
+                assert g.ring_weights.tobytes() == expected.tobytes()
+        assert rings >= 30
+
+    def test_connectivity_and_sweep(self):
+        for g in oracle_graphs(2):
+            assert is_connected(g) == scalar_is_connected(g)
+            if g.num_vertices > 1:
+                res = cheeger_sweep(g)
+                assert (res.upper, res.witness) == scalar_cheeger_sweep(g)
+        # a cycle missing one edge is a path; a chord makes the graph non-ring
+        one_gap = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 5)]
+        split = [(0, 1), (0, 2), (3, 4), (4, 5)]
+        assert is_connected(WeightedGraph(np.ones(6), [(u, v, 1.0) for u, v in one_gap]))
+        assert not is_connected(WeightedGraph(np.ones(6), [(u, v, 1.0) for u, v in split]))
+
+    def test_oracle_graphs_hit_order_sensitive_sums(self):
+        # the spread weights make sequential and pairwise sums differ, so the
+        # bitwise assertions above would see a reordered accumulation
+        graphs = oracle_graphs(0)
+        assert any(scalar_total_volume(g) != float(np.sum(g.vertex_weights[::-1])) for g in graphs)
+
+        def by_end(g):
+            n = g.num_vertices
+            return np.bincount(g.v, g.w, n) + np.bincount(g.u, g.w, n)
+
+        assert any(not np.array_equal(scalar_degrees(g), by_end(g)) for g in graphs)
 
 
 class TestConnectivity:

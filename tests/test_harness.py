@@ -92,6 +92,12 @@ class TestFuzzBounds:
             harness.run_fuzz_experiment(spec, [toy_scheme()])
         assert not (tmp_path / "f.csv").exists()
 
+    @pytest.mark.parametrize("refs", [0, -3])
+    def test_rejects_vacuous_reference_counts(self, refs):
+        # a count below one used to check nothing and pass (0 meant the default)
+        with pytest.raises(DegenerateFamilyError, match="refs_per_scheme must be >= 1"):
+            fuzz_bounds([toy_scheme()], 100, refs_per_scheme=refs)
+
     def test_column_chunks_keep_witnesses_and_collisions(self, monkeypatch):
         # one-column chunks against one chunk per reference: with integer
         # draws the arithmetic is exact, so the reports must be equal,

@@ -103,6 +103,16 @@ class TestBaseGraph:
         with pytest.raises(SchemeError):
             BaseGraph(2, ((1, 1),))
 
+    def test_rejects_fractional_endpoint(self, toy):
+        # a descriptor edge [0.5, 1] used to be accepted, and its end arrays truncated it
+        with pytest.raises(SchemeError, match="must be integers"):
+            BaseGraph(3, ((0.5, 1), (1, 2)))
+        d = scheme_to_dict(toy)
+        d["graph"]["edges"][0] = [0.5, 1]
+        with pytest.raises(SchemeError, match="must be integers"):
+            scheme_from_dict(d)
+        assert BaseGraph(1, ()).u.dtype == np.int64
+
 
 class TestToyFixtures:
     def test_connected_signal_reproduces_base_graph(self, toy):
@@ -152,6 +162,22 @@ class TestInduceGraph:
         dropped = induce_graph(toy, f, zero_tol=1e-12)
         assert [e[:2] for e in kept.edges] == [(0, 1), (1, 2)]
         assert [e[:2] for e in dropped.edges] == [(0, 1)]
+
+    def test_relabel_keeps_label_objects(self, toy):
+        # a JSON scheme may name its vertices with strings; the kept vertices
+        # keep those very objects, never a numpy cast of them
+        d = scheme_to_dict(toy)
+        d["graph"]["V"] = ["left", 7, "right"]
+        named = scheme_from_dict(d)
+        for f in (np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 1.0, 1e-10, 1.0])):
+            by_index, by_name = induce_graph(toy, f), induce_graph(named, f)
+            assert by_name.labels == tuple(d["graph"]["V"][i] for i in by_index.labels)
+            expected = [type(d["graph"]["V"][i]) for i in by_index.labels]
+            assert [type(x) for x in by_name.labels] == expected
+            assert by_name.edges == by_index.edges
+            assert np.array_equal(by_name.vertex_weights, by_index.vertex_weights)
+        dropped = induce_graph(named, np.array([0.0, 0.0, 1.0, 1.0]))
+        assert dropped.labels == (7, "right") and type(dropped.labels[0]) is int
 
     @pytest.mark.parametrize("zero_tol", [-1e-12, math.nan, math.inf])
     def test_zero_tol_outside_zero_to_inf_rejected(self, toy, zero_tol):
