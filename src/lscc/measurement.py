@@ -123,10 +123,47 @@ def phaseless_measure(frame: Frame, f) -> np.ndarray:
 
 
 def p_norm(v, p: float) -> float:
-    """(sum |v_i|^p)^(1/p) for p in [1, inf)."""
+    """(sum |v_i|^p)^(1/p) for p in [1, inf), flattening v.
+
+    np.linalg.norm's 1-D routes inlined without its dispatch, so every result
+    is bit for bit np.linalg.norm(v.ravel(), ord=p); integers count as floats.
+    """
     if not (1.0 <= p < math.inf):
         raise FieldError(f"p must lie in [1, inf), got {p}")
-    return float(np.linalg.norm(np.asarray(v).ravel(), ord=p))
+    x = np.asarray(v).ravel()
+    kind = x.dtype.kind
+    if kind not in "fcO":
+        x = x.astype(float)
+    if p == 2.0:
+        if kind == "c":
+            re, im = x.real, x.imag
+            sq = re.dot(re) + im.dot(im)
+        else:
+            sq = x.dot(x)
+        # math.sqrt is np.sqrt in double precision only (float32 and longdouble round apart)
+        return math.sqrt(sq) if type(sq) is np.float64 else float(np.sqrt(sq))
+    if p == 1.0:
+        return float(np.add.reduce(abs(x)))
+    powers = abs(x)
+    powers **= p
+    return float(np.add.reduce(powers) ** (1.0 / p))
+
+
+def p_norms(rows: np.ndarray, p: float) -> np.ndarray:
+    """p_norm of every row of a float64 or complex128 (k, n) array, bit for bit.
+
+    The final root is a scalar pow per row: numpy's array power may round it
+    differently in the last place.
+    """
+    if p == 2.0:  # one dot per row, as p_norm takes it
+        sq = rows.real[:, None] @ rows.real[..., None]
+        if rows.dtype.kind == "c":
+            sq += rows.imag[:, None] @ rows.imag[..., None]
+        return np.sqrt(sq[:, 0, 0])
+    if p == 1.0:
+        return np.add.reduce(np.abs(rows), axis=-1)
+    sums = np.add.reduce(np.abs(rows) ** p, axis=-1)
+    return np.array([total ** (1.0 / p) for total in sums.tolist()])
 
 
 def align_phase(x, y, field: str, p: float = 2.0) -> tuple[complex, float]:

@@ -34,7 +34,7 @@ from .measurement import (
     Signal,
     as_field_array,
     gaussian,
-    p_norm,
+    p_norms,
     pair_ratios,
 )
 
@@ -171,11 +171,13 @@ class LsccScheme:
             raise SchemeError("one frame per vertex required")
         if len(self.vertex_projections) != self.graph.num_vertices:
             raise SchemeError("one projection per vertex required")
-        dim = self.ambient_dim
-        self.vertex_projections = tuple(_as_support(s, dim) for s in self.vertex_projections)
-        self.edge_supports = {
-            tuple(sorted(e)): _as_support(s, dim) for e, s in self.edge_supports.items()
-        }
+        supports = _as_supports(
+            [*self.vertex_projections, *self.edge_supports.values()], self.ambient_dim
+        )
+        self.vertex_projections = tuple(supports[: self.graph.num_vertices])
+        self.edge_supports = dict(
+            zip((tuple(sorted(e)) for e in self.edge_supports), supports[self.graph.num_vertices :])
+        )
         self.edge_functionals = {
             tuple(sorted(e)): as_field_array(mat, self.field)
             for e, mat in self.edge_functionals.items()
@@ -194,6 +196,12 @@ class LsccScheme:
                 )
         if not self.vertex_labels:
             self.vertex_labels = tuple(range(self.graph.num_vertices))
+        if len(self.vertex_labels) != self.graph.num_vertices:
+            raise SchemeError(
+                f"{len(self.vertex_labels)} vertex labels for {self.graph.num_vertices} vertices"
+            )
+        if len(set(self.vertex_labels)) != len(self.vertex_labels):
+            raise SchemeError("vertex labels must be distinct")
 
     @property
     def num_vertices(self) -> int:
@@ -242,20 +250,32 @@ class LsccScheme:
         return hashlib.sha256(scheme_to_json(self).encode()).hexdigest()
 
 
-def _as_support(support, dim: int) -> np.ndarray:
-    """Validate a coordinate support: sorted, distinct integers in [0, dim)."""
-    arr = np.asarray(support)
-    if arr.size == 0:
-        arr = np.zeros(0, dtype=np.int64)
-    if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
-        raise SchemeError("a projection is given by its support: a 1-D array of integer indices")
-    if np.any(np.diff(arr) <= 0):
+def _as_supports(supports, dim: int) -> list[np.ndarray]:
+    """Validate coordinate supports in one pass: each sorted, distinct integers
+    in [0, dim).  Returns them as read-only int64 views of one array."""
+    arrays = [np.asarray(support) for support in supports]
+    for arr in arrays:
+        if arr.size and (arr.ndim != 1 or arr.dtype.kind not in "iu"):
+            raise SchemeError(
+                "a projection is given by its support: a 1-D array of integer indices"
+            )
+    ends = np.cumsum([arr.size for arr in arrays], dtype=np.int64)
+    flat = np.concatenate([arr for arr in arrays if arr.size] or [np.zeros(0, dtype=np.int64)])
+    inside = np.ones(max(flat.size - 1, 0), dtype=bool)  # pairs within one support
+    inside[ends[(ends > 0) & (ends < flat.size)] - 1] = False
+    if np.any((flat[1:] <= flat[:-1]) & inside):
         raise SchemeError("projection support must be sorted without duplicates")
-    if arr.size and (arr[0] < 0 or arr[-1] >= dim):
+    if flat.size and (flat.min() < 0 or flat.max() >= dim):
         raise SchemeError(f"projection support leaves the coordinate range [0, {dim})")
-    arr = arr.astype(np.int64)
-    arr.setflags(write=False)
-    return arr
+    flat = flat.astype(np.int64, copy=False)  # concatenate made a new array
+    flat.setflags(write=False)
+    bounds = [0] + ends.tolist()
+    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _as_support(support, dim: int) -> np.ndarray:
+    """One coordinate support, validated by `_as_supports`."""
+    return _as_supports([support], dim)[0]
 
 
 @dataclass
@@ -303,28 +323,32 @@ def is_phase_retrievable(scheme: LsccScheme, f, zero_tol: float = DEFAULT_ZERO_T
     return RETRIEVABLE if is_connected(g) else INCONCLUSIVE
 
 
-def _probe_pairs(scheme: LsccScheme, v: int, trials: int, rng: np.random.Generator):
-    """Random pairs in range(P_v) as vectors on its support, preceded by
-    canonical basis probes.
+def _vertex_probes(scheme: LsccScheme, v: int, trials: int, rng: np.random.Generator):
+    """The probe pairs of vertex v as one (2, k, |supp_v|) array: pair i is
+    (probes[0, i], probes[1, i]), vectors in range(P_v) on its support.
 
-    The sum/difference pairs (b_i + b_j, b_i - b_j) are the classic witnesses
-    against frames whose rows split into two rank-deficient halves, so they
-    catch non-retrievable local frames deterministically.  Each random vector
-    is a full-length draw restricted to the support, taken from 2^16-entry blocks.
+    Canonical basis pairs come first.  The sum/difference pairs
+    (b_i + b_j, b_i - b_j) are the classic witnesses against frames whose rows
+    split into two rank-deficient halves, so they catch non-retrievable local
+    frames deterministically.  Then come `trials` random pairs, each vector a
+    full-length draw restricted to the support, taken from 2^16-entry blocks.
     """
     support = scheme.vertex_projections[v]
     basis = np.eye(min(4, support.size), support.size)
+    pairs = []
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            yield basis[i], basis[j]
+            pairs.append((basis[i], basis[j]))
             if j > i:
-                yield basis[i] + basis[j], basis[i] - basis[j]
+                pairs.append((basis[i] + basis[j], basis[i] - basis[j]))
+    chunks = [np.array(pairs).swapaxes(0, 1)]
     shape = (2, scheme.ambient_dim) if scheme.field == COMPLEX else (scheme.ambient_dim,)
     width = max(1, 2**15 // math.prod(shape))  # pairs per draw
     for start in range(0, trials, width):
         draws = rng.standard_normal((2 * min(width, trials - start),) + shape)[..., support]
         draws = draws[:, 0] + 1j * draws[:, 1] if scheme.field == COMPLEX else draws
-        yield from zip(draws[0::2], draws[1::2])
+        chunks.append(draws.reshape(-1, 2, support.size).swapaxes(0, 1))
+    return np.concatenate(chunks, axis=1)
 
 
 def validate_local_phase_retrieval(
@@ -342,35 +366,42 @@ def validate_local_phase_retrieval(
     ratio is reported as a lower bound for C0 instead of a pass/fail.  The
     witness is the first collision if there is one, else the worst pair,
     as (v, f, g) with full-length f and g.
+
+    Each vertex is one array pass: its probes are measured by one stacked
+    matmul (one matvec per probe, so bit for bit `Phi_v @ f`) and the frame
+    constants come from row norms; only `pair_ratios` runs once per pair.
     """
     if trials < 1:
         raise SchemeError("trials must be >= 1")
     rng = np.random.default_rng(0) if rng is None else rng
+    p = scheme.p
     worst = 0.0
     witness = None
     frame_lo, frame_hi = math.inf, 0.0
     collision = False
     for v, fr in enumerate(scheme.vertex_frames):
-        op = np.conj(fr.rows)
-        for fv, gv in _probe_pairs(scheme, v, trials, rng):
-            x, y = op @ fv, op @ gv
-            for sig, meas in ((fv, x), (gv, y)):
-                nrm = p_norm(sig, scheme.p)
-                if nrm > 0.0:
-                    r = p_norm(meas, scheme.p) / nrm
-                    frame_lo = min(frame_lo, r)
-                    frame_hi = max(frame_hi, r)
-            num, den, equivalent, collides = pair_ratios(x, y, scheme.field, scheme.p)
+        probes = _vertex_probes(scheme, v, trials, rng)
+        flat = probes.reshape(-1, probes.shape[-1])
+        meas = (np.conj(fr.rows)[None] @ flat[:, :, None])[..., 0]
+        norms = p_norms(flat, p)
+        live = norms > 0.0
+        ratios = p_norms(meas, p)[live] / norms[live]
+        if ratios.size:
+            frame_lo = min(frame_lo, float(ratios.min()))
+            frame_hi = max(frame_hi, float(ratios.max()))
+        meas = meas.reshape(2, -1, meas.shape[-1])
+        for k, (x, y) in enumerate(zip(meas[0], meas[1])):
+            num, den, equivalent, collides = pair_ratios(x, y, scheme.field, p)
             if collides and not collision:
                 collision = True
-                witness = (v, fv, gv)
+                witness = (v, probes[0, k], probes[1, k])
             if equivalent:
                 continue  # phase-equivalent pair: 0/0, counts as pass
             ratio = num / den
             if ratio > worst:
                 worst = ratio
                 if not collision:
-                    witness = (v, fv, gv)
+                    witness = (v, probes[0, k], probes[1, k])
     declared = scheme.local_stability
     passed = (not collision) and (estimate or worst <= declared * (1.0 + 1e-9))
     if witness is not None:

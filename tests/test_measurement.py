@@ -19,6 +19,7 @@ from lscc.measurement import (
     linear_align,
     measure,
     p_norm,
+    p_norms,
     pair_ratios,
     phaseless_measure,
 )
@@ -97,6 +98,45 @@ class TestPNorm:
     def test_rejects_bad_p(self):
         with pytest.raises(FieldError):
             p_norm([1.0], 0.5)
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3.0])
+    def test_matches_numpy_norm_bit_for_bit(self, p):
+        # p_norm inlines np.linalg.norm's 1-D routes; any reordered sum shows here
+        rng = np.random.default_rng(40)
+        scales = 10.0 ** rng.uniform(-8, 8, 64)
+        real = rng.standard_normal(64) * scales
+        cplx = real + 1j * rng.standard_normal(64) * scales[::-1]
+        wide = rng.standard_normal((9, 12))
+        cases = [
+            real,
+            cplx,
+            rng.integers(-9, 9, 31),
+            np.array([True, False, True]),
+            np.zeros(0),
+            np.zeros(0, dtype=np.complex128),
+            real[::3],  # strided views
+            cplx[::-2],
+            cplx.real,
+            wide[:, 1::4],  # non-contiguous 2-D, flattened
+            wide.T,
+            real.tolist(),
+        ]
+        for x in cases:
+            expected = np.linalg.norm(np.asarray(x).ravel(), ord=p)
+            got = p_norm(x, p)
+            assert type(got) is float
+            assert got == expected, (x, p)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_row_norms_match_p_norm_bit_for_bit(self, p, field):
+        rng = np.random.default_rng(41)
+        rows = rng.standard_normal((20, 37)) * 10.0 ** rng.uniform(-6, 6, (20, 1))
+        if field == COMPLEX:
+            rows = rows + 1j * rng.standard_normal((20, 37))
+        norms = p_norms(rows, p)
+        assert norms.shape == (20,)
+        assert all(norms[k] == p_norm(rows[k], p) for k in range(20))
 
     @given(finite_vectors(5), finite_vectors(5), st.floats(1.0, 6.0))
     @settings(max_examples=150, deadline=None)

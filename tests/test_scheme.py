@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lscc import measurement
 from lscc.errors import SchemeError
 from lscc.graphs import is_connected
 from lscc.harness import check_edge_mismatch_batch
@@ -18,6 +20,8 @@ from lscc.scheme import (
     RETRIEVABLE,
     BaseGraph,
     LsccScheme,
+    _as_support,
+    _as_supports,
     induce_graph,
     is_phase_retrievable,
     scheme_from_dict,
@@ -352,6 +356,29 @@ class TestProjectionSupports:
         with pytest.raises(SchemeError):
             with_projections(toy, (support,) + toy.vertex_projections[1:])
 
+    def test_supports_validated_in_one_pass(self):
+        # a support may start at or below where the previous one ended
+        supports = _as_supports([[2, 3], [], np.array([0, 1], dtype=np.uint8), [1]], 4)
+        assert [s.tolist() for s in supports] == [[2, 3], [], [0, 1], [1]]
+        for s in supports:
+            assert s.dtype == np.int64 and not s.flags.writeable
+        assert _as_support([0], 1).tolist() == [0]
+        for bad, message in [
+            ([[], [3, 2]], "sorted"),
+            ([[0, 1], [1, 1]], "sorted"),
+            ([[1], np.array([3, 2], dtype=np.uint64)], "sorted"),
+            ([[0, 3], [4]], r"range \[0, 4\)"),
+            ([[0], [-1, 0]], "range"),
+            ([[0], [[0, 1]]], "1-D array of integer indices"),
+            ([[0.0]], "1-D array of integer indices"),
+        ]:
+            with pytest.raises(SchemeError, match=message):
+                _as_supports(bad, 4)
+
+    def test_rejects_unsorted_edge_support(self, toy):
+        with pytest.raises(SchemeError, match="sorted"):
+            dataclasses.replace(toy, edge_supports={**toy.edge_supports, (0, 1): [2, 1]})
+
 
 class TestEdgePhaseConsistency:
     """The per-edge mismatch bound, one pair at a time as one-column batches."""
@@ -435,6 +462,22 @@ class TestSerialization:
         assert scheme_to_json(again) == scheme_to_json(scheme)
         f = scheme.random_signal(np.random.default_rng(12))
         assert np.array_equal(again.measure(f), scheme.measure(f))
+
+    def test_rejects_duplicate_vertex_labels(self, toy):
+        d = scheme_to_dict(toy)
+        d["graph"]["V"] = [7, 7, 8]
+        with pytest.raises(SchemeError, match="distinct"):
+            scheme_from_dict(d)
+        with pytest.raises(SchemeError, match="distinct"):
+            dataclasses.replace(toy, vertex_labels=(7, 7, 8))
+
+    def test_rejects_wrong_label_count(self, toy):
+        with pytest.raises(SchemeError, match="2 vertex labels for 3 vertices"):
+            dataclasses.replace(toy, vertex_labels=(7, 8))
+        d = scheme_to_dict(toy)
+        d["graph"]["V"] = [7, 8]  # the base graph gets two vertices, the frames stay three
+        with pytest.raises(SchemeError):
+            scheme_from_dict(d)
 
     def test_hash_stable(self, toy):
         assert toy.descriptor_hash() == toy_scheme().descriptor_hash()
@@ -638,6 +681,116 @@ class TestBatchedValidators:
         report = validate_exhaustion(scheme, trials=40, rng=np.random.default_rng(31))
         lo, hi = reference_exhaustion(scheme, 40, np.random.default_rng(31))
         assert report.detail["observed"] == pytest.approx([lo, hi], rel=1e-12)
+
+
+def reference_local_phase_retrieval(scheme, trials, rng, estimate=False):
+    """The per-pair loop the array route replaced: (passed, worst, witness,
+    collision, frame_lo, frame_hi), one matvec and np.linalg.norm per probe."""
+
+    def norm(x):
+        return float(np.linalg.norm(x, ord=scheme.p))
+
+    def pairs(v):
+        support = scheme.vertex_projections[v]
+        basis = np.eye(min(4, support.size), support.size)
+        for i in range(len(basis)):
+            for j in range(i, len(basis)):
+                yield basis[i], basis[j]
+                if j > i:
+                    yield basis[i] + basis[j], basis[i] - basis[j]
+        shape = (2, scheme.ambient_dim) if scheme.field == COMPLEX else (scheme.ambient_dim,)
+        width = max(1, 2**15 // math.prod(shape))
+        for start in range(0, trials, width):
+            draws = rng.standard_normal((2 * min(width, trials - start),) + shape)[..., support]
+            draws = draws[:, 0] + 1j * draws[:, 1] if scheme.field == COMPLEX else draws
+            yield from zip(draws[0::2], draws[1::2])
+
+    worst, witness, collision = 0.0, None, False
+    frame_lo, frame_hi = math.inf, 0.0
+    for v, fr in enumerate(scheme.vertex_frames):
+        for f, g in pairs(v):
+            x, y = np.conj(fr.rows) @ f, np.conj(fr.rows) @ g
+            for sig, meas in ((f, x), (g, y)):
+                if norm(sig) > 0.0:
+                    frame_lo = min(frame_lo, norm(meas) / norm(sig))
+                    frame_hi = max(frame_hi, norm(meas) / norm(sig))
+            num, den, equivalent, collides = pair_ratios(x, y, scheme.field, scheme.p)
+            if collides and not collision:
+                collision, witness = True, (v, f, g)
+            if not equivalent and num / den > worst:
+                worst = num / den
+                if not collision:
+                    witness = (v, f, g)
+    passed = not collision and (estimate or worst <= scheme.local_stability * (1.0 + 1e-9))
+    return passed, (math.inf if collision else worst), witness, collision, frame_lo, frame_hi
+
+
+class ZeroRng:
+    """A generator stand-in with only `standard_normal`, drawing zeros."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+LOCAL_ORACLE_SCHEMES = {
+    **{
+        name: ORACLE_SCHEMES[name]
+        for name in ("toy", "shiftinv-N2", "shiftinv-N3-p3")
+        + tuple(f"windowed-{field}-a{a}" for field in (REAL, COMPLEX) for a in (1, 2))
+    },
+    "shiftinv-N3": lambda: build_shiftinv_scheme(GeneratorModel(N=3), 5),
+    "degenerate": degenerate_two_row_scheme,
+}
+
+
+@functools.cache
+def local_oracle_scheme(name):
+    return LOCAL_ORACLE_SCHEMES[name]()
+
+
+class TestBatchedLocalValidator:
+    """The array route of validate_local_phase_retrieval against its per-pair loop."""
+
+    @pytest.mark.parametrize("rng_kind", ["seeded", "zeros"])
+    @pytest.mark.parametrize("declared, estimate", [("built", False), ("tiny", False), ("tiny", True)])
+    @pytest.mark.parametrize("name", sorted(LOCAL_ORACLE_SCHEMES))
+    def test_matches_per_pair_loop(self, name, declared, estimate, rng_kind):
+        scheme = local_oracle_scheme(name)
+        if declared == "tiny":  # below every worst ratio: the witness is reported
+            scheme = dataclasses.replace(scheme, local_stability=1e-3)
+        rngs = [np.random.default_rng(50) if rng_kind == "seeded" else ZeroRng() for _ in "ab"]
+        report = validate_local_phase_retrieval(scheme, 23, rngs[0], estimate=estimate)
+        passed, worst, witness, collision, lo, hi = reference_local_phase_retrieval(
+            scheme, 23, rngs[1], estimate
+        )
+        assert report.passed == passed
+        assert report.worst == worst and report.detail["estimated_c0"] <= worst
+        assert report.detail["collision_found"] == collision
+        if collision or not passed:
+            v, f, g = report.witness
+            full = np.zeros((2, scheme.ambient_dim), dtype=report.witness[1].dtype)
+            full[:, scheme.vertex_projections[witness[0]]] = witness[1:]
+            assert v == witness[0]
+            assert np.array_equal(f, full[0]) and np.array_equal(g, full[1])
+        else:
+            assert report.witness is None
+        observed = report.detail["frame_lower_observed"], report.detail["frame_upper_observed"]
+        if scheme.field == REAL:
+            assert observed == (lo, hi)
+        else:
+            assert observed == pytest.approx((lo, hi), rel=1e-15, abs=0.0)
+        if rng_kind == "seeded":  # the same draws, in the same order
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_one_align_phase_call_per_pair(self, monkeypatch):
+        # validate-shiftinv's bench pin counts these calls; batching pair_ratios breaks it
+        calls = []
+        align = measurement.align_phase
+        monkeypatch.setattr(measurement, "align_phase", lambda *a: calls.append(1) or align(*a))
+        scheme = build_shiftinv_scheme(GeneratorModel(N=2), 64)
+        validate_local_phase_retrieval(scheme, trials=100, rng=np.random.default_rng(3))
+        canonical = [min(4, s.size) ** 2 for s in scheme.vertex_projections]
+        assert len(calls) == 13416 == sum(canonical) + 100 * scheme.num_vertices
 
 
 class TestLocalStorageGuards:
