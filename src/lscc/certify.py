@@ -26,6 +26,8 @@ from .measurement import COMPLEX, gaussian, pair_ratios
 
 #: largest row count for 2^m subset enumeration
 SIGMA_BUDGET = 20
+#: matrix entries per stacked SVD call of the subset table
+_TABLE_ENTRIES = 1 << 16
 #: multiplier applied to sampled complex local stability estimates
 COMPLEX_C0_MARGIN = 2.0
 #: sigma below this fraction of the top singular value counts as zero
@@ -47,41 +49,59 @@ def max_singular(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+def _subset_table(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(last singular value, full column rank) of every row subset of m.
+
+    Entry `mask` describes `m[picked]`, the rows whose bits are set in
+    ascending order.  Only subsets with at least n rows take an SVD: smaller
+    ones have rank < n and last value 0 by definition, as in min_singular.
+    Subsets of one size are stacked, in chunks of at most _TABLE_ENTRIES
+    matrix entries, into one `np.linalg.svd` call; LAPACK still factors each
+    matrix on its own, so every value equals the per-subset call bit for bit.
+    Full rank follows `matrix_rank`'s tolerance rule, S.max * (max(k, n) * eps).
+    """
+    rows, n = m.shape
+    sizes = np.bitwise_count(np.arange(1 << rows))
+    last = np.zeros(sizes.size)
+    full = np.zeros(sizes.size, dtype=bool)
+    shifts = np.arange(rows)
+    for k in range(n, rows + 1):
+        picked = np.flatnonzero(sizes == k)
+        step = max(1, _TABLE_ENTRIES // (k * n))
+        for start in range(0, picked.size, step):
+            chunk = picked[start : start + step]
+            idx = np.nonzero((chunk[:, None] >> shifts) & 1)[1].reshape(chunk.size, k)
+            s = np.linalg.svd(m[idx], compute_uv=False)
+            last[chunk] = s[:, -1]
+            tol = s.max(axis=-1, keepdims=True, initial=0) * (k * np.finfo(s.dtype).eps)
+            full[chunk] = (s > tol).all(axis=-1)
+    return last, full
+
+
+def _check_budget(rows: int, budget: int) -> None:
+    if rows > budget:
+        raise BudgetExceededError(f"{rows} rows exceeds subset budget {budget}")
+
+
 def complement_property_holds(m: np.ndarray, budget: int = SIGMA_BUDGET) -> bool:
     """True iff every row split leaves one side of full column rank.
 
-    Equivalent to real phase retrievability of the row family.
+    Equivalent to real phase retrievability of the row family.  Mask and
+    full ^ mask index the table in reverse order of each other.
     """
     m = np.atleast_2d(m)
-    rows, n = m.shape
-    if rows > budget:
-        raise BudgetExceededError(f"{rows} rows exceeds subset budget {budget}")
-    idx = np.arange(rows)
-
-    def rank(sub: np.ndarray) -> int:
-        return 0 if sub.shape[0] == 0 else int(np.linalg.matrix_rank(sub))
-
-    for mask in range(1 << (rows - 1)):  # complement symmetry halves the work
-        picked = (mask >> idx) & 1 == 1
-        if rank(m[picked]) < n and rank(m[~picked]) < n:
-            return False
-    return True
+    _check_budget(m.shape[0], budget)
+    full = _subset_table(m)[1]
+    return bool((full | full[::-1]).all())
 
 
 def sigma_strong(m: np.ndarray, budget: int = SIGMA_BUDGET) -> float:
-    """Strong-split constant by bitmask enumeration of all row subsets."""
+    """Strong-split constant: min over row masks of the larger of the last
+    singular values of m[mask] and m[~mask], from one subset table."""
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    rows = m.shape[0]
-    if rows > budget:
-        raise BudgetExceededError(f"{rows} rows exceeds subset budget {budget}")
-    idx = np.arange(rows)
-    best = math.inf
-    for mask in range(1 << rows):
-        picked = (mask >> idx) & 1 == 1
-        val = max(min_singular(m[picked]), min_singular(m[~picked]))
-        if val < best:
-            best = val
-    return best
+    _check_budget(m.shape[0], budget)
+    last = _subset_table(m)[0]
+    return float(np.maximum(last, last[::-1]).min())
 
 
 def sigma_strong_recursive(m: np.ndarray, budget: int = SIGMA_BUDGET) -> float:
@@ -92,8 +112,7 @@ def sigma_strong_recursive(m: np.ndarray, budget: int = SIGMA_BUDGET) -> float:
     """
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
     rows = m.shape[0]
-    if rows > budget:
-        raise BudgetExceededError(f"{rows} rows exceeds subset budget {budget}")
+    _check_budget(rows, budget)
     all_rows = set(range(rows))
     best = math.inf
     for size in range(rows + 1):

@@ -13,7 +13,9 @@ cells, with O(n + _CHUNK) memory; witness tuples are built only for cuts that
 equal the running minimum.
 
 Exact and interval enumeration accumulate vertex/edge sums in ascending index
-order so that both return bit-identical values whenever both apply.
+order so that both return bit-identical values whenever both apply.  Exact
+enumeration reads volumes from a doubling table over the low 16 vertex bits
+and continues over the high bits one chunk of 2^16 masks at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ SPECTRAL_SWEEP = "SpectralSweepSandwich"
 #: largest vertex count for exact 2^(n-1)-cut enumeration
 EXACT_BUDGET = 24
 _CHUNK = 1 << 18
+#: cheeger_exact tabulates this many low vertex bits: 2^16 masks per chunk
+_EXACT_LOW_BITS = 16
 
 
 @dataclass(frozen=True, init=False)
@@ -191,7 +195,10 @@ def cheeger_exact(g: WeightedGraph, budget: int = EXACT_BUDGET) -> CheegerResult
     """Exact Cheeger constant by enumeration of all 2^(n-1) cuts.
 
     Ties between optimal cuts are broken toward the lexicographically
-    smallest witness vertex set.
+    smallest witness vertex set.  Volumes add member weights in ascending
+    vertex order and boundaries add cut edge weights in edge-list order, so
+    values match cheeger_interval bit for bit.  Memory is O(n * 2^16): one
+    table over the low vertex bits plus one chunk of masks.
     """
     if g.is_empty:
         raise EmptyGraphError("Cheeger constant of the empty graph is undefined")
@@ -206,18 +213,37 @@ def cheeger_exact(g: WeightedGraph, budget: int = EXACT_BUDGET) -> CheegerResult
     best = math.inf
     best_witness: tuple[int, ...] | None = None
 
-    top = 1 << (n - 1)  # vertex n-1 always on the complement side
-    for start in range(1, top, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, top), dtype=np.int64)
-        bits = ((masks >> np.arange(n)[:, None]) & 1).astype(np.float64)  # row n-1 is 0
-        vol_s, vol_c = np.zeros(masks.size), np.zeros(masks.size)
-        for i in range(n - 1):
-            vol_s += w[i] * bits[i]
-            vol_c += w[i] * (1.0 - bits[i])
+    # Masks over vertices 0..n-2 (vertex n-1 is always on the complement
+    # side) split into `low` bits, tabulated once, and high bits, one chunk
+    # of 2^low consecutive masks each.  table[x] sums w[i] over the low bits
+    # of x in ascending order: doubling adds w[i] after every lower vertex,
+    # and adding the exact zeros of absent members changes nothing.
+    low = min(n - 1, _EXACT_LOW_BITS)
+    size = 1 << low
+    table = np.zeros(size)
+    for i in range(low):
+        np.add(table[: 1 << i], w[i], out=table[1 << i : 2 << i])
+    on = [(np.arange(size) >> i) & 1 == 1 for i in range(low)]
+    edges = g.edges
+    for high in range(1 << (n - 1 - low)):
+        start = high << low
+        bits = on + [(high >> j) & 1 == 1 for j in range(n - 1 - low)] + [False]
+        # ascending order: low members from the table, then high members;
+        # the low complement of x is (size - 1) ^ x, the table reversed
+        vol_s, vol_c = table.copy(), table[::-1].copy()
+        for i in range(low, n - 1):
+            if bits[i]:
+                vol_s += w[i]
+            else:
+                vol_c += w[i]
         vol_c += w[n - 1]
-        bd = np.zeros(masks.size)
-        for u, v, ew in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
-            bd += ew * np.abs(bits[u] - bits[v])
+        # boundary: one edge at a time in edge-list order; adding 0 is exact
+        bd = np.zeros(size)
+        for u, v, ew in edges:
+            if (cut := bits[u] != bits[v]) is not False:
+                bd += cut * ew
+        if start == 0:
+            vol_s[0] = math.inf  # the empty set is not a cut
         ratio_s = np.where(vol_s <= half, bd / vol_s, math.inf)
         ratio_c = np.where(vol_c <= half, bd / vol_c, math.inf)
         chunk_min = min(ratio_s.min(), ratio_c.min())
@@ -228,7 +254,7 @@ def cheeger_exact(g: WeightedGraph, budget: int = EXACT_BUDGET) -> CheegerResult
             best_witness = None
         for side, ratios in ((True, ratio_s), (False, ratio_c)):
             for idx in np.flatnonzero(ratios == best):
-                m = int(masks[idx])
+                m = start + int(idx)
                 if side:
                     members = tuple(i for i in range(n - 1) if (m >> i) & 1)
                 else:

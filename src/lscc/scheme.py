@@ -176,11 +176,13 @@ class LsccScheme:
         )
         self.vertex_projections = tuple(supports[: self.graph.num_vertices])
         self.edge_supports = dict(
-            zip((tuple(sorted(e)) for e in self.edge_supports), supports[self.graph.num_vertices :])
+            zip(_edge_keys(self.edge_supports, "support"), supports[self.graph.num_vertices :])
         )
         self.edge_functionals = {
-            tuple(sorted(e)): as_field_array(mat, self.field)
-            for e, mat in self.edge_functionals.items()
+            e: as_field_array(mat, self.field)
+            for e, mat in zip(
+                _edge_keys(self.edge_functionals, "functional"), self.edge_functionals.values()
+            )
         }
         if not set(self.graph.edges) == set(self.edge_functionals) == set(self.edge_supports):
             raise SchemeError("edge functionals and supports must cover exactly the base edges")
@@ -248,6 +250,17 @@ class LsccScheme:
 
     def descriptor_hash(self) -> str:
         return hashlib.sha256(scheme_to_json(self).encode()).hexdigest()
+
+
+def _edge_keys(mapping: dict, what: str) -> list[tuple[int, int]]:
+    """The keys of an edge dict as sorted pairs; an edge may appear once."""
+    keys = [tuple(sorted(e)) for e in mapping]
+    seen = set()
+    for e in keys:
+        if e in seen:
+            raise SchemeError(f"edge {e} has a {what} under both orientations")
+        seen.add(e)
+    return keys
 
 
 def _as_supports(supports, dim: int) -> list[np.ndarray]:

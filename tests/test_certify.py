@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,80 @@ from lscc.certify import (
 )
 from lscc.errors import BudgetExceededError, DegenerateFrameError
 from lscc.measurement import COMPLEX, REAL, align_phase
+
+
+def sigma_loop(m):
+    """Reference strong-split constant: one mask at a time, two SVDs each."""
+    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    idx = np.arange(m.shape[0])
+    best = math.inf
+    for mask in range(1 << m.shape[0]):
+        picked = (mask >> idx) & 1 == 1
+        best = min(best, max(min_singular(m[picked]), min_singular(m[~picked])))
+    return best
+
+
+def complement_loop(m):
+    """Reference complement property: one matrix_rank call per side of each split."""
+    m = np.atleast_2d(m)
+    rows, n = m.shape
+    idx = np.arange(rows)
+
+    def rank(sub):
+        return 0 if sub.shape[0] == 0 else int(np.linalg.matrix_rank(sub))
+
+    for mask in range(1 << (rows - 1)):
+        picked = (mask >> idx) & 1 == 1
+        if rank(m[picked]) < n and rank(m[~picked]) < n:
+            return False
+    return True
+
+
+def oracle_matrices():
+    """Seeded random frames of 1-12 rows and 1-5 columns, then edge cases."""
+    rng = np.random.default_rng(11)
+    for rows in range(1, 13):
+        for cols in range(1, 6) if rows <= 9 else (1 + rows % 5,):
+            yield rng.standard_normal((rows, cols))
+    frame = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -2.0]])
+    yield np.vstack([frame, np.zeros((2, 2))])  # zero rows
+    yield np.vstack([frame, frame[:2]])  # duplicate rows
+    block = rng.standard_normal((6, 2)) @ np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.0]])
+    yield block  # every subset has rank <= 2 < 3
+    yield np.vstack([block, rng.standard_normal((2, 3))])
+    yield np.round(3 * rng.standard_normal((7, 3)))  # tie-prone integer values
+    yield np.eye(3, dtype=int)
+    yield np.vstack([np.eye(2, dtype=int), [[1, 1], [1, -1]]])
+
+
+class TestSubsetTable:
+    @pytest.mark.parametrize("m", list(oracle_matrices()), ids=lambda m: "x".join(map(str, m.shape)))
+    def test_matches_per_mask_loops(self, m):
+        assert sigma_strong(m) == sigma_loop(m)
+        assert sigma_strong(m) == sigma_strong_recursive(m)
+        assert complement_property_holds(m) == complement_loop(m)
+
+    def test_complex_complement_property(self):
+        rng = np.random.default_rng(12)
+        for rows, cols in [(5, 2), (6, 2), (7, 2), (8, 3), (9, 3)]:
+            m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            assert complement_property_holds(m) == complement_loop(m)
+        m = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1j], [1.0, 1.0]])
+        assert complement_property_holds(m) == complement_loop(m)
+
+    def test_no_rows(self):
+        assert sigma_strong(np.zeros((0, 2))) == sigma_loop(np.zeros((0, 2))) == 0.0
+
+    def test_budget_raised_before_any_table(self):
+        tracemalloc.start()
+        try:
+            for route in (sigma_strong, complement_property_holds):
+                with pytest.raises(BudgetExceededError, match="21 rows exceeds subset budget 20"):
+                    route(np.ones((21, 2)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16  # a 2^21-entry table would take 16 MB
 
 
 class TestSingularValues:

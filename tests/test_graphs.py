@@ -204,6 +204,57 @@ def random_ring_graph(rng, n, style):
     return WeightedGraph(w, tuple((u, v, float(x)) for (u, v), x in zip(kept, ew)))
 
 
+def chunked_cheeger_exact(g, chunk=1 << 18):
+    """Reference (value, witness) of exact enumeration: the mask-chunk loop
+    that adds w[i] * bit and ew * |bit_u - bit_v| row by row over float bit
+    arrays of every mask in the chunk."""
+    n = g.num_vertices
+    w = g.vertex_weights
+    half = 0.5 * g.total_volume()
+    best, best_witness = math.inf, None
+    top = 1 << (n - 1)
+    for start in range(1, top, chunk):
+        masks = np.arange(start, min(start + chunk, top), dtype=np.int64)
+        bits = ((masks >> np.arange(n)[:, None]) & 1).astype(np.float64)
+        vol_s, vol_c = np.zeros(masks.size), np.zeros(masks.size)
+        for i in range(n - 1):
+            vol_s += w[i] * bits[i]
+            vol_c += w[i] * (1.0 - bits[i])
+        vol_c += w[n - 1]
+        bd = np.zeros(masks.size)
+        for u, v, ew in g.edges:
+            bd += ew * np.abs(bits[u] - bits[v])
+        ratio_s = np.where(vol_s <= half, bd / vol_s, math.inf)
+        ratio_c = np.where(vol_c <= half, bd / vol_c, math.inf)
+        chunk_min = min(ratio_s.min(), ratio_c.min())
+        if chunk_min > best:
+            continue
+        if chunk_min < best:
+            best, best_witness = float(chunk_min), None
+        for side, ratios in ((True, ratio_s), (False, ratio_c)):
+            for idx in np.flatnonzero(ratios == best):
+                m = int(masks[idx])
+                if side:
+                    members = tuple(i for i in range(n - 1) if (m >> i) & 1)
+                else:
+                    members = tuple(i for i in range(n - 1) if not (m >> i) & 1) + (n - 1,)
+                if best_witness is None or members < best_witness:
+                    best_witness = members
+    return best, best_witness
+
+
+def random_sparse_graph(rng, n, ties):
+    """Each pair an edge with probability 0.3 (chords, and often several
+    components); ties draws small integer weights."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+    if ties:
+        w = rng.integers(1, 4, n).astype(float)
+        ew = rng.integers(1, 3, len(pairs)).astype(float)
+    else:
+        w, ew = rng.uniform(0.2, 3.0, n), rng.uniform(0.1, 2.0, len(pairs))
+    return WeightedGraph(w, tuple((u, v, float(x)) for (u, v), x in zip(pairs, ew)))
+
+
 def random_connected_graph(rng, n):
     """Random spanning tree plus extra edges, positive random weights."""
     edges = {}
@@ -410,6 +461,43 @@ class TestCheegerExact:
             bd = sum(w for (u, v, w) in g.edges if (u in members) != (v in members))
             assert vol <= 0.5 * g.total_volume() + 1e-12
             assert bd / vol == pytest.approx(res.upper, abs=1e-10)
+
+
+    def test_tables_match_chunked_oracle(self, monkeypatch):
+        # bit-identical value and witness to the mask-chunk loop, under the
+        # default table and under a smaller one (2-16 high-bit chunks); the
+        # optimal arcs of rings often hold vertex n-1 and high-bit members
+        rng = np.random.default_rng(6)
+        default = lscc.graphs._EXACT_LOW_BITS
+        for trial in range(400):
+            n = int(rng.integers(2, 15))
+            kind = trial % 4
+            if kind == 3:
+                g = random_ring_graph(rng, n, 0)
+            else:
+                g = random_sparse_graph(rng, n, ties=kind == 1)
+            if kind == 2 and n > 2:  # a path plus a chord
+                chord = (0, int(rng.integers(2, n)), 0.5)
+                g = WeightedGraph(g.vertex_weights, (*unweighted_path(n).edges, chord))
+            low = default if rng.random() < 0.5 else max(1, n - 1 - int(rng.integers(1, 5)))
+            monkeypatch.setattr(lscc.graphs, "_EXACT_LOW_BITS", low)
+            res = cheeger_exact(g)
+            assert (res.upper, res.witness) == chunked_cheeger_exact(g), (trial, n, low)
+
+    def test_peak_memory_not_above_chunked_oracle(self):
+        rng = np.random.default_rng(7)
+        n = 22
+        edges = [(i, i + 1, float(rng.uniform(0.1, 2.0))) for i in range(n - 1)]
+        g = WeightedGraph(rng.uniform(0.2, 3.0, n), (*edges, (0, n // 2, 0.5)))
+        peaks = []
+        for route in (cheeger_exact, chunked_cheeger_exact):
+            tracemalloc.start()
+            try:
+                route(g)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
 
 class TestCheegerInterval:

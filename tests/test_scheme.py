@@ -379,6 +379,18 @@ class TestProjectionSupports:
         with pytest.raises(SchemeError, match="sorted"):
             dataclasses.replace(toy, edge_supports={**toy.edge_supports, (0, 1): [2, 1]})
 
+    def test_rejects_both_orientations_of_an_edge_support(self, toy):
+        # (1, 0) names edge (0, 1) again; it must not replace that edge's support
+        functionals = {**toy.edge_functionals, (1, 0): [[5.0]]}
+        with pytest.raises(SchemeError, match=r"edge \(0, 1\) has a support under both"):
+            dataclasses.replace(
+                toy, edge_supports={**toy.edge_supports, (1, 0): [0]}, edge_functionals=functionals
+            )
+
+    def test_rejects_both_orientations_of_an_edge_functional(self, toy):
+        with pytest.raises(SchemeError, match=r"edge \(0, 1\) has a functional under both"):
+            dataclasses.replace(toy, edge_functionals={**toy.edge_functionals, (1, 0): [[5.0]]})
+
 
 class TestEdgePhaseConsistency:
     """The per-edge mismatch bound, one pair at a time as one-column batches."""
