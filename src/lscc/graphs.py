@@ -191,6 +191,21 @@ def _singleton_result(g: WeightedGraph, method: str) -> CheegerResult:
     return CheegerResult(math.inf, math.inf, method, witness=())
 
 
+def _smallest_members(sets: np.ndarray) -> tuple[int, ...]:
+    """The lexicographically smallest ascending member tuple among bitmasks.
+
+    Each step keeps the sets whose next member is the smallest and removes
+    that member; a set left empty is a prefix of every survivor, so it wins.
+    """
+    members = []
+    while (sets != 0).all():
+        low = sets & -sets
+        first = low.min()
+        sets = sets[low == first] ^ first
+        members.append(int(first).bit_length() - 1)
+    return tuple(members)
+
+
 def cheeger_exact(g: WeightedGraph, budget: int = EXACT_BUDGET) -> CheegerResult:
     """Exact Cheeger constant by enumeration of all 2^(n-1) cuts.
 
@@ -218,7 +233,7 @@ def cheeger_exact(g: WeightedGraph, budget: int = EXACT_BUDGET) -> CheegerResult
     # of 2^low consecutive masks each.  table[x] sums w[i] over the low bits
     # of x in ascending order: doubling adds w[i] after every lower vertex,
     # and adding the exact zeros of absent members changes nothing.
-    low = min(n - 1, _EXACT_LOW_BITS)
+    low, top = min(n - 1, _EXACT_LOW_BITS), 1 << (n - 1)
     size = 1 << low
     table = np.zeros(size)
     for i in range(low):
@@ -252,13 +267,12 @@ def cheeger_exact(g: WeightedGraph, budget: int = EXACT_BUDGET) -> CheegerResult
         if chunk_min < best:
             best = float(chunk_min)
             best_witness = None
-        for side, ratios in ((True, ratio_s), (False, ratio_c)):
-            for idx in np.flatnonzero(ratios == best):
-                m = start + int(idx)
-                if side:
-                    members = tuple(i for i in range(n - 1) if (m >> i) & 1)
-                else:
-                    members = tuple(i for i in range(n - 1) if not (m >> i) & 1) + (n - 1,)
+        # tied cuts as vertex bitmasks; the complement side holds vertex n-1
+        tied_s = start + np.flatnonzero(ratio_s == best)
+        tied_c = ((top - 1) ^ (start + np.flatnonzero(ratio_c == best))) | top
+        for tied in (tied_s, tied_c):
+            if tied.size:
+                members = _smallest_members(tied)
                 if best_witness is None or members < best_witness:
                     best_witness = members
 

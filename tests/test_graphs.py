@@ -484,6 +484,19 @@ class TestCheegerExact:
             res = cheeger_exact(g)
             assert (res.upper, res.witness) == chunked_cheeger_exact(g), (trial, n, low)
 
+    def test_smallest_members_is_tuple_order(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            sets = rng.integers(1, 1 << 10, int(rng.integers(1, 30)))
+            tuples = (tuple(i for i in range(10) if (x >> i) & 1) for x in sets.tolist())
+            assert lscc.graphs._smallest_members(sets) == min(tuples)
+
+    def test_many_tied_cuts_across_chunks(self):
+        # every cut that keeps 0 and 2 together has boundary 0: ~2^18 ties
+        g = WeightedGraph(np.ones(20), ((0, 2, 1.0),))
+        res = cheeger_exact(g)
+        assert (res.upper, res.witness) == (0.0, (0, 1, 2))
+
     def test_peak_memory_not_above_chunked_oracle(self):
         rng = np.random.default_rng(7)
         n = 22
