@@ -28,6 +28,9 @@ from .measurement import COMPLEX, gaussian, pair_ratios
 SIGMA_BUDGET = 20
 #: matrix entries per stacked SVD call of the subset table
 _TABLE_ENTRIES = 1 << 16
+#: splits whose smaller side sigma factors per round; each round tightens the
+#: bound that rules out the later ones
+_SPLIT_CHUNK = 4096
 #: multiplier applied to sampled complex local stability estimates
 COMPLEX_C0_MARGIN = 2.0
 #: sigma below this fraction of the top singular value counts as zero
@@ -49,28 +52,28 @@ def max_singular(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def _subset_table(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(last singular value, full column rank) of every row subset of m.
+def _factor(m: np.ndarray, masks: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(last singular value, full column rank) of `m[picked]` for each row mask.
 
-    Entry `mask` describes `m[picked]`, the rows whose bits are set in
-    ascending order.  Only subsets with at least n rows take an SVD: smaller
-    ones have rank < n and last value 0 by definition, as in min_singular.
-    Subsets of one size are stacked, in chunks of at most _TABLE_ENTRIES
-    matrix entries, into one `np.linalg.svd` call; LAPACK still factors each
-    matrix on its own, so every value equals the per-subset call bit for bit.
-    Full rank follows `matrix_rank`'s tolerance rule, S.max * (max(k, n) * eps).
+    `picked` holds the rows whose bits are set, in ascending order, and
+    `sizes` the masks' bit counts.  Only subsets with at least n rows take an
+    SVD: smaller ones have rank < n and last value 0 by definition, as in
+    min_singular.  Subsets of one size are stacked, in chunks of at most
+    _TABLE_ENTRIES matrix entries, into one `np.linalg.svd` call; LAPACK still
+    factors each matrix on its own, so every value equals the per-subset call
+    bit for bit.  Full rank follows `matrix_rank`'s tolerance rule,
+    S.max * (max(k, n) * eps).
     """
     rows, n = m.shape
-    sizes = np.bitwise_count(np.arange(1 << rows))
-    last = np.zeros(sizes.size)
-    full = np.zeros(sizes.size, dtype=bool)
+    last = np.zeros(masks.size)
+    full = np.zeros(masks.size, dtype=bool)
     shifts = np.arange(rows)
     for k in range(n, rows + 1):
-        picked = np.flatnonzero(sizes == k)
+        at = np.flatnonzero(sizes == k)
         step = max(1, _TABLE_ENTRIES // (k * n))
-        for start in range(0, picked.size, step):
-            chunk = picked[start : start + step]
-            idx = np.nonzero((chunk[:, None] >> shifts) & 1)[1].reshape(chunk.size, k)
+        for start in range(0, at.size, step):
+            chunk = at[start : start + step]
+            idx = np.nonzero((masks[chunk, None] >> shifts) & 1)[1].reshape(chunk.size, k)
             s = np.linalg.svd(m[idx], compute_uv=False)
             last[chunk] = s[:, -1]
             tol = s.max(axis=-1, keepdims=True, initial=0) * (k * np.finfo(s.dtype).eps)
@@ -83,25 +86,76 @@ def _check_budget(rows: int, budget: int) -> None:
         raise BudgetExceededError(f"{rows} rows exceeds subset budget {budget}")
 
 
+def _split_table(m: np.ndarray, budget: int) -> tuple[np.ndarray, ...]:
+    """Every row split once, larger side factored: (its last singular value,
+    its full rank, the smaller side's mask, the smaller side's size).
+
+    A split of equal halves takes the half holding the last row as its
+    larger side.  Bit counts come from a doubling table.
+    """
+    rows = m.shape[0]
+    _check_budget(rows, budget)
+    sizes = np.zeros(1 << rows, dtype=np.int8)
+    for i in range(rows):
+        sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
+    ties = sizes == sizes[::-1]
+    ties[: sizes.size // 2] = False
+    big = np.flatnonzero((sizes > sizes[::-1]) | ties)
+    small = big ^ (sizes.size - 1)
+    return *_factor(m, big, sizes[big]), small, sizes[small]
+
+
+def _complement_holds(m: np.ndarray, table: tuple[np.ndarray, ...]) -> bool:
+    """Factor a smaller side only where the larger side is rank deficient."""
+    full, small, small_sizes = table[1:]
+    unsure = np.flatnonzero(~full)
+    if (small_sizes[unsure] < m.shape[1]).any():
+        return False
+    return bool(_factor(m, small[unsure], small_sizes[unsure])[1].all())
+
+
+def _sigma(m: np.ndarray, table: tuple[np.ndarray, ...]) -> float:
+    """min over splits of max(last[larger side], last[smaller side]).
+
+    A smaller side of under n rows scores 0, so its split scores its larger
+    side.  A split can only beat the best score so far if its larger side
+    does, so the other smaller sides are factored _SPLIT_CHUNK splits at a
+    time, each round skipping the splits the best score so far rules out.
+    """
+    last, _, small, small_sizes = table
+    closed = small_sizes < m.shape[1]
+    best = last[closed].min()
+    open_ = np.flatnonzero(~closed & (last < best))
+    for start in range(0, open_.size, _SPLIT_CHUNK):
+        at = open_[start : start + _SPLIT_CHUNK]
+        at = at[last[at] < best]
+        if at.size:
+            best = min(best, np.maximum(last[at], _factor(m, small[at], small_sizes[at])[0]).min())
+    return float(best)
+
+
+def sigma_and_complement(m: np.ndarray, budget: int = SIGMA_BUDGET) -> tuple[float, bool]:
+    """(sigma_strong(m), complement_property_holds(m)) of a real m from one
+    split table, for callers that need both."""
+    m = np.atleast_2d(m)
+    table = _split_table(m, budget)
+    return _sigma(m, table), _complement_holds(m, table)
+
+
 def complement_property_holds(m: np.ndarray, budget: int = SIGMA_BUDGET) -> bool:
     """True iff every row split leaves one side of full column rank.
 
-    Equivalent to real phase retrievability of the row family.  Mask and
-    full ^ mask index the table in reverse order of each other.
+    Equivalent to real phase retrievability of the row family.
     """
     m = np.atleast_2d(m)
-    _check_budget(m.shape[0], budget)
-    full = _subset_table(m)[1]
-    return bool((full | full[::-1]).all())
+    return _complement_holds(m, _split_table(m, budget))
 
 
 def sigma_strong(m: np.ndarray, budget: int = SIGMA_BUDGET) -> float:
     """Strong-split constant: min over row masks of the larger of the last
-    singular values of m[mask] and m[~mask], from one subset table."""
+    singular values of m[mask] and m[~mask]."""
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    _check_budget(m.shape[0], budget)
-    last = _subset_table(m)[0]
-    return float(np.maximum(last, last[::-1]).min())
+    return _sigma(m, _split_table(m, budget))
 
 
 def sigma_strong_recursive(m: np.ndarray, budget: int = SIGMA_BUDGET) -> float:

@@ -21,10 +21,9 @@ import numpy as np
 from .certify import (
     COMPLEX_C0_MARGIN,
     SIGMA_BUDGET,
-    complement_property_holds,
     estimate_local_stability,
     real_local_stability,
-    sigma_strong,
+    sigma_and_complement,
 )
 from .errors import ClassError, FieldError, SchemeError
 from .graphs import algebraic_connectivity, cheeger_interval
@@ -126,9 +125,10 @@ def build_windowed_scheme(cfg: WindowedConfig) -> LsccScheme:
 
     if cfg.field == REAL:
         if local.shape[0] <= SIGMA_BUDGET:
-            if not complement_property_holds(local):
+            sigma, retrievable = sigma_and_complement(local)
+            if not retrievable:
                 raise SchemeError("local frame fails the complement property")
-            c0 = real_local_stability(local, sigma_strong(local))
+            c0 = real_local_stability(local, sigma)
         else:
             est = estimate_local_stability(
                 local, cfg.field, 2.0, 4000, np.random.default_rng(cfg.seed + 1)

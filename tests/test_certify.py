@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lscc import certify
 from lscc.certify import (
     complement_property_holds,
     estimate_local_stability,
@@ -11,6 +12,7 @@ from lscc.certify import (
     min_singular,
     p_frame_bounds,
     real_local_stability,
+    sigma_and_complement,
     sigma_strong,
     sigma_strong_recursive,
 )
@@ -58,16 +60,30 @@ def oracle_matrices():
     yield block  # every subset has rank <= 2 < 3
     yield np.vstack([block, rng.standard_normal((2, 3))])
     yield np.round(3 * rng.standard_normal((7, 3)))  # tie-prone integer values
+    # two rank-2 halves of 4 rows each: only that even split fails the
+    # complement property, and both of its sides have at least n = 3 rows
+    yield np.vstack([rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3)) for _ in range(2)])
     yield np.eye(3, dtype=int)
     yield np.vstack([np.eye(2, dtype=int), [[1, 1], [1, -1]]])
 
 
 class TestSubsetTable:
+    @pytest.mark.parametrize("chunk", [1, certify._SPLIT_CHUNK])
     @pytest.mark.parametrize("m", list(oracle_matrices()), ids=lambda m: "x".join(map(str, m.shape)))
-    def test_matches_per_mask_loops(self, m):
+    def test_matches_per_mask_loops(self, m, chunk, monkeypatch):
+        # chunk 1 factors one smaller side per round, so the bound is re-read each time
+        monkeypatch.setattr(certify, "_SPLIT_CHUNK", chunk)
         assert sigma_strong(m) == sigma_loop(m)
         assert sigma_strong(m) == sigma_strong_recursive(m)
         assert complement_property_holds(m) == complement_loop(m)
+        assert sigma_and_complement(m) == (sigma_loop(m), complement_loop(m))
+
+    def test_runs_without_numpy_2_names(self, monkeypatch):
+        # pyproject allows numpy 1.x, which lacks these
+        for name in ("bitwise_count", "vecdot"):
+            monkeypatch.delattr(np, name, raising=False)
+        m = np.random.default_rng(4).standard_normal((7, 3))
+        assert sigma_and_complement(m) == (sigma_loop(m), complement_loop(m))
 
     def test_complex_complement_property(self):
         rng = np.random.default_rng(12)
@@ -83,7 +99,7 @@ class TestSubsetTable:
     def test_budget_raised_before_any_table(self):
         tracemalloc.start()
         try:
-            for route in (sigma_strong, complement_property_holds):
+            for route in (sigma_strong, complement_property_holds, sigma_and_complement):
                 with pytest.raises(BudgetExceededError, match="21 rows exceeds subset budget 20"):
                     route(np.ones((21, 2)))
             peak = tracemalloc.get_traced_memory()[1]
