@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -237,6 +238,11 @@ def _doubling(lo: int, hi: int, option: str) -> list[int]:
     return vals
 
 
+def _json_slope(slope: float) -> float | None:
+    """A fitted slope for a manifest: null when there is no line to fit."""
+    return None if math.isnan(slope) else slope
+
+
 def cmd_sweep_windowed(args) -> int:
     l_values = _doubling(args.Lmin, args.Lmax, "--Lmin")
     if not l_values:
@@ -263,16 +269,19 @@ def cmd_sweep_windowed(args) -> int:
         "L_values": l_values,
         "seed": args.seed,
         "trials": args.trials,
-        "bound_slope": slope,
+        "bound_slope": _json_slope(slope),
         "failure": failure,
         "outputs": {args.out: _sha256(args.out)},
     }
     if args.field == COMPLEX:
-        manifest["adversarial_slope"] = fit_loglog_slope(
-            [r["L"] for r in rows], [r["adversarial_ratio"] for r in rows]
+        manifest["adversarial_slope"] = _json_slope(
+            fit_loglog_slope([r["L"] for r in rows], [r["adversarial_ratio"] for r in rows])
         )
     write_manifest(args.out + ".manifest.json", manifest)
-    print(f"wrote {args.out}: bound slope vs L = {slope:.4f}")
+    if math.isnan(slope):
+        print(f"wrote {args.out}: bound slope vs L is undefined for one L value")
+    else:
+        print(f"wrote {args.out}: bound slope vs L = {slope:.4f}")
     return 2 if failure else 0
 
 

@@ -8,14 +8,15 @@ reduction at any size; other graphs get exact subset enumeration up to
 EXACT_BUDGET vertices, then a spectral sweep producing a certified
 [lambda/2-derived lower, sweep-cut upper] sandwich.
 
-The interval reduction is O(n^2) arithmetic in numpy blocks of at most _CHUNK
-cells, with O(n + _CHUNK) memory; witness tuples are built only for cuts that
-equal the running minimum.
-
-Exact and interval enumeration accumulate vertex/edge sums in ascending index
-order so that both return bit-identical values whenever both apply.  Exact
-enumeration reads volumes from a doubling table over the low 16 vertex bits
-and continues over the high bits one chunk of 2^16 masks at a time.
+The interval reduction minimizes over the arcs of the ring by Dinkelbach's
+iteration on compensated prefix sums, taking window minima from a sparse table
+(or, on small rings, from the grid of all window slots): O(n log n) time and
+memory.  Up to EXACT_BUDGET vertices it re-scores its
+candidate arcs with the ascending running sums of exact enumeration, so the two
+agree bit for bit unless a cut that is not an arc ties the best arc or, by
+rounding, undercuts it.  Exact enumeration reads volumes from a doubling table
+over the low 16 vertex bits and continues over the high bits one chunk of 2^16
+masks at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +44,16 @@ SPECTRAL_SWEEP = "SpectralSweepSandwich"
 
 #: largest vertex count for exact 2^(n-1)-cut enumeration
 EXACT_BUDGET = 24
-_CHUNK = 1 << 18
+#: cheeger_interval re-scores every arc with ratio <= t * (1 + _TIE_MARGIN),
+#: far above the rounding of any ratio it compares
+_TIE_MARGIN = 2.0**-40
+#: relative band around half the volume in which cheeger_interval decides an
+#: arc's feasibility by the rule's own sums (a running sum of up to
+#: EXACT_BUDGET terms, or a compensated prefix difference)
+_HALF_BAND = 2.0**-45
+#: cheeger_interval reads range minima off the grid of all window slots when
+#: it holds at most this many, and builds a sparse table otherwise
+_GRID_CELLS = 1 << 12
 #: cheeger_exact tabulates this many low vertex bits: 2^16 masks per chunk
 _EXACT_LOW_BITS = 16
 
@@ -212,8 +222,8 @@ def cheeger_exact(g: WeightedGraph, budget: int = EXACT_BUDGET) -> CheegerResult
     Ties between optimal cuts are broken toward the lexicographically
     smallest witness vertex set.  Volumes add member weights in ascending
     vertex order and boundaries add cut edge weights in edge-list order, so
-    values match cheeger_interval bit for bit.  Memory is O(n * 2^16): one
-    table over the low vertex bits plus one chunk of masks.
+    values match cheeger_interval's re-scored arcs bit for bit.  Memory is
+    O(n * 2^16): one table over the low vertex bits plus one chunk of masks.
     """
     if g.is_empty:
         raise EmptyGraphError("Cheeger constant of the empty graph is undefined")
@@ -281,20 +291,35 @@ def cheeger_exact(g: WeightedGraph, budget: int = EXACT_BUDGET) -> CheegerResult
     return CheegerResult(best, best, EXACT_ENUMERATION, witness)
 
 
+def _running_volume(w: np.ndarray, s: int, e: int) -> float:
+    """Weight of the arc [s..e] of the doubled ring, added one member at a time
+    in ascending vertex order (w[0..e-n], then w[s..n-1] for a wrapping arc)."""
+    members = w[s : e + 1] if e < w.size else np.concatenate((w[: e - w.size + 1], w[s:]))
+    return float(members.cumsum()[-1])
+
+
 def cheeger_interval(g: WeightedGraph) -> CheegerResult:
-    """Exact Cheeger constant of a ring-shaped graph.
+    """Exact Cheeger constant of a ring-shaped graph in O(n log n).
 
     A graph without the wrap edge is a path, otherwise a cycle.  On such
-    graphs every optimal cut may be assumed connected (a contiguous interval,
-    or an arc for cycles), so enumerating intervals is exhaustive.
+    graphs every optimal cut may be assumed connected: an arc [s..e] of the
+    doubled ring with s < n, at most n - 1 long (e < n on a path), whose
+    boundary is ew[s-1] + ew[e mod n].  The starts of the arcs ending at e
+    with vol <= half form a window [first(e), last(e)].
 
-    The O(n^2) candidate cuts are evaluated in numpy blocks of start rows,
-    each of at most _CHUNK cells, so memory stays O(n + _CHUNK).  Member
-    tuples are built only for cells equal to the running minimum; ties go to
-    the lexicographically smallest witness, as in cheeger_exact.  Volumes are
-    sums in ascending index order (running sums from the interval's left end;
-    arcs below EXACT_BUDGET add [0..j] then [k..n-1] member by member), so
-    values and witnesses match cheeger_exact bit-for-bit wherever both run.
+    Dinkelbach's iteration minimizes bd/vol: for a fixed t, min (bd - t vol)
+    is a minimum over ends of a minimum over the window, and t drops to the
+    ratio of the minimizing arc until no arc improves it strictly.  Window
+    minima come from a sparse table rebuilt for each t or, while all windows
+    fit in _GRID_CELLS slots, from the grid of those slots.
+
+    Volumes are differences of compensated (double-double) prefix sums, so a
+    light arc far from vertex 0 keeps its digits.  Every arc whose ratio is
+    within _TIE_MARGIN of the final t is then re-scored from its own sums: up
+    to EXACT_BUDGET vertices by the ascending running sum of cheeger_exact
+    (so value and witness match it bit for bit), above by the compensated
+    difference.  Ties go to the lexicographically smallest member tuple, and
+    the value is the witness's running-sum ratio.  Memory is O(n log n).
     """
     if g.is_empty:
         raise EmptyGraphError("Cheeger constant of the empty graph is undefined")
@@ -305,74 +330,173 @@ def cheeger_interval(g: WeightedGraph) -> CheegerResult:
     if n == 1:
         return _singleton_result(g, INTERVAL_REDUCTION)
     w = g.vertex_weights
-    total = g.total_volume()
-    half = 0.5 * total
+    small = n <= EXACT_BUDGET
+    if ew[-1] > 0.0:  # a cycle: arcs end anywhere in the doubled ring
+        ends = 2 * n - 2
+        step = np.concatenate(((0.0,), w, w[: n - 2]))
+        ewd = np.concatenate((ew, ew[: n - 2]))  # ewd[e] = ew[e mod n], the edge after e
+    else:
+        ends, step, ewd = n, np.concatenate(((0.0,), w)), ew.copy()
+    ewp = np.concatenate((ew[-1:], ew[:-1]))  # ewp[s] = ew[s-1], the edge before s
+    # compensated prefix sums p = hi + 1j lo over the doubled ring: lo adds
+    # up the exact rounding error (two-sum) of each step of the running sum
+    hi = np.add.accumulate(step)
+    z = hi[1:] - hi[:-1]
+    step[1:] = (hi[:-1] - (hi[1:] - z)) + (step[1:] - z)
+    lo = np.add.accumulate(step)
+    p = hi + 1j * lo
 
-    best = math.inf
-    best_witness: tuple[int, ...] | None = None
+    def vol(s, e):
+        d = p[e + 1] - p[s]
+        return d.real + d.imag
 
-    def consider(bd, vol, cut, members, row: int) -> None:
-        # One block of candidate cuts.  Among the rows holding the running
-        # minimum, `row` (0 or -1) is the one whose cuts compare smallest, and
-        # within a row the first hit compares smallest; members(r, c) builds
-        # the cut at row r, column c.
-        nonlocal best, best_witness
-        cut &= vol <= half
-        ratio = np.divide(bd, vol, out=np.full(vol.shape, math.inf), where=cut)
-        low = ratio.min()
-        if math.isinf(low) or low > best:
-            return
-        if low < best:
-            best, best_witness = low, None
-        hit = ratio == best
-        r = int(np.flatnonzero(hit.any(axis=1))[row])
-        cand = members(r, int(hit[r].argmax()))
-        if best_witness is None or cand < best_witness:
-            best_witness = cand
+    half = 0.5 * (g.total_volume() if small else float(hi[n] + lo[n]))
 
-    block_rows = max(1, _CHUNK // n)
-    for k0 in range(0, n, block_rows):
-        # intervals [k..ell] for k in the block and ell >= k: zeros before
-        # column k make each running sum exactly w[k] + ... + w[ell]
-        ks = np.arange(k0, min(k0 + block_rows, n))[:, None]
-        cut = np.arange(k0, n) >= ks
-        vol = np.cumsum(np.where(cut, w[k0:], 0.0), axis=1)
-        if k0 == 0:
-            cut[0, -1] = False  # full vertex set is not a cut
-        # ew[-1] is the wrap edge (0 on a path) bounding intervals at 0 or n-1
-        bd = ew[ks - 1] + ew[k0:]
-        # an interval starting at a smaller k compares smaller: first row
-        consider(bd, vol, cut, lambda r, c: tuple(range(k0 + r, k0 + c + 1)), 0)
+    # The search on rounded sums may open a window early, by arcs within
+    # _HALF_BAND of half; those advance by the exact rule, which below
+    # EXACT_BUDGET is the running sum.  An end with an empty window keeps
+    # its last start and an infinite boundary.
+    rounded = hi + lo
+    first = rounded[:n].searchsorted(rounded[1:] - (1.0 + _HALF_BAND) * half)
+    last = np.minimum(np.arange(ends), n - 1)
+    v = vol(first, np.arange(ends))
+    while np.count_nonzero(near := (first <= last) & (v > (1.0 - _HALF_BAND) * half)):
+        over = near & (v > half)
+        if small:
+            for e in near.nonzero()[0].tolist():
+                if v[e] <= (1.0 + _HALF_BAND) * half:
+                    over[e] = _running_volume(w, int(first[e]), e) > half
+        if not np.count_nonzero(over):
+            break
+        first[over] += 1
+        v = vol(first, np.arange(ends))
+    if np.count_nonzero(dead := first > last):
+        ewd[dead] = math.inf
+        first[dead] = last[dead]
+        v[dead] = 1.0
+    span = last - first
+    width = int(span[span.argmax()]) + 1
 
-    if ew[-1] > 0.0:
-        # arcs wrapping through the (0, n-1) edge: [0..j] followed by [k..n-1]
-        # with k >= j + 2.  Below the exact-enumeration budget, volumes are
-        # accumulated member by member in ascending order so values match
-        # cheeger_exact bitwise; the faster complement-subtraction route is
-        # only mathematically equal.
-        csum = np.concatenate(([0.0], np.cumsum(w)))
-        for j0 in range(0, n - 2, block_rows):
-            js = np.arange(j0, min(j0 + block_rows, n - 2))[:, None]
-            ks = np.arange(j0 + 2, n)
-            if n <= EXACT_BUDGET:
-                vol = np.repeat(csum[js + 1], ks.size, axis=1)
-                for i in range(j0 + 2, n):
-                    vol[:, : i - j0 - 1] += w[i]  # columns with k <= i
-            else:
-                vol = total - (csum[ks] - csum[js + 1])
-            bd = ew[js] + ew[ks - 1]
-            # a larger j puts j + 1 < k at position j + 1: the last row is smallest
-            consider(
-                bd,
-                vol,
-                ks >= js + 2,
-                lambda r, c: tuple(range(j0 + r + 1)) + tuple(range(j0 + c + 2, n)),
-                -1,
-            )
+    if ends * width <= _GRID_CELLS:
+        # slot (e, k) holds the start first(e) + k; past last(e) it repeats
+        # last(e) under an infinite boundary, so it never passes
+        grid = first[:, None] + np.arange(width)
+        s_slot = np.minimum(grid, last[:, None])
+        d = p[1:, None] - p[s_slot]
+        v_slot = (d.real + d.imag).ravel()
+        bd_slot = (np.where(grid <= last[:, None], ewd[:, None], math.inf) + ewp[s_slot]).ravel()
+        s_slot, e_slot = s_slot.ravel(), np.repeat(np.arange(ends), width)
 
-    assert best_witness is not None
-    witness = tuple(g.labels[i] for i in best_witness)
-    return CheegerResult(float(best), float(best), INTERVAL_REDUCTION, witness)
+        def decide(t: float):
+            return s_slot, e_slot, bd_slot - t * v_slot
+
+        def report(s, e, t: float):
+            return s, e  # every slot was decided
+
+    else:
+        # table[k, i] is the leftmost minimizer of key over [i, i + 2^k).  A
+        # range of length L + 1 from a is covered by the blocks at a and at
+        # a + shift[L], on level lg[L].
+        levels = width.bit_length()
+        lg = np.repeat(np.arange(levels), 1 << np.arange(levels))
+        row, shift = lg * n, np.arange(lg.size) + 1 - (1 << lg)
+        table = np.empty((levels, n), dtype=np.int32)
+        table[0] = np.arange(n)
+        flat = table.ravel()
+        e_slot = np.arange(ends)
+        key = ewp  # decide() rebinds it for each t
+
+        def blocks(a, b):
+            """Table positions of the two blocks covering each range [a, b]."""
+            at = row[b - a] + a
+            return at, at + shift[b - a]
+
+        def argmin_in(at):
+            """Leftmost minimizer of key over the ranges covered at `at`."""
+            i, j = flat[at[0]], flat[at[1]]
+            return np.where(key[j] < key[i], j, i)
+
+        windows = blocks(first, last)  # the same for every t
+
+        def decide(t: float):
+            nonlocal key
+            if t > 0.0:
+                # key(s) = P[s] + ew[s-1]/t orders a window's starts as
+                # bd - t vol does: a normalized double-double hi + 1j lo,
+                # which compares as a complex number does
+                q = ewp / t
+                kh = hi[:n] + q
+                z = kh - hi[:n]
+                kl = lo[:n] + ((hi[:n] - (kh - z)) + (q - z))
+                key = kh + kl
+                key = key + 1j * (kl - (key - kh))
+            else:  # t = 0: the boundary alone
+                key = ewp + 0j
+            for k in range(1, levels):
+                left = table[k - 1, : n - (1 << k) + 1]
+                right = table[k - 1, 1 << (k - 1) : n - (1 << (k - 1)) + 1]
+                table[k, : left.size] = np.where(key[right] < key[left], right, left)
+            s = argmin_in(windows)
+            d = p[1:] - p[s]
+            return s, e_slot, ewp[s] + ewd - t * (d.real + d.imag)
+
+        def report(s, e, t: float):
+            """The passing minimizers s of the ends e and every other passing
+            start of their windows, found by splitting each window around
+            its passing minimizers.  At t = 0 all of them tie at 0 and the
+            leftmost start of an end gives its smallest member tuple."""
+            if t == 0.0:
+                return s, e
+            starts, stops = [s], [e]
+            a, b = first[e], last[e]
+            while True:
+                a, b, e = np.concatenate((a, s + 1)), np.concatenate((s - 1, b)), np.tile(e, 2)
+                keep = (a <= b).nonzero()[0]
+                if not keep.size:
+                    return np.concatenate(starts), np.concatenate(stops)
+                a, b, e = a[keep], b[keep], e[keep]
+                s = argmin_in(blocks(a, b))
+                ok = (ewp[s] + ewd[e] - t * vol(s, e) <= 0.0).nonzero()[0]
+                a, b, s, e = a[ok], b[ok], s[ok], e[ok]
+                starts.append(s)
+                stops.append(e)
+
+    # Start from the best largest arc of any end.  Each pass runs at t
+    # slightly raised, so the last one holds every arc whose ratio ties t.
+    r = (ewp[first] + ewd) / v
+    t = float(r[r.argmin()])
+    while True:
+        t_up = t * (1.0 + _TIE_MARGIN)
+        s, e, gap = decide(t_up)
+        i = gap.argmin()
+        ratio = (ewp[s[i]] + ewd[e[i]]) / vol(s[i], e[i])
+        if ratio >= t:
+            break
+        t = float(ratio)
+    hit = (gap <= 0.0).nonzero()[0]
+    s, e = report(s[hit], e[hit], t_up)
+
+    bd = ewp[s] + ewd[e]
+    if small:
+        v = np.array([_running_volume(w, x, y) for x, y in zip(s.tolist(), e.tolist())])
+    else:
+        v = vol(s, e)
+    ratio = bd / v
+    best = (ratio == ratio[ratio.argmin()]).nonzero()[0]
+    if best.size > 1:
+        # member-tuple order: [0..e] by e; then wrapping arcs [0..e-n] +
+        # [s..n-1], longer low part first, then smaller s; then [s..e] with
+        # s >= 1 by s, then e
+        sb, eb = s[best], e[best]
+        wrap = eb >= n
+        group = np.where(wrap, 1, np.where(sb == 0, 0, 2))
+        major = np.where(wrap, n - eb, np.where(sb == 0, eb, sb))
+        best = best[np.lexsort((np.where(wrap, sb, eb), major, group))]
+    i = best[0]
+    s, e = int(s[i]), int(e[i])
+    value = float(ratio[i] if small else bd[i] / _running_volume(w, s, e))
+    members = range(s, e + 1) if e < n else [*range(e - n + 1), *range(s, n)]
+    return CheegerResult(value, value, INTERVAL_REDUCTION, tuple(g.labels[i] for i in members))
 
 
 def _degrees(g: WeightedGraph) -> np.ndarray:
@@ -433,12 +557,6 @@ def algebraic_connectivity(g: WeightedGraph) -> SpectralResult:
     if z[np.argmax(size > 1e-12 * size.max())] < 0.0:
         z = -z
     return SpectralResult(lam, z)
-
-
-def rayleigh_quotient(g: WeightedGraph, z: np.ndarray) -> float:
-    """Edge energy over weighted vertex norm for a graph signal z."""
-    num = float(np.sum(g.w * np.abs(z[g.u] - z[g.v]) ** 2))
-    return num / float(np.sum(g.vertex_weights * np.abs(z) ** 2))
 
 
 def normalized_degree(g: WeightedGraph) -> float:

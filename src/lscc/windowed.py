@@ -335,7 +335,10 @@ def scaling_sweep(
 
 
 def fit_loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
+    """Least-squares slope of log(y) against log(x); NaN, the slope of no
+    line, when fewer than two distinct x are given."""
+    if np.unique(xs).size < 2:
+        return math.nan
     lx = np.log(np.asarray(xs, dtype=np.float64))
     ly = np.log(np.asarray(ys, dtype=np.float64))
     return float(np.polyfit(lx, ly, 1)[0])

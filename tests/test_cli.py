@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,71 @@ class TestSweeps:
         lines = out.read_text().splitlines()
         assert lines[0] == "R,cheeger,reference_bound,pass"
         assert all(line.endswith("true") for line in lines[1:])
+
+    # `cheeger` columns written by the O(n^2) interval enumeration that the
+    # Dinkelbach route replaced, same commands
+    PINNED_CHEEGER = {
+        "poly": (
+            ["shiftinv", "--kind", "poly", "--beta", "2", "--Rmax", "512"],
+            [
+                0.14317150852260682,
+                0.0770496321346047,
+                0.040041192641705095,
+                0.020419967539241465,
+                0.01031244080446963,
+                0.005182165761154789,
+                0.0025976108524970783,
+            ],
+        ),
+        "exp": (
+            ["shiftinv", "--kind", "exp", "--beta", "1", "--Rmax", "512"],
+            [
+                0.32343425922062236,
+                0.3233257954995954,
+                0.32332575911407463,
+                0.3233257591140703,
+                0.32332575911407024,
+                0.32332575911407024,
+                0.3233257591140702,
+            ],
+        ),
+        "windowed": (
+            ["windowed", "--field", "real", "--Lmax", "64"],
+            [
+                0.025821423313500177,
+                0.012910711656750088,
+                0.006455355828375044,
+                0.003227677914187522,
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CHEEGER))
+    def test_cheeger_column_matches_pinned_values(self, tmp_path, name):
+        argv, pinned = self.PINNED_CHEEGER[name]
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", *argv, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        column = lines[0].split(",").index("cheeger")
+        values = [float(line.split(",")[column]) for line in lines[1:]]
+        assert values == pytest.approx(pinned, rel=1e-13, abs=0.0)
+
+    def test_one_point_windowed_sweep_has_no_slope(self, tmp_path, capsys):
+        # a line through one point has no slope: null in the manifest, no
+        # numpy warning, exit 0
+        out = tmp_path / "one.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                ["sweep", "windowed", "--field", "complex", "--Lmin", "8", "--Lmax", "8",
+                 "--trials", "20", "--out", str(out)]
+            )
+        assert code == 0
+        assert "slope vs L is undefined for one L value" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "one.csv.manifest.json").read_text())
+        assert manifest["bound_slope"] is None
+        assert manifest["adversarial_slope"] is None
+        assert len(out.read_text().splitlines()) == 2
 
     def test_byte_reproducible_given_seed(self, tmp_path):
         digests = []

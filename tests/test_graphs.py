@@ -1,5 +1,7 @@
 import math
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ from lscc.graphs import (
     laplacian,
     normalized_degree,
     normalized_laplacian,
-    rayleigh_quotient,
 )
 
 
@@ -95,6 +96,87 @@ def scalar_cheeger_interval(g):
                 consider(bd / acc, tuple(range(j + 1)) + tuple(range(k, n)))
 
     return float(best), tuple(g.labels[i] for i in best_witness)
+
+
+def block_cheeger_interval(g, chunk=1 << 18):
+    """Reference (value, witness) of a ring: the O(n^2) block enumeration that
+    was the interval route, every interval and arc scored in numpy blocks of
+    at most `chunk` cells.  Volumes are running sums from the interval's left
+    end; arcs add [0..j] then [k..n-1] member by member up to EXACT_BUDGET
+    vertices and use the complement of a prefix difference above."""
+    n = g.num_vertices
+    if n == 1:
+        return math.inf, ()
+    ew = g.ring_weights
+    w = g.vertex_weights
+    total = g.total_volume()
+    half = 0.5 * total
+    best, best_witness = math.inf, None
+
+    def consider(bd, vol, cut, members, row):
+        # among the rows holding the running minimum, `row` (0 or -1) holds
+        # the smallest cut, and the first hit within a row is smallest
+        nonlocal best, best_witness
+        cut &= vol <= half
+        ratio = np.divide(bd, vol, out=np.full(vol.shape, math.inf), where=cut)
+        low = ratio.min()
+        if math.isinf(low) or low > best:
+            return
+        if low < best:
+            best, best_witness = low, None
+        hit = ratio == best
+        r = int(np.flatnonzero(hit.any(axis=1))[row])
+        cand = members(r, int(hit[r].argmax()))
+        if best_witness is None or cand < best_witness:
+            best_witness = cand
+
+    block_rows = max(1, chunk // n)
+    for k0 in range(0, n, block_rows):
+        ks = np.arange(k0, min(k0 + block_rows, n))[:, None]
+        cut = np.arange(k0, n) >= ks
+        vol = np.cumsum(np.where(cut, w[k0:], 0.0), axis=1)
+        if k0 == 0:
+            cut[0, -1] = False  # the full vertex set is not a cut
+        bd = ew[ks - 1] + ew[k0:]
+        consider(bd, vol, cut, lambda r, c: tuple(range(k0 + r, k0 + c + 1)), 0)
+    if ew[-1] > 0.0:
+        csum = np.concatenate(([0.0], np.cumsum(w)))
+        for j0 in range(0, n - 2, block_rows):
+            js = np.arange(j0, min(j0 + block_rows, n - 2))[:, None]
+            ks = np.arange(j0 + 2, n)
+            if n <= EXACT_BUDGET:
+                vol = np.repeat(csum[js + 1], ks.size, axis=1)
+                for i in range(j0 + 2, n):
+                    vol[:, : i - j0 - 1] += w[i]
+            else:
+                vol = total - (csum[ks] - csum[js + 1])
+            bd = ew[js] + ew[ks - 1]
+            consider(
+                bd,
+                vol,
+                ks >= js + 2,
+                lambda r, c: tuple(range(j0 + r + 1)) + tuple(range(j0 + c + 2, n)),
+                -1,
+            )
+    return float(best), tuple(g.labels[i] for i in best_witness)
+
+
+def running_ratio(g, members):
+    """Boundary over volume of a vertex set, its volume added one member at a
+    time in ascending order, its boundary edge by edge in list order."""
+    inside = set(members)
+    vol = np.cumsum(g.vertex_weights[sorted(inside)])[-1]
+    bd = 0.0
+    for u, v, w_e in g.edges:
+        if (u in inside) != (v in inside):
+            bd += w_e
+    return float(bd / vol)
+
+
+def rayleigh_quotient(g, z):
+    """Edge energy over weighted vertex norm for a graph signal z."""
+    num = float(np.sum(g.w * np.abs(z[g.u] - z[g.v]) ** 2))
+    return num / float(np.sum(g.vertex_weights * np.abs(z) ** 2))
 
 
 def scalar_total_volume(g):
@@ -202,6 +284,39 @@ def random_ring_graph(rng, n, style):
     else:
         w, ew = np.ones(n), np.full(len(kept), rng.choice([0.1, 1.0]))
     return WeightedGraph(w, tuple((u, v, float(x)) for (u, v), x in zip(kept, ew)))
+
+
+def weighted_ring(rng, n, kind, cycle):
+    """Path or cycle on n vertices.  Kinds: random, uniform, integer (tie
+    prone), poly (weights decaying as (1 + distance)^-2 from the middle of a
+    path or from vertex 0 of a cycle) and island (five vertices of weight
+    ~1e-9 at n // 2, cut off by edges of weight ~1e-21)."""
+    m = n if cycle and n > 2 else n - 1
+    if kind == "random":
+        w, ew = rng.uniform(0.2, 3.0, n), rng.uniform(0.1, 2.0, m)
+    elif kind == "uniform":
+        w, ew = np.ones(n), np.ones(m)
+    elif kind == "integer":
+        w, ew = rng.integers(1, 4, n).astype(float), rng.integers(1, 4, m).astype(float)
+    elif kind == "poly":
+        far = np.abs(np.arange(n + 1) - n // 2) + 1.0
+        w, ew = far[:n] ** -2.0, np.maximum(far[:m], far[1 : m + 1]) ** -2.0
+        if cycle:  # heaviest at vertex 0, so the light arc does not wrap
+            w, ew = np.roll(w, -(n // 2)), np.roll(ew, -(n // 2))
+    else:
+        w, ew = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, m)
+        a = n // 2
+        w[a : a + 5] = 1e-9 * rng.uniform(1.0, 2.0, 5)
+        ew[[a - 1, a + 4]] = 1e-21 * rng.uniform(1.0, 2.0, 2)
+        # dropping the last island vertex raises the ratio by only ~1e-10
+        w[a + 4], ew[a + 3] = 1e-18, ew[a + 4]
+    edges = [(i, i + 1, float(ew[i])) for i in range(n - 1)]
+    if m == n:
+        edges.append((0, n - 1, float(ew[n - 1])))
+    return WeightedGraph(w, tuple(edges))
+
+
+RING_KINDS = ("random", "uniform", "integer", "poly", "island")
 
 
 def chunked_cheeger_exact(g, chunk=1 << 18):
@@ -568,18 +683,16 @@ class TestCheegerInterval:
             if exact.value > 0.0:  # zero-value cuts of disconnected graphs tie widely
                 assert res.witness == exact.witness
 
-    def test_blocks_match_scalar_oracle(self, monkeypatch):
-        # bit-identical value and witness to the scalar double loop, across
-        # EXACT_BUDGET, under the default block size and under blocks of 1-4
-        # start rows (many blocks, a partial last block)
+    def test_blocks_match_scalar_oracle(self):
+        # the block oracle is bit-identical in value and witness to the scalar
+        # double loop, across EXACT_BUDGET, under the default block size and
+        # under blocks of 1-4 start rows (many blocks, a partial last block)
         rng = np.random.default_rng(5)
         for trial in range(500):
             n = int(rng.integers(1, 301) if trial % 50 == 0 else rng.integers(1, 41))
             g = random_ring_graph(rng, n, trial % 3)
-            chunk = lscc.graphs._CHUNK if trial % 2 else int(rng.integers(1, 4 * n + 1))
-            monkeypatch.setattr(lscc.graphs, "_CHUNK", chunk)
-            res = cheeger_interval(g)
-            assert (res.upper, res.witness) == scalar_cheeger_interval(g), (trial, n, chunk)
+            chunk = 1 << 18 if trial % 2 else int(rng.integers(1, 4 * n + 1))
+            assert block_cheeger_interval(g, chunk) == scalar_cheeger_interval(g), (trial, n, chunk)
 
     def test_large_cycle_tie_and_memory(self):
         # every 2048-arc of the unweighted 4096-cycle ties; the smallest
@@ -595,6 +708,139 @@ class TestCheegerInterval:
         assert res.value == 4.0 / n
         assert res.witness == tuple(range(n // 2))
         assert peak < 16 * 2**20
+
+    @pytest.fixture(params=["grid", "table"])
+    def backend(self, request, monkeypatch):
+        """Range minima from the window grid, or from the sparse table, at
+        every size."""
+        monkeypatch.setattr(lscc.graphs, "_GRID_CELLS", 1 << 62 if request.param == "grid" else 0)
+        return request.param
+
+    def test_dinkelbach_matches_exact_bitwise(self, backend):
+        # value and witness equal to enumeration of all 2^(n-1) cuts,
+        # tie-heavy uniform and integer rings included
+        rng = np.random.default_rng(12)
+        for n in range(2, 15):
+            for kind in RING_KINDS[:3] + (("island",) if n >= 12 else ()):
+                for cycle in (False, True):
+                    g = weighted_ring(rng, n, kind, cycle)
+                    res, exact = cheeger_interval(g), cheeger_exact(g)
+                    assert (res.value, res.witness) == (exact.value, exact.witness), (n, kind, cycle)
+        for trial in range(150):
+            g = random_ring_graph(rng, int(rng.integers(2, 15)), trial % 3)
+            res, exact = cheeger_interval(g), cheeger_exact(g)
+            assert res.value == exact.value, trial
+            if exact.value > 0.0:  # zero-value cuts of disconnected graphs tie widely
+                assert res.witness == exact.witness, trial
+        g = weighted_ring(rng, EXACT_BUDGET, "integer", True)
+        res, exact = cheeger_interval(g), cheeger_exact(g)
+        assert (res.value, res.witness) == (exact.value, exact.witness)
+
+    def test_near_tie_at_one_end(self, backend):
+        # arcs [12..19] and [17..19] of a unit path share their end; the
+        # longer is 5e-13 worse (less than _TIE_MARGIN) but minimizes
+        # bd - t vol near the optimum, so the shorter must still be found
+        ew = np.full(19, 10.0)
+        ew[16], ew[11] = 1.0, 8.0 / 3.0 * (1.0 + 5e-13)
+        g = WeightedGraph(np.ones(20), tuple((i, i + 1, ew[i]) for i in range(19)))
+        res, exact = cheeger_interval(g), cheeger_exact(g)
+        assert res.witness == (17, 18, 19)
+        assert (res.value, res.witness) == (exact.value, exact.witness)
+
+    @pytest.mark.parametrize(
+        "w, cycle",
+        [
+            ([0.3, 0.3, 0.7, 0.1, 0.2, 0.3, 0.1], True),
+            ([0.3, 0.2, 0.1, 0.3, 0.1, 0.1, 0.3, 0.3, 0.2, 0.3], False),
+            ([0.7, 0.7, 0.1, 0.1, 0.2, 0.3, 0.3, 0.3, 0.7, 0.1, 0.1, 0.2], True),
+            ([0.3, 0.7, 0.7, 0.3, 0.2, 0.7, 0.3, 0.7, 0.1, 0.1, 0.3], False),
+        ],
+    )
+    def test_half_volume_by_running_sums(self, backend, w, cycle):
+        # an arc whose volume is within rounding of half the total is kept
+        # or dropped as the running sums of cheeger_exact decide
+        n = len(w)
+        ring = [(i, i + 1, 1.0) for i in range(n - 1)] + ([(0, n - 1, 1.0)] if cycle else [])
+        g = WeightedGraph(w, tuple(ring))
+        res, exact = cheeger_interval(g), cheeger_exact(g)
+        assert (res.value, res.witness) == (exact.value, exact.witness)
+
+    def test_matches_block_oracle_above_budget(self, backend):
+        # within 1e-13 of the enumeration; the witness is a feasible cut whose
+        # own running-sum ratio is the value
+        rng = np.random.default_rng(13)
+        sizes = (25, 40, 100, 333) if backend == "grid" else (25, 40, 100, 333, 1000)
+        cases = [(n, kind, cycle) for n in sizes for kind in RING_KINDS for cycle in (False, True)]
+        if backend == "table":
+            cases += [(4096, "random", True), (4096, "island", True), (4096, "poly", False)]
+        for n, kind, cycle in cases:
+            g = weighted_ring(rng, n, kind, cycle)
+            res = cheeger_interval(g)
+            expected, _ = block_cheeger_interval(g)
+            assert res.value == pytest.approx(expected, rel=1e-13, abs=0.0), (n, kind, cycle)
+            assert running_ratio(g, res.witness) == res.value, (n, kind, cycle)
+            assert np.cumsum(g.vertex_weights[list(res.witness)])[-1] <= 0.5 * g.total_volume()
+        for trial in range(60):
+            g = random_ring_graph(rng, int(rng.integers(25, 200)), trial % 3)
+            res = cheeger_interval(g)
+            expected, _ = block_cheeger_interval(g)
+            assert res.value == pytest.approx(expected, rel=1e-13, abs=0.0), trial
+            assert running_ratio(g, res.witness) == res.value, trial
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_light_island_keeps_digits(self, n):
+        # five light vertices cut off far from vertex 0, the last one lighter
+        # still: plain prefix differences carry errors of about 1e-5 of the
+        # island's volume, which cannot tell it from the island without its
+        # last vertex (a ratio 1e-10 higher)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            g = weighted_ring(rng, n, "island", True)
+            a, ew = n // 2, g.ring_weights
+            res = cheeger_interval(g)
+            expected = (ew[a - 1] + ew[a + 4]) / math.fsum(g.vertex_weights[a : a + 5])
+            assert res.witness == tuple(range(a, a + 5))
+            assert abs(res.value - expected) <= 4e-16 * expected
+
+    def test_light_wrapping_arc_exact(self):
+        # the light end of a cycle wraps through vertex 0: taking its volume
+        # as the total minus a prefix difference (the enumeration's way above
+        # EXACT_BUDGET) is off by about 1e-13 here; the exact rational
+        # minimum over all arcs is the reference
+        n = 100
+        far = np.abs(np.arange(n + 1) - n // 2) + 1.0
+        w, ew = far[:n] ** -2.0, np.maximum(far[:n], far[1:]) ** -2.0
+        edges = tuple((i, i + 1, float(ew[i])) for i in range(n - 1)) + ((0, n - 1, float(ew[-1])),)
+        g = WeightedGraph(w, edges)
+        ef = [Fraction(float(x)) for x in ew]
+        prefix = [Fraction(0)]
+        for x in np.concatenate((w, w)).tolist():
+            prefix.append(prefix[-1] + Fraction(x))
+        best = min(
+            (ef[s - 1] + ef[(s + length - 1) % n]) / vol
+            for s in range(n)
+            for length in range(1, n)
+            if (vol := prefix[s + length] - prefix[s]) <= prefix[n] / 2
+        )
+        res = cheeger_interval(g)
+        assert abs(Fraction(res.value) - best) <= Fraction(4e-16) * best
+        assert res.witness[0] == 0 and res.witness[-1] == n - 1
+
+    def test_large_cycle_time_and_memory(self):
+        rng = np.random.default_rng(14)
+        g = weighted_ring(rng, 65536, "random", True)
+        start = time.perf_counter()
+        res = cheeger_interval(g)
+        assert time.perf_counter() - start < 0.5
+        assert running_ratio(g, res.witness) == res.value
+        g = weighted_ring(rng, 1025, "random", True)
+        tracemalloc.start()
+        try:
+            cheeger_interval(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     def test_agreement_at_enumeration_budget(self):
         # the full 24-vertex budget: 2^23 cuts against the O(n^2) reduction
