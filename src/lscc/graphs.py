@@ -10,10 +10,10 @@ EXACT_BUDGET vertices, then a spectral sweep producing a certified
 
 The interval reduction minimizes over the arcs of the ring by Dinkelbach's
 iteration on compensated prefix sums, taking window minima from a sparse table
-(or, on small rings, from the grid of all window slots): O(n log n) time and
-memory.  Up to EXACT_BUDGET vertices it re-scores its
-candidate arcs with the ascending running sums of exact enumeration, so the two
-agree bit for bit unless a cut that is not an arc ties the best arc or, by
+(small rings score every arc on the grid of window slots instead): O(n log n)
+time and memory, tied arcs included.  Up to EXACT_BUDGET vertices it re-scores
+its candidate arcs with the ascending running sums of exact enumeration, so the
+two agree bit for bit unless a cut that is not an arc ties the best arc or, by
 rounding, undercuts it.  Exact enumeration reads volumes from a doubling table
 over the low 16 vertex bits and continues over the high bits one chunk of 2^16
 masks at a time.
@@ -47,6 +47,10 @@ EXACT_BUDGET = 24
 #: cheeger_interval re-scores every arc with ratio <= t * (1 + _TIE_MARGIN),
 #: far above the rounding of any ratio it compares
 _TIE_MARGIN = 2.0**-40
+#: cheeger_interval's Dinkelbach iteration runs at t * (1 - _SETTLE), so that
+#: when it stops no arc's ratio is below that up to rounding; above
+#: EXACT_BUDGET, ratios this close to the best count as tied
+_SETTLE = 2.0**-48
 #: relative band around half the volume in which cheeger_interval decides an
 #: arc's feasibility by the rule's own sums (a running sum of up to
 #: EXACT_BUDGET terms, or a compensated prefix difference)
@@ -298,6 +302,107 @@ def _running_volume(w: np.ndarray, s: int, e: int) -> float:
     return float(members.cumsum()[-1])
 
 
+def _dinkelbach_arcs(p, ewp, ewd, first, last, t: float, small: bool):
+    """Candidate arcs (s, e) of cheeger_interval when its windows are too wide
+    for the grid: every arc whose ratio is within the tie margin of the
+    minimum, but a window's starts to the right of one that ties the best are
+    left out (they have larger member tuples).  `t` is a ratio to start from."""
+    n, ends = ewp.size, ewd.size
+
+    def vol(s, e):
+        d = p[e + 1] - p[s]
+        return d.real + d.imag
+
+    # table[k, i] is the leftmost minimizer of key over [i, i + 2^k).  A
+    # range of length L + 1 from a is covered by the blocks at a and at
+    # a + shift[L], on level lg[L].
+    levels = (int((last - first).max()) + 1).bit_length()
+    lg = np.repeat(np.arange(levels), 1 << np.arange(levels))
+    row, shift = lg * n, np.arange(lg.size) + 1 - (1 << lg)
+    table = np.empty((levels, n), dtype=np.int32)
+    table[0] = np.arange(n)
+    flat = table.ravel()
+    hi, lo = p.real[:n], p.imag[:n]
+    key = ewp  # gaps() rebinds it for each t
+
+    def blocks(a, b):
+        """Table positions of the two blocks covering each range [a, b]."""
+        at = row[b - a] + a
+        return at, at + shift[b - a]
+
+    def argmin_in(at):
+        """Leftmost minimizer of key over the ranges covered at `at`."""
+        i, j = flat[at[0]], flat[at[1]]
+        return np.where(key[j] < key[i], j, i)
+
+    windows, every_end = blocks(first, last), np.arange(ends)  # the same for every t
+
+    def gaps(t: float):
+        """Each end's leftmost start minimizing bd - t vol, and that minimum."""
+        nonlocal key
+        if t > 0.0:
+            # key(s) = P[s] + ew[s-1]/t orders a window's starts as
+            # bd - t vol does: a normalized double-double hi + 1j lo,
+            # which compares as a complex number does
+            q = ewp / t
+            kh = hi + q
+            z = kh - hi
+            kl = lo + ((hi - (kh - z)) + (q - z))
+            key = kh + kl
+            key = key + 1j * (kl - (key - kh))
+        else:  # t = 0: the boundary alone
+            key = ewp + 0j
+        for k in range(1, levels):
+            left = table[k - 1, : n - (1 << k) + 1]
+            right = table[k - 1, 1 << (k - 1) : n - (1 << (k - 1)) + 1]
+            table[k, : left.size] = np.where(key[right] < key[left], right, left)
+        s = argmin_in(windows)
+        return s, ewp[s] + ewd - t * vol(s, every_end)
+
+    # Lower t to the ratio of the arc minimizing bd - t' vol at t' = t (1 -
+    # _SETTLE) until that arc does not improve t; no tolerance stop.  Then no
+    # arc has a ratio below t' up to rounding, however small its volume.
+    while t > 0.0:
+        s, gap = gaps(t * (1.0 - _SETTLE))
+        i = int(gap.argmin())
+        ratio = float((ewp[s[i]] + ewd[i]) / vol(s[i], i))
+        if ratio >= t:
+            break
+        t = ratio
+    # Every arc with a ratio up to t_up passes bd - t_up vol <= 0.  Below
+    # EXACT_BUDGET the band is wide enough for running sums to reorder it.
+    t_up = t * (1.0 + (_TIE_MARGIN if small else _SETTLE))
+    s, gap = gaps(t_up)
+    e = (gap <= 0.0).nonzero()[0]
+    s = s[e]
+    if t == 0.0:  # all tie at 0; an end's leftmost start has its smallest tuple
+        return s, e
+    # List the other passing starts by splitting each window around its
+    # passing minimizer.  Above EXACT_BUDGET a start within _SETTLE of the
+    # best ratio found closes the part of its window to its right, and one
+    # further above is dropped.
+    starts, stops = [], []
+    a, b, best = first[e], last[e], t
+    while s.size:
+        keep = np.ones(s.size, dtype=bool)
+        if not small:
+            r = (ewp[s] + ewd[e]) / vol(s, e)
+            best = min(best, float(r.min()))
+            keep = r <= best * (1.0 + _SETTLE)
+        starts.append(s[keep])
+        stops.append(e[keep])
+        more = ~keep | small
+        a = np.concatenate((a, s[more] + 1))
+        b = np.concatenate((s - 1, b[more]))
+        e = np.concatenate((e, e[more]))
+        ok = (a <= b).nonzero()[0]
+        a, b, e = a[ok], b[ok], e[ok]
+        s = argmin_in(blocks(a, b))
+        ok = (ewp[s] + ewd[e] - t_up * vol(s, e) <= 0.0).nonzero()[0]
+        a, b, s, e = a[ok], b[ok], s[ok], e[ok]
+    return np.concatenate(starts), np.concatenate(stops)
+
+
 def cheeger_interval(g: WeightedGraph) -> CheegerResult:
     """Exact Cheeger constant of a ring-shaped graph in O(n log n).
 
@@ -307,19 +412,28 @@ def cheeger_interval(g: WeightedGraph) -> CheegerResult:
     boundary is ew[s-1] + ew[e mod n].  The starts of the arcs ending at e
     with vol <= half form a window [first(e), last(e)].
 
-    Dinkelbach's iteration minimizes bd/vol: for a fixed t, min (bd - t vol)
-    is a minimum over ends of a minimum over the window, and t drops to the
-    ratio of the minimizing arc until no arc improves it strictly.  Window
-    minima come from a sparse table rebuilt for each t or, while all windows
-    fit in _GRID_CELLS slots, from the grid of those slots.
+    While all windows fit in _GRID_CELLS slots, every arc is scored on the
+    grid of those slots.  Otherwise Dinkelbach's iteration minimizes bd/vol:
+    for a fixed t, min (bd - t vol) is a minimum over ends of a window
+    minimum, read from a sparse table of the starts rebuilt for that t, and
+    t drops to the ratio of the minimizing arc until no arc improves it
+    strictly.  The arcs within the tie margin of the final t are then listed
+    by splitting each window around its passing minimizer.  Above
+    EXACT_BUDGET a start within _SETTLE of the best ratio closes the part of
+    its window to its right, whose starts have larger member tuples, so tied
+    arcs cost O(1) per end: a cycle with about n^2/8 tied arcs lists O(n).
+    Only ratios crowding just above the minimum (within about 2^-47 of it,
+    not within 2^-48 of the best) lengthen the listing.
 
     Volumes are differences of compensated (double-double) prefix sums, so a
-    light arc far from vertex 0 keeps its digits.  Every arc whose ratio is
-    within _TIE_MARGIN of the final t is then re-scored from its own sums: up
-    to EXACT_BUDGET vertices by the ascending running sum of cheeger_exact
-    (so value and witness match it bit for bit), above by the compensated
-    difference.  Ties go to the lexicographically smallest member tuple, and
-    the value is the witness's running-sum ratio.  Memory is O(n log n).
+    light arc far from vertex 0 keeps its digits.  The listed arcs are
+    re-scored from their own sums: up to EXACT_BUDGET vertices by the
+    ascending running sum of cheeger_exact (so value and witness match it
+    bit for bit, with the exception in the module docstring), above by the
+    compensated difference (the chosen arc's is within about 2^-47 of the
+    least).  Ties go to the lexicographically smallest member tuple, and the
+    value is the witness's running-sum ratio.  Time and memory are
+    O(n log n).
     """
     if g.is_empty:
         raise EmptyGraphError("Cheeger constant of the empty graph is undefined")
@@ -378,103 +492,19 @@ def cheeger_interval(g: WeightedGraph) -> CheegerResult:
     width = int(span[span.argmax()]) + 1
 
     if ends * width <= _GRID_CELLS:
-        # slot (e, k) holds the start first(e) + k; past last(e) it repeats
-        # last(e) under an infinite boundary, so it never passes
+        # Slot (e, k) holds the start first(e) + k; past last(e) it repeats
+        # last(e) under an infinite boundary.  Every arc has its slot, so the
+        # minimum and its ties are read off directly.
         grid = first[:, None] + np.arange(width)
         s_slot = np.minimum(grid, last[:, None])
         d = p[1:, None] - p[s_slot]
-        v_slot = (d.real + d.imag).ravel()
-        bd_slot = (np.where(grid <= last[:, None], ewd[:, None], math.inf) + ewp[s_slot]).ravel()
-        s_slot, e_slot = s_slot.ravel(), np.repeat(np.arange(ends), width)
-
-        def decide(t: float):
-            return s_slot, e_slot, bd_slot - t * v_slot
-
-        def report(s, e, t: float):
-            return s, e  # every slot was decided
-
+        bd = np.where(grid <= last[:, None], ewd[:, None], math.inf) + ewp[s_slot]
+        ratio = (bd / (d.real + d.imag)).ravel()
+        hit = (ratio <= ratio[ratio.argmin()] * (1.0 + _TIE_MARGIN)).nonzero()[0]
+        s, e = s_slot.ravel()[hit], hit // width
     else:
-        # table[k, i] is the leftmost minimizer of key over [i, i + 2^k).  A
-        # range of length L + 1 from a is covered by the blocks at a and at
-        # a + shift[L], on level lg[L].
-        levels = width.bit_length()
-        lg = np.repeat(np.arange(levels), 1 << np.arange(levels))
-        row, shift = lg * n, np.arange(lg.size) + 1 - (1 << lg)
-        table = np.empty((levels, n), dtype=np.int32)
-        table[0] = np.arange(n)
-        flat = table.ravel()
-        e_slot = np.arange(ends)
-        key = ewp  # decide() rebinds it for each t
-
-        def blocks(a, b):
-            """Table positions of the two blocks covering each range [a, b]."""
-            at = row[b - a] + a
-            return at, at + shift[b - a]
-
-        def argmin_in(at):
-            """Leftmost minimizer of key over the ranges covered at `at`."""
-            i, j = flat[at[0]], flat[at[1]]
-            return np.where(key[j] < key[i], j, i)
-
-        windows = blocks(first, last)  # the same for every t
-
-        def decide(t: float):
-            nonlocal key
-            if t > 0.0:
-                # key(s) = P[s] + ew[s-1]/t orders a window's starts as
-                # bd - t vol does: a normalized double-double hi + 1j lo,
-                # which compares as a complex number does
-                q = ewp / t
-                kh = hi[:n] + q
-                z = kh - hi[:n]
-                kl = lo[:n] + ((hi[:n] - (kh - z)) + (q - z))
-                key = kh + kl
-                key = key + 1j * (kl - (key - kh))
-            else:  # t = 0: the boundary alone
-                key = ewp + 0j
-            for k in range(1, levels):
-                left = table[k - 1, : n - (1 << k) + 1]
-                right = table[k - 1, 1 << (k - 1) : n - (1 << (k - 1)) + 1]
-                table[k, : left.size] = np.where(key[right] < key[left], right, left)
-            s = argmin_in(windows)
-            d = p[1:] - p[s]
-            return s, e_slot, ewp[s] + ewd - t * (d.real + d.imag)
-
-        def report(s, e, t: float):
-            """The passing minimizers s of the ends e and every other passing
-            start of their windows, found by splitting each window around
-            its passing minimizers.  At t = 0 all of them tie at 0 and the
-            leftmost start of an end gives its smallest member tuple."""
-            if t == 0.0:
-                return s, e
-            starts, stops = [s], [e]
-            a, b = first[e], last[e]
-            while True:
-                a, b, e = np.concatenate((a, s + 1)), np.concatenate((s - 1, b)), np.tile(e, 2)
-                keep = (a <= b).nonzero()[0]
-                if not keep.size:
-                    return np.concatenate(starts), np.concatenate(stops)
-                a, b, e = a[keep], b[keep], e[keep]
-                s = argmin_in(blocks(a, b))
-                ok = (ewp[s] + ewd[e] - t * vol(s, e) <= 0.0).nonzero()[0]
-                a, b, s, e = a[ok], b[ok], s[ok], e[ok]
-                starts.append(s)
-                stops.append(e)
-
-    # Start from the best largest arc of any end.  Each pass runs at t
-    # slightly raised, so the last one holds every arc whose ratio ties t.
-    r = (ewp[first] + ewd) / v
-    t = float(r[r.argmin()])
-    while True:
-        t_up = t * (1.0 + _TIE_MARGIN)
-        s, e, gap = decide(t_up)
-        i = gap.argmin()
-        ratio = (ewp[s[i]] + ewd[e[i]]) / vol(s[i], e[i])
-        if ratio >= t:
-            break
-        t = float(ratio)
-    hit = (gap <= 0.0).nonzero()[0]
-    s, e = report(s[hit], e[hit], t_up)
+        t = float(((ewp[first] + ewd) / v).min())  # the best largest arc of any end
+        s, e = _dinkelbach_arcs(p, ewp, ewd, first, last, t, small)
 
     bd = ewp[s] + ewd[e]
     if small:

@@ -694,6 +694,25 @@ class TestCheegerInterval:
             chunk = 1 << 18 if trial % 2 else int(rng.integers(1, 4 * n + 1))
             assert block_cheeger_interval(g, chunk) == scalar_cheeger_interval(g), (trial, n, chunk)
 
+    def test_route_matches_scalar_oracle(self, backend):
+        # the rings above through the route: bit-identical value and witness
+        # up to EXACT_BUDGET, and at any size for the integer and unit
+        # styles, whose sums are exact; above it continuous weights give the
+        # value within 1e-13, and the same witness whenever the values agree
+        rng = np.random.default_rng(5)
+        for trial in range(500):
+            n = int(rng.integers(1, 301) if trial % 50 == 0 else rng.integers(1, 41))
+            g = random_ring_graph(rng, n, trial % 3)
+            if trial % 2 == 0:
+                rng.integers(1, 4 * n + 1)  # the block oracle's chunk draw
+            res = cheeger_interval(g)
+            value, witness = scalar_cheeger_interval(g)
+            if n <= EXACT_BUDGET or trial % 3:
+                assert (res.value, res.witness) == (value, witness), (trial, n)
+            else:
+                assert res.value == pytest.approx(value, rel=1e-13, abs=0.0), (trial, n)
+                assert res.value != value or res.witness == witness, (trial, n)
+
     def test_large_cycle_tie_and_memory(self):
         # every 2048-arc of the unweighted 4096-cycle ties; the smallest
         # witness wins, and no n x n block (134 MB of float64) is formed
@@ -736,16 +755,37 @@ class TestCheegerInterval:
         res, exact = cheeger_interval(g), cheeger_exact(g)
         assert (res.value, res.witness) == (exact.value, exact.witness)
 
-    def test_near_tie_at_one_end(self, backend):
-        # arcs [12..19] and [17..19] of a unit path share their end; the
+    @pytest.mark.parametrize("n", [20, 60])
+    def test_near_tie_at_one_end(self, backend, n):
+        # arcs [n-8..n-1] and [n-3..n-1] of a unit path share their end; the
         # longer is 5e-13 worse (less than _TIE_MARGIN) but minimizes
-        # bd - t vol near the optimum, so the shorter must still be found
-        ew = np.full(19, 10.0)
-        ew[16], ew[11] = 1.0, 8.0 / 3.0 * (1.0 + 5e-13)
-        g = WeightedGraph(np.ones(20), tuple((i, i + 1, ew[i]) for i in range(19)))
-        res, exact = cheeger_interval(g), cheeger_exact(g)
-        assert res.witness == (17, 18, 19)
-        assert (res.value, res.witness) == (exact.value, exact.witness)
+        # bd - t vol near the optimum, so the shorter must still be found;
+        # every other cut's ratio is well above 1/3
+        ew = np.full(n - 1, 100.0)
+        ew[n - 4], ew[n - 9] = 1.0, 8.0 / 3.0 * (1.0 + 5e-13)
+        g = WeightedGraph(np.ones(n), tuple((i, i + 1, ew[i]) for i in range(n - 1)))
+        res = cheeger_interval(g)
+        assert res.witness == (n - 3, n - 2, n - 1)
+        assert (res.value, res.witness) == block_cheeger_interval(g)
+        if n <= EXACT_BUDGET:
+            exact = cheeger_exact(g)
+            assert (res.value, res.witness) == (exact.value, exact.witness)
+
+    def test_light_near_tie_right_of_heavy(self, backend):
+        # at the last end of the path, [52..59] (volume 5) has ratio 1/3 and
+        # the light [57..59] (volume 3e-6) a ratio 1e-12 lower; near 1/3,
+        # bd - t vol favours the heavy arc by its volume, so a search that
+        # stops at the heavy arc, or closes the window right of it while its
+        # ratio is not yet settled, reports 1/3
+        n = 60
+        w = np.ones(n)
+        w[-3:] = 1e-6
+        ew = np.full(n - 1, 100.0)
+        ew[n - 4], ew[n - 9] = 1e-6 * (1.0 - 1e-12), (5.0 + 3e-6) / 3.0
+        g = WeightedGraph(w, tuple((i, i + 1, ew[i]) for i in range(n - 1)))
+        res = cheeger_interval(g)
+        assert res.witness == (n - 3, n - 2, n - 1)
+        assert (res.value, res.witness) == block_cheeger_interval(g)
 
     @pytest.mark.parametrize(
         "w, cycle",
@@ -841,6 +881,42 @@ class TestCheegerInterval:
         finally:
             tracemalloc.stop()
         assert peak <= 2**20
+
+    @staticmethod
+    def v_cycle(n, scale):
+        """Unit vertices, edge i weighing |i + 1/2 - n/2|: every arc through
+        vertex n/2 that avoids the wrap edge has ratio 1, the minimum, so
+        about n^2/8 arcs tie; both weights times `scale`."""
+        ew = scale * np.abs(np.arange(n) + 0.5 - n // 2)
+        edges = tuple((i, i + 1, float(ew[i])) for i in range(n - 1)) + ((0, n - 1, float(ew[-1])),)
+        return WeightedGraph(np.full(n, scale), edges)
+
+    def test_many_ties_time_and_memory(self):
+        # one arc per end is listed, not every tied arc
+        n = 4096
+        g = self.v_cycle(n, 1.0)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            res = cheeger_interval(g)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.value, res.witness) == (1.0, tuple(range(n // 2)))
+        assert elapsed < 0.5
+        assert peak <= 4 * 2**20
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1])
+    def test_many_ties_match_block_oracle(self, backend, scale):
+        # with weights 0.1 the tied ratios differ in their last bits
+        g = self.v_cycle(300, scale)
+        res = cheeger_interval(g)
+        value, witness = block_cheeger_interval(g)
+        assert res.value == pytest.approx(value, rel=1e-13, abs=0.0)
+        assert running_ratio(g, res.witness) == res.value
+        if scale == 1.0:
+            assert (res.value, res.witness) == (value, witness)
 
     def test_agreement_at_enumeration_budget(self):
         # the full 24-vertex budget: 2^23 cuts against the O(n^2) reduction
