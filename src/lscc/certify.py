@@ -31,6 +31,10 @@ _TABLE_ENTRIES = 1 << 16
 #: splits whose smaller side sigma factors per round; each round tightens the
 #: bound that rules out the later ones
 _SPLIT_CHUNK = 4096
+#: estimate_local_stability measures and scores pairs in chunks of about this
+#: many measurements, a multiple of _COLUMN_BLOCK columns wide
+_MEASURE_ENTRIES = 1 << 12
+_COLUMN_BLOCK = 64
 #: multiplier applied to sampled complex local stability estimates
 COMPLEX_C0_MARGIN = 2.0
 #: sigma below this fraction of the top singular value counts as zero
@@ -246,22 +250,49 @@ def estimate_local_stability(
     approaches its supremum; pairs that `pair_ratios` calls phase-equivalent
     are skipped.  A lower bound on the true constant: callers needing an
     upper bound must add a margin.
+
+    The draws come in one order (fs, gs, then f, h and the phases), and the
+    random pairs are scored before the near-collinear ones are drawn.  Pairs
+    are measured and scored in column chunks of about _MEASURE_ENTRIES
+    measurements, so that every ratio is the one a single batch gives.
     """
-    worst = 1.0
     half = max(trials // 2, 1)
     shape = (m.shape[1], half)
-    blocks = [(gaussian(rng, shape, field), gaussian(rng, shape, field))]
+    rows = np.conj(m)
+    # Chunks are whole blocks of _COLUMN_BLOCK columns: the BLAS kernel gives
+    # a column the same bits wherever it sits among such blocks (a chunk of
+    # any width need not).  A lone last column joins the chunk before it, as
+    # numpy would sum a one-column chunk in another order.
+    width = max(1, _MEASURE_ENTRIES // m.shape[0] // _COLUMN_BLOCK) * _COLUMN_BLOCK
+    starts = list(range(0, half, width))
+    if len(starts) > 1 and half - starts[-1] == 1:
+        starts.pop()
+    spans = list(zip(starts, starts[1:] + [half]))
+
+    def worst_of(fs: np.ndarray, gs) -> float:
+        worst = 1.0
+        for a, b in spans:
+            num, den, equivalent, _ = pair_ratios(rows @ fs[:, a:b], rows @ gs(a, b), field, p)
+            good = ~equivalent
+            if np.any(good):
+                worst = max(worst, float(np.max(num[good] / den[good])))
+        return worst
+
+    # The four draws share one block, filled in draw order, so its pages are
+    # touched as they are drawn and freed as one mapping.  Freeing a mapping
+    # raises glibc's mmap and trim thresholds to its size, as the one-batch
+    # measurements did: later batched code (the fuzz's chunks) then reuses
+    # heap pages instead of mapping and faulting in fresh ones per chunk.
+    draws = np.empty((4,) + shape, dtype=np.complex128 if field == COMPLEX else np.float64)
+    fs, gs, f, h = draws
+    fs[...], gs[...] = gaussian(rng, shape, field), gaussian(rng, shape, field)
+    worst = worst_of(fs, lambda a, b: gs[:, a:b])
     # near-collinear pairs: g = xi*f + eps*h with shrinking eps
-    f, h = gaussian(rng, shape, field), gaussian(rng, shape, field)
+    f[...], h[...] = gaussian(rng, shape, field), gaussian(rng, shape, field)
     eps = np.logspace(-6, 0, half)
     if field == COMPLEX:
         xi = np.exp(2j * math.pi * rng.random(half))
     else:
         xi = np.where(rng.random(half) < 0.5, 1.0, -1.0)
-    blocks.append((f, xi[None, :] * f + eps[None, :] * h))
-    for fs, gs in blocks:
-        num, den, equivalent, _ = pair_ratios(np.conj(m) @ fs, np.conj(m) @ gs, field, p)
-        good = ~equivalent
-        if np.any(good):
-            worst = max(worst, float(np.max(num[good] / den[good])))
-    return worst
+    near = worst_of(f, lambda a, b: xi[None, a:b] * f[:, a:b] + eps[None, a:b] * h[:, a:b])
+    return max(worst, near)

@@ -22,7 +22,6 @@ masks at a time.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,8 +34,6 @@ from .errors import (
     InvalidWeightError,
     TopologyError,
 )
-
-logger = logging.getLogger(__name__)
 
 EXACT_ENUMERATION = "ExactEnumeration"
 INTERVAL_REDUCTION = "IntervalReduction"
@@ -60,6 +57,17 @@ _HALF_BAND = 2.0**-45
 _GRID_CELLS = 1 << 12
 #: cheeger_exact tabulates this many low vertex bits: 2^16 masks per chunk
 _EXACT_LOW_BITS = 16
+#: algebraic_connectivity takes the ring route from this many vertices on;
+#: below it the dense eigensolve is faster
+_RING_SPECTRAL_MIN = 56
+#: a smaller ring keeps the dense eigensolve's lambda only above this many
+#: times its error bound (nine digits or more); others take the ring route
+_DENSE_TRUST = 1e9
+#: cap on the inverse-iteration steps of the ring route
+_RING_MAX_STEPS = 200
+#: the ring route's second vector counts as lost in the span of the first
+#: when its independent part has at most this share of its squared norm
+_RING_INDEPENDENT = 2.0**-40
 
 
 @dataclass(frozen=True, init=False)
@@ -559,30 +567,155 @@ def _orthogonal_complement_basis(u: np.ndarray) -> np.ndarray:
     return hh[:, 1:]
 
 
+def _dense_spectral(g: WeightedGraph) -> tuple[float, np.ndarray, float]:
+    """Smallest eigenpair of the normalized Laplacian on the complement of
+    S^(1/2) 1, by deflating that direction before a dense symmetric
+    eigensolve: O(n^3) time, O(n^2) memory.  Returns (lambda, y, err) with y
+    in the normalized coordinates and err = n eps ||M||_F, a bound on the
+    absolute error of lambda."""
+    m = normalized_laplacian(g)
+    q = _orthogonal_complement_basis(np.sqrt(g.vertex_weights))
+    reduced = q.T @ m @ q
+    reduced = 0.5 * (reduced + reduced.T)
+    evals, evecs = np.linalg.eigh(reduced)
+    err = g.num_vertices * np.finfo(np.float64).eps * float(np.linalg.norm(m))
+    return max(float(evals[0]), 0.0), q @ evecs[:, 0], err
+
+
+def _ring_fiedler(w: np.ndarray, ew: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest nonzero eigenpair of L z = lambda S z on a connected path or
+    cycle of n >= 3 vertices, by block inverse iteration with two vectors.
+
+    The path runs 0..n-1 through edges ew[i] = (i, i+1), and ew[-1] > 0 closes
+    it into a cycle.  Solving L y = S x is O(n): the flow on edge (i, i+1) is
+    the running sum of S x up to i, plus on a cycle the circulation that makes
+    the differences d[i] = y[i+1] - y[i] = -flow / ew sum to zero around it.
+    Each vector is kept as its potentials y and its differences d, and the
+    Rayleigh quotient sum ew d^2 / sum w y^2 reads the differences directly,
+    never by subtracting potentials, so a small lambda keeps its relative
+    digits.  The 2 x 2 Rayleigh-Ritz step (Gram-Schmidt in l2(V, w), then one
+    Jacobi rotation) is closed-form scalar arithmetic; when the lowest mode
+    so dominates that the second vector is lost in the span of the first,
+    the step keeps the first alone.  Iteration starts from the two lowest
+    modes of a uniform ring laid out by volume and stops at the first step
+    whose lower Ritz vector does not lower the Rayleigh quotient (or after
+    _RING_MAX_STEPS).  Returns the least quotient and its vector, of unit
+    norm in l2(V, w).  Works in the arrays' own float dtype.
+    """
+    n = w.size
+    cycle = bool(ew[-1] > 0)
+    # sums are np.add.reduce over the last axis, so no BLAS routine is loaded
+    resist = np.divide(-1.0, ew, out=np.zeros_like(ew), where=ew > 0)
+    circulate = resist / -resist.sum()  # the wrap flow is sum(circulate * flow[:-1])
+    weight = np.stack((w, ew))[:, None]
+    total = w.sum()
+    t = (np.cumsum(w) - 0.5 * w) * (2.0 * np.pi / total)
+    # v[0] holds the two potentials, v[1] their differences; on a path the
+    # last difference stays 0, as its edge weight is
+    v = np.stack((np.cos(t), np.sin(t)) if cycle else (np.cos(0.5 * t), np.cos(t)))[None]
+    v -= (np.add.reduce(v * w, axis=-1) / total)[..., None]
+    best, best_v = np.inf, None
+    for _ in range(_RING_MAX_STEPS):
+        x, v = v[0], np.empty((2, 2, n), dtype=w.dtype)
+        y, d = v
+        np.add.accumulate(x * w, axis=1, out=d)
+        d[:, -1] = 0.0  # the running sum over all vertices is 0 up to rounding
+        if cycle:
+            d += np.add.reduce(d * circulate, axis=1)[:, None]
+        d *= resist
+        y[:, 0] = 0.0
+        np.add.accumulate(d[:, :-1], axis=1, out=y[:, 1:])
+        y -= (np.add.reduce(y * w, axis=1) / total)[:, None]
+        # gram[0] = sum w y_i y_j, gram[1] = sum ew d_i d_j
+        gram = np.add.reduce((v * weight)[:, :, None] * v[:, None], axis=-1).tolist()
+        ((g11, g12), (_, g22)), ((a11, a12), (_, a22)) = gram
+        # q1 = y1 / s1 and q2 = (y2 - r y1) / s2 are orthonormal in l2(V, w)
+        r = g12 / g11
+        s1, s2 = g11**0.5, g22 - r * g12
+        if s2 > _RING_INDEPENDENT * g22:
+            s2 **= 0.5
+            p11, p12 = a11 / g11, (a12 - r * a11) / (s1 * s2)
+            p22 = (a22 - 2.0 * r * a12 + r * r * a11) / (s2 * s2)
+            # the Jacobi rotation that diagonalizes [[p11, p12], [p12, p22]]
+            tan = 0.0
+            if p12 != 0.0:
+                tau = (p22 - p11) / (2.0 * p12)
+                tan = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + (1.0 + tau * tau) ** 0.5)
+            cos = 1.0 / (1.0 + tan * tan) ** 0.5
+            sin = tan * cos
+            # rows: the rotated q1 and q2 in the basis y1, y2, smaller Ritz value first
+            rot = [[cos / s1 + sin * r / s2, -sin / s2], [sin / s1 - cos * r / s2, cos / s2]]
+            if p22 + tan * p12 < p11 - tan * p12:
+                rot = rot[::-1]
+            rot = np.array(rot, dtype=w.dtype)[:, :, None]
+            v = rot[:, 0] * v[:, None, 0] + rot[:, 1] * v[:, None, 1]
+        else:
+            # y2 lies in the span of y1 to working precision (the lowest mode
+            # dominates both): go on with y1, and carry the old x2 over
+            v[:, 0] /= s1
+            y[1] = x[1]
+        y, d = v[:, 0]
+        lam = np.add.reduce(d * d * ew) / np.add.reduce(y * y * w)
+        if not lam < best:
+            break
+        best, best_v = lam, v[:, 0]
+    y = best_v[0]
+    return best, y / np.add.reduce(y * y * w) ** 0.5
+
+
+def _ring_spectral(w: np.ndarray, ew: np.ndarray) -> tuple[float, np.ndarray]:
+    """(lambda, Fiedler vector) of the ring with vertex weights w and edge
+    weights ew (`WeightedGraph.ring_weights`), in O(n) per step.
+
+    A disconnected ring gets lambda = 0 and the centred indicator of the
+    component holding vertex 0.  A connected ring is rotated to start after
+    its lightest edge: an absent edge makes it a path, and on a cycle the
+    flow through that edge is the circulation alone, not a small difference
+    of running sums.
+    """
+    absent = np.flatnonzero(ew == 0.0)
+    if absent.size > 1:
+        # vertex i follows part[i] absent edges; the last part wraps to vertex 0
+        # when the edge (0, n-1) is present
+        part = np.cumsum(ew == 0.0) - (ew == 0.0)
+        z = ((part == 0) | (part == absent.size)).astype(np.float64)
+        z -= (z @ w) / w.sum()
+        return 0.0, z / math.sqrt(float((z * z) @ w))
+    shift = (int(ew.argmin()) + 1) % w.size
+    lam, z = _ring_fiedler(np.roll(w, -shift), np.roll(ew, -shift))
+    return lam, np.roll(z, shift)
+
+
 def algebraic_connectivity(g: WeightedGraph) -> SpectralResult:
     """Spectral gap of the weighted normalized Laplacian.
 
-    The reported value is the minimum of the Rayleigh quotient over the
-    subspace orthogonal to S^(1/2) 1, computed by deflating that direction
-    before the dense symmetric eigensolve; the eigenvector is returned in
-    the w-weighted convention (unit l2(V,w) norm, first nonzero entry
-    positive) so its weighted inner product with the constant vector is 0.
+    The value is the minimum of the Rayleigh quotient z'Lz / z'Sz over z
+    with sum w z = 0: exactly 0.0 on a disconnected graph.  Ring-shaped
+    graphs from _RING_SPECTRAL_MIN vertices on take the O(n) inverse
+    iteration of `_ring_fiedler`, accurate to about 1e-15 relative; other
+    graphs take the dense eigensolve, whose absolute error is about machine
+    epsilon times the Laplacian's norm.  A smaller ring whose dense lambda
+    is not above _DENSE_TRUST times that error takes the ring route too
+    (weights spread over many decades).  The eigenvector is returned in the
+    w-weighted convention (unit l2(V,w) norm, first nonzero entry positive)
+    so its weighted inner product with the constant vector is 0.
     """
     if g.is_empty:
         raise EmptyGraphError("spectrum of the empty graph is undefined")
     n = g.num_vertices
     if n == 1:
         return SpectralResult(math.inf, None)
-    m = normalized_laplacian(g)
-    s_half = np.sqrt(g.vertex_weights)
-    q = _orthogonal_complement_basis(s_half)
-    reduced = q.T @ m @ q
-    reduced = 0.5 * (reduced + reduced.T)
-    evals, evecs = np.linalg.eigh(reduced)
-    lam = max(float(evals[0]), 0.0)
-    y = q @ evecs[:, 0]
-    z = y / s_half
-    z /= math.sqrt(float(np.sum(g.vertex_weights * z * z)))
+    ring = g.ring_weights is not None
+    if not ring or n < _RING_SPECTRAL_MIN:
+        lam, y, err = _dense_spectral(g)
+        if not is_connected(g):
+            lam = 0.0
+    if ring and (n >= _RING_SPECTRAL_MIN or lam < _DENSE_TRUST * err):
+        lam, z = _ring_spectral(g.vertex_weights, g.ring_weights)
+        lam = float(lam)
+    else:
+        z = y / np.sqrt(g.vertex_weights)
+        z /= math.sqrt(float(np.sum(g.vertex_weights * z * z)))
     size = np.abs(z)
     if z[np.argmax(size > 1e-12 * size.max())] < 0.0:
         z = -z
@@ -659,7 +792,9 @@ def check_cheeger_inequality(
     ok_upper = 2.0 * result.upper >= lam - tol
     ok_lower = lam >= result.lower**2 / (2.0 * d_n) - tol
     if not (ok_upper and ok_lower):
-        logger.warning(
+        import logging  # only here: importing it costs about 0.5 MB
+
+        logging.getLogger(__name__).warning(
             "Cheeger inequality violated: lambda=%.17g cheeger=[%.17g, %.17g] D_N=%.17g",
             lam,
             result.lower,

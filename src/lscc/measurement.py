@@ -8,15 +8,12 @@ conjugate-linear in the row and plain matrix multiplication in the real case.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import DimensionError, FieldError
-
-logger = logging.getLogger(__name__)
 
 REAL = "real"
 COMPLEX = "complex"
@@ -334,7 +331,9 @@ def check_phase_vs_linear_alignment(x, y, tol: float = 1e-9) -> bool:
     modulus_gap = float(np.linalg.norm(np.abs(xv) - np.abs(yv)))
     holds = lhs <= math.sqrt(2.0) * linear_res + modulus_gap + tol
     if not holds:
-        logger.warning(
+        import logging  # only here: importing it costs about 0.5 MB
+
+        logging.getLogger(__name__).warning(
             "alignment inequality violated: lhs=%.17g linear=%.17g gap=%.17g x=%r y=%r",
             lhs,
             linear_res,

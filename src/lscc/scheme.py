@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -249,7 +250,11 @@ class LsccScheme:
         return gaussian(rng, shape, self.field)
 
     def descriptor_hash(self) -> str:
-        return hashlib.sha256(scheme_to_json(self).encode()).hexdigest()
+        """SHA-256 of `scheme_to_json`, fed one fragment at a time."""
+        digest = hashlib.sha256()
+        for fragment in _descriptor_fragments(self):
+            digest.update(fragment.encode())
+        return digest.hexdigest()
 
 
 def _edge_keys(mapping: dict, what: str) -> list[tuple[int, int]]:
@@ -541,13 +546,20 @@ def validate_scheme(
     ]
 
 
-def _block_to_dict(support: np.ndarray, block: np.ndarray, field: str) -> dict:
-    """A local block as {m, support, block}: its nonzero columns only."""
+def _block_columns(block: np.ndarray, field: str) -> tuple[np.ndarray, list]:
+    """A local block's nonzero columns: their mask, and the block over them as
+    nested lists (a complex entry as [re, im])."""
     keep = np.any(block != 0, axis=0)
     block = block[:, keep]
     if field == COMPLEX:
         block = np.stack([block.real, block.imag], axis=-1)
-    return {"m": block.shape[0], "support": support[keep].tolist(), "block": block.tolist()}
+    return keep, block.tolist()
+
+
+def _block_to_dict(support: np.ndarray, block: np.ndarray, field: str) -> dict:
+    """A local block as {m, support, block}: its nonzero columns only."""
+    keep, rows = _block_columns(block, field)
+    return {"m": len(rows), "support": support[keep].tolist(), "block": rows}
 
 
 def _block_from_dict(entry: dict, n: int, field: str) -> tuple[np.ndarray, np.ndarray]:
@@ -561,8 +573,17 @@ def _block_from_dict(entry: dict, n: int, field: str) -> tuple[np.ndarray, np.nd
     return support, block
 
 
-def scheme_to_dict(scheme: LsccScheme) -> dict:
-    """Descriptor v2: projections as supports, frames and functionals as local blocks."""
+def _descriptor_blocks(scheme: LsccScheme) -> dict:
+    """The descriptor's per-object lists, as (support, block) pairs in order."""
+    edges = scheme.graph.edges
+    return {
+        "frames": zip(scheme.vertex_projections, (fr.rows for fr in scheme.vertex_frames)),
+        "edgeFunctionals": ((scheme.edge_supports[e], scheme.edge_functionals[e]) for e in edges),
+    }
+
+
+def _descriptor_fields(scheme: LsccScheme) -> dict:
+    """Every descriptor field but the per-object lists."""
     return {
         "version": DESCRIPTOR_VERSION,
         "name": scheme.name,
@@ -573,15 +594,6 @@ def scheme_to_dict(scheme: LsccScheme) -> dict:
             "V": list(scheme.vertex_labels),
             "edges": [list(e) for e in scheme.graph.edges],
         },
-        "frames": [
-            _block_to_dict(support, fr.rows, scheme.field)
-            for fr, support in zip(scheme.vertex_frames, scheme.vertex_projections)
-        ],
-        "projections": [support.tolist() for support in scheme.vertex_projections],
-        "edgeFunctionals": [
-            _block_to_dict(scheme.edge_supports[e], scheme.edge_functionals[e], scheme.field)
-            for e in scheme.graph.edges
-        ],
         "constants": {
             "D": scheme.graph.degree_bound,
             "C0": scheme.local_stability,
@@ -591,6 +603,57 @@ def scheme_to_dict(scheme: LsccScheme) -> dict:
         },
         "exhaustion": [scheme.exhaustion_lower, scheme.exhaustion_upper],
     }
+
+
+def scheme_to_dict(scheme: LsccScheme) -> dict:
+    """Descriptor v2: projections as supports, frames and functionals as local blocks."""
+    d = _descriptor_fields(scheme)
+    for key, pairs in _descriptor_blocks(scheme).items():
+        d[key] = [_block_to_dict(support, block, scheme.field) for support, block in pairs]
+    d["projections"] = [support.tolist() for support in scheme.vertex_projections]
+    return d
+
+
+def _descriptor_fragments(scheme: LsccScheme):
+    """`json.dumps(scheme_to_dict(scheme), sort_keys=True, separators=(",", ":"))`
+    as a sequence of fragments, about one local object each, whose
+    concatenation is that text.
+
+    Neither the text nor the descriptor dict is built.  A block shared by
+    several vertices or edges is encoded up to its support once per call,
+    and only the supports are encoded for each object.
+    """
+    dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    blocks = [fr.rows for fr in scheme.vertex_frames] + list(scheme.edge_functionals.values())
+    shared = {key for key, count in Counter(map(id, blocks)).items() if count > 1}
+    heads = {}
+
+    def block_text(support: np.ndarray, block: np.ndarray) -> str:
+        head = heads.get(id(block))
+        if head is None:
+            keep, rows = _block_columns(block, scheme.field)
+            head = keep, f'{{"block":{dumps(rows)},"m":{len(rows)},"support":'
+            if id(block) in shared:
+                heads[id(block)] = head
+        keep, text = head
+        return f"{text}{dumps(support[keep].tolist())}}}"
+
+    lists = {
+        key: (block_text(*pair) for pair in pairs)
+        for key, pairs in _descriptor_blocks(scheme).items()
+    }
+    lists["projections"] = (dumps(support.tolist()) for support in scheme.vertex_projections)
+    fields = _descriptor_fields(scheme)
+    for k, key in enumerate(sorted([*fields, *lists])):
+        yield ("{" if k == 0 else ",") + dumps(key) + ":"
+        if key in fields:
+            yield dumps(fields[key])
+            continue
+        yield "["
+        for i, item in enumerate(lists[key]):
+            yield item if i == 0 else "," + item
+        yield "]"
+    yield "}"
 
 
 def scheme_from_dict(d: dict) -> LsccScheme:
@@ -644,7 +707,7 @@ def scheme_from_dict(d: dict) -> LsccScheme:
 
 def scheme_to_json(scheme: LsccScheme) -> str:
     """Compact, key-sorted descriptor JSON; `descriptor_hash` hashes exactly this."""
-    return json.dumps(scheme_to_dict(scheme), sort_keys=True, separators=(",", ":"))
+    return "".join(_descriptor_fragments(scheme))
 
 
 def scheme_from_json(text: str) -> LsccScheme:

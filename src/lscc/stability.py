@@ -294,7 +294,7 @@ def stability_report(
     if scheme.p == 2.0 and not graph.is_empty:
         spec = algebraic_connectivity(graph)
     if scheme.field == REAL:
-        bound = real_bound(scheme, fv, cheeger_result=che)
+        bound = real_bound(scheme, fv, cheeger_result=che, graph=graph)
         c3 = complex_constant(scheme) if scheme.p == 2.0 else None
     else:
         bound = complex_bound(scheme, fv, spectral=spec, graph=graph)

@@ -123,22 +123,16 @@ def build_windowed_scheme(cfg: WindowedConfig) -> LsccScheme:
     if lower <= 0.0:
         raise SchemeError("local frame is rank deficient")
 
-    if cfg.field == REAL:
-        if local.shape[0] <= SIGMA_BUDGET:
-            sigma, retrievable = sigma_and_complement(local)
-            if not retrievable:
-                raise SchemeError("local frame fails the complement property")
-            c0 = real_local_stability(local, sigma)
-        else:
-            est = estimate_local_stability(
-                local, cfg.field, 2.0, 4000, np.random.default_rng(cfg.seed + 1)
-            )
-            c0 = COMPLEX_C0_MARGIN * est
+    if cfg.field == COMPLEX and local.shape[0] < 4 * n_local - 4:
+        raise SchemeError(
+            f"complex local frame needs at least {4 * n_local - 4} rows for retrievability"
+        )
+    if cfg.field == REAL and local.shape[0] <= SIGMA_BUDGET:
+        sigma, retrievable = sigma_and_complement(local)
+        if not retrievable:
+            raise SchemeError("local frame fails the complement property")
+        c0 = real_local_stability(local, sigma)
     else:
-        if local.shape[0] < 4 * n_local - 4:
-            raise SchemeError(
-                f"complex local frame needs at least {4 * n_local - 4} rows for retrievability"
-            )
         est = estimate_local_stability(
             local, cfg.field, 2.0, 4000, np.random.default_rng(cfg.seed + 1)
         )

@@ -17,7 +17,29 @@ from lscc.certify import (
     sigma_strong_recursive,
 )
 from lscc.errors import BudgetExceededError, DegenerateFrameError
-from lscc.measurement import COMPLEX, REAL, align_phase
+from lscc.measurement import COMPLEX, REAL, align_phase, gaussian, pair_ratios
+
+
+def one_batch_estimate(m, field, p, trials, rng):
+    """estimate_local_stability as one batch per pair family: every pair
+    measured and scored at once."""
+    worst = 1.0
+    half = max(trials // 2, 1)
+    shape = (m.shape[1], half)
+    blocks = [(gaussian(rng, shape, field), gaussian(rng, shape, field))]
+    f, h = gaussian(rng, shape, field), gaussian(rng, shape, field)
+    eps = np.logspace(-6, 0, half)
+    if field == COMPLEX:
+        xi = np.exp(2j * math.pi * rng.random(half))
+    else:
+        xi = np.where(rng.random(half) < 0.5, 1.0, -1.0)
+    blocks.append((f, xi[None, :] * f + eps[None, :] * h))
+    for fs, gs in blocks:
+        num, den, equivalent, _ = pair_ratios(np.conj(m) @ fs, np.conj(m) @ gs, field, p)
+        good = ~equivalent
+        if np.any(good):
+            worst = max(worst, float(np.max(num[good] / den[good])))
+    return worst
 
 
 def sigma_loop(m):
@@ -239,3 +261,27 @@ class TestEstimate:
         m = rng.standard_normal((7, 3))
         est = estimate_local_stability(m, REAL, 2.0, 2000, rng)
         assert est <= real_local_stability(m) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("field", [COMPLEX, REAL])
+    def test_chunks_match_one_batch(self, field):
+        # windowed default frames (8a - 4 complex rows, 4a + 2 real) and odd
+        # trial counts, so chunks of several widths and a short last one occur
+        for a in (1, 2, 3, 6):
+            rows = max(4 * a + 2, 8 * a - 4) if field == COMPLEX else 4 * a + 2
+            m = gaussian(np.random.default_rng(a), (rows, 2 * a), field)
+            for trials in (1, 3, 37, 1000, 4000):
+                got = estimate_local_stability(m, field, 2.0, trials, np.random.default_rng(a))
+                want = one_batch_estimate(m, field, 2.0, trials, np.random.default_rng(a))
+                assert got == want, (a, trials)
+
+    def test_peak_memory_in_chunks(self):
+        m = gaussian(np.random.default_rng(2), (12, 4), COMPLEX)
+        estimate_local_stability(m, COMPLEX, 2.0, 4000, np.random.default_rng(3))
+        tracemalloc.start()
+        try:
+            estimate_local_stability(m, COMPLEX, 2.0, 4000, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each draw is 4 x 2000 complex entries (128 kB); one batch peaked at 2.5 MB
+        assert peak <= 1.2e6, peak

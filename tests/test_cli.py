@@ -50,11 +50,11 @@ class TestColdImport:
     """In fresh processes: the test process itself already holds scipy."""
 
     def test_import_loads_no_scipy(self, tmp_path):
-        # scipy.optimize alone costs about 0.5 s per CLI call; it is imported
-        # only inside the functions that call it
+        # scipy.optimize alone costs about 0.5 s per CLI call, and logging
+        # 0.5 MB; each is imported only inside the functions that use it
         code = (
             "import sys, lscc, lscc.cli\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'logging')))"
         )
         proc = run_python(["-c", code], tmp_path)
         assert proc.returncode == 0, proc.stderr
@@ -77,6 +77,41 @@ class TestColdImport:
 
 
 class TestAnalyze:
+    def test_disconnected_complex_bound_is_infinite(self, capsys):
+        code = run(
+            [
+                "analyze",
+                "--scheme",
+                "windowed:a=1,L=8,field=complex",
+                "--signal",
+                "1,1,1,0,1,0,1,1",
+                "--trials",
+                "20",
+            ]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["retrievability"] == "Inconclusive"
+        assert payload["lambda"] == 0.0
+        assert payload["bound"] == "inf"
+        assert "stability bound is infinite" in captured.err
+
+    def test_long_ring_runs_in_linear_memory(self, tmp_path):
+        # the dense eigensolve took 14.5 s and 962 MB here
+        code = (
+            "import resource, sys\n"
+            "from lscc.cli import main\n"
+            "code = main(['analyze', '--scheme', 'windowed:a=2,L=4096,field=complex',"
+            " '--signal', 'ones', '--trials', '10'])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = run_python(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["retrievability"] == "RetrievableByConnectivity"
+        assert int(proc.stderr.split()[-1]) < 200 * 1024  # kB
+
     def test_connected_fixture_exit_zero(self, capsys):
         code = run(["analyze", "--scheme", "toy", "--signal", "1,2,3,4", "--trials", "100"])
         assert code == 0

@@ -990,6 +990,155 @@ class TestAlgebraicConnectivity:
         assert math.isinf(res.lam)
 
 
+def ring_with_absent(rng, n, absent):
+    """Cycle on n vertices with weights in [0.2, 3] x [0.1, 2] and the edges
+    at the given positions of `ring_weights` left out (n - 1 is the wrap)."""
+    w, ew = rng.uniform(0.2, 3.0, n), rng.uniform(0.1, 2.0, n)
+    ew[list(absent)] = 0.0
+    u = np.arange(n)
+    v = (u + 1) % n
+    kept = ew > 0.0
+    return WeightedGraph(w, (np.minimum(u, v)[kept], np.maximum(u, v)[kept], ew[kept]))
+
+
+def dense_lambda(g):
+    return lscc.graphs._dense_spectral(g)[0]
+
+
+def ring_route(g, dtype=np.float64):
+    return lscc.graphs._ring_spectral(
+        g.vertex_weights.astype(dtype), g.ring_weights.astype(dtype)
+    )
+
+
+class TestRingSpectral:
+    """The O(n) inverse iteration on paths and cycles."""
+
+    def test_unit_cycle_closed_form(self):
+        for n in (56, 64, 100, 257, 1000, 2048, 4096, 8192):
+            exact = 4.0 * math.sin(math.pi / n) ** 2
+            lam = algebraic_connectivity(unweighted_cycle(n)).lam
+            assert abs(lam - exact) <= 1e-14 * exact, n
+
+    def test_unit_path_closed_form(self):
+        for n in (56, 300, 4096):
+            exact = 4.0 * math.sin(math.pi / (2 * n)) ** 2
+            assert abs(algebraic_connectivity(unweighted_path(n)).lam - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("signal", ["ones", "random"])
+    def test_matches_longdouble_on_windowed(self, signal):
+        from lscc.scheme import induce_graph
+        from lscc.windowed import WindowedConfig, build_windowed_scheme
+
+        scheme = build_windowed_scheme(WindowedConfig(a=2, L=4096, field="complex"))
+        f = np.ones(scheme.ambient_dim) if signal == "ones" else scheme.random_signal(
+            np.random.default_rng(5)
+        )
+        g = induce_graph(scheme, f)
+        lam = algebraic_connectivity(g).lam
+        extended = ring_route(g, np.longdouble)[0]
+        assert abs(lam - extended) <= 1e-13 * extended
+
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            n = int(rng.integers(3, 513)) if trial % 5 else int(rng.integers(3, 12))
+            kind = trial % 4
+            if kind == 0:  # a path
+                absent = [n - 1]
+            elif kind == 1:  # a cycle
+                absent = []
+            else:  # one or two edges left out anywhere
+                absent = rng.choice(n, kind - 1, replace=False).tolist()
+            g = ring_with_absent(rng, n, absent)
+            lam, z = ring_route(g)
+            w = g.vertex_weights
+            if kind == 3:
+                assert lam == 0.0 and dense_lambda(g) <= 1e-12
+            else:
+                assert abs(lam - dense_lambda(g)) <= 1e-9 * lam, (n, absent)
+            # the Fiedler contract before the sign rule, and its eigenpair
+            assert abs(np.sum(w * z)) <= 1e-12
+            assert np.sum(w * z * z) == pytest.approx(1.0, abs=1e-12)
+            assert rayleigh_quotient(g, z) == pytest.approx(lam, rel=1e-9, abs=1e-15)
+            m = normalized_laplacian(g)
+            y = np.sqrt(w) * z
+            assert np.linalg.norm(m @ y - lam * y) <= 1e-6 * np.linalg.norm(m, "fro")
+
+    def test_fiedler_vector_matches_dense_on_paths(self):
+        # a path's spectrum is simple, so its Fiedler vector is unique up to sign
+        rng = np.random.default_rng(12)
+        for n in (56, 80, 200):
+            g = ring_with_absent(rng, n, [n - 1])
+            z = algebraic_connectivity(g).fiedler
+            _, y, _ = lscc.graphs._dense_spectral(g)
+            ref = y / np.sqrt(g.vertex_weights)
+            ref /= math.sqrt(float(np.sum(g.vertex_weights * ref * ref)))
+            ref *= np.sign(ref[0])
+            assert z[0] > 0.0
+            assert np.max(np.abs(z - ref)) <= 1e-6
+
+    def test_route_by_size(self):
+        rng = np.random.default_rng(13)
+        small = ring_with_absent(rng, lscc.graphs._RING_SPECTRAL_MIN - 1, [])
+        big = ring_with_absent(rng, lscc.graphs._RING_SPECTRAL_MIN, [])
+        assert algebraic_connectivity(small).lam == dense_lambda(small)
+        assert algebraic_connectivity(big).lam == ring_route(big)[0]
+
+    def test_weak_edges_keep_their_digits(self):
+        # a path cut by one edge of weight ~1e-21 next to an island of tiny
+        # vertices: lambda ~3e-23, against a longdouble run of the iteration.
+        # At 12 vertices the dense eigensolve gives 0.0 for both connected
+        # rings here; with so few trusted digits the ring route takes over
+        rng = np.random.default_rng(0)
+        for n in (12, 60, 300):
+            for cycle in (False, True):
+                g = weighted_ring(rng, n, "island", cycle)
+                lam = algebraic_connectivity(g).lam
+                assert abs(lam - ring_route(g, np.longdouble)[0]) <= 1e-13 * lam
+
+    def test_peak_memory_linear(self):
+        n = 1 << 16
+        g = ring_with_absent(np.random.default_rng(14), n, [])
+        g.ring_weights
+        tracemalloc.start()
+        try:
+            lam = algebraic_connectivity(g).lam
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lam > 0.0
+        # about 25 vectors of n doubles; the dense route would need n^2
+        assert peak <= 24e6, peak
+
+
+class TestDisconnectedLambda:
+    def test_rings_give_exact_zero(self):
+        rng = np.random.default_rng(15)
+        for _ in range(100):
+            n = int(rng.integers(3, 130))
+            count = int(rng.integers(2, min(n, 6) + 1))
+            g = ring_with_absent(rng, n, rng.choice(n, count, replace=False).tolist())
+            assert not is_connected(g)
+            res = algebraic_connectivity(g)
+            assert res.lam == 0.0
+            z, w = res.fiedler, g.vertex_weights
+            assert abs(np.sum(w * z)) <= 1e-12
+            assert np.sum(w * z * z) == pytest.approx(1.0, abs=1e-12)
+            assert rayleigh_quotient(g, z) <= 1e-20
+
+    def test_other_graphs_give_exact_zero(self):
+        rng = np.random.default_rng(16)
+        found = 0
+        for _ in range(300):
+            g = random_sparse_graph(rng, int(rng.integers(4, 12)), ties=False)
+            if g.ring_weights is not None or is_connected(g):
+                continue
+            found += 1
+            assert algebraic_connectivity(g).lam == 0.0
+        assert found >= 50
+
+
 class TestCheegerSweep:
     def test_sandwich_contains_exact(self):
         rng = np.random.default_rng(5)

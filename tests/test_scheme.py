@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import tracemalloc
@@ -608,6 +609,83 @@ class TestBlockOperatorOracle:
     def test_descriptor_hash_pinned(self, build, digest):
         # the local layout writes the same descriptor v2 bytes as dense rows did
         assert build().descriptor_hash() == digest
+
+
+def oracle_json(scheme):
+    """The descriptor text as the dict route writes it."""
+    return json.dumps(scheme_to_dict(scheme), sort_keys=True, separators=(",", ":"))
+
+
+def fuzz_schemes():
+    """test_04's 17 schemes."""
+    schemes = [toy_scheme()]
+    for a in (1, 2):
+        for L in (4, 8, 16):
+            for field in (REAL, COMPLEX):
+                schemes.append(build_windowed_scheme(WindowedConfig(a=a, L=L, field=field, seed=7)))
+    for n in (2, 3):
+        for radius in (8, 16):
+            schemes.append(build_shiftinv_scheme(GeneratorModel(N=n), radius))
+    return schemes
+
+
+class TestStreamedDescriptor:
+    """scheme_to_json and descriptor_hash against the json.dumps oracle."""
+
+    @staticmethod
+    def check(scheme):
+        text = oracle_json(scheme)
+        assert scheme_to_json(scheme) == text
+        assert scheme.descriptor_hash() == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_fuzz_schemes(self):
+        schemes = fuzz_schemes()
+        assert len(schemes) == 17
+        for scheme in schemes:
+            self.check(scheme)
+
+    def test_json_loaded_schemes(self):
+        self.check(mixed_block_scheme())
+        windowed = build_windowed_scheme(WindowedConfig(a=2, L=6, field=COMPLEX, seed=3))
+        loaded = scheme_from_json(scheme_to_json(windowed))
+        assert loaded.vertex_frames[0].rows is not loaded.vertex_frames[1].rows
+        self.check(loaded)
+        assert loaded.descriptor_hash() == windowed.descriptor_hash()
+
+    def test_shared_and_distinct_equal_blocks(self):
+        shared = build_windowed_scheme(WindowedConfig(a=2, L=9, field=COMPLEX, seed=2))
+        assert shared.vertex_frames[0] is shared.vertex_frames[1]
+        distinct = dataclasses.replace(
+            shared,
+            vertex_frames=tuple(
+                dataclasses.replace(fr, rows=fr.rows.copy()) for fr in shared.vertex_frames
+            ),
+            edge_functionals={e: m.copy() for e, m in shared.edge_functionals.items()},
+        )
+        assert distinct.vertex_frames[0].rows is not distinct.vertex_frames[1].rows
+        for scheme in (shared, distinct):
+            self.check(scheme)
+        assert distinct.descriptor_hash() == shared.descriptor_hash()
+
+    def test_shared_block_with_zero_column(self):
+        # one block object on every vertex: its kept columns select a different
+        # part of each vertex's support
+        base = build_windowed_scheme(WindowedConfig(a=2, L=7, field=REAL, seed=1))
+        rows = base.vertex_frames[0].rows.copy()
+        rows[:, 1] = 0.0
+        frame = dataclasses.replace(base.vertex_frames[0], rows=rows)
+        self.check(dataclasses.replace(base, vertex_frames=(frame,) * base.num_vertices))
+
+    def test_hash_peak_memory(self):
+        scheme = build_windowed_scheme(WindowedConfig(a=2, L=4096, field=COMPLEX))
+        tracemalloc.start()
+        try:
+            scheme.descriptor_hash()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the descriptor text alone is 8.9 MB; the dict route peaked at 18 MB
+        assert peak <= 4e6, peak
 
 
 def reference_edge_domination(scheme, trials, rng):

@@ -213,3 +213,25 @@ class TestReport:
         toy = toy_scheme()
         report = stability_report(toy, FIXTURE_CONNECTED, trials=50, seed=5)
         assert report.scheme_hash == toy.descriptor_hash()
+
+
+class TestInducedGraphCalls:
+    @pytest.mark.parametrize(
+        "signal", [np.zeros(4), FIXTURE_CONNECTED, FIXTURE_BROKEN], ids=["zero", "connected", "broken"]
+    )
+    def test_report_induces_twice(self, monkeypatch, signal):
+        # once for the bound and once for the verdict, even when the graph is empty
+        import lscc.scheme
+        import lscc.stability
+
+        calls = []
+        original = lscc.scheme.induce_graph
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lscc.scheme, "induce_graph", counted)
+        monkeypatch.setattr(lscc.stability, "induce_graph", counted)
+        stability_report(toy_scheme(), signal, trials=20, seed=1)
+        assert len(calls) == 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lscc.certify import COMPLEX_C0_MARGIN, SIGMA_BUDGET, estimate_local_stability
 from lscc.errors import ClassError, FieldError, SchemeError
 from lscc.graphs import is_connected
 from lscc.measurement import COMPLEX, REAL
@@ -69,6 +70,16 @@ class TestConstruction:
         rows = np.eye(2, dtype=complex)
         with pytest.raises(SchemeError):
             build_windowed_scheme(WindowedConfig(a=1, L=3, field=COMPLEX, local_rows=rows))
+
+    @pytest.mark.parametrize("field, a", [(REAL, 5), (COMPLEX, 1), (COMPLEX, 2)])
+    def test_sampled_c0(self, field, a):
+        # real frames past SIGMA_BUDGET rows and complex frames share one
+        # estimate: 4000 sampled pairs on default_rng(seed + 1), doubled
+        cfg = WindowedConfig(a=a, L=4, field=field, seed=3)
+        local = default_local_rows(cfg)
+        assert field == COMPLEX or local.shape[0] > SIGMA_BUDGET
+        est = estimate_local_stability(local, field, 2.0, 4000, np.random.default_rng(4))
+        assert build_windowed_scheme(cfg).local_stability == COMPLEX_C0_MARGIN * est
 
     def test_supports_cover_each_coordinate_twice(self):
         cfg = WindowedConfig(a=2, L=5, seed=0)
