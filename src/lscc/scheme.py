@@ -19,12 +19,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
+from .blocks import BlockOperator, Blocks, EdgeMap, Supports, by_identity, support_table
 from .errors import DimensionError, FieldError, SchemeError
 from .graphs import WeightedGraph, is_connected
 from .measurement import (
@@ -46,95 +48,85 @@ INCONCLUSIVE = "Inconclusive"
 DESCRIPTOR_VERSION = 2
 #: relative weight threshold below which induced vertices/edges are dropped
 DEFAULT_ZERO_TOL = 1e-12
+#: local objects whose supports the descriptor writer reads off the table at once
+_TEXT_CHUNK = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class BaseGraph:
-    """Unweighted simple graph with its maximum degree; `u`, `v` hold the edge ends."""
+    """Unweighted simple graph with its maximum degree.
+
+    Edge k joins vertices u[k] < v[k]; the two read-only int64 arrays are
+    sorted lexicographically by (u, v).  `edges` may be given as (u, v)
+    pairs or as an (E, 2) integer array; the `edges` property lists the
+    arrays as tuples of Python ints, made on access.
+    """
 
     num_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    u: np.ndarray = dc_field(init=False, repr=False, compare=False)
-    v: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    u: np.ndarray
+    v: np.ndarray
 
-    def __post_init__(self):
-        if self.num_vertices < 1:
+    def __init__(self, num_vertices: int, edges=()):
+        if num_vertices < 1:
             raise SchemeError("graph needs at least one vertex")
-        norm = set()
-        for u, v in self.edges:
-            if u == v:
-                raise SchemeError(f"self-loop at {u}")
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise SchemeError(f"edge ({u},{v}) out of range")
-            norm.add((min(u, v), max(u, v)))
-        if len(norm) != len(self.edges):
-            raise SchemeError("duplicate edges")
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-        ends = np.array(self.edges).reshape(-1, 2)
+        ends = np.asarray(edges)
+        ends = ends.reshape(0, 2) if ends.size == 0 else ends
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise SchemeError("edges must be (u, v) pairs")
+        a, b = ends.T
+        bad = (a == b) | ~((0 <= a) & (a < num_vertices) & (0 <= b) & (b < num_vertices))
+        if bad.any():
+            u, v = ends[np.argmax(bad)].tolist()
+            raise SchemeError(f"self-loop at {u}" if u == v else f"edge ({u},{v}) out of range")
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        key = lo * num_vertices + hi
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            lo, hi, key = lo[order], hi[order], key[order]
+            if np.any(key[1:] == key[:-1]):
+                raise SchemeError("duplicate edges")
         if ends.size and ends.dtype.kind not in "iu":
             raise SchemeError("edge endpoints must be integers")
-        for name, column in zip("uv", ends.astype(np.int64).T):
+        object.__setattr__(self, "num_vertices", num_vertices)
+        for name, column in (("u", lo), ("v", hi)):
+            column = column.astype(np.int64)
             column.setflags(write=False)
             object.__setattr__(self, name, column)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.u.tolist(), self.v.tolist()))
 
     @cached_property
     def degree_bound(self) -> int:
         return int(np.bincount(np.concatenate((self.u, self.v)), minlength=self.num_vertices).max())
 
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return self.u * self.num_vertices + self.v  # ascending, as the edges are sorted
+
+    def edge_index(self, e) -> int:
+        """Position of the edge e = (u, v), u < v, in the arrays; KeyError if absent."""
+        try:
+            a, b = e
+            k = int(np.searchsorted(self._keys, a * self.num_vertices + b))
+            found = k < self.u.size and self.u[k] == a and self.v[k] == b
+        except (TypeError, ValueError, OverflowError):
+            found = False
+        if not found:
+            raise KeyError(e)
+        return k
+
 
 def path_graph(n: int) -> BaseGraph:
-    return BaseGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+    i = np.arange(n - 1)
+    return BaseGraph(n, np.stack((i, i + 1), axis=1))
 
 
 def cycle_graph(n: int) -> BaseGraph:
-    edges = [(i, i + 1) for i in range(n - 1)]
-    if n > 2:
-        edges.append((0, n - 1))
-    return BaseGraph(n, tuple(edges))
-
-
-class BlockOperator:
-    """Local blocks applied without an m x d matrix.
-
-    Member k reads the coordinates `supports[k]` through the conjugated rows
-    of `blocks[k]`; `op @ F` lists every member's measurements in member
-    order, for a signal F or a (d, T) array of columns.  Blocks of one shape
-    form one (k, r, s) stack applied as `stack @ F[cols]`, so time and memory
-    grow with the sum of r * s over the members, never with m * d.
-    """
-
-    def __init__(self, supports, blocks):
-        #: start of each member's rows in `op @ F`, then the total row count
-        self.offsets = np.cumsum([0] + [block.shape[0] for block in blocks])
-        by_shape = {}
-        for k, block in enumerate(blocks):
-            by_shape.setdefault(block.shape, []).append(k)
-        self.stacks = [
-            (
-                np.array([supports[k] for k in members], dtype=np.int64).reshape(len(members), s),
-                np.conj(np.array([blocks[k] for k in members])),
-                (self.offsets[members][:, None] + np.arange(r)).ravel(),
-            )
-            for (r, s), members in by_shape.items()
-        ]
-
-    def __matmul__(self, F) -> np.ndarray:
-        F = np.asarray(F)
-        tail, width = F.shape[1:], math.prod(F.shape[1:])
-        prods = [
-            (rows, (stack @ F[cols].reshape(cols.shape + (width,))).reshape((rows.size,) + tail))
-            for cols, stack, rows in self.stacks
-        ]
-        if len(prods) == 1:  # one stack holds every member, in order
-            return prods[0][1]
-        out = np.empty((self.offsets[-1],) + tail, dtype=np.result_type(F, *(p for _, p in prods)))
-        for rows, prod in prods:
-            out[rows] = prod
-        return out
-
-    def power_sums(self, F, p: float) -> np.ndarray:
-        """||B_k F[supp_k]||_p^p for every member k (one column per column of F)."""
-        return np.add.reduceat(np.abs(self @ F) ** p, self.offsets[:-1], axis=0)
+    i = np.arange(n - 1)
+    ends = np.stack((i, i + 1), axis=1)
+    return BaseGraph(n, np.vstack((ends, [[0, n - 1]])) if n > 2 else ends)
 
 
 @dataclass
@@ -144,8 +136,19 @@ class LsccScheme:
     Every local object is a support plus a small block: frame v is an
     r_v x |supp_v| block in the coordinates of `vertex_projections[v]`, and
     the functional of edge e is an r_e x |supp_e| block on
-    `edge_supports[e]`.  Builders may share one Frame between vertices.
-    Treat instances as immutable; every operation on them is pure.
+    `edge_supports[e]`.
+
+    The supports may be given as a sequence of 1-D integer arrays (for the
+    edges: a dict keyed by edge, or a sequence in `graph.edges` order) or
+    as an (n, s) table with one support per row; the edge functionals as a
+    dict keyed by edge or a sequence in `graph.edges` order.  The scheme
+    keeps one CSR support table, the vertices then the edges in
+    `graph.edges` order, and each distinct block once (builders share one
+    Frame or one block object between objects), with the index of every
+    object's block.  `vertex_projections`, `edge_supports` and
+    `edge_functionals` are read-only views of them, which make a per-object
+    array only when asked.  Treat instances as immutable; every operation
+    on them is pure.
     """
 
     name: str
@@ -154,9 +157,9 @@ class LsccScheme:
     ambient_dim: int
     graph: BaseGraph
     vertex_frames: tuple[Frame, ...]
-    vertex_projections: tuple[np.ndarray, ...]  # P_v as its sorted int64 coordinate support
-    edge_functionals: dict[tuple[int, int], np.ndarray]  # Psi_uv as a block on its support
-    edge_supports: dict[tuple[int, int], np.ndarray]
+    vertex_projections: Sequence[np.ndarray]  # P_v as its sorted int64 coordinate support
+    edge_functionals: Mapping[tuple[int, int], np.ndarray]  # Psi_uv as a block on its support
+    edge_supports: Mapping[tuple[int, int], np.ndarray]
     local_stability: float  # C0
     edge_domination: float  # C1
     frame_lower: float  # A
@@ -168,41 +171,33 @@ class LsccScheme:
     def __post_init__(self):
         if self.field not in (REAL, COMPLEX):
             raise FieldError(f"unknown field {self.field!r}")
-        if len(self.vertex_frames) != self.graph.num_vertices:
+        graph, n_v = self.graph, self.graph.num_vertices
+        self.vertex_frames = tuple(self.vertex_frames)
+        if len(self.vertex_frames) != n_v:
             raise SchemeError("one frame per vertex required")
-        if len(self.vertex_projections) != self.graph.num_vertices:
+        if len(self.vertex_projections) != n_v:
             raise SchemeError("one projection per vertex required")
-        supports = _as_supports(
-            [*self.vertex_projections, *self.edge_supports.values()], self.ambient_dim
-        )
-        self.vertex_projections = tuple(supports[: self.graph.num_vertices])
-        self.edge_supports = dict(
-            zip(_edge_keys(self.edge_supports, "support"), supports[self.graph.num_vertices :])
-        )
-        self.edge_functionals = {
-            e: as_field_array(mat, self.field)
-            for e, mat in zip(
-                _edge_keys(self.edge_functionals, "functional"), self.edge_functionals.values()
-            )
-        }
-        if not set(self.graph.edges) == set(self.edge_functionals) == set(self.edge_supports):
-            raise SchemeError("edge functionals and supports must cover exactly the base edges")
-        frames = enumerate(zip(self.vertex_frames, self.vertex_projections))
-        blocks = [(f"frame {v}", fr.rows, support) for v, (fr, support) in frames]
-        edges = self.edge_functionals.items()
-        blocks += [(f"edge {e}", mat, self.edge_supports[e]) for e, mat in edges]
-        for name, block, support in blocks:
-            if block.ndim != 2 or block.shape[0] < 1 or block.shape[1] != support.size:
-                raise SchemeError(
-                    f"{name} has shape {block.shape}: a block needs a row and must stay "
-                    f"inside its support of {support.size} coordinates"
-                )
-        if not self.vertex_labels:
-            self.vertex_labels = tuple(range(self.graph.num_vertices))
-        if len(self.vertex_labels) != self.graph.num_vertices:
+        supports = _in_edge_order(self.edge_supports, graph, "support")
+        functionals = _in_edge_order(self.edge_functionals, graph, "functional")
+        flat, bounds = support_table((self.vertex_projections, supports), self.ambient_dim)
+        blocks, block_of = _distinct_blocks(self.vertex_frames, functionals, self.field)
+        rows, cols = np.array([b.shape[:2] if b.ndim == 2 else (0, -1) for b in blocks]).T
+        bad = (rows[block_of] < 1) | (cols[block_of] != np.diff(bounds))
+        if bad.any():
+            k = int(np.argmax(bad))
+            name = f"frame {k}" if k < n_v else f"edge {graph.edges[k - n_v]}"
             raise SchemeError(
-                f"{len(self.vertex_labels)} vertex labels for {self.graph.num_vertices} vertices"
+                f"{name} has shape {blocks[block_of[k]].shape}: a block needs a row and must "
+                f"stay inside its support of {bounds[k + 1] - bounds[k]} coordinates"
             )
+        self._flat, self._bounds, self._blocks, self._block_of = flat, bounds, blocks, block_of
+        self.vertex_projections = Supports(flat, bounds[: n_v + 1])
+        self.edge_supports = EdgeMap(graph, Supports(flat, bounds[n_v:]))
+        self.edge_functionals = EdgeMap(graph, Blocks(blocks, block_of[n_v:]))
+        if not self.vertex_labels:
+            self.vertex_labels = tuple(range(n_v))
+        if len(self.vertex_labels) != n_v:
+            raise SchemeError(f"{len(self.vertex_labels)} vertex labels for {n_v} vertices")
         if len(set(self.vertex_labels)) != len(self.vertex_labels):
             raise SchemeError("vertex labels must be distinct")
 
@@ -213,15 +208,16 @@ class LsccScheme:
     @cached_property
     def vertex_operator(self) -> BlockOperator:
         """Every vertex frame on its support, in vertex order: measure(f) = op @ f."""
-        return BlockOperator(self.vertex_projections, [fr.rows for fr in self.vertex_frames])
+        n_v = self.num_vertices
+        return BlockOperator(
+            self._flat, self._bounds[: n_v + 1], self._blocks, self._block_of[:n_v]
+        )
 
     @cached_property
     def edge_operator(self) -> BlockOperator:
         """Every edge functional on its support, in `graph.edges` order."""
-        edges = self.graph.edges
-        return BlockOperator(
-            [self.edge_supports[e] for e in edges], [self.edge_functionals[e] for e in edges]
-        )
+        n_v = self.num_vertices
+        return BlockOperator(self._flat, self._bounds[n_v:], self._blocks, self._block_of[n_v:])
 
     def coerce(self, f) -> np.ndarray:
         if isinstance(f, Signal):
@@ -257,7 +253,7 @@ class LsccScheme:
         return digest.hexdigest()
 
 
-def _edge_keys(mapping: dict, what: str) -> list[tuple[int, int]]:
+def _edge_keys(mapping: Mapping, what: str) -> list[tuple[int, int]]:
     """The keys of an edge dict as sorted pairs; an edge may appear once."""
     keys = [tuple(sorted(e)) for e in mapping]
     seen = set()
@@ -268,32 +264,38 @@ def _edge_keys(mapping: dict, what: str) -> list[tuple[int, int]]:
     return keys
 
 
+def _in_edge_order(values, graph: BaseGraph, what: str) -> Sequence:
+    """Per-edge values, a Mapping keyed by edge or a sequence already in
+    `graph.edges` order, as a sequence in that order."""
+    if isinstance(values, Mapping):
+        keyed = dict(zip(_edge_keys(values, what), values.values()))
+        if keyed.keys() != set(graph.edges):
+            raise SchemeError("edge functionals and supports must cover exactly the base edges")
+        return [keyed[e] for e in graph.edges]
+    if len(values) != graph.u.size:
+        raise SchemeError("edge functionals and supports must cover exactly the base edges")
+    return values
+
+
 def _as_supports(supports, dim: int) -> list[np.ndarray]:
-    """Validate coordinate supports in one pass: each sorted, distinct integers
-    in [0, dim).  Returns them as read-only int64 views of one array."""
-    arrays = [np.asarray(support) for support in supports]
-    for arr in arrays:
-        if arr.size and (arr.ndim != 1 or arr.dtype.kind not in "iu"):
-            raise SchemeError(
-                "a projection is given by its support: a 1-D array of integer indices"
-            )
-    ends = np.cumsum([arr.size for arr in arrays], dtype=np.int64)
-    flat = np.concatenate([arr for arr in arrays if arr.size] or [np.zeros(0, dtype=np.int64)])
-    inside = np.ones(max(flat.size - 1, 0), dtype=bool)  # pairs within one support
-    inside[ends[(ends > 0) & (ends < flat.size)] - 1] = False
-    if np.any((flat[1:] <= flat[:-1]) & inside):
-        raise SchemeError("projection support must be sorted without duplicates")
-    if flat.size and (flat.min() < 0 or flat.max() >= dim):
-        raise SchemeError(f"projection support leaves the coordinate range [0, {dim})")
-    flat = flat.astype(np.int64, copy=False)  # concatenate made a new array
-    flat.setflags(write=False)
-    bounds = [0] + ends.tolist()
-    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    """Coordinate supports validated by `support_table`, as read-only int64
+    views of one array."""
+    return list(Supports(*support_table((supports,), dim)))
 
 
 def _as_support(support, dim: int) -> np.ndarray:
-    """One coordinate support, validated by `_as_supports`."""
+    """One coordinate support, validated by `support_table`."""
     return _as_supports([support], dim)[0]
+
+
+def _distinct_blocks(frames, functionals, field: str) -> tuple[list, np.ndarray]:
+    """The distinct local blocks, frame rows first, and the block index of
+    every object: the vertices, then the edges.  Each distinct edge block is
+    coerced to `field` once."""
+    rows, frame_of = by_identity([fr.rows for fr in frames])
+    edge_blocks, edge_of = by_identity(functionals)
+    blocks = rows + [as_field_array(block, field) for block in edge_blocks]
+    return blocks, np.concatenate((frame_of, edge_of + len(rows)))
 
 
 @dataclass
@@ -348,8 +350,9 @@ def _vertex_probes(scheme: LsccScheme, v: int, trials: int, rng: np.random.Gener
     Canonical basis pairs come first.  The sum/difference pairs
     (b_i + b_j, b_i - b_j) are the classic witnesses against frames whose rows
     split into two rank-deficient halves, so they catch non-retrievable local
-    frames deterministically.  Then come `trials` random pairs, each vector a
-    full-length draw restricted to the support, taken from 2^16-entry blocks.
+    frames deterministically.  Then come `trials` random pairs, each vector
+    |supp_v| standard normals (a complex one its real part, then its
+    imaginary part), drawn in blocks of about 2^15 entries.
     """
     support = scheme.vertex_projections[v]
     basis = np.eye(min(4, support.size), support.size)
@@ -360,10 +363,10 @@ def _vertex_probes(scheme: LsccScheme, v: int, trials: int, rng: np.random.Gener
             if j > i:
                 pairs.append((basis[i] + basis[j], basis[i] - basis[j]))
     chunks = [np.array(pairs).swapaxes(0, 1)]
-    shape = (2, scheme.ambient_dim) if scheme.field == COMPLEX else (scheme.ambient_dim,)
+    shape = (2, support.size) if scheme.field == COMPLEX else (support.size,)
     width = max(1, 2**15 // math.prod(shape))  # pairs per draw
     for start in range(0, trials, width):
-        draws = rng.standard_normal((2 * min(width, trials - start),) + shape)[..., support]
+        draws = rng.standard_normal((2 * min(width, trials - start),) + shape)
         draws = draws[:, 0] + 1j * draws[:, 1] if scheme.field == COMPLEX else draws
         chunks.append(draws.reshape(-1, 2, support.size).swapaxes(0, 1))
     return np.concatenate(chunks, axis=1)
@@ -444,10 +447,15 @@ def validate_local_phase_retrieval(
 
 def _probe_chunks(scheme: LsccScheme, trials: int, rng: np.random.Generator):
     """The probes of the two batched validators as (d, k) column chunks of
-    about 2^12 entries: `trials` random signals, all drawn before the first
-    chunk is used, then the coordinate basis, built chunk by chunk."""
+    about 2^12 entries: `trials` random signals, drawn in one call before the
+    first chunk is used (signal by signal, as `random_signal` draws one),
+    then the coordinate basis, built chunk by chunk."""
     dim = scheme.ambient_dim
-    probes = np.stack([scheme.random_signal(rng) for _ in range(trials)], axis=1)
+    if scheme.field == COMPLEX:
+        draws = rng.standard_normal((trials, 2, dim))
+        probes = (draws[:, 0] + 1j * draws[:, 1]).T
+    else:
+        probes = rng.standard_normal((trials, dim)).T
     width = max(1, 2**12 // dim)
     for start in range(0, trials, width):
         yield probes[:, start : start + width]
@@ -508,7 +516,8 @@ def validate_exhaustion(
         raise SchemeError("trials must be >= 1")
     rng = np.random.default_rng(0) if rng is None else rng
     p = scheme.p
-    cover = np.bincount(np.concatenate(scheme.vertex_projections), minlength=scheme.ambient_dim)
+    vertex_supports = scheme._flat[: scheme._bounds[scheme.num_vertices]]
+    cover = np.bincount(vertex_supports, minlength=scheme.ambient_dim)
     lo, hi = math.inf, 0.0
     witness_lo = witness_hi = None
     for probes in _probe_chunks(scheme, trials, rng):
@@ -573,15 +582,6 @@ def _block_from_dict(entry: dict, n: int, field: str) -> tuple[np.ndarray, np.nd
     return support, block
 
 
-def _descriptor_blocks(scheme: LsccScheme) -> dict:
-    """The descriptor's per-object lists, as (support, block) pairs in order."""
-    edges = scheme.graph.edges
-    return {
-        "frames": zip(scheme.vertex_projections, (fr.rows for fr in scheme.vertex_frames)),
-        "edgeFunctionals": ((scheme.edge_supports[e], scheme.edge_functionals[e]) for e in edges),
-    }
-
-
 def _descriptor_fields(scheme: LsccScheme) -> dict:
     """Every descriptor field but the per-object lists."""
     return {
@@ -592,7 +592,7 @@ def _descriptor_fields(scheme: LsccScheme) -> dict:
         "n": scheme.ambient_dim,
         "graph": {
             "V": list(scheme.vertex_labels),
-            "edges": [list(e) for e in scheme.graph.edges],
+            "edges": np.stack((scheme.graph.u, scheme.graph.v), axis=1).tolist(),
         },
         "constants": {
             "D": scheme.graph.degree_bound,
@@ -608,8 +608,12 @@ def _descriptor_fields(scheme: LsccScheme) -> dict:
 def scheme_to_dict(scheme: LsccScheme) -> dict:
     """Descriptor v2: projections as supports, frames and functionals as local blocks."""
     d = _descriptor_fields(scheme)
-    for key, pairs in _descriptor_blocks(scheme).items():
-        d[key] = [_block_to_dict(support, block, scheme.field) for support, block in pairs]
+    pairs = {
+        "frames": zip(scheme.vertex_projections, (fr.rows for fr in scheme.vertex_frames)),
+        "edgeFunctionals": zip(scheme.edge_supports.values(), scheme.edge_functionals.values()),
+    }
+    for key, objects in pairs.items():
+        d[key] = [_block_to_dict(support, block, scheme.field) for support, block in objects]
     d["projections"] = [support.tolist() for support in scheme.vertex_projections]
     return d
 
@@ -619,30 +623,44 @@ def _descriptor_fragments(scheme: LsccScheme):
     as a sequence of fragments, about one local object each, whose
     concatenation is that text.
 
-    Neither the text nor the descriptor dict is built.  A block shared by
-    several vertices or edges is encoded up to its support once per call,
-    and only the supports are encoded for each object.
+    Neither the text nor the descriptor dict is built.  The supports are read
+    off the CSR table `_TEXT_CHUNK` objects at a time; a block shared by
+    several objects is encoded up to its support once per call.
     """
     dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    blocks = [fr.rows for fr in scheme.vertex_frames] + list(scheme.edge_functionals.values())
-    shared = {key for key, count in Counter(map(id, blocks)).items() if count > 1}
+    flat, bounds, blocks, block_of = scheme._flat, scheme._bounds, scheme._blocks, scheme._block_of
+    shared = np.bincount(block_of, minlength=len(blocks)) > 1
     heads = {}
 
-    def block_text(support: np.ndarray, block: np.ndarray) -> str:
-        head = heads.get(id(block))
-        if head is None:
-            keep, rows = _block_columns(block, scheme.field)
-            head = keep, f'{{"block":{dumps(rows)},"m":{len(rows)},"support":'
-            if id(block) in shared:
-                heads[id(block)] = head
-        keep, text = head
-        return f"{text}{dumps(support[keep].tolist())}}}"
+    def supports(lo: int, hi: int):
+        """(block index, support as a list of ints) of objects lo..hi-1."""
+        for start in range(lo, hi, _TEXT_CHUNK):
+            stop = min(start + _TEXT_CHUNK, hi)
+            ints = flat[bounds[start] : bounds[stop]].tolist()
+            cuts = (bounds[start : stop + 1] - bounds[start]).tolist()
+            parts = (ints[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
+            yield from zip(block_of[start:stop].tolist(), parts)
 
+    def block_texts(lo: int, hi: int):
+        for j, support in supports(lo, hi):
+            head = heads.get(j)
+            if head is None:
+                keep, rows = _block_columns(blocks[j], scheme.field)
+                keep = None if keep.all() else keep.tolist()
+                head = keep, f'{{"block":{dumps(rows)},"m":{len(rows)},"support":'
+                if shared[j]:
+                    heads[j] = head
+            keep, text = head
+            if keep is not None:
+                support = list(compress(support, keep))
+            yield f"{text}[{','.join(map(str, support))}]}}"
+
+    n_v = scheme.num_vertices
     lists = {
-        key: (block_text(*pair) for pair in pairs)
-        for key, pairs in _descriptor_blocks(scheme).items()
+        "frames": block_texts(0, n_v),
+        "edgeFunctionals": block_texts(n_v, block_of.size),
+        "projections": (f"[{','.join(map(str, support))}]" for _, support in supports(0, n_v)),
     }
-    lists["projections"] = (dumps(support.tolist()) for support in scheme.vertex_projections)
     fields = _descriptor_fields(scheme)
     for k, key in enumerate(sorted([*fields, *lists])):
         yield ("{" if k == 0 else ",") + dumps(key) + ":"
@@ -668,10 +686,9 @@ def scheme_from_dict(d: dict) -> LsccScheme:
         p = float(d["p"])
         n = int(d["n"])
         labels = tuple(d["graph"]["V"])
-        edges = tuple(tuple(e) for e in d["graph"]["edges"])
-        graph = BaseGraph(len(labels), edges)
+        graph = BaseGraph(len(labels), d["graph"]["edges"])
         consts = d["constants"]
-        projections = [_as_support(support, n) for support in d["projections"]]
+        projections = _as_supports(d["projections"], n)
         frames = []
         for projection, entry in zip(projections, d["frames"], strict=True):
             support, block = _block_from_dict(entry, n, field)
@@ -680,8 +697,8 @@ def scheme_from_dict(d: dict) -> LsccScheme:
             rows = np.zeros((block.shape[0], projection.size), dtype=block.dtype)
             rows[:, np.searchsorted(projection, support)] = block
             frames.append(Frame(rows, p, field, float(consts["A"]), float(consts["B"])))
-        blocks = [_block_from_dict(entry, n, field) for entry in d["edgeFunctionals"]]
-        functionals = dict(zip(graph.edges, blocks, strict=True))
+        pairs = [_block_from_dict(entry, n, field) for entry in d["edgeFunctionals"]]
+        supports, functionals = zip(*pairs) if pairs else ((), ())
         lo, hi = d.get("exhaustion", [0.0, math.inf])
         return LsccScheme(
             name=d.get("name", "loaded"),
@@ -690,9 +707,9 @@ def scheme_from_dict(d: dict) -> LsccScheme:
             ambient_dim=n,
             graph=graph,
             vertex_frames=tuple(frames),
-            vertex_projections=tuple(projections),
-            edge_functionals={e: block for e, (_, block) in functionals.items()},
-            edge_supports={e: support for e, (support, _) in functionals.items()},
+            vertex_projections=projections,
+            edge_functionals=functionals,
+            edge_supports=supports,
             local_stability=float(consts["C0"]),
             edge_domination=float(consts["C1"]),
             frame_lower=float(consts["A"]),

@@ -160,12 +160,11 @@ def build_shiftinv_scheme(gen: GeneratorModel, R: int) -> LsccScheme:
     local = gen.local_matrix
     lower, upper = gen.frame_bounds
 
-    projections = [
-        [coefficient_index(gen, R, ell + kk) for kk in range(-gen.N + 1, 1)]
-        for ell in range(-R, R + 1)
-    ]
+    # vertex ell = v - R sees slots v..v+N-1, the coefficients ell-N+1..ell;
     # the gluing functionals evaluate the N-1 coefficients vertices v, v+1 share
-    overlaps = {(v, v + 1): projections[v + 1][:-1] for v in range(n_vert - 1)}
+    first = np.arange(n_vert)[:, None]
+    projections = first + np.arange(gen.N)
+    overlaps = first[1:] + np.arange(gen.N - 1)
 
     if gen.p == 2.0:
         c0, c1, _ = sigma_based_constants(gen)
@@ -181,8 +180,8 @@ def build_shiftinv_scheme(gen: GeneratorModel, R: int) -> LsccScheme:
         ambient_dim=dim,
         graph=path_graph(n_vert),
         vertex_frames=(Frame(local, p=gen.p, field=REAL, lower=lower, upper=upper),) * n_vert,
-        vertex_projections=tuple(projections),
-        edge_functionals=dict.fromkeys(overlaps, np.eye(gen.N - 1)),
+        vertex_projections=projections,
+        edge_functionals=(np.eye(gen.N - 1),) * (n_vert - 1),
         edge_supports=overlaps,
         local_stability=c0,
         edge_domination=c1,
@@ -259,27 +258,28 @@ def decay_cheeger_study(gen: GeneratorModel, profile: DecayProfile, R_values: li
     """Per-radius Cheeger constants against the profile's floor or ceiling."""
     if sorted(R_values) != list(R_values):
         raise SchemeError("R values must be ascending")
-    rows = []
-    for R in R_values:
-        scheme = build_shiftinv_scheme(gen, R)
-        f = profile_signal(gen, R, profile)
-        # the profile's weights decay through the relative drop threshold yet
-        # stay strictly positive, so induction must use exact positivity here
-        graph = induce_graph(scheme, f, zero_tol=0.0)
-        che = cheeger_interval(graph)
-        if profile.kind == EXPONENTIAL:
-            reference = exponential_floor(gen, profile.beta)
-            passed = che.value >= reference * (1.0 - 1e-9)
-        else:
-            reference = polynomial_ceiling(gen, profile.beta, graph.vertex_weights, graph.labels)
-            passed = che.value <= reference * (1.0 + 1e-9)
-        rows.append(
-            {
-                "R": R,
-                "cheeger": che.value,
-                "reference": reference,
-                "kind": profile.kind,
-                "pass": passed,
-            }
-        )
-    return rows
+    return [_decay_row(gen, profile, R) for R in R_values]
+
+
+def _decay_row(gen: GeneratorModel, profile: DecayProfile, R: int) -> dict:
+    """One radius of `decay_cheeger_study`; its scheme and graph are freed on
+    return, before the next radius is built."""
+    scheme = build_shiftinv_scheme(gen, R)
+    f = profile_signal(gen, R, profile)
+    # the profile's weights decay through the relative drop threshold yet
+    # stay strictly positive, so induction must use exact positivity here
+    graph = induce_graph(scheme, f, zero_tol=0.0)
+    che = cheeger_interval(graph)
+    if profile.kind == EXPONENTIAL:
+        reference = exponential_floor(gen, profile.beta)
+        passed = che.value >= reference * (1.0 - 1e-9)
+    else:
+        reference = polynomial_ceiling(gen, profile.beta, graph.vertex_weights, graph.labels)
+        passed = che.value <= reference * (1.0 + 1e-9)
+    return {
+        "R": R,
+        "cheeger": che.value,
+        "reference": reference,
+        "kind": profile.kind,
+        "pass": passed,
+    }

@@ -35,9 +35,9 @@ def toy_scheme() -> LsccScheme:
         ambient_dim=4,
         graph=path_graph(3),
         vertex_frames=(frame,) * 3,
-        vertex_projections=tuple([k, k + 1] for k in range(3)),
-        edge_functionals={(k, k + 1): np.ones((1, 1)) for k in range(2)},
-        edge_supports={(k, k + 1): [k + 1] for k in range(2)},
+        vertex_projections=np.arange(3)[:, None] + np.arange(2),
+        edge_functionals=(np.ones((1, 1)),) * 2,
+        edge_supports=np.arange(1, 3)[:, None],
         local_stability=c0,
         edge_domination=1.0 / lower,
         frame_lower=lower,

@@ -100,10 +100,6 @@ def default_local_rows(cfg: WindowedConfig) -> np.ndarray:
     return gaussian(rng, (m, n_local), cfg.field)
 
 
-def window_support(cfg: WindowedConfig, ell: int) -> list[int]:
-    return sorted(((ell * cfg.a + j) % cfg.d) for j in range(2 * cfg.a))
-
-
 def build_windowed_scheme(cfg: WindowedConfig) -> LsccScheme:
     """Assemble the cyclic scheme and certify/estimate its constants.
 
@@ -142,14 +138,14 @@ def build_windowed_scheme(cfg: WindowedConfig) -> LsccScheme:
     # window ell < L-1 reads local column j at coordinate ell*a + j; the last
     # window wraps, and its sorted support [0, a) + [d-a, d) puts columns a.. first
     consts = {"p": 2.0, "field": cfg.field, "lower": lower, "upper": upper}
-    frames = [Frame(local, **consts)] * (cfg.L - 1)
-    frames.append(Frame(np.roll(local, -cfg.a, axis=1), **consts))
+    frames = (Frame(local, **consts),) * (cfg.L - 1)
+    frames += (Frame(np.roll(local, -cfg.a, axis=1), **consts),)
+    windows = np.sort((np.arange(cfg.L)[:, None] * cfg.a + np.arange(2 * cfg.a)) % cfg.d, axis=1)
 
-    # neighbouring windows share a coordinates, glued by point evaluations
-    overlaps = {
-        (u, v): sorted(set(window_support(cfg, u)) & set(window_support(cfg, v)))
-        for u, v in graph.edges
-    }
+    # neighbouring windows share a coordinates, glued by point evaluations:
+    # edge (u, u+1) on the first a of window u+1, the wrap edge (0, L-1) on window 0's
+    later = np.where(graph.v - graph.u == 1, graph.v, graph.u)
+    overlaps = later[:, None] * cfg.a + np.arange(cfg.a)
 
     return LsccScheme(
         name=f"windowed(a={cfg.a},L={cfg.L},{cfg.field})",
@@ -157,9 +153,9 @@ def build_windowed_scheme(cfg: WindowedConfig) -> LsccScheme:
         p=2.0,
         ambient_dim=cfg.d,
         graph=graph,
-        vertex_frames=tuple(frames),
-        vertex_projections=tuple(window_support(cfg, ell) for ell in range(cfg.L)),
-        edge_functionals=dict.fromkeys(overlaps, np.eye(cfg.a, dtype=local.dtype)),
+        vertex_frames=frames,
+        vertex_projections=windows,
+        edge_functionals=(np.eye(cfg.a, dtype=local.dtype),) * cfg.L,
         edge_supports=overlaps,
         local_stability=c0,
         edge_domination=1.0 / lower,
@@ -293,39 +289,42 @@ def scaling_sweep(
         raise SchemeError("L values must be ascending")
     base_cfg = WindowedConfig(a=a, L=L_values[0], field=field, seed=seed)
     local = default_local_rows(base_cfg)
-    rows = []
-    for idx, L in enumerate(L_values):
-        cfg = WindowedConfig(a=a, L=L, field=field, seed=seed, local_rows=local)
-        scheme = build_windowed_scheme(cfg)
-        f = np.ones(cfg.d, dtype=np.complex128 if field == COMPLEX else np.float64)
-        graph = induce_graph(scheme, f)
-        che = cheeger_interval(graph)
-        spec = algebraic_connectivity(graph)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(idx,)).generate_state(1)[0]
-        )
-        ratio, _ = empirical_worst_ratio(scheme, f, trials=trials, rng=rng)
-        if field == COMPLEX:
-            bound = complex_bound(scheme, f, spectral=spec)
-            adv = adversarial_pair(cfg, scheme).measured_ratio
-            prefactor = complex_constant(scheme)
-        else:
-            bound = real_bound(scheme, f, cheeger_result=che)
-            adv = math.nan  # the explicit adversarial pair is complex-only
-            prefactor = real_constant(scheme)
-        rows.append(
-            {
-                "L": L,
-                "d": cfg.d,
-                "bound": bound,
-                "empirical_ratio": ratio,
-                "adversarial_ratio": adv,
-                "cheeger": che.value,
-                "lambda": spec.lam,
-                "C2_or_C3": prefactor,
-            }
-        )
-    return rows
+    return [
+        _sweep_row(WindowedConfig(a=a, L=L, field=field, seed=seed, local_rows=local), idx, trials)
+        for idx, L in enumerate(L_values)
+    ]
+
+
+def _sweep_row(cfg: WindowedConfig, idx: int, trials: int) -> dict:
+    """Row `idx` of `scaling_sweep`; its scheme and graph are freed on return,
+    before the next L is built."""
+    scheme = build_windowed_scheme(cfg)
+    f = np.ones(cfg.d, dtype=np.complex128 if cfg.field == COMPLEX else np.float64)
+    graph = induce_graph(scheme, f)
+    che = cheeger_interval(graph)
+    spec = algebraic_connectivity(graph)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(idx,)).generate_state(1)[0]
+    )
+    ratio, _ = empirical_worst_ratio(scheme, f, trials=trials, rng=rng)
+    if cfg.field == COMPLEX:
+        bound = complex_bound(scheme, f, spectral=spec)
+        adv = adversarial_pair(cfg, scheme).measured_ratio
+        prefactor = complex_constant(scheme)
+    else:
+        bound = real_bound(scheme, f, cheeger_result=che)
+        adv = math.nan  # the explicit adversarial pair is complex-only
+        prefactor = real_constant(scheme)
+    return {
+        "L": cfg.L,
+        "d": cfg.d,
+        "bound": bound,
+        "empirical_ratio": ratio,
+        "adversarial_ratio": adv,
+        "cheeger": che.value,
+        "lambda": spec.lam,
+        "C2_or_C3": prefactor,
+    }
 
 
 def fit_loglog_slope(xs, ys) -> float:

@@ -23,8 +23,10 @@ from lscc.scheme import (
     LsccScheme,
     _as_support,
     _as_supports,
+    cycle_graph,
     induce_graph,
     is_phase_retrievable,
+    path_graph,
     scheme_from_dict,
     scheme_from_json,
     scheme_to_dict,
@@ -46,6 +48,7 @@ from lscc.shiftinv import (
     DecayProfile,
     GeneratorModel,
     build_shiftinv_scheme,
+    coefficient_index,
     profile_signal,
 )
 from lscc.windowed import WindowedConfig, build_windowed_scheme
@@ -584,10 +587,23 @@ class TestBlockOperatorOracle:
             assert_rel_close([e[2] for e in graph.edges], w_e)
 
     def test_mixed_shapes_form_one_stack_per_shape(self):
+        # every block of a JSON-loaded scheme is its own object, used once:
+        # such blocks are stacked by shape
         scheme = mixed_block_scheme()
         shapes = sorted(stack.shape for _, stack, _ in scheme.vertex_operator.stacks)
         assert shapes == [(1, 4, 2), (1, 8, 4), (2, 8, 3)]
         assert len(scheme.edge_operator.stacks) == 3
+        # a block several members share is one (1, r, s) stack broadcast over
+        # them: the windows' shared frame, then the wrap window's own block
+        windowed = build_windowed_scheme(WindowedConfig(a=2, L=9, field=COMPLEX, seed=2))
+        stacks = windowed.vertex_operator.stacks
+        assert [(cols.shape, stack.shape) for cols, stack, _ in stacks] == [
+            ((8, 4), (1, 12, 4)),
+            ((1, 4), (1, 12, 4)),
+        ]
+        assert [rows for _, _, rows in stacks] == [slice(0, 96), slice(96, 108)]
+        [(cols, stack, rows)] = windowed.edge_operator.stacks
+        assert cols.shape == (9, 2) and stack.shape == (1, 2, 2) and rows == slice(0, 18)
         # frame 2 reads coordinates 3, 5, 6 of its projection {3, 4, 5, 6}
         assert np.all(scheme.vertex_frames[2].rows[:, 1] == 0)
         assert scheme_to_json(scheme_from_json(scheme_to_json(scheme))) == scheme_to_json(scheme)
@@ -788,10 +804,11 @@ def reference_local_phase_retrieval(scheme, trials, rng, estimate=False):
                 yield basis[i], basis[j]
                 if j > i:
                     yield basis[i] + basis[j], basis[i] - basis[j]
-        shape = (2, scheme.ambient_dim) if scheme.field == COMPLEX else (scheme.ambient_dim,)
+        # each probe vector is |supp_v| normals, a complex one real part first
+        shape = (2, support.size) if scheme.field == COMPLEX else (support.size,)
         width = max(1, 2**15 // math.prod(shape))
         for start in range(0, trials, width):
-            draws = rng.standard_normal((2 * min(width, trials - start),) + shape)[..., support]
+            draws = rng.standard_normal((2 * min(width, trials - start),) + shape)
             draws = draws[:, 0] + 1j * draws[:, 1] if scheme.field == COMPLEX else draws
             yield from zip(draws[0::2], draws[1::2])
 
@@ -891,14 +908,17 @@ class TestLocalStorageGuards:
         assert len(scheme_to_json(scheme).encode()) <= 256 * 1024
 
     def test_shiftinv_array_footprint(self):
+        # one support table, two distinct blocks and the operators' column
+        # views and row offsets (98 kB); a stack's rows are a slice when its
+        # members are consecutive
         scheme = build_shiftinv_scheme(GeneratorModel(N=2), 512)
-        arrays = [fr.rows for fr in scheme.vertex_frames]
-        arrays += list(scheme.vertex_projections) + list(scheme.edge_functionals.values())
-        arrays += list(scheme.edge_supports.values())
+        arrays = [a for a in vars(scheme).values() if isinstance(a, np.ndarray)]
+        arrays += scheme._blocks
         for op in (scheme.vertex_operator, scheme.edge_operator):
-            arrays += [op.offsets] + [a for stack in op.stacks for a in stack]
-        arrays += [a for a in vars(scheme).values() if isinstance(a, np.ndarray)]
-        assert sum(a.nbytes for a in arrays) <= 2**20
+            arrays += [op.offsets]
+            arrays += [a for stack in op.stacks for a in stack if isinstance(a, np.ndarray)]
+        assert len(scheme._blocks) == 2
+        assert sum(a.nbytes for a in arrays) <= 2**17
 
     def test_shiftinv_build_and_induce_peak(self):
         # one dense frame stack of this scheme is 25 MB
@@ -928,3 +948,258 @@ class TestLocalStorageGuards:
             tracemalloc.stop()
         assert x.shape == (12 * 1024,) and batch.shape == (12 * 1024, 8)
         assert peak < 16 * 2**20
+
+
+def legacy_layout(kind, *params):
+    """(projections, edge supports, edge functional of each edge) as the
+    builders wrote them when every local object was its own list, dict entry
+    and array: per-vertex loops and set intersections."""
+    if kind == "toy":
+        projections = [[k, k + 1] for k in range(3)]
+        supports = {(k, k + 1): [k + 1] for k in range(2)}
+        return projections, supports, dict.fromkeys(supports, np.ones((1, 1)))
+    if kind == "windowed":
+        a, L, field = params
+        cfg = WindowedConfig(a=a, L=L, field=field, seed=7)
+        projections = [sorted((ell * a + j) % cfg.d for j in range(2 * a)) for ell in range(L)]
+        edges = sorted([(i, i + 1) for i in range(L - 1)] + [(0, L - 1)])
+        supports = {
+            (u, v): sorted(set(projections[u]) & set(projections[v])) for u, v in edges
+        }
+        dtype = np.complex128 if field == COMPLEX else np.float64
+        return projections, supports, dict.fromkeys(supports, np.eye(a, dtype=dtype))
+    n, radius = params
+    gen = GeneratorModel(N=n)
+    projections = [
+        [coefficient_index(gen, radius, ell + kk) for kk in range(-n + 1, 1)]
+        for ell in range(-radius, radius + 1)
+    ]
+    supports = {(v, v + 1): projections[v + 1][:-1] for v in range(2 * radius)}
+    return projections, supports, dict.fromkeys(supports, np.eye(n - 1))
+
+
+FUZZ_SPECS = (
+    [("toy",)]
+    + [("windowed", a, L, f) for a in (1, 2) for L in (4, 8, 16) for f in (REAL, COMPLEX)]
+    + [("shiftinv", n, r) for n in (2, 3) for r in (8, 16)]
+)
+
+
+def descriptor_layout(descriptor):
+    """The per-object layout a JSON descriptor spells out."""
+    graph = BaseGraph(len(descriptor["graph"]["V"]), descriptor["graph"]["edges"])
+    entries = descriptor["edgeFunctionals"]
+    supports = {e: entry["support"] for e, entry in zip(graph.edges, entries)}
+    blocks = [np.asarray(entry["block"]) for entry in entries]
+    if descriptor["field"] == COMPLEX:
+        blocks = [block[..., 0] + 1j * block[..., 1] for block in blocks]
+    return descriptor["projections"], supports, dict(zip(graph.edges, blocks))
+
+
+def assert_same_layout(scheme, layout):
+    projections, supports, functionals = layout
+    assert len(scheme.vertex_projections) == len(projections)
+    for view, support in zip(scheme.vertex_projections, projections):
+        assert view.tolist() == support
+        assert view.dtype == np.int64 and not view.flags.writeable
+    assert list(scheme.edge_supports) == list(supports) == list(scheme.graph.edges)
+    assert list(scheme.edge_functionals) == list(functionals)
+    for e, support in supports.items():
+        view = scheme.edge_supports[e]
+        assert view.tolist() == support
+        assert view.dtype == np.int64 and not view.flags.writeable
+    for e, block in functionals.items():
+        legacy = measurement.as_field_array(block, scheme.field)
+        mat = scheme.edge_functionals[e]
+        assert mat.dtype == legacy.dtype and np.array_equal(mat, legacy)
+        assert mat.flags.writeable == legacy.flags.writeable
+    items = [(e, v.tolist()) for e, v in scheme.edge_supports.items()]
+    assert items == [(e, v.tolist()) for e, v in zip(supports, scheme.edge_supports.values())]
+
+
+def stacked_copy_apply(supports, blocks, F):
+    """`op @ F` and the member offsets as the operators computed them with
+    one (k, r, s) stack per block shape holding a copy of each member's block."""
+    offsets = np.cumsum([0] + [block.shape[0] for block in blocks])
+    by_shape = {}
+    for k, block in enumerate(blocks):
+        by_shape.setdefault(block.shape, []).append(k)
+    F = np.asarray(F)
+    tail, width = F.shape[1:], math.prod(F.shape[1:])
+    out = np.empty((offsets[-1],) + tail, dtype=np.result_type(F, *blocks))
+    for (r, s), members in by_shape.items():
+        cols = np.array([supports[k] for k in members], dtype=np.int64).reshape(len(members), s)
+        stack = np.conj(np.array([blocks[k] for k in members]))
+        rows = (offsets[members][:, None] + np.arange(r)).ravel()
+        prod = stack @ F[cols].reshape(cols.shape + (width,))
+        out[rows] = prod.reshape((rows.size,) + tail)
+    return out, offsets
+
+
+class TestArrayBackedScheme:
+    """One support table and one copy of each distinct block, read through views."""
+
+    @pytest.mark.parametrize("spec", FUZZ_SPECS, ids=lambda spec: "-".join(map(str, spec)))
+    def test_views_hold_the_per_object_layout(self, spec):
+        kind, *params = spec
+        if kind == "toy":
+            scheme = toy_scheme()
+        elif kind == "windowed":
+            a, L, field = params
+            scheme = build_windowed_scheme(WindowedConfig(a=a, L=L, field=field, seed=7))
+        else:
+            scheme = build_shiftinv_scheme(GeneratorModel(N=params[0]), params[1])
+        layout = legacy_layout(kind, *params)
+        assert_same_layout(scheme, layout)
+        # a round trip through dataclasses.replace, from the views or from
+        # tuples and dicts, keeps every value and the descriptor bytes
+        again = dataclasses.replace(scheme)
+        assert again._blocks == scheme._blocks
+        rebuilt = dataclasses.replace(
+            scheme,
+            vertex_projections=tuple(scheme.vertex_projections),
+            edge_supports=dict(scheme.edge_supports),
+            edge_functionals=dict(scheme.edge_functionals),
+        )
+        for copy in (again, rebuilt):
+            assert_same_layout(copy, layout)
+            assert scheme_to_json(copy) == scheme_to_json(scheme)
+        # shared blocks are held once: one frame block (two on a wrapping
+        # windowed cycle) and one gluing block
+        assert len(scheme._blocks) == (3 if kind == "windowed" else 2)
+
+    def test_json_loaded_mixed_shapes(self):
+        scheme = mixed_block_scheme()
+        descriptor = json.loads(scheme_to_json(scheme))
+        assert_same_layout(scheme, descriptor_layout(descriptor))
+        assert_same_layout(dataclasses.replace(scheme), descriptor_layout(descriptor))
+        assert len(scheme._blocks) == 8  # every loaded block is its own object
+
+    def test_edge_views_read_like_dicts(self, toy):
+        functionals, supports = toy.edge_functionals, toy.edge_supports
+        assert len(functionals) == 2 and (0, 1) in functionals and (1, 0) not in functionals
+        assert "edge" not in functionals and (0, 1, 2) not in supports
+        with pytest.raises(KeyError):
+            supports[(0, 2)]
+        assert functionals.get((0, 3)) is None
+        assert [e for e, _ in functionals.items()] == [(0, 1), (1, 2)]
+        assert functionals[(0, 1)] is functionals[(1, 2)]  # one shared block
+        assert {**supports}.keys() == {(0, 1), (1, 2)}
+        assert toy.vertex_projections[-1].tolist() == [2, 3]
+        assert [s.tolist() for s in toy.vertex_projections[1:]] == [[1, 2], [2, 3]]
+        with pytest.raises(IndexError):
+            toy.vertex_projections[3]
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SCHEMES) + ["windowed-wrap", "loaded"])
+    def test_block_operators_match_stacked_copies(self, name):
+        if name == "windowed-wrap":
+            scheme = build_windowed_scheme(WindowedConfig(a=2, L=64, field=COMPLEX, seed=0))
+        elif name == "loaded":
+            windowed = build_windowed_scheme(WindowedConfig(a=2, L=9, field=COMPLEX, seed=2))
+            scheme = scheme_from_json(scheme_to_json(windowed))
+        else:
+            scheme = ORACLE_SCHEMES[name]()
+        members = {
+            "vertex": (
+                scheme.vertex_operator,
+                list(scheme.vertex_projections),
+                [fr.rows for fr in scheme.vertex_frames],
+            ),
+            "edge": (
+                scheme.edge_operator,
+                list(scheme.edge_supports.values()),
+                list(scheme.edge_functionals.values()),
+            ),
+        }
+        rng = np.random.default_rng(40)
+        f, columns = scheme.random_signal(rng), scheme.random_signal(rng, 5)
+        for op, supports, blocks in members.values():
+            for F in (f, columns):
+                expected, offsets = stacked_copy_apply(supports, blocks, F)
+                got = op @ F
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+                assert np.array_equal(op.offsets, offsets)
+                sums = np.add.reduceat(np.abs(expected) ** scheme.p, offsets[:-1], axis=0)
+                assert np.array_equal(op.power_sums(F, scheme.p), sums)
+        vertex_supports, frames = members["vertex"][1:]
+        assert np.array_equal(scheme.measure(f), stacked_copy_apply(vertex_supports, frames, f)[0])
+        assert np.array_equal(
+            scheme.measure_batch(columns), stacked_copy_apply(vertex_supports, frames, columns)[0]
+        )
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (((0, 1), (1, 1)), "self-loop at 1"),
+            (((0, 5), (1, 1)), r"edge \(0,5\) out of range"),
+            (((0, 1), (-1, 2)), r"edge \(-1,2\) out of range"),
+            (((0, 1), (1, 0)), "duplicate edges"),
+            (((1, 2), (0, 1), (2, 1)), "duplicate edges"),
+            (((0, 1), (0.5, 2)), "must be integers"),
+            (((0, 1, 2),), r"\(u, v\) pairs"),
+        ],
+    )
+    def test_malformed_edges_keep_their_messages(self, edges, message):
+        with pytest.raises(SchemeError, match=message):
+            BaseGraph(3, edges)
+
+    def test_graph_arrays(self):
+        g = BaseGraph(4, np.array([[2, 3], [1, 0], [0, 2]]))
+        assert g.edges == ((0, 1), (0, 2), (2, 3))
+        assert g.u.tolist() == [0, 0, 2] and g.v.tolist() == [1, 2, 3]
+        assert g.u.dtype == np.int64 and not g.u.flags.writeable
+        assert g.edge_index((0, 2)) == 1
+        for missing in [(2, 0), (1, 3), (0, 2.5), "ab", 7]:
+            with pytest.raises(KeyError):
+                g.edge_index(missing)
+        assert cycle_graph(4).edges == ((0, 1), (0, 3), (1, 2), (2, 3))
+        assert path_graph(1).edges == () and cycle_graph(2).edges == ((0, 1),)
+
+    def test_malformed_tables_keep_their_messages(self, toy):
+        for table, message in [
+            (np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]), "1-D array of integer indices"),
+            (np.array([[1, 0], [1, 2], [2, 3]]), "sorted"),
+            (np.array([[0, 1], [1, 2], [2, 4]]), r"range \[0, 4\)"),
+        ]:
+            with pytest.raises(SchemeError, match=message):
+                with_projections(toy, table)
+        with pytest.raises(SchemeError, match="cover exactly"):
+            dataclasses.replace(toy, edge_supports=np.array([[1]]))
+        with pytest.raises(SchemeError, match="cover exactly"):
+            dataclasses.replace(toy, edge_functionals=(np.ones((1, 1)),) * 3)
+        with pytest.raises(SchemeError, match=r"edge \(0, 1\) has shape \(1, 2\)"):
+            dataclasses.replace(toy, edge_functionals=(np.ones((1, 2)), np.ones((1, 1))))
+        with pytest.raises(SchemeError, match=r"frame 1 has shape \(3, 2\)"):
+            with_projections(toy, [[0, 1], [1], [2, 3]])
+
+    def test_shiftinv_16384_footprint(self):
+        gen = GeneratorModel(N=2)
+        build_shiftinv_scheme(gen, 8)  # the generator caches its constants
+        tracemalloc.start()
+        try:
+            scheme = build_shiftinv_scheme(gen, 16384)
+            scheme.vertex_operator, scheme.edge_operator
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one list, dict entry and array per object kept 26 MB and peaked at 45 MB
+        assert scheme.num_vertices == 32769
+        assert kept <= 8e6 and peak <= 16e6, (kept, peak)
+
+    def test_windowed_16384_operators_peak(self):
+        cfg = WindowedConfig(a=2, L=16384, field=COMPLEX, seed=0)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            scheme = build_windowed_scheme(cfg)
+            scheme.vertex_operator, scheme.edge_operator
+            kept = tracemalloc.get_traced_memory()[0]
+            graph = induce_graph(scheme, scheme.random_signal(rng))
+            x = scheme.measure(scheme.random_signal(rng))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (16384, 12, 4) complex stack of copies of one frame is 12.6 MB;
+        # the per-object layout kept 27 MB and peaked at 38 MB here
+        assert graph.num_vertices == 16384 and x.shape == (12 * 16384,)
+        assert kept <= 4e6 and peak <= 12e6, (kept, peak)

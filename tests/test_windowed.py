@@ -18,7 +18,6 @@ from lscc.windowed import (
     sample_class_signal,
     scaling_sweep,
     window_membership,
-    window_support,
 )
 
 
@@ -84,9 +83,8 @@ class TestConstruction:
     def test_supports_cover_each_coordinate_twice(self):
         cfg = WindowedConfig(a=2, L=5, seed=0)
         counts = np.zeros(cfg.d, dtype=int)
-        for ell in range(cfg.L):
-            for k in window_support(cfg, ell):
-                counts[k] += 1
+        for support in build_windowed_scheme(cfg).vertex_projections:
+            counts[support] += 1
         assert np.all(counts == 2)
 
     def test_projection_axioms(self):
