@@ -13,8 +13,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import pickle
 import zlib
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +53,11 @@ def fuzz_bounds(
     quotients must stay <= 1 up to slack, else the offending pair is serialized.
     `pairs` counts the pairs that are not phase-equivalent under
     `pair_ratios`; a collision is a violation unless the bound is infinite.
+
+    Sampling (`_fuzz_samples`) runs in forked workers when more than one CPU
+    is ours (`_fuzz_workers`); the bounds are computed here, scheme by scheme
+    as the samples arrive.  Every scheme draws from its own stream, so the
+    report is the same for any worker count.
     """
     if pairs_per_scheme < 1:
         raise DegenerateFamilyError("pairs_per_scheme must be >= 1")
@@ -58,61 +66,202 @@ def fuzz_bounds(
     elif refs_per_scheme < 1:
         raise DegenerateFamilyError("refs_per_scheme must be >= 1")
     per_ref = math.ceil(pairs_per_scheme / refs_per_scheme)
-    report = {"pairs_per_scheme": pairs_per_scheme, "schemes": [], "passed": True}
-    for scheme in schemes:
-        rng = derive_rng(seed, "fuzz", scheme.name)
+    entries = [None] * len(schemes)
+
+    def score(i: int, samples: _FuzzSamples) -> None:
+        scheme = schemes[i]
+        collisions = dict(zip(samples.collided.tolist(), samples.collision))
         max_quotient = 0.0
         violations = []
-        pairs = 0
-        for _ in range(refs_per_scheme):
-            f = scheme.random_signal(rng)
+        for k, f in enumerate(samples.refs):
             bound = signal_bound(scheme, f)
-            comparisons = scheme.random_signal(rng, per_ref)
-            x = scheme.measure(f)
-            width = max(1, _CHUNK // x.size)
-            cols = np.split(comparisons, range(width, per_ref, width), axis=1)
-            chunks = [pair_ratios(x, scheme.measure_batch(c), scheme.field, scheme.p) for c in cols]
-            num, den, equivalent, collision = (np.concatenate(parts) for parts in zip(*chunks))
-            good = ~equivalent
-            pairs += int(np.sum(good))
             if math.isinf(bound):
                 # collisions are consistent with an infinite bound
                 continue
-            ratios = num[good] / den[good]
-            if ratios.size:
-                q = float(np.max(ratios)) / bound
-                if q > max_quotient:
-                    max_quotient = q
-                    if q > 1.0 + BOUND_SLACK:
-                        j = int(np.flatnonzero(good)[int(np.argmax(ratios))])
-                        violations.append(
-                            {
-                                "f": _serialize_signal(f),
-                                "g": _serialize_signal(comparisons[:, j]),
-                                "ratio": float(np.max(ratios)),
-                                "bound": bound,
-                            }
-                        )
-            if np.any(collision):
-                j = int(np.flatnonzero(collision)[0])
-                violations.append(
-                    {
-                        "f": _serialize_signal(f),
-                        "g": _serialize_signal(comparisons[:, j]),
-                        "ratio": "inf",
-                        "bound": bound,
-                    }
-                )
-        entry = {
+            # NaN when every comparison was phase-equivalent: no quotient
+            ratio = float(samples.best[k])
+            q = ratio / bound
+            if q > max_quotient:
+                max_quotient = q
+                if q > 1.0 + BOUND_SLACK:
+                    violations.append(_violation(f, samples.witness[k], ratio, bound))
+            if k in collisions:
+                violations.append(_violation(f, collisions[k], "inf", bound))
+        entries[i] = {
             "scheme": scheme.name,
-            "pairs": pairs,
+            "pairs": int(np.sum(samples.pairs)),
             "max_quotient": max_quotient,
             "violations": violations,
         }
-        report["schemes"].append(entry)
-        if violations or max_quotient > 1.0 + BOUND_SLACK:
-            report["passed"] = False
-    return report
+
+    _sample_all(schemes, refs_per_scheme, per_ref, seed, score)
+    passed = not any(e["violations"] or e["max_quotient"] > 1.0 + BOUND_SLACK for e in entries)
+    return {"pairs_per_scheme": pairs_per_scheme, "schemes": entries, "passed": passed}
+
+
+class _FuzzSamples(NamedTuple):
+    """One scheme's fuzz draws, one row per reference signal."""
+
+    #: (refs, d) reference signals
+    refs: np.ndarray
+    #: comparisons per reference that are not phase-equivalent
+    pairs: np.ndarray
+    #: largest ratio per reference, NaN where every comparison was equivalent
+    best: np.ndarray
+    #: (refs, d) comparison of each largest ratio (zeros where there is none)
+    witness: np.ndarray
+    #: ascending indices of the references with a collision
+    collided: np.ndarray
+    #: (len(collided), d) first colliding comparison of each
+    collision: np.ndarray
+
+
+def _fuzz_samples(scheme: LsccScheme, refs: int, per_ref: int, seed: int) -> _FuzzSamples:
+    """The sampling half of `fuzz_bounds`: every draw and pair ratio of one
+    scheme, in stream order, with no bound."""
+    rng = derive_rng(seed, "fuzz", scheme.name)
+    F, pairs, best, witness, collided, collision = [], [], [], [], [], []
+    for k in range(refs):
+        f = scheme.random_signal(rng)
+        comparisons = scheme.random_signal(rng, per_ref)
+        x = scheme.measure(f)
+        width = max(1, _CHUNK // x.size)
+        cols = np.split(comparisons, range(width, per_ref, width), axis=1)
+        chunks = [pair_ratios(x, scheme.measure_batch(c), scheme.field, scheme.p) for c in cols]
+        num, den, equivalent, hit = (np.concatenate(parts) for parts in zip(*chunks))
+        good = np.flatnonzero(~equivalent)
+        ratios = num[good] / den[good]
+        F.append(f)
+        pairs.append(good.size)
+        best.append(np.max(ratios) if ratios.size else np.nan)
+        # copies: a column view would keep the whole comparison batch alive
+        j = good[np.argmax(ratios)] if ratios.size else None
+        witness.append(np.zeros_like(f) if j is None else comparisons[:, j].copy())
+        if np.any(hit):
+            collided.append(k)
+            collision.append(comparisons[:, np.argmax(hit)].copy())
+    return _FuzzSamples(
+        np.array(F),
+        np.array(pairs, dtype=np.int64),
+        np.array(best, dtype=np.float64),
+        np.array(witness),
+        np.array(collided, dtype=np.int64),
+        np.array(collision).reshape(len(collided), scheme.ambient_dim),
+    )
+
+
+def _fuzz_workers(n: int) -> int:
+    """Sampling workers for n schemes: one per CPU this process may run on.
+    Where the CPU set is unknown (not Linux) the schemes are sampled in-process."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else min(len(affinity(0)), n)
+
+
+def _sample_all(schemes: list[LsccScheme], refs: int, per_ref: int, seed: int, score) -> None:
+    """Call score(i, samples of schemes[i]) once for every scheme.
+
+    With one worker the schemes are sampled here, in order.  Otherwise they
+    are split statically, heaviest first by measurement rows (twice that if
+    complex), over forked workers.  Each sends its samples back through its
+    own pipe as length-prefixed pickles, and each scheme is scored as soon
+    as its samples arrive, while the workers sample the rest.  A worker's
+    exception is raised here; no worker outlives this call.
+    """
+    workers = _fuzz_workers(len(schemes))
+    if workers <= 1:
+        for i, scheme in enumerate(schemes):
+            score(i, _fuzz_samples(scheme, refs, per_ref, seed))
+        return
+    import select
+    import signal
+    import warnings
+
+    weight = [s.vertex_operator.offsets[-1] * (2 if s.field == COMPLEX else 1) for s in schemes]
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for i in sorted(range(len(schemes)), key=lambda i: -weight[i]):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += weight[i]
+    pids = []
+    readers = {}  # read end -> [schemes still to come, unread bytes]
+    try:
+        for share in filter(None, shares):
+            rfd, wfd = os.pipe()
+            with warnings.catch_warnings():
+                # CPython >= 3.12 warns on every fork of a process with threads.
+                # Ours are OpenBLAS's pool threads, which OpenBLAS quiesces in its
+                # pthread_atfork handlers; the child only samples and exits.
+                warnings.filterwarnings(
+                    "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
+                )
+                pid = os.fork()
+            if pid == 0:
+                _fuzz_worker(wfd, share, schemes, refs, per_ref, seed)
+            pids.append(pid)
+            os.close(wfd)
+            readers[rfd] = [len(share), bytearray()]
+        while readers:
+            for fd in select.select(list(readers), [], [])[0]:
+                reader = readers[fd]
+                chunk = os.read(fd, 1 << 20)
+                if not chunk:
+                    if reader[0]:
+                        raise RuntimeError(f"a fuzz worker ended with {reader[0]} schemes unsent")
+                    del readers[fd]
+                    os.close(fd)
+                    continue
+                buf = reader[1]
+                buf += chunk
+                while len(buf) >= 8:
+                    end = 8 + int.from_bytes(buf[:8], "little")
+                    if len(buf) < end:
+                        break
+                    i, samples = pickle.loads(buf[8:end])
+                    del buf[:end]
+                    if i is None:
+                        raise samples
+                    reader[0] -= 1
+                    score(i, samples)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in readers:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _fuzz_worker(fd: int, share: list[int], schemes, refs: int, per_ref: int, seed: int):
+    """Body of a forked sampling worker; never returns.  It ends in os._exit,
+    so no inherited stdio buffer, atexit handler or test hook runs twice."""
+    code = 0
+    try:
+        for i in share:
+            _send(fd, (i, _fuzz_samples(schemes[i], refs, per_ref, seed)))
+    except BaseException as exc:
+        code = 1
+        if hasattr(exc, "add_note"):  # Python >= 3.11
+            import traceback
+
+            exc.add_note(f"raised in fuzz worker {os.getpid()}:\n{traceback.format_exc()}")
+        # one that does not pickle is sent as nothing: the caller reports the
+        # schemes this worker left unsent
+        _send(fd, (None, exc))
+    finally:
+        os._exit(code)
+
+
+def _send(fd: int, message) -> None:
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _violation(f: np.ndarray, g: np.ndarray, ratio, bound: float) -> dict:
+    return {"f": _serialize_signal(f), "g": _serialize_signal(g), "ratio": ratio, "bound": bound}
 
 
 def _serialize_signal(v: np.ndarray) -> list:

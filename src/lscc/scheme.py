@@ -249,7 +249,7 @@ class LsccScheme:
         """SHA-256 of `scheme_to_json`, fed one fragment at a time."""
         digest = hashlib.sha256()
         for fragment in _descriptor_fragments(self):
-            digest.update(fragment.encode())
+            digest.update(fragment)
         return digest.hexdigest()
 
 
@@ -620,12 +620,12 @@ def scheme_to_dict(scheme: LsccScheme) -> dict:
 
 def _descriptor_fragments(scheme: LsccScheme):
     """`json.dumps(scheme_to_dict(scheme), sort_keys=True, separators=(",", ":"))`
-    as a sequence of fragments, about one local object each, whose
-    concatenation is that text.
+    as a sequence of ASCII byte fragments whose concatenation is that text.
 
     Neither the text nor the descriptor dict is built.  The supports are read
-    off the CSR table `_TEXT_CHUNK` objects at a time; a block shared by
-    several objects is encoded up to its support once per call.
+    off the CSR table `_TEXT_CHUNK` objects at a time.  A local object is two
+    fragments, its block's head up to the support and then the support, so a
+    block shared by several objects is written and encoded once per call.
     """
     dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     flat, bounds, blocks, block_of = scheme._flat, scheme._bounds, scheme._blocks, scheme._block_of
@@ -642,36 +642,41 @@ def _descriptor_fragments(scheme: LsccScheme):
             yield from zip(block_of[start:stop].tolist(), parts)
 
     def block_texts(lo: int, hi: int):
-        for j, support in supports(lo, hi):
+        """Each object as its head, then its support, closing brace and comma."""
+        for i, (j, support) in enumerate(supports(lo, hi), lo + 1):
             head = heads.get(j)
             if head is None:
                 keep, rows = _block_columns(blocks[j], scheme.field)
                 keep = None if keep.all() else keep.tolist()
-                head = keep, f'{{"block":{dumps(rows)},"m":{len(rows)},"support":'
+                head = keep, f'{{"block":{dumps(rows)},"m":{len(rows)},"support":'.encode()
                 if shared[j]:
                     heads[j] = head
             keep, text = head
             if keep is not None:
                 support = list(compress(support, keep))
-            yield f"{text}[{','.join(map(str, support))}]}}"
+            yield text
+            yield f"[{','.join(map(str, support))}]}}{',' if i < hi else ''}".encode()
+
+    def support_texts(lo: int, hi: int):
+        for i, (_, support) in enumerate(supports(lo, hi), lo + 1):
+            yield f"[{','.join(map(str, support))}]{',' if i < hi else ''}".encode()
 
     n_v = scheme.num_vertices
     lists = {
         "frames": block_texts(0, n_v),
         "edgeFunctionals": block_texts(n_v, block_of.size),
-        "projections": (f"[{','.join(map(str, support))}]" for _, support in supports(0, n_v)),
+        "projections": support_texts(0, n_v),
     }
     fields = _descriptor_fields(scheme)
     for k, key in enumerate(sorted([*fields, *lists])):
-        yield ("{" if k == 0 else ",") + dumps(key) + ":"
+        yield (("{" if k == 0 else ",") + dumps(key) + ":").encode()
         if key in fields:
-            yield dumps(fields[key])
+            yield dumps(fields[key]).encode()
             continue
-        yield "["
-        for i, item in enumerate(lists[key]):
-            yield item if i == 0 else "," + item
-        yield "]"
-    yield "}"
+        yield b"["
+        yield from lists[key]
+        yield b"]"
+    yield b"}"
 
 
 def scheme_from_dict(d: dict) -> LsccScheme:
@@ -724,7 +729,7 @@ def scheme_from_dict(d: dict) -> LsccScheme:
 
 def scheme_to_json(scheme: LsccScheme) -> str:
     """Compact, key-sorted descriptor JSON; `descriptor_hash` hashes exactly this."""
-    return "".join(_descriptor_fragments(scheme))
+    return b"".join(_descriptor_fragments(scheme)).decode()
 
 
 def scheme_from_json(text: str) -> LsccScheme:

@@ -60,6 +60,32 @@ class TestColdImport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_forked_fuzz_loads_no_multiprocessing(self, tmp_path):
+        # the fuzz forks its sampling workers itself: importing multiprocessing
+        # alone costs 0.76 MB of resident memory, a Pool three threads
+        code = (
+            "import os, sys\n"
+            "import lscc.harness as h\n"
+            "from lscc.toy import toy_scheme\n"
+            "from lscc.windowed import WindowedConfig, build_windowed_scheme\n"
+            "h._fuzz_workers = lambda n: min(2, n)\n"
+            "schemes = [toy_scheme(), build_windowed_scheme(WindowedConfig(a=1, L=4, seed=7))]\n"
+            "assert h.fuzz_bounds(schemes, 2000, seed=3)['passed']\n"
+            "import threading\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    pass\n"
+            "else:\n"
+            "    sys.exit('a fuzz worker outlived the fuzz')\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent')))"
+        )
+        proc = run_python(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_deferred_scipy_paths_run_cold(self, tmp_path):
         code = (
             "import numpy as np\n"

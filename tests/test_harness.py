@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +71,19 @@ class RoundedRng:
 
     def standard_normal(self, shape):
         return np.round(self._rng.standard_normal(shape))
+
+
+def acceptance_schemes():
+    """The 17 schemes of the acceptance fuzz."""
+    schemes = [toy_scheme()]
+    schemes += [
+        build_windowed_scheme(WindowedConfig(a=a, L=L, field=field, seed=7))
+        for a in (1, 2)
+        for L in (4, 8, 16)
+        for field in (REAL, COMPLEX)
+    ]
+    schemes += [build_shiftinv_scheme(GeneratorModel(N=n), r) for n in (2, 3) for r in (8, 16)]
+    return schemes
 
 
 def fuzz_by_chunk(monkeypatch, schemes, chunks, pairs, **kwargs):
@@ -166,6 +181,123 @@ class TestFuzzBounds:
         assert np.linalg.norm(np.abs(x) - np.abs(x)) == 0.0
 
 
+class SamplingFailure(RuntimeError):
+    pass
+
+
+def fail_sampling(_columns):
+    raise SamplingFailure("measure_batch failed")
+
+
+def force_workers(monkeypatch, count):
+    monkeypatch.setattr(harness, "_fuzz_workers", lambda n: min(count, n))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFuzzWorkers:
+    """Sampling in forked workers, scoring in the caller."""
+
+    def test_any_worker_count_gives_the_same_bytes(self, monkeypatch, tmp_path):
+        schemes = acceptance_schemes()
+        out = tmp_path / "fuzz.csv"
+        spec = ExperimentSpec(kind="fuzz", scheme="test_04", trials=1500, seed=9, output=str(out))
+        results = []
+        for count in (1, 2, 3):
+            force_workers(monkeypatch, count)
+            report = fuzz_bounds(schemes, 1500, seed=9)
+            assert harness.run_fuzz_experiment(spec, schemes) == 0
+            manifest = (tmp_path / "fuzz.csv.manifest.json").read_bytes()
+            results.append((report, out.read_bytes(), manifest))
+            assert_no_child_left()
+        assert results[0] == results[1] == results[2]
+        assert [e["scheme"] for e in results[0][0]["schemes"]] == [s.name for s in schemes]
+
+    def test_any_worker_count_keeps_witnesses_and_collisions(self, monkeypatch, tmp_path):
+        # the monkeypatched stream reaches the workers through fork
+        original = harness.derive_rng
+        monkeypatch.setattr(harness, "derive_rng", lambda *a: RoundedRng(original(*a)))
+        broken = toy_scheme()
+        broken.local_stability = 1e-3
+        schemes = [sign_blind_scheme(), broken, toy_scheme()]
+        out = tmp_path / "fuzz.csv"
+        spec = ExperimentSpec(kind="fuzz", scheme="rounded", trials=600, seed=1, output=str(out))
+        results = []
+        for count in (1, 2, 3):
+            force_workers(monkeypatch, count)
+            report = fuzz_bounds(schemes, 600, seed=1, refs_per_scheme=6)
+            assert harness.run_fuzz_experiment(spec, schemes) == 2
+            manifest = (tmp_path / "fuzz.csv.manifest.json").read_bytes()
+            results.append((report, out.read_bytes(), manifest))
+        assert results[0] == results[1] == results[2]
+        blind, toy, clean = results[0][0]["schemes"]
+        assert len(blind["violations"]) > 1 and blind["violations"][0]["ratio"] == "inf"
+        assert toy["violations"] and not clean["violations"]
+        assert_no_child_left()
+
+    def test_worker_exception_is_raised_in_the_caller(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        bad = toy_scheme()
+        bad.measure_batch = fail_sampling
+        with pytest.raises(SamplingFailure, match="measure_batch failed") as info:
+            fuzz_bounds([toy_scheme(), bad], 1000, seed=0)
+        notes = getattr(info.value, "__notes__", None)
+        if notes is not None:  # Python >= 3.11: the worker's traceback rides along
+            assert "raised in fuzz worker" in notes[0]
+            assert f"worker {os.getpid()}:" not in notes[0]
+        assert_no_child_left()
+
+    def test_worker_that_dies_is_reported(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        dead = toy_scheme()
+        dead.measure_batch = lambda _columns: os._exit(3)
+        with pytest.raises(RuntimeError, match="fuzz worker ended with 1 schemes unsent"):
+            fuzz_bounds([toy_scheme(), dead], 1000, seed=0)
+        assert_no_child_left()
+
+    def test_interrupt_in_the_caller_leaves_no_child(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+
+        def interrupt(_scheme, _f):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "signal_bound", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            fuzz_bounds(acceptance_schemes()[:4], 2000, seed=0)
+        assert_no_child_left()
+
+    def test_fork_with_threads_warning_is_filtered(self, monkeypatch):
+        # CPython >= 3.12 warns so in the parent on every fork; OpenBLAS's
+        # pool threads make the fuzz's process multi-threaded
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(
+                    f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                    "may lead to deadlocks in the child.",
+                    DeprecationWarning,
+                    stacklevel=2,
+                )
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        force_workers(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fuzz_bounds([toy_scheme(), toy_scheme()], 1000, seed=0)["passed"]
+        assert_no_child_left()
+
+    def test_worker_count_follows_cpus_and_schemes(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        assert harness._fuzz_workers(1) == 1
+        assert harness._fuzz_workers(100) == min(cpus, 100)
+
+
 class TestInequalitySuite:
     def test_full_suite(self):
         report = inequality_suite(seed=0, trials=20_000)
@@ -252,15 +384,7 @@ class TestCsvPlumbing:
     def test_fuzz_csv_keeps_scheme_names_with_commas(self, tmp_path):
         from lscc.harness import run_fuzz_experiment
 
-        # the 17 schemes of the acceptance fuzz
-        schemes = [toy_scheme()]
-        schemes += [
-            build_windowed_scheme(WindowedConfig(a=a, L=L, field=field, seed=7))
-            for a in (1, 2)
-            for L in (4, 8, 16)
-            for field in (REAL, COMPLEX)
-        ]
-        schemes += [build_shiftinv_scheme(GeneratorModel(N=n), r) for n in (2, 3) for r in (8, 16)]
+        schemes = acceptance_schemes()
         out = tmp_path / "fuzz.csv"
         spec = ExperimentSpec(kind="fuzz", scheme="test_04", trials=200, seed=1, output=str(out))
         assert run_fuzz_experiment(spec, schemes) == 0
