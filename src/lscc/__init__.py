@@ -43,11 +43,8 @@ from .measurement import (
     Frame,
     Signal,
     align_phase,
-    check_phase_vs_linear_alignment,
-    linear_align,
     measure,
     p_norm,
-    phaseless_measure,
 )
 from .scheme import (
     INCONCLUSIVE,
@@ -81,11 +78,12 @@ from .shiftinv import (
 )
 from .stability import (
     StabilityReport,
-    complex_bound,
+    bound,
     complex_constant,
     empirical_worst_ratio,
-    real_bound,
+    prefactor,
     real_constant,
+    signal_bound,
     stability_report,
 )
 from .toy import toy_scheme

@@ -76,8 +76,10 @@ class Signal:
 class Frame:
     """A finite measurement family: one functional per matrix row.
 
-    `lower` and `upper` are the declared p-frame constants (A <= B); they are
-    validated against probe signals by the scheme validators, never assumed.
+    `lower` and `upper` are the declared p-frame constants (A <= B).  The
+    scheme-level A and B are checked against probe signals by
+    `validate_local_phase_retrieval`, which fails when the observed ratios
+    ||Phi_v f||_p / ||f||_p leave [A, B]; a Frame itself never checks them.
     """
 
     rows: np.ndarray
@@ -112,11 +114,6 @@ def measure(frame: Frame, f) -> np.ndarray:
     if np.iscomplexobj(vec) and frame.field == REAL:
         raise FieldError("real frame cannot measure a complex signal")
     return np.conj(frame.rows) @ vec
-
-
-def phaseless_measure(frame: Frame, f) -> np.ndarray:
-    """Componentwise modulus of measure(frame, f); entries are >= 0."""
-    return np.abs(measure(frame, f))
 
 
 def p_norm(v, p: float) -> float:
@@ -303,42 +300,3 @@ def pair_ratios(x, ys, field: str, p: float = 2.0):
         floor = np.maximum(scale, 1e-300)
     equivalent = den <= DENOM_CUTOFF * floor
     return num, den, equivalent, equivalent & (num > COLLISION_RTOL * floor)
-
-
-def linear_align(x, y) -> tuple[complex, float]:
-    """Scalar c minimizing ||x - c*y||_2 (least squares) and the residual."""
-    xv = np.asarray(x).ravel()
-    yv = np.asarray(y).ravel()
-    if xv.size != yv.size:
-        raise DimensionError(f"length mismatch {xv.size} != {yv.size}")
-    ynorm2 = float(np.vdot(yv, yv).real)
-    if ynorm2 == 0.0:
-        return 0.0 + 0.0j, float(np.linalg.norm(xv))
-    c = np.vdot(yv, xv) / ynorm2
-    return complex(c), float(np.linalg.norm(xv - c * yv))
-
-
-def check_phase_vs_linear_alignment(x, y, tol: float = 1e-9) -> bool:
-    """Check min_{|xi|=1} ||x - xi y||_2 <= sqrt(2) min_c ||x - c y||_2 + || |x|-|y| ||_2.
-
-    Complex field, p = 2.  Returns whether the inequality holds within an
-    additive tolerance; violations return False rather than raising.
-    """
-    xv = np.asarray(x, dtype=np.complex128).ravel()
-    yv = np.asarray(y, dtype=np.complex128).ravel()
-    _, lhs = align_phase(xv, yv, COMPLEX, 2.0)
-    _, linear_res = linear_align(xv, yv)
-    modulus_gap = float(np.linalg.norm(np.abs(xv) - np.abs(yv)))
-    holds = lhs <= math.sqrt(2.0) * linear_res + modulus_gap + tol
-    if not holds:
-        import logging  # only here: importing it costs about 0.5 MB
-
-        logging.getLogger(__name__).warning(
-            "alignment inequality violated: lhs=%.17g linear=%.17g gap=%.17g x=%r y=%r",
-            lhs,
-            linear_res,
-            modulus_gap,
-            xv.tolist(),
-            yv.tolist(),
-        )
-    return holds

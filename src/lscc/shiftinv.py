@@ -34,7 +34,7 @@ from .certify import (
     sigma_strong_recursive,
 )
 from .errors import DegenerateFrameError, SchemeError, UnsupportedPError
-from .graphs import cheeger_interval
+from .graphs import cheeger
 from .measurement import REAL, Frame
 from .scheme import LsccScheme, induce_graph, path_graph
 
@@ -269,7 +269,7 @@ def _decay_row(gen: GeneratorModel, profile: DecayProfile, R: int) -> dict:
     # the profile's weights decay through the relative drop threshold yet
     # stay strictly positive, so induction must use exact positivity here
     graph = induce_graph(scheme, f, zero_tol=0.0)
-    che = cheeger_interval(graph)
+    che = cheeger(graph)
     if profile.kind == EXPONENTIAL:
         reference = exponential_floor(gen, profile.beta)
         passed = che.value >= reference * (1.0 - 1e-9)

@@ -9,6 +9,8 @@ and for complex schemes with p = 2
 
     C3 * (1 + lambda_G(f)^(-1/2)),   C3 = max{4 C0 C1 sqrt(D), sqrt(8 C0^2 + 2)}.
 
+`bound` evaluates both from an induced graph, and it and `prefactor` are the
+only functions that pick a connectivity or a prefactor by field.
 Vanishing connectivity yields an infinite (never NaN) bound.  Empirical
 ratios are sampled lower bounds on the true stability constant.  Each sampled
 pair goes through `measurement.pair_ratios`, the one place that decides when
@@ -33,13 +35,11 @@ from .graphs import (
     algebraic_connectivity,
     cheeger,
 )
-from .measurement import COMPLEX, DENOM_CUTOFF, REAL, pair_ratios
+from .measurement import DENOM_CUTOFF, REAL, pair_ratios
 from .scheme import LsccScheme, induce_graph, is_phase_retrievable
 
 RANDOM_GAUSSIAN = "RandomGaussian"
-LOCAL_PERTURBATION = "LocalPerturbation"
 SIGN_FLIPS = "SignFlips"
-ADVERSARIAL = "Adversarial"
 
 #: cap on enumerated sign patterns
 SIGN_FLIP_CAP = 1 << 20
@@ -63,106 +63,67 @@ def complex_constant(scheme: LsccScheme) -> float:
     return max(4.0 * c0 * c1 * math.sqrt(d), math.sqrt(8.0 * c0**2 + 2.0))
 
 
-def _cheeger_of(graph: WeightedGraph) -> CheegerResult | None:
-    return None if graph.is_empty else cheeger(graph)
+def prefactor(scheme: LsccScheme) -> float:
+    """The bound's scheme prefactor: C2 for real schemes, C3 for complex ones."""
+    return real_constant(scheme) if scheme.field == REAL else complex_constant(scheme)
 
 
-def real_bound(
+def bound(
     scheme: LsccScheme,
-    f,
+    graph: WeightedGraph,
     cheeger_result: CheegerResult | None = None,
-    graph: WeightedGraph | None = None,
-) -> float:
-    """C2 * (1 + C_G(f)^(-1/p)); infinite when the induced graph disconnects.
-
-    When only a sandwich is available its certified lower end is used, so the
-    returned value remains a true upper stability bound.
-    """
-    if scheme.field != REAL:
-        raise FieldError("real bound applies to real-field schemes")
-    if cheeger_result is None:
-        graph = induce_graph(scheme, f) if graph is None else graph
-        cheeger_result = _cheeger_of(graph)
-    c2 = real_constant(scheme)
-    if cheeger_result is None:  # empty graph: no connectivity to exploit
-        return math.inf
-    c_low = cheeger_result.lower
-    if math.isinf(c_low):  # single vertex: purely local problem
-        return c2
-    if c_low <= 0.0:
-        return math.inf
-    return c2 * (1.0 + c_low ** (-1.0 / scheme.p))
-
-
-def complex_bound(
-    scheme: LsccScheme,
-    f,
     spectral: SpectralResult | None = None,
-    graph: WeightedGraph | None = None,
 ) -> float:
-    """C3 * (1 + lambda_G(f)^(-1/2)); infinite when the spectral gap closes."""
-    if scheme.field != COMPLEX:
-        raise FieldError("complex bound applies to complex-field schemes")
-    if scheme.p != 2.0:
-        raise UnsupportedPError("complex bound requires p = 2")
-    if spectral is None:
-        graph = induce_graph(scheme, f) if graph is None else graph
-        if graph.is_empty:
-            return math.inf
-        spectral = algebraic_connectivity(graph)
-    c3 = complex_constant(scheme)
-    if math.isinf(spectral.lam):
-        return c3
-    if spectral.lam <= 0.0:
+    """prefactor * (1 + connectivity^(-1/q)) for a signal's induced graph.
+
+    The connectivity is the certified lower end of the Cheeger constant with
+    q = p for real schemes (a sandwich still gives a true upper bound), and
+    lambda with q = 2 for complex ones; either is computed from `graph`
+    unless given.  Infinite on an empty graph or at zero connectivity, the
+    prefactor alone on a single vertex.
+    """
+    c = prefactor(scheme)
+    if graph.is_empty:
         return math.inf
-    return c3 * (1.0 + spectral.lam ** (-0.5))
+    if scheme.field == REAL:
+        conn, q = (cheeger(graph) if cheeger_result is None else cheeger_result).lower, scheme.p
+    else:
+        conn, q = (algebraic_connectivity(graph) if spectral is None else spectral).lam, 2.0
+    if math.isinf(conn):
+        return c
+    if conn <= 0.0:
+        return math.inf
+    return c * (1.0 + conn ** (-1.0 / q))
 
 
 def signal_bound(scheme: LsccScheme, f) -> float:
-    """Field-appropriate stability bound of a single signal; infinite when its
-    induced graph is empty."""
-    if scheme.field == REAL:
-        return real_bound(scheme, f)
-    return complex_bound(scheme, f)
+    """`bound` of the graph f induces."""
+    return bound(scheme, induce_graph(scheme, f))
 
 
-def _sign_patterns(dim: int, region_size: int, cap: int = SIGN_FLIP_CAP):
-    """Sign vectors constant on contiguous regions, one per +- class."""
-    regions = math.ceil(dim / region_size)
-    count = min((1 << (regions - 1)) - 1, cap) if regions > 1 else 0
+def complex_bound(scheme: LsccScheme, f, spectral=None, graph=None) -> float:
+    """`bound` of f's induced graph, under the name bench/make_reference.py imports."""
+    return bound(scheme, induce_graph(scheme, f) if graph is None else graph, spectral=spectral)
+
+
+def _sign_patterns(dim: int, cap: int = SIGN_FLIP_CAP):
+    """Sign vectors with a +1 first entry, one per +- class: bit r of the
+    mask flips entry r (a mask below 2^62 has no bit beyond 62)."""
+    count = min((1 << (dim - 1)) - 1, cap) if dim > 1 else 0
+    shifts = np.minimum(np.arange(dim), 62)
     for mask in range(1, count + 1):
-        sigma = np.ones(dim)
-        for r in range(regions):
-            if (mask >> r) & 1:
-                sigma[r * region_size : (r + 1) * region_size] = -1.0
-        yield sigma
+        yield np.where((mask >> shifts) & 1, -1.0, 1.0)
 
 
-def _comparison_signals(
-    scheme: LsccScheme,
-    f: np.ndarray,
-    strategy: str,
-    trials: int,
-    rng: np.random.Generator,
-    adversarial=None,
-    region_size: int = 1,
-):
+def _comparison_signals(scheme: LsccScheme, f: np.ndarray, strategy: str, trials: int, rng):
     if strategy == RANDOM_GAUSSIAN:
         for _ in range(trials):
             yield scheme.random_signal(rng)
-    elif strategy == LOCAL_PERTURBATION:
-        eps = np.logspace(-8.0, 0.0, trials)
-        for e in eps:
-            yield f + e * scheme.random_signal(rng)
     elif strategy == SIGN_FLIPS:
         if scheme.field != REAL:
             raise FieldError("sign-flip enumeration applies to the real field")
-        for sigma in _sign_patterns(scheme.ambient_dim, region_size):
+        for sigma in _sign_patterns(scheme.ambient_dim):
             yield sigma * f
-    elif strategy == ADVERSARIAL:
-        if adversarial is None:
-            raise DegenerateFamilyError("no adversarial generator supplied for this scheme")
-        yield from adversarial
     else:
         raise FieldError(f"unknown strategy {strategy!r}")
 
@@ -173,8 +134,6 @@ def empirical_worst_ratio(
     strategy: str = RANDOM_GAUSSIAN,
     trials: int = 1000,
     rng: np.random.Generator | None = None,
-    adversarial=None,
-    region_size: int = 1,
 ) -> tuple[float, np.ndarray | None]:
     """Worst sampled ratio of aligned to phaseless measurement distance.
 
@@ -191,10 +150,8 @@ def empirical_worst_ratio(
     worst = -math.inf
     witness = None
     valid = 0
-    for g in _comparison_signals(scheme, fv, strategy, trials, rng, adversarial, region_size):
-        num, den, equivalent, collision = pair_ratios(
-            x, scheme.measure(g), scheme.field, scheme.p
-        )
+    for g in _comparison_signals(scheme, fv, strategy, trials, rng):
+        num, den, equivalent, collision = pair_ratios(x, scheme.measure(g), scheme.field, scheme.p)
         if collision:
             return math.inf, g  # collision certificate
         if equivalent:
@@ -275,8 +232,6 @@ def stability_report(
     strategy: str = RANDOM_GAUSSIAN,
     trials: int = 1000,
     seed: int | None = 0,
-    region_size: int = 1,
-    adversarial=None,
 ) -> StabilityReport:
     """Full per-signal analysis: verdict, connectivity, bound, sampled ratio.
 
@@ -289,23 +244,16 @@ def stability_report(
     fv = scheme.coerce(f)
     graph = induce_graph(scheme, fv)
     verdict = is_phase_retrievable(scheme, fv)
-    che = _cheeger_of(graph)
-    spec = None
-    if scheme.p == 2.0 and not graph.is_empty:
-        spec = algebraic_connectivity(graph)
-    if scheme.field == REAL:
-        bound = real_bound(scheme, fv, cheeger_result=che, graph=graph)
-        c3 = complex_constant(scheme) if scheme.p == 2.0 else None
-    else:
-        bound = complex_bound(scheme, fv, spectral=spec, graph=graph)
-        c3 = complex_constant(scheme)
+    che = spec = None
+    if not graph.is_empty:
+        che = cheeger(graph)
+        spec = algebraic_connectivity(graph) if scheme.p == 2.0 else None
+    upper = bound(scheme, graph, che, spec)
     try:
-        ratio, _ = empirical_worst_ratio(
-            scheme, fv, strategy, trials, rng, adversarial, region_size
-        )
+        ratio, _ = empirical_worst_ratio(scheme, fv, strategy, trials, rng)
     except DegenerateFamilyError:
         ratio = 0.0
-    satisfied = ratio <= bound * (1.0 + 1e-9) if math.isfinite(bound) else True
+    satisfied = ratio <= upper * (1.0 + 1e-9) if math.isfinite(upper) else True
     return StabilityReport(
         scheme_name=scheme.name,
         field=scheme.field,
@@ -314,8 +262,8 @@ def stability_report(
         cheeger=che,
         spectral=spec,
         real_prefactor=real_constant(scheme),
-        complex_prefactor=c3,
-        bound=bound,
+        complex_prefactor=complex_constant(scheme) if scheme.p == 2.0 else None,
+        bound=upper,
         empirical_worst_ratio=ratio,
         bound_satisfied=satisfied,
         strategy=strategy,

@@ -26,16 +26,10 @@ from .certify import (
     sigma_and_complement,
 )
 from .errors import ClassError, FieldError, SchemeError
-from .graphs import algebraic_connectivity, cheeger_interval
+from .graphs import algebraic_connectivity, cheeger
 from .measurement import COMPLEX, REAL, Frame, align_phase, as_field_array, gaussian
 from .scheme import LsccScheme, cycle_graph, induce_graph
-from .stability import (
-    complex_bound,
-    complex_constant,
-    empirical_worst_ratio,
-    real_bound,
-    real_constant,
-)
+from .stability import bound, empirical_worst_ratio, prefactor
 
 #: membership slack for window-average comparisons
 CLASS_TOL = 1e-12
@@ -260,7 +254,7 @@ def lower_bound_constants(cfg: WindowedConfig, f, scheme: LsccScheme | None = No
     scheme = build_windowed_scheme(cfg) if scheme is None else scheme
     factor = cfg.s**2 / (2.0 * scheme.frame_upper**2 * cfg.t**2)
     graph = induce_graph(scheme, f)
-    che = cheeger_interval(graph)
+    che = cheeger(graph)
     spec = algebraic_connectivity(graph)
     return LowerBoundCheck(
         cheeger_floor=factor * unweighted_cycle_cheeger(cfg.L),
@@ -301,29 +295,24 @@ def _sweep_row(cfg: WindowedConfig, idx: int, trials: int) -> dict:
     scheme = build_windowed_scheme(cfg)
     f = np.ones(cfg.d, dtype=np.complex128 if cfg.field == COMPLEX else np.float64)
     graph = induce_graph(scheme, f)
-    che = cheeger_interval(graph)
+    che = cheeger(graph)
     spec = algebraic_connectivity(graph)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(idx,)).generate_state(1)[0]
     )
     ratio, _ = empirical_worst_ratio(scheme, f, trials=trials, rng=rng)
-    if cfg.field == COMPLEX:
-        bound = complex_bound(scheme, f, spectral=spec)
-        adv = adversarial_pair(cfg, scheme).measured_ratio
-        prefactor = complex_constant(scheme)
-    else:
-        bound = real_bound(scheme, f, cheeger_result=che)
-        adv = math.nan  # the explicit adversarial pair is complex-only
-        prefactor = real_constant(scheme)
     return {
         "L": cfg.L,
         "d": cfg.d,
-        "bound": bound,
+        "bound": bound(scheme, graph, che, spec),
         "empirical_ratio": ratio,
-        "adversarial_ratio": adv,
+        # the explicit adversarial pair is complex-only
+        "adversarial_ratio": (
+            adversarial_pair(cfg, scheme).measured_ratio if cfg.field == COMPLEX else math.nan
+        ),
         "cheeger": che.value,
         "lambda": spec.lam,
-        "C2_or_C3": prefactor,
+        "C2_or_C3": prefactor(scheme),
     }
 
 

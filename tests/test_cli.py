@@ -266,6 +266,17 @@ class TestValidate:
         path.write_text(json.dumps(data))
         assert run(["validate", "--scheme", str(path), "--trials", "50"]) == 2
 
+    @pytest.mark.parametrize("key, factor", [("A", 2.0), ("B", 0.5)])
+    def test_declared_frame_constant_outside_envelope_fails(self, tmp_path, capsys, key, factor):
+        data = json.loads(scheme_to_json(toy_scheme()))
+        consts = data["constants"]
+        consts[key] *= factor
+        consts["B"] = max(consts["A"], consts["B"])  # a Frame needs A <= B
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(data))
+        assert run(["validate", "--scheme", str(path), "--trials", "50"]) == 2
+        assert "local-phase-retrieval: FAIL" in capsys.readouterr().out
+
 
 class TestSweeps:
     def test_windowed_sweep_writes_csv_and_manifest(self, tmp_path):

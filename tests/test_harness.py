@@ -355,10 +355,14 @@ class TestNoisyRecovery:
 
 class TestSignalBound:
     def test_matches_field_dispatch(self):
-        toy = toy_scheme()
-        from lscc.stability import real_bound
+        from lscc.graphs import cheeger
+        from lscc.scheme import induce_graph
+        from lscc.stability import real_constant
 
-        assert signal_bound(toy, FIXTURE_CONNECTED) == real_bound(toy, FIXTURE_CONNECTED)
+        toy = toy_scheme()
+        che = cheeger(induce_graph(toy, FIXTURE_CONNECTED))
+        expected = real_constant(toy) * (1.0 + che.lower**-0.5)
+        assert signal_bound(toy, FIXTURE_CONNECTED) == expected
 
     def test_empty_graph_infinite(self):
         assert math.isinf(signal_bound(toy_scheme(), np.zeros(4)))
@@ -441,3 +445,36 @@ class TestExperimentRunners:
         code = run_noise_experiment(spec, toy_scheme(), np.asarray(FIXTURE_CONNECTED))
         assert code == 0
         assert out.read_text().startswith("trial,eta_norm,")
+
+
+class TestBenchTracerView:
+    def test_tracer_finds_every_layer(self, tmp_path):
+        # bench/tracer.py wraps lscc's functions by name: a rename should fail
+        # here, not only in the bench run
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(root / 'bench')!r})\n"
+            "import numpy as np\n"
+            "import lscc, tracer\n"
+            "t = tracer.install()\n"
+            "cfg = lscc.windowed.WindowedConfig(a=1, L=4, field='complex', seed=0)\n"
+            "scheme = lscc.windowed.build_windowed_scheme(cfg)\n"
+            "lscc.harness.signal_bound(scheme, np.ones(cfg.d, dtype=complex))\n"
+            "print(json.dumps([t.missing, t.counts['scheme.dense_bytes'], t.calls]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        missing, dense_bytes, calls = json.loads(proc.stdout)
+        assert missing == []
+        assert dense_bytes > 0
+        assert calls["harness.signal_bound"] == 1
+        assert calls["graphs.algebraic_connectivity"] == 1

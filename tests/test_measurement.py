@@ -15,17 +15,40 @@ from lscc.measurement import (
     Signal,
     align_phase,
     align_phase_batch,
-    check_phase_vs_linear_alignment,
-    linear_align,
     measure,
     p_norm,
     p_norms,
     pair_ratios,
-    phaseless_measure,
 )
+from lscc.harness import BOUND_SLACK, derive_rng, inequality_suite
 from lscc.toy import FIXTURE_BROKEN, FIXTURE_BROKEN_TWIN, toy_scheme
 
 TOY_LOCAL = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+
+
+def phaseless_measure(frame, f):
+    return np.abs(measure(frame, f))
+
+
+def linear_align(x, y):
+    """Scalar c minimizing ||x - c*y||_2 (least squares) and the residual."""
+    xv, yv = np.asarray(x).ravel(), np.asarray(y).ravel()
+    ynorm2 = float(np.vdot(yv, yv).real)
+    if ynorm2 == 0.0:
+        return 0.0 + 0.0j, float(np.linalg.norm(xv))
+    c = np.vdot(yv, xv) / ynorm2
+    return complex(c), float(np.linalg.norm(xv - c * yv))
+
+
+def alignment_holds(x, y, tol=1e-9, factor=math.sqrt(2.0)):
+    """min_{|xi|=1} ||x - xi y||_2 <= factor * min_c ||x - c y||_2 + || |x|-|y| ||_2 + tol,
+    one pair at a time: the scalar oracle of inequality_suite's part one."""
+    xv = np.asarray(x, dtype=np.complex128).ravel()
+    yv = np.asarray(y, dtype=np.complex128).ravel()
+    _, lhs = align_phase(xv, yv, COMPLEX, 2.0)
+    _, linear_res = linear_align(xv, yv)
+    modulus_gap = float(np.linalg.norm(np.abs(xv) - np.abs(yv)))
+    return lhs <= factor * linear_res + modulus_gap + tol
 
 
 def finite_vectors(length, complex_=False):
@@ -374,18 +397,41 @@ class TestLinearAlignment:
         assert res == pytest.approx(0.0, abs=1e-12)
 
     def test_inequality_zero_y(self):
-        assert check_phase_vs_linear_alignment(np.array([1.0 + 0j, 2.0]), np.zeros(2))
+        assert alignment_holds(np.array([1.0 + 0j, 2.0]), np.zeros(2))
 
     def test_inequality_equal_vectors(self):
         x = np.array([1.0 + 2j, -0.5])
-        assert check_phase_vs_linear_alignment(x, x)
+        assert alignment_holds(x, x)
 
     def test_inequality_fuzz(self):
         rng = np.random.default_rng(8)
         for _ in range(10_000):
             x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            assert check_phase_vs_linear_alignment(x, y)
+            assert alignment_holds(x, y)
+
+    @pytest.mark.parametrize("factor", [math.sqrt(2.0), 0.5])
+    def test_scalar_loop_matches_inequality_suite(self, monkeypatch, factor):
+        # the suite's draws, pair by pair; at factor 0.5 the inequality is
+        # false for many pairs, and both routes must count the same ones
+        import types
+
+        from lscc import harness
+
+        trials, length = 2000, 16
+        monkeypatch.setattr(harness, "math", types.SimpleNamespace(sqrt=lambda _: factor))
+        counted = inequality_suite(seed=5, trials=trials, length=length)["alignment_violations"]
+        rng = derive_rng(5, "alignment-suite")
+        x = rng.standard_normal((length, trials)) + 1j * rng.standard_normal((length, trials))
+        y = rng.standard_normal((length, trials)) + 1j * rng.standard_normal((length, trials))
+        y[:, 0] = 0.0
+        y[:, 1] = x[:, 1]
+        bad = 0
+        for a, b in zip(x.T, y.T):
+            tol = BOUND_SLACK * (np.linalg.norm(a) + np.linalg.norm(b) + 1.0)
+            bad += not alignment_holds(a, b, tol, factor)
+        assert bad == counted
+        assert (bad == 0) == (factor == math.sqrt(2.0))
 
     @given(finite_vectors(6, complex_=True), finite_vectors(6, complex_=True))
     @settings(max_examples=200, deadline=None)

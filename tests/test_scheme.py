@@ -264,9 +264,7 @@ class TestValidators:
         assert report.passed
 
     def test_estimate_mode_reports_lower_bound(self, toy):
-        report = validate_local_phase_retrieval(
-            toy, trials=100, rng=np.random.default_rng(3), estimate=True
-        )
+        report = validate_local_phase_retrieval(toy, trials=100, rng=np.random.default_rng(3))
         assert report.passed
         assert 1.0 <= report.detail["estimated_c0"] <= toy.local_stability
 
@@ -789,9 +787,11 @@ class TestBatchedValidators:
         assert report.detail["observed"] == pytest.approx([lo, hi], rel=1e-12)
 
 
-def reference_local_phase_retrieval(scheme, trials, rng, estimate=False):
+def reference_local_phase_retrieval(scheme, trials, rng):
     """The per-pair loop the array route replaced: (passed, worst, witness,
-    collision, frame_lo, frame_hi), one matvec and np.linalg.norm per probe."""
+    collision, frame_lo, frame_hi), one matvec and np.linalg.norm per probe.
+    It passes when no pair collides, no ratio exceeds C0 and the frame ratios
+    stay within the declared [A, B], each up to a relative 1e-9."""
 
     def norm(x):
         return float(np.linalg.norm(x, ord=scheme.p))
@@ -828,7 +828,12 @@ def reference_local_phase_retrieval(scheme, trials, rng, estimate=False):
                 worst = num / den
                 if not collision:
                     witness = (v, f, g)
-    passed = not collision and (estimate or worst <= scheme.local_stability * (1.0 + 1e-9))
+    passed = (
+        not collision
+        and worst <= scheme.local_stability * (1.0 + 1e-9)
+        and scheme.frame_lower * (1.0 - 1e-9) <= frame_lo
+        and frame_hi <= scheme.frame_upper * (1.0 + 1e-9)
+    )
     return passed, (math.inf if collision else worst), witness, collision, frame_lo, frame_hi
 
 
@@ -859,18 +864,22 @@ class TestBatchedLocalValidator:
     """The array route of validate_local_phase_retrieval against its per-pair loop."""
 
     @pytest.mark.parametrize("rng_kind", ["seeded", "zeros"])
-    @pytest.mark.parametrize("declared, estimate", [("built", False), ("tiny", False), ("tiny", True)])
+    @pytest.mark.parametrize("declared, on_frame", [("built", False), ("tiny", False), ("tiny", True)])
     @pytest.mark.parametrize("name", sorted(LOCAL_ORACLE_SCHEMES))
-    def test_matches_per_pair_loop(self, name, declared, estimate, rng_kind):
-        scheme = local_oracle_scheme(name)
-        if declared == "tiny":  # below every worst ratio: the witness is reported
-            scheme = dataclasses.replace(scheme, local_stability=1e-3)
+    def test_matches_per_pair_loop(self, name, declared, on_frame, rng_kind):
+        # "tiny" puts the declared C0, or with on_frame the declared B, below
+        # every observed ratio: the check fails and reports its witness
+        scheme = built = local_oracle_scheme(name)
+        if declared == "tiny":
+            tiny = {"frame_upper": 1e-3} if on_frame else {"local_stability": 1e-3}
+            scheme = dataclasses.replace(scheme, **tiny)
         rngs = [np.random.default_rng(50) if rng_kind == "seeded" else ZeroRng() for _ in "ab"]
-        report = validate_local_phase_retrieval(scheme, 23, rngs[0], estimate=estimate)
+        report = validate_local_phase_retrieval(scheme, 23, rngs[0])
         passed, worst, witness, collision, lo, hi = reference_local_phase_retrieval(
-            scheme, 23, rngs[1], estimate
+            scheme, 23, rngs[1]
         )
         assert report.passed == passed
+        assert passed == (scheme is built and name != "degenerate")
         assert report.worst == worst and report.detail["estimated_c0"] <= worst
         assert report.detail["collision_found"] == collision
         if collision or not passed:
