@@ -43,7 +43,6 @@ from .measurement import (
     Frame,
     Signal,
     align_phase,
-    measure,
     p_norm,
 )
 from .scheme import (
@@ -66,7 +65,6 @@ from .harness import (
     derive_rng,
     fuzz_bounds,
     inequality_suite,
-    noisy_recovery_gap,
 )
 from .shiftinv import (
     DecayProfile,

@@ -85,12 +85,12 @@ def _factor(m: np.ndarray, masks: np.ndarray, sizes: np.ndarray) -> tuple[np.nda
     return last, full
 
 
-def _check_budget(rows: int, budget: int) -> None:
-    if rows > budget:
-        raise BudgetExceededError(f"{rows} rows exceeds subset budget {budget}")
+def _check_budget(rows: int) -> None:
+    if rows > SIGMA_BUDGET:
+        raise BudgetExceededError(f"{rows} rows exceeds subset budget {SIGMA_BUDGET}")
 
 
-def _split_table(m: np.ndarray, budget: int) -> tuple[np.ndarray, ...]:
+def _split_table(m: np.ndarray) -> tuple[np.ndarray, ...]:
     """Every row split once, larger side factored: (its last singular value,
     its full rank, the smaller side's mask, the smaller side's size).
 
@@ -98,7 +98,7 @@ def _split_table(m: np.ndarray, budget: int) -> tuple[np.ndarray, ...]:
     larger side.  Bit counts come from a doubling table.
     """
     rows = m.shape[0]
-    _check_budget(rows, budget)
+    _check_budget(rows)
     sizes = np.zeros(1 << rows, dtype=np.int8)
     for i in range(rows):
         sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
@@ -138,31 +138,31 @@ def _sigma(m: np.ndarray, table: tuple[np.ndarray, ...]) -> float:
     return float(best)
 
 
-def sigma_and_complement(m: np.ndarray, budget: int = SIGMA_BUDGET) -> tuple[float, bool]:
+def sigma_and_complement(m: np.ndarray) -> tuple[float, bool]:
     """(sigma_strong(m), complement_property_holds(m)) of a real m from one
     split table, for callers that need both."""
     m = np.atleast_2d(m)
-    table = _split_table(m, budget)
+    table = _split_table(m)
     return _sigma(m, table), _complement_holds(m, table)
 
 
-def complement_property_holds(m: np.ndarray, budget: int = SIGMA_BUDGET) -> bool:
+def complement_property_holds(m: np.ndarray) -> bool:
     """True iff every row split leaves one side of full column rank.
 
     Equivalent to real phase retrievability of the row family.
     """
     m = np.atleast_2d(m)
-    return _complement_holds(m, _split_table(m, budget))
+    return _complement_holds(m, _split_table(m))
 
 
-def sigma_strong(m: np.ndarray, budget: int = SIGMA_BUDGET) -> float:
+def sigma_strong(m: np.ndarray) -> float:
     """Strong-split constant: min over row masks of the larger of the last
     singular values of m[mask] and m[~mask]."""
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    return _sigma(m, _split_table(m, budget))
+    return _sigma(m, _split_table(m))
 
 
-def sigma_strong_recursive(m: np.ndarray, budget: int = SIGMA_BUDGET) -> float:
+def sigma_strong_recursive(m: np.ndarray) -> float:
     """Independent second enumeration path over subsets by size.
 
     Uses itertools.combinations instead of bitmasks; shares only the singular
@@ -170,7 +170,7 @@ def sigma_strong_recursive(m: np.ndarray, budget: int = SIGMA_BUDGET) -> float:
     """
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
     rows = m.shape[0]
-    _check_budget(rows, budget)
+    _check_budget(rows)
     all_rows = set(range(rows))
     best = math.inf
     for size in range(rows + 1):
@@ -192,7 +192,7 @@ def real_local_stability(m: np.ndarray, sigma: float | None = None) -> float:
     return math.sqrt(2.0) * lmax / sigma
 
 
-def p_frame_bounds(m: np.ndarray, p: float, grid: int = 4096, rng=None) -> tuple[float, float]:
+def p_frame_bounds(m: np.ndarray, p: float, grid: int = 4096) -> tuple[float, float]:
     """Numerical (lower, upper) constants of ||M c||_p against the domain
     p-norm ||c||_p.
 
@@ -222,8 +222,7 @@ def p_frame_bounds(m: np.ndarray, p: float, grid: int = 4096, rng=None) -> tuple
         thetas = np.linspace(0.0, math.pi, grid, endpoint=False)
         dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     else:
-        rng = np.random.default_rng(0) if rng is None else rng
-        dirs = rng.standard_normal((grid, n))
+        dirs = np.random.default_rng(0).standard_normal((grid, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     num = np.sum(np.abs(dirs @ m.T) ** p, axis=1) ** (1.0 / p)
     den = np.sum(np.abs(dirs) ** p, axis=1) ** (1.0 / p)

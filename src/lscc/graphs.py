@@ -228,7 +228,7 @@ def _smallest_members(sets: np.ndarray) -> tuple[int, ...]:
     return tuple(members)
 
 
-def cheeger_exact(g: WeightedGraph, budget: int = EXACT_BUDGET) -> CheegerResult:
+def cheeger_exact(g: WeightedGraph) -> CheegerResult:
     """Exact Cheeger constant by enumeration of all 2^(n-1) cuts.
 
     Ties between optimal cuts are broken toward the lexicographically
@@ -240,8 +240,8 @@ def cheeger_exact(g: WeightedGraph, budget: int = EXACT_BUDGET) -> CheegerResult
     if g.is_empty:
         raise EmptyGraphError("Cheeger constant of the empty graph is undefined")
     n = g.num_vertices
-    if n > budget:
-        raise BudgetExceededError(f"{n} vertices exceeds exact budget {budget}")
+    if n > EXACT_BUDGET:
+        raise BudgetExceededError(f"{n} vertices exceeds exact budget {EXACT_BUDGET}")
     if n == 1:
         return _singleton_result(g, EXACT_ENUMERATION)
 

@@ -2,8 +2,7 @@
 
 Everything here is an executable check of an inequality the library's bounds
 are built on: bound domination over random signal pairs, the per-edge phase
-mismatch bound, the unimodular-versus-linear alignment inequality, and the
-noise-amplification chain for reconstruction from corrupted moduli.  All
+mismatch bound and the unimodular-versus-linear alignment inequality.  All
 sampling is derived from explicit seeds; identical specs produce identical
 CSV bytes.
 """
@@ -21,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateFamilyError, SchemeError
-from .measurement import COMPLEX, align_phase, align_phase_batch, gaussian, p_norm, pair_ratios
+from .errors import DegenerateFamilyError
+from .measurement import COMPLEX, align_phase_batch, gaussian, pair_ratios
 from .scheme import LsccScheme
 from .stability import signal_bound
 
@@ -338,94 +337,6 @@ def inequality_suite(seed: int = 0, trials: int = 100_000, length: int = 16) -> 
     }
 
 
-def noisy_recovery_gap(
-    scheme: LsccScheme,
-    f,
-    eta_norm: float,
-    trials: int = 8,
-    seed: int = 0,
-    starts: int = 32,
-    maxiter: int = 2000,
-) -> list[dict]:
-    """Reconstruction from nonnegative noisy moduli against the 2*C(f)*||eta|| chain.
-
-    Noise of prescribed p-norm is added to the moduli and clipped at zero
-    (clipping only shrinks it).  A multi-start derivative-free descent over
-    coefficients approximates the modulus-fit minimizer; because the true
-    signal is one start, the found objective never exceeds the noise level,
-    which is what the inequality chain needs.  The solver is a heuristic:
-    gaps are upper bounds on solver quality, not on the bound itself.
-    """
-    from scipy.optimize import minimize
-
-    if eta_norm < 0.0:
-        raise SchemeError("eta_norm must be nonnegative")
-    rng = derive_rng(seed, "noise", scheme.name)
-    fv = scheme.coerce(f)
-    x = scheme.measure(fv)
-    moduli = np.abs(x)
-    bound = signal_bound(scheme, fv)
-    p = scheme.p
-    complex_field = scheme.field == COMPLEX
-    dim = scheme.ambient_dim
-
-    def pack(vec: np.ndarray) -> np.ndarray:
-        if complex_field:
-            return np.concatenate([vec.real, vec.imag])
-        return np.asarray(vec, dtype=np.float64)
-
-    def unpack(params: np.ndarray) -> np.ndarray:
-        if complex_field:
-            return params[:dim] + 1j * params[dim:]
-        return params
-
-    rows = []
-    for trial in range(trials):
-        direction = rng.standard_normal(moduli.size)
-        nrm = p_norm(direction, p)
-        eta = direction / nrm * eta_norm if eta_norm > 0.0 and nrm > 0.0 else np.zeros_like(moduli)
-        z = np.maximum(moduli + eta, 0.0)
-        effective = p_norm(z - moduli, p)
-
-        def objective(params: np.ndarray) -> float:
-            g = unpack(params)
-            return p_norm(np.abs(scheme.vertex_operator @ g) - z, p)
-
-        best_params = pack(fv)
-        best_obj = objective(best_params)
-        if eta_norm > 0.0:
-            for s in range(starts - 1):
-                if s < (starts - 1) // 2:
-                    start = pack(fv) + 0.1 * rng.standard_normal(best_params.size)
-                else:
-                    start = rng.standard_normal(best_params.size)
-                res = minimize(
-                    objective,
-                    start,
-                    method="Nelder-Mead",
-                    options={"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-12},
-                )
-                if res.fun < best_obj:
-                    best_obj = float(res.fun)
-                    best_params = res.x
-        g_hat = unpack(best_params)
-        _, gap = align_phase(x, scheme.measure(g_hat), scheme.field, p)
-        limit = 2.0 * bound * eta_norm
-        ok = True if math.isinf(limit) else gap <= limit + BOUND_SLACK * (limit + 1.0)
-        rows.append(
-            {
-                "trial": trial,
-                "eta_norm": eta_norm,
-                "effective_noise": effective,
-                "objective": best_obj,
-                "gap": gap,
-                "limit": limit,
-                "ok": ok,
-            }
-        )
-    return rows
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Fully seeded description of one harness run; reruns are byte-identical."""
@@ -502,17 +413,3 @@ def run_fuzz_experiment(spec: ExperimentSpec, schemes: list[LsccScheme]) -> int:
             },
         )
     return 0 if out["passed"] else 2
-
-
-def run_noise_experiment(spec: ExperimentSpec, scheme: LsccScheme, signal) -> int:
-    """Noisy-recovery chain check for one signal, CSV + manifest, exit code."""
-    eta = float(spec.parameters.get("eta_norm", 0.1))
-    rows = noisy_recovery_gap(scheme, signal, eta, trials=spec.trials, seed=spec.seed)
-    ok = all(row["ok"] for row in rows)
-    if spec.output:
-        header = ["trial", "eta_norm", "effective_noise", "objective", "gap", "limit", "ok"]
-        write_csv(spec.output, header, rows)
-        write_manifest(
-            spec.output + ".manifest.json", {"spec": spec.to_dict(), "passed": ok}
-        )
-    return 0 if ok else 2

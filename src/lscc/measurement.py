@@ -103,19 +103,6 @@ class Frame:
         return self.rows.shape[1]
 
 
-def measure(frame: Frame, f) -> np.ndarray:
-    """Apply every functional of the frame: out[i] = <f, row_i>."""
-    vec = f.values if isinstance(f, Signal) else np.asarray(f)
-    if vec.ndim != 1 or vec.size != frame.dim:
-        raise DimensionError(
-            f"signal length {vec.size if vec.ndim == 1 else vec.shape} "
-            f"!= frame dimension {frame.dim}"
-        )
-    if np.iscomplexobj(vec) and frame.field == REAL:
-        raise FieldError("real frame cannot measure a complex signal")
-    return np.conj(frame.rows) @ vec
-
-
 def p_norm(v, p: float) -> float:
     """(sum |v_i|^p)^(1/p) for p in [1, inf), flattening v.
 

@@ -22,7 +22,6 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
@@ -48,8 +47,8 @@ INCONCLUSIVE = "Inconclusive"
 DESCRIPTOR_VERSION = 2
 #: relative weight threshold below which induced vertices/edges are dropped
 DEFAULT_ZERO_TOL = 1e-12
-#: local objects whose supports the descriptor writer reads off the table at once
-_TEXT_CHUNK = 4096
+#: descriptor text the writer formats per chunk of a run of objects
+_TEXT_BYTES = 1 << 16
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -382,7 +381,9 @@ def validate_local_phase_retrieval(
     ratios ||Phi_v f||_p / ||f||_p leaves the declared [A, B] by more than a
     relative 1e-9.  `detail` carries the worst ratio as "estimated_c0", a
     sampled lower bound on C0.  The witness is the first collision if there
-    is one, else the worst pair, as (v, f, g) with full-length f and g.
+    is one, else the worst pair, as (v, f, g) with full-length f and g; when
+    only the frame envelope fails, (v, f, None) with f the first probe (f
+    before g) reaching the out-of-range lower, else upper, frame ratio.
 
     Each vertex is one array pass: its probes are measured by one stacked
     matmul (one matvec per probe, so bit for bit `Phi_v @ f`) and the frame
@@ -395,17 +396,20 @@ def validate_local_phase_retrieval(
     worst = 0.0
     witness = None
     frame_lo, frame_hi = math.inf, 0.0
+    envelope = [None, None]  # (v, probe) first reaching frame_lo and frame_hi
     collision = False
     for v, fr in enumerate(scheme.vertex_frames):
         probes = _vertex_probes(scheme, v, trials, rng)
         flat = probes.reshape(-1, probes.shape[-1])
         meas = (np.conj(fr.rows)[None] @ flat[:, :, None])[..., 0]
         norms = p_norms(flat, p)
-        live = norms > 0.0
-        ratios = p_norms(meas, p)[live] / norms[live]
-        if ratios.size:
-            frame_lo = min(frame_lo, float(ratios.min()))
-            frame_hi = max(frame_hi, float(ratios.max()))
+        ratio = np.divide(p_norms(meas, p), norms, out=np.full_like(norms, np.nan), where=norms > 0)
+        in_order = ratio.reshape(2, -1).T.ravel()  # pair order, f before g; basis probes live
+        lo, hi = np.nanargmin(in_order), np.nanargmax(in_order)
+        if in_order[lo] < frame_lo:
+            frame_lo, envelope[0] = float(in_order[lo]), (v, probes[lo % 2, lo // 2])
+        if in_order[hi] > frame_hi:
+            frame_hi, envelope[1] = float(in_order[hi]), (v, probes[hi % 2, hi // 2])
         meas = meas.reshape(2, -1, meas.shape[-1])
         for k, (x, y) in enumerate(zip(meas[0], meas[1])):
             num, den, equivalent, collides = pair_ratios(x, y, scheme.field, p)
@@ -420,17 +424,16 @@ def validate_local_phase_retrieval(
                 if not collision:
                     witness = (v, probes[0, k], probes[1, k])
     declared = scheme.local_stability
-    passed = (
-        not collision
-        and worst <= declared * (1.0 + 1e-9)
-        and scheme.frame_lower * (1.0 - 1e-9) <= frame_lo
-        and frame_hi <= scheme.frame_upper * (1.0 + 1e-9)
-    )
+    c0_holds = not collision and worst <= declared * (1.0 + 1e-9)
+    low_holds = scheme.frame_lower * (1.0 - 1e-9) <= frame_lo
+    passed = c0_holds and low_holds and frame_hi <= scheme.frame_upper * (1.0 + 1e-9)
+    if c0_holds and not passed:
+        witness = (*envelope[1 if low_holds else 0], None)
     if witness is not None:
         v, fv, gv = witness
-        full = np.zeros((2, scheme.ambient_dim), dtype=np.result_type(fv, gv))
-        full[:, scheme.vertex_projections[v]] = fv, gv
-        witness = (v, full[0], full[1])
+        full = np.zeros((2, scheme.ambient_dim), dtype=fv.dtype)
+        full[:, scheme.vertex_projections[v]] = fv, (fv if gv is None else gv)
+        witness = (v, full[0], None if gv is None else full[1])
     return ValidationReport(
         check="local-phase-retrieval",
         passed=passed,
@@ -559,7 +562,7 @@ def validate_scheme(
 def _block_columns(block: np.ndarray, field: str) -> tuple[np.ndarray, list]:
     """A local block's nonzero columns: their mask, and the block over them as
     nested lists (a complex entry as [re, im])."""
-    keep = np.any(block != 0, axis=0)
+    keep = (block != 0).any(axis=0)
     block = block[:, keep]
     if field == COMPLEX:
         block = np.stack([block.real, block.imag], axis=-1)
@@ -623,50 +626,48 @@ def _descriptor_fragments(scheme: LsccScheme):
     """`json.dumps(scheme_to_dict(scheme), sort_keys=True, separators=(",", ":"))`
     as a sequence of ASCII byte fragments whose concatenation is that text.
 
-    Neither the text nor the descriptor dict is built.  The supports are read
-    off the CSR table `_TEXT_CHUNK` objects at a time.  A local object is two
-    fragments, its block's head up to the support and then the support, so a
-    block shared by several objects is written and encoded once per call.
+    Neither the text nor the dict is built.  Each list is written one run of
+    consecutive objects at a time: objects sharing a block (for projections, a
+    support length) have supports of one width, so a run is one (k, s) slice
+    of the CSR table, cut into chunks of about _TEXT_BYTES of text.  A chunk
+    is its first object's head, then one `%` format of "support, next head",
+    the support as "%d" slots, repeated over the chunk's ints.
     """
     dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     flat, bounds, blocks, block_of = scheme._flat, scheme._bounds, scheme._blocks, scheme._block_of
-    shared = np.bincount(block_of, minlength=len(blocks)) > 1
-    heads = {}
+    digits = len(str(scheme.ambient_dim))  # the widest coordinate's text
 
-    def supports(lo: int, hi: int):
-        """(block index, support as a list of ints) of objects lo..hi-1."""
-        for start in range(lo, hi, _TEXT_CHUNK):
-            stop = min(start + _TEXT_CHUNK, hi)
-            ints = flat[bounds[start] : bounds[stop]].tolist()
-            cuts = (bounds[start : stop + 1] - bounds[start]).tolist()
-            parts = (ints[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
-            yield from zip(block_of[start:stop].tolist(), parts)
+    def block_head(k: int) -> tuple:
+        """(kept columns or None, head up to the support, tail) of object k's block."""
+        keep, rows = _block_columns(blocks[block_of[k]], scheme.field)
+        prefix = f'{{"block":{dumps(rows)},"m":{len(rows)},"support":'
+        return None if keep.all() else keep, prefix, "}"
 
-    def block_texts(lo: int, hi: int):
-        """Each object as its head, then its support, closing brace and comma."""
-        for i, (j, support) in enumerate(supports(lo, hi), lo + 1):
-            head = heads.get(j)
-            if head is None:
-                keep, rows = _block_columns(blocks[j], scheme.field)
-                keep = None if keep.all() else keep.tolist()
-                head = keep, f'{{"block":{dumps(rows)},"m":{len(rows)},"support":'.encode()
-                if shared[j]:
-                    heads[j] = head
-            keep, text = head
-            if keep is not None:
-                support = list(compress(support, keep))
-            yield text
-            yield f"[{','.join(map(str, support))}]}}{',' if i < hi else ''}".encode()
-
-    def support_texts(lo: int, hi: int):
-        for i, (_, support) in enumerate(supports(lo, hi), lo + 1):
-            yield f"[{','.join(map(str, support))}]{',' if i < hi else ''}".encode()
+    def texts(lo: int, hi: int, keys: np.ndarray, head):
+        """Objects lo..hi-1, comma separated, one run of equal `keys` at a time."""
+        # keys are >= 0, so the first object starts a run; no objects, no runs
+        first = np.flatnonzero(np.diff(keys[lo:hi], prepend=-1)) + lo
+        runs = first, np.append(first[1:], hi), bounds[first], bounds[first + 1] - bounds[first]
+        for a, b, at, width in zip(*(column.tolist() for column in runs)):
+            keep, prefix, suffix = head(a)
+            kept = width if keep is None else int(keep.sum())
+            support = "[" + ("%d," * kept)[:-1] + "]" + suffix
+            inner = support + "," + prefix  # an object's support, then the next one's head
+            step = max(1, _TEXT_BYTES // (len(inner) + kept * digits))
+            for c in range(a, b, step):
+                k = min(step, b - c)
+                ints = flat[at + (c - a) * width : at + (c - a + k) * width]
+                if keep is not None:
+                    ints = ints.reshape(k, width)[:, keep].ravel()
+                template = inner * (k - 1) + support + ("" if c + k == hi else ",")
+                yield prefix.encode()
+                yield (template % tuple(ints.tolist())).encode()
 
     n_v = scheme.num_vertices
     lists = {
-        "frames": block_texts(0, n_v),
-        "edgeFunctionals": block_texts(n_v, block_of.size),
-        "projections": support_texts(0, n_v),
+        "frames": texts(0, n_v, block_of, block_head),
+        "edgeFunctionals": texts(n_v, block_of.size, block_of, block_head),
+        "projections": texts(0, n_v, np.diff(bounds[: n_v + 1]), lambda k: (None, "", "")),
     }
     fields = _descriptor_fields(scheme)
     for k, key in enumerate(sorted([*fields, *lists])):

@@ -26,10 +26,9 @@ import numpy as np
 from .certify import (
     COMPLEX_C0_MARGIN,
     DEGENERATE_RTOL,
-    complement_property_holds,
     estimate_local_stability,
-    max_singular,
     p_frame_bounds,
+    sigma_and_complement,
     sigma_strong,
     sigma_strong_recursive,
 )
@@ -106,11 +105,16 @@ class GeneratorModel:
         return p_frame_bounds(self.local_matrix, self.p)
 
     @cached_property
+    def _sigma_and_complement(self) -> tuple[float, bool]:
+        """sigma and the complement property of the local matrix, from one split table."""
+        return sigma_and_complement(self.local_matrix)
+
+    @property
     def sigma(self) -> float:
-        return sigma_strong(self.local_matrix)
+        return self._sigma_and_complement[0]
 
     def validate(self) -> None:
-        if not complement_property_holds(self.local_matrix):
+        if not self._sigma_and_complement[1]:
             raise SchemeError("sampled generator rows are not phase retrievable")
         if self.frame_bounds[0] <= 0.0:
             raise SchemeError("local sampling matrix is rank deficient")
@@ -131,7 +135,7 @@ def sigma_based_constants(gen: GeneratorModel) -> tuple[float, float, float]:
     if gen.p != 2.0:
         raise UnsupportedPError("closed-form constants require p = 2")
     sigma = gen.sigma
-    lmax = max_singular(gen.local_matrix)
+    lmax = gen.frame_bounds[1]  # the top singular value at p = 2
     if sigma <= DEGENERATE_RTOL * lmax:
         raise DegenerateFrameError("sigma = 0: a row split defeats sign recovery")
     k0 = gen.N  # number of coefficients any vertex sees

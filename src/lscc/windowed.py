@@ -27,7 +27,7 @@ from .certify import (
 )
 from .errors import ClassError, FieldError, SchemeError
 from .graphs import algebraic_connectivity, cheeger
-from .measurement import COMPLEX, REAL, Frame, align_phase, as_field_array, gaussian
+from .measurement import COMPLEX, REAL, Frame, as_field_array, gaussian, pair_ratios
 from .scheme import LsccScheme, cycle_graph, induce_graph
 from .stability import bound, empirical_worst_ratio, prefactor
 
@@ -188,8 +188,8 @@ def adversarial_pair(cfg: WindowedConfig, scheme: LsccScheme | None = None) -> A
     """The all-ones / single-frequency pair with its closed-form ratio floors.
 
     The statement-form floor uses cos(4*pi*a/L), the proof-form floor
-    cos(4*pi*a/d); the measured ratio is computed directly from the scheme's
-    measurements and reported alongside both.
+    cos(4*pi*a/d); the measured ratio, reported alongside both, is the
+    `pair_ratios` one: inf on a collision, nan on a phase-equivalent pair.
     """
     if cfg.field != COMPLEX:
         raise FieldError("the adversarial construction is complex-field only")
@@ -199,11 +199,8 @@ def adversarial_pair(cfg: WindowedConfig, scheme: LsccScheme | None = None) -> A
     d = cfg.d
     f = np.ones(d, dtype=np.complex128)
     g = np.exp(2j * math.pi * np.arange(d) / d)
-    x = scheme.measure(f)
-    y = scheme.measure(g)
-    _, num = align_phase(x, y, COMPLEX, 2.0)
-    den = float(np.linalg.norm(np.abs(x) - np.abs(y)))
-    measured = num / den if den > 0.0 else math.inf
+    num, den, equivalent, collides = pair_ratios(scheme.measure(f), scheme.measure(g), COMPLEX)
+    measured = math.inf if collides else math.nan if equivalent else num / den
     ratio_ab = scheme.frame_lower / scheme.frame_upper
 
     def closed_form(angle: float) -> float:

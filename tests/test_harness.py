@@ -17,14 +17,13 @@ from lscc.harness import (
     format_cell,
     fuzz_bounds,
     inequality_suite,
-    noisy_recovery_gap,
     signal_bound,
     write_csv,
 )
 from lscc.measurement import COMPLEX, REAL, Frame
 from lscc.scheme import BaseGraph, LsccScheme
 from lscc.shiftinv import GeneratorModel, build_shiftinv_scheme
-from lscc.toy import FIXTURE_BROKEN, FIXTURE_CONNECTED, toy_scheme
+from lscc.toy import FIXTURE_CONNECTED, toy_scheme
 from lscc.windowed import WindowedConfig, build_windowed_scheme
 
 
@@ -316,43 +315,6 @@ class TestInequalitySuite:
         assert bad == 0
 
 
-class TestNoisyRecovery:
-    def test_zero_noise_zero_gap(self):
-        rows = noisy_recovery_gap(toy_scheme(), FIXTURE_CONNECTED, 0.0, trials=2, seed=0)
-        for row in rows:
-            assert row["gap"] == pytest.approx(0.0, abs=1e-12)
-            assert row["ok"]
-
-    def test_small_noise_within_chain(self):
-        rows = noisy_recovery_gap(
-            toy_scheme(), FIXTURE_CONNECTED, 0.05, trials=3, seed=1, starts=8, maxiter=300
-        )
-        for row in rows:
-            assert row["objective"] <= row["effective_noise"] + 1e-12
-            assert row["gap"] <= row["limit"] + 1e-9
-            assert row["ok"]
-
-    def test_disconnected_witness_only_mode(self):
-        rows = noisy_recovery_gap(
-            toy_scheme(), FIXTURE_BROKEN, 0.05, trials=1, seed=2, starts=4, maxiter=100
-        )
-        assert math.isinf(rows[0]["limit"])
-        assert rows[0]["ok"]
-
-    def test_determinism(self):
-        kwargs = dict(trials=2, seed=5, starts=6, maxiter=200)
-        a = noisy_recovery_gap(toy_scheme(), FIXTURE_CONNECTED, 0.02, **kwargs)
-        b = noisy_recovery_gap(toy_scheme(), FIXTURE_CONNECTED, 0.02, **kwargs)
-        assert a == b
-
-    def test_clipping_never_grows_noise(self):
-        rows = noisy_recovery_gap(
-            toy_scheme(), FIXTURE_CONNECTED, 5.0, trials=4, seed=3, starts=4, maxiter=50
-        )
-        for row in rows:
-            assert row["effective_noise"] <= 5.0 + 1e-12
-
-
 class TestSignalBound:
     def test_matches_field_dispatch(self):
         from lscc.graphs import cheeger
@@ -429,22 +391,6 @@ class TestExperimentRunners:
         manifest = json.loads((tmp_path / "bad.csv.manifest.json").read_text())
         assert manifest["passed"] is False
         assert manifest["violations"]
-
-    def test_noise_experiment(self, tmp_path):
-        from lscc.harness import run_noise_experiment
-
-        out = tmp_path / "noise.csv"
-        spec = ExperimentSpec(
-            kind="noise",
-            scheme="toy",
-            parameters={"eta_norm": 0.05},
-            trials=2,
-            seed=6,
-            output=str(out),
-        )
-        code = run_noise_experiment(spec, toy_scheme(), np.asarray(FIXTURE_CONNECTED))
-        assert code == 0
-        assert out.read_text().startswith("trial,eta_norm,")
 
 
 class TestBenchTracerView:

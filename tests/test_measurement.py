@@ -15,15 +15,37 @@ from lscc.measurement import (
     Signal,
     align_phase,
     align_phase_batch,
-    measure,
     p_norm,
     p_norms,
     pair_ratios,
 )
 from lscc.harness import BOUND_SLACK, derive_rng, inequality_suite
+from lscc.scheme import BaseGraph, LsccScheme
 from lscc.toy import FIXTURE_BROKEN, FIXTURE_BROKEN_TWIN, toy_scheme
 
 TOY_LOCAL = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+
+
+def measure(frame, f):
+    """f measured by a one-vertex scheme whose frame sees every coordinate."""
+    scheme = LsccScheme(
+        name="one-frame",
+        field=frame.field,
+        p=frame.p,
+        ambient_dim=frame.dim,
+        graph=BaseGraph(1),
+        vertex_frames=(frame,),
+        vertex_projections=[np.arange(frame.dim)],
+        edge_functionals=(),
+        edge_supports=(),
+        local_stability=1.0,
+        edge_domination=1.0,
+        frame_lower=frame.lower,
+        frame_upper=frame.upper,
+        exhaustion_lower=1.0,
+        exhaustion_upper=1.0,
+    )
+    return scheme.measure(f)
 
 
 def phaseless_measure(frame, f):

@@ -690,6 +690,27 @@ class TestStreamedDescriptor:
         frame = dataclasses.replace(base.vertex_frames[0], rows=rows)
         self.check(dataclasses.replace(base, vertex_frames=(frame,) * base.num_vertices))
 
+    def test_edgeless_scheme(self):
+        frame = Frame(np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]), lower=0.5, upper=3.0)
+        one = LsccScheme(
+            name="edgeless",
+            field=REAL,
+            p=2.0,
+            ambient_dim=3,
+            graph=BaseGraph(1),
+            vertex_frames=(frame,),
+            vertex_projections=[np.array([0, 2])],
+            edge_functionals=(),
+            edge_supports=(),
+            local_stability=2.0,
+            edge_domination=1.0,
+            frame_lower=0.5,
+            frame_upper=3.0,
+            exhaustion_lower=1.0,
+            exhaustion_upper=1.0,
+        )
+        self.check(one)
+
     def test_hash_peak_memory(self):
         scheme = build_windowed_scheme(WindowedConfig(a=2, L=4096, field=COMPLEX))
         tracemalloc.start()
@@ -700,6 +721,7 @@ class TestStreamedDescriptor:
             tracemalloc.stop()
         # the descriptor text alone is 8.9 MB; the dict route peaked at 18 MB
         assert peak <= 4e6, peak
+        self.check(scheme)  # 4095 frames share one block: one run, many text chunks
 
 
 def reference_edge_domination(scheme, trials, rng):
@@ -791,7 +813,9 @@ def reference_local_phase_retrieval(scheme, trials, rng):
     """The per-pair loop the array route replaced: (passed, worst, witness,
     collision, frame_lo, frame_hi), one matvec and np.linalg.norm per probe.
     It passes when no pair collides, no ratio exceeds C0 and the frame ratios
-    stay within the declared [A, B], each up to a relative 1e-9."""
+    stay within the declared [A, B], each up to a relative 1e-9.  When only
+    the frame envelope fails, the witness is (v, f, None), f the first probe
+    reaching the out-of-range lower, else upper, frame ratio."""
 
     def norm(x):
         return float(np.linalg.norm(x, ord=scheme.p))
@@ -814,13 +838,17 @@ def reference_local_phase_retrieval(scheme, trials, rng):
 
     worst, witness, collision = 0.0, None, False
     frame_lo, frame_hi = math.inf, 0.0
+    envelope = [None, None]
     for v, fr in enumerate(scheme.vertex_frames):
         for f, g in pairs(v):
             x, y = np.conj(fr.rows) @ f, np.conj(fr.rows) @ g
             for sig, meas in ((f, x), (g, y)):
                 if norm(sig) > 0.0:
-                    frame_lo = min(frame_lo, norm(meas) / norm(sig))
-                    frame_hi = max(frame_hi, norm(meas) / norm(sig))
+                    ratio = norm(meas) / norm(sig)
+                    if ratio < frame_lo:
+                        frame_lo, envelope[0] = ratio, (v, sig, None)
+                    if ratio > frame_hi:
+                        frame_hi, envelope[1] = ratio, (v, sig, None)
             num, den, equivalent, collides = pair_ratios(x, y, scheme.field, scheme.p)
             if collides and not collision:
                 collision, witness = True, (v, f, g)
@@ -828,12 +856,11 @@ def reference_local_phase_retrieval(scheme, trials, rng):
                 worst = num / den
                 if not collision:
                     witness = (v, f, g)
-    passed = (
-        not collision
-        and worst <= scheme.local_stability * (1.0 + 1e-9)
-        and scheme.frame_lower * (1.0 - 1e-9) <= frame_lo
-        and frame_hi <= scheme.frame_upper * (1.0 + 1e-9)
-    )
+    c0_holds = not collision and worst <= scheme.local_stability * (1.0 + 1e-9)
+    low_holds = scheme.frame_lower * (1.0 - 1e-9) <= frame_lo
+    passed = c0_holds and low_holds and frame_hi <= scheme.frame_upper * (1.0 + 1e-9)
+    if c0_holds and not passed:  # only the frame envelope fails
+        witness = envelope[0 if not low_holds else 1]
     return passed, (math.inf if collision else worst), witness, collision, frame_lo, frame_hi
 
 
@@ -885,9 +912,19 @@ class TestBatchedLocalValidator:
         if collision or not passed:
             v, f, g = report.witness
             full = np.zeros((2, scheme.ambient_dim), dtype=report.witness[1].dtype)
-            full[:, scheme.vertex_projections[witness[0]]] = witness[1:]
+            full[0, scheme.vertex_projections[witness[0]]] = witness[1]
             assert v == witness[0]
-            assert np.array_equal(f, full[0]) and np.array_equal(g, full[1])
+            assert np.array_equal(f, full[0])
+            if on_frame and not collision:  # only the frame envelope fails: one probe
+                assert g is None and witness[2] is None
+                local = f[scheme.vertex_projections[v]]
+                ratio = p_norm(np.conj(scheme.vertex_frames[v].rows) @ local, scheme.p) / p_norm(
+                    local, scheme.p
+                )
+                assert ratio == report.detail["frame_upper_observed"]
+            else:
+                full[1, scheme.vertex_projections[witness[0]]] = witness[2]
+                assert np.array_equal(g, full[1])
         else:
             assert report.witness is None
         observed = report.detail["frame_lower_observed"], report.detail["frame_upper_observed"]

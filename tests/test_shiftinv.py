@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lscc import certify
 from lscc.certify import complement_property_holds
 from lscc.errors import DegenerateFrameError, SchemeError, UnsupportedPError
 from lscc.graphs import cheeger_exact, cheeger_interval, is_connected
@@ -74,6 +75,17 @@ class TestGeneratorModel:
             a, b = sigma_crosscheck(GeneratorModel(N=n))
             assert a == b
             assert a > 0.0
+
+
+    def test_one_split_table_per_generator(self, monkeypatch):
+        calls = []
+        table = certify._split_table
+        monkeypatch.setattr(certify, "_split_table", lambda m: calls.append(1) or table(m))
+        gen = GeneratorModel(N=2)
+        for R in (8, 16):
+            build_shiftinv_scheme(gen, R)
+        assert len(calls) == 1
+        assert gen.sigma == certify.sigma_strong(gen.local_matrix)
 
 
 class TestSigmaConstants:

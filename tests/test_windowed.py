@@ -6,7 +6,7 @@ import pytest
 from lscc.certify import COMPLEX_C0_MARGIN, SIGMA_BUDGET, estimate_local_stability
 from lscc.errors import ClassError, FieldError, SchemeError
 from lscc.graphs import is_connected
-from lscc.measurement import COMPLEX, REAL
+from lscc.measurement import COMPLEX, REAL, align_phase
 from lscc.scheme import induce_graph, validate_scheme
 from lscc.windowed import (
     WindowedConfig,
@@ -163,6 +163,18 @@ class TestAdversarialPair:
         pair = adversarial_pair(cfg)
         assert window_membership(cfg, pair.f).in_class
         assert window_membership(cfg, pair.g).in_class
+
+    @pytest.mark.parametrize("a", [1, 2])
+    @pytest.mark.parametrize("L", [8, 16, 64])
+    def test_matches_own_ratio_rule(self, a, L):
+        # the ratio adversarial_pair computed before it used pair_ratios
+        cfg = WindowedConfig(a=a, L=L, field=COMPLEX)
+        scheme = build_windowed_scheme(cfg)
+        pair = adversarial_pair(cfg, scheme)
+        x, y = scheme.measure(pair.f), scheme.measure(pair.g)
+        _, num = align_phase(x, y, COMPLEX, 2.0)
+        den = float(np.linalg.norm(np.abs(x) - np.abs(y)))
+        assert pair.measured_ratio == (num / den if den > 0.0 else math.inf)
 
     def test_ratio_roughly_doubles_with_L(self):
         measured = {}
