@@ -21,16 +21,11 @@ import math
 
 import numpy as np
 
-from .errors import BudgetExceededError, DegenerateFrameError
+from .errors import BudgetExceededError, DegenerateFrameError, FieldError
 from .measurement import COMPLEX, gaussian, pair_ratios
 
-#: largest row count for 2^m subset enumeration
+#: largest row count the split search takes
 SIGMA_BUDGET = 20
-#: matrix entries per stacked SVD call of the subset table
-_TABLE_ENTRIES = 1 << 16
-#: splits whose smaller side sigma factors per round; each round tightens the
-#: bound that rules out the later ones
-_SPLIT_CHUNK = 4096
 #: estimate_local_stability measures and scores pairs in chunks of about this
 #: many measurements, a multiple of _COLUMN_BLOCK columns wide
 _MEASURE_ENTRIES = 1 << 12
@@ -56,94 +51,65 @@ def max_singular(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def _factor(m: np.ndarray, masks: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(last singular value, full column rank) of `m[picked]` for each row mask.
-
-    `picked` holds the rows whose bits are set, in ascending order, and
-    `sizes` the masks' bit counts.  Only subsets with at least n rows take an
-    SVD: smaller ones have rank < n and last value 0 by definition, as in
-    min_singular.  Subsets of one size are stacked, in chunks of at most
-    _TABLE_ENTRIES matrix entries, into one `np.linalg.svd` call; LAPACK still
-    factors each matrix on its own, so every value equals the per-subset call
-    bit for bit.  Full rank follows `matrix_rank`'s tolerance rule,
-    S.max * (max(k, n) * eps).
-    """
-    rows, n = m.shape
-    last = np.zeros(masks.size)
-    full = np.zeros(masks.size, dtype=bool)
-    shifts = np.arange(rows)
-    for k in range(n, rows + 1):
-        at = np.flatnonzero(sizes == k)
-        step = max(1, _TABLE_ENTRIES // (k * n))
-        for start in range(0, at.size, step):
-            chunk = at[start : start + step]
-            idx = np.nonzero((masks[chunk, None] >> shifts) & 1)[1].reshape(chunk.size, k)
-            s = np.linalg.svd(m[idx], compute_uv=False)
-            last[chunk] = s[:, -1]
-            tol = s.max(axis=-1, keepdims=True, initial=0) * (k * np.finfo(s.dtype).eps)
-            full[chunk] = (s > tol).all(axis=-1)
-    return last, full
-
-
 def _check_budget(rows: int) -> None:
     if rows > SIGMA_BUDGET:
         raise BudgetExceededError(f"{rows} rows exceeds subset budget {SIGMA_BUDGET}")
 
 
-def _split_table(m: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every row split once, larger side factored: (its last singular value,
-    its full rank, the smaller side's mask, the smaller side's size).
-
-    A split of equal halves takes the half holding the last row as its
-    larger side.  Bit counts come from a doubling table.
-    """
-    rows = m.shape[0]
-    _check_budget(rows)
-    sizes = np.zeros(1 << rows, dtype=np.int8)
-    for i in range(rows):
-        sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
-    ties = sizes == sizes[::-1]
-    ties[: sizes.size // 2] = False
-    big = np.flatnonzero((sizes > sizes[::-1]) | ties)
-    small = big ^ (sizes.size - 1)
-    return *_factor(m, big, sizes[big]), small, sizes[small]
-
-
-def _complement_holds(m: np.ndarray, table: tuple[np.ndarray, ...]) -> bool:
-    """Factor a smaller side only where the larger side is rank deficient."""
-    full, small, small_sizes = table[1:]
-    unsure = np.flatnonzero(~full)
-    if (small_sizes[unsure] < m.shape[1]).any():
-        return False
-    return bool(_factor(m, small[unsure], small_sizes[unsure])[1].all())
-
-
-def _sigma(m: np.ndarray, table: tuple[np.ndarray, ...]) -> float:
-    """min over splits of max(last[larger side], last[smaller side]).
-
-    A smaller side of under n rows scores 0, so its split scores its larger
-    side.  A split can only beat the best score so far if its larger side
-    does, so the other smaller sides are factored _SPLIT_CHUNK splits at a
-    time, each round skipping the splits the best score so far rules out.
-    """
-    last, _, small, small_sizes = table
-    closed = small_sizes < m.shape[1]
-    best = last[closed].min()
-    open_ = np.flatnonzero(~closed & (last < best))
-    for start in range(0, open_.size, _SPLIT_CHUNK):
-        at = open_[start : start + _SPLIT_CHUNK]
-        at = at[last[at] < best]
-        if at.size:
-            best = min(best, np.maximum(last[at], _factor(m, small[at], small_sizes[at])[0]).min())
-    return float(best)
+def _real(m: np.ndarray) -> np.ndarray:
+    m = np.atleast_2d(np.asarray(m))
+    if np.iscomplexobj(m):
+        raise FieldError("real certification needs a real matrix, got complex entries")
+    return m.astype(np.float64, copy=False)
 
 
 def sigma_and_complement(m: np.ndarray) -> tuple[float, bool]:
-    """(sigma_strong(m), complement_property_holds(m)) of a real m from one
-    split table, for callers that need both."""
+    """(sigma_strong(m), complement_property_holds(m)) from one depth-first
+    branch and bound over the row splits, in O(rows) memory.
+
+    Rows join a split in order of descending norm, each first to the side
+    holding fewer rows; the first row stays on side one, so each split is
+    reached once.  A side's last singular value never falls as rows join it,
+    so a partial split is cut once its larger side value exceeds the best
+    complete split by more than the SVD's rounding, `slack`.  Each side is
+    scored on its rows in ascending order: under n rows it scores 0 and is
+    rank deficient, as in min_singular; full rank follows `matrix_rank`'s
+    tolerance rule, S.max * (max(k, n) * eps).  A rank-deficient side thus
+    scores under k * eps * ||m||_2 < slack, so no split whose sides are both
+    deficient, the only kind that breaks the complement property, is cut.
+    """
     m = np.atleast_2d(m)
-    table = _split_table(m)
-    return _sigma(m, table), _complement_holds(m, table)
+    rows, n = m.shape
+    _check_budget(rows)
+    eps = float(np.finfo(np.float64).eps)
+    slack = 4 * max(rows, n) * eps * max_singular(m)
+    order = np.argsort(-np.linalg.norm(m, axis=1), kind="stable").tolist()
+    picked = np.zeros((2, rows), dtype=bool)
+    sides = [(0, 0.0, False), (0, 0.0, False)]  # (rows, last singular value, full rank)
+    best, holds = math.inf, True
+
+    def visit(i: int) -> None:
+        nonlocal best, holds
+        (_, last_a, full_a), (_, last_b, full_b) = sides
+        if i == rows:
+            best, holds = min(best, max(last_a, last_b)), holds and (full_a or full_b)
+            return
+        if max(last_a, last_b) > best + slack:
+            return
+        first = (0, 1) if sides[0][0] <= sides[1][0] else (1, 0)
+        for k in first[: 2 if i else 1]:
+            saved, size = sides[k], sides[k][0] + 1
+            picked[k, order[i]] = True
+            sides[k] = (size, 0.0, False)
+            if size >= n:
+                s = np.linalg.svd(m[picked[k]], compute_uv=False)
+                sides[k] = (size, float(s[-1]), float(s[-1]) > float(s[0]) * (size * eps))
+            visit(i + 1)
+            picked[k, order[i]] = False
+            sides[k] = saved
+
+    visit(0)
+    return float(best), holds
 
 
 def complement_property_holds(m: np.ndarray) -> bool:
@@ -151,15 +117,13 @@ def complement_property_holds(m: np.ndarray) -> bool:
 
     Equivalent to real phase retrievability of the row family.
     """
-    m = np.atleast_2d(m)
-    return _complement_holds(m, _split_table(m))
+    return sigma_and_complement(m)[1]
 
 
 def sigma_strong(m: np.ndarray) -> float:
-    """Strong-split constant: min over row masks of the larger of the last
-    singular values of m[mask] and m[~mask]."""
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    return _sigma(m, _split_table(m))
+    """Strong-split constant of a real m: min over row splits of the larger
+    of the two sides' last singular values."""
+    return sigma_and_complement(_real(m))[0]
 
 
 def sigma_strong_recursive(m: np.ndarray) -> float:
@@ -168,7 +132,7 @@ def sigma_strong_recursive(m: np.ndarray) -> float:
     Uses itertools.combinations instead of bitmasks; shares only the singular
     value kernel, so agreement with sigma_strong is a structural cross-check.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    m = _real(m)
     rows = m.shape[0]
     _check_budget(rows)
     all_rows = set(range(rows))
@@ -183,7 +147,8 @@ def sigma_strong_recursive(m: np.ndarray) -> float:
 
 
 def real_local_stability(m: np.ndarray, sigma: float | None = None) -> float:
-    """Certified sign-recovery stability constant sqrt(2)*lmax/sigma."""
+    """Certified sign-recovery stability constant sqrt(2)*lmax/sigma of a real m."""
+    m = _real(m)
     if sigma is None:
         sigma = sigma_strong(m)
     lmax = max_singular(m)

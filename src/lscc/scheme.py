@@ -170,6 +170,17 @@ class LsccScheme:
     def __post_init__(self):
         if self.field not in (REAL, COMPLEX):
             raise FieldError(f"unknown field {self.field!r}")
+        for name, value in (("C0", self.local_stability), ("C1", self.edge_domination)):
+            if not 0.0 < value < math.inf:
+                raise SchemeError(f"{name} must be finite and > 0, got {value}")
+        ranges = {
+            "A <= B": (self.frame_lower, self.frame_upper),
+            "exhaustion lower <= upper": (self.exhaustion_lower, self.exhaustion_upper),
+        }
+        for name, (lo, hi) in ranges.items():
+            # NaN fails every comparison; the upper end may be inf
+            if not (0.0 <= lo < math.inf and lo <= hi):
+                raise SchemeError(f"constants must satisfy 0 <= {name}, got [{lo}, {hi}]")
         graph, n_v = self.graph, self.graph.num_vertices
         self.vertex_frames = tuple(self.vertex_frames)
         if len(self.vertex_frames) != n_v:

@@ -105,16 +105,16 @@ class GeneratorModel:
         return p_frame_bounds(self.local_matrix, self.p)
 
     @cached_property
-    def _sigma_and_complement(self) -> tuple[float, bool]:
-        """sigma and the complement property of the local matrix, from one split table."""
+    def _strong_split(self) -> tuple[float, bool]:
+        """sigma and the complement property of the local matrix, from one split search."""
         return sigma_and_complement(self.local_matrix)
 
     @property
     def sigma(self) -> float:
-        return self._sigma_and_complement[0]
+        return self._strong_split[0]
 
     def validate(self) -> None:
-        if not self._sigma_and_complement[1]:
+        if not self._strong_split[1]:
             raise SchemeError("sampled generator rows are not phase retrievable")
         if self.frame_bounds[0] <= 0.0:
             raise SchemeError("local sampling matrix is rank deficient")

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lscc import certify
 from lscc.certify import (
     complement_property_holds,
     estimate_local_stability,
@@ -16,8 +15,10 @@ from lscc.certify import (
     sigma_strong,
     sigma_strong_recursive,
 )
-from lscc.errors import BudgetExceededError, DegenerateFrameError
+from lscc.errors import BudgetExceededError, DegenerateFrameError, FieldError
 from lscc.measurement import COMPLEX, REAL, align_phase, gaussian, pair_ratios
+from lscc.shiftinv import GeneratorModel
+from lscc.windowed import WindowedConfig, default_local_rows
 
 
 def one_batch_estimate(m, field, p, trials, rng):
@@ -89,16 +90,91 @@ def oracle_matrices():
     yield np.vstack([np.eye(2, dtype=int), [[1, 1], [1, -1]]])
 
 
+def split_table(m):
+    """(sigma, complement property) from a table over all 2^rows row masks.
+
+    The route the depth-first search replaced: every row subset of at least
+    n rows is factored once, subsets of one size stacked into one
+    `np.linalg.svd` call, in ascending row order; full rank by
+    `matrix_rank`'s tolerance rule.  Each split then reads its two sides.
+    """
+    m = np.atleast_2d(m)
+    rows, n = m.shape
+    masks = np.arange(1 << rows)
+    picked = (masks[:, None] >> np.arange(rows)) & 1 == 1
+    sizes = picked.sum(axis=1)
+    last = np.zeros(masks.size)
+    full = np.zeros(masks.size, dtype=bool)
+    for k in range(n, rows + 1):
+        at = np.flatnonzero(sizes == k)
+        s = np.linalg.svd(m[np.nonzero(picked[at])[1].reshape(at.size, k)], compute_uv=False)
+        last[at] = s[:, -1]
+        full[at] = (s > s.max(axis=-1, keepdims=True) * (k * np.finfo(s.dtype).eps)).all(axis=-1)
+    rest = masks[::-1]  # the other side of each split
+    return float(np.maximum(last, last[rest]).min()), bool((full | full[rest]).all())
+
+
+def windowed_real_frame(a):
+    return default_local_rows(WindowedConfig(a=a, L=8))
+
+
 class TestSubsetTable:
-    @pytest.mark.parametrize("chunk", [1, certify._SPLIT_CHUNK])
+    # 4096 = 2^12 scales every entry, every singular value and the search's
+    # slack exactly, so the scaled frame's sigma is the frame's times 4096
+    @pytest.mark.parametrize("scale", [1, 4096])
     @pytest.mark.parametrize("m", list(oracle_matrices()), ids=lambda m: "x".join(map(str, m.shape)))
-    def test_matches_per_mask_loops(self, m, chunk, monkeypatch):
-        # chunk 1 factors one smaller side per round, so the bound is re-read each time
-        monkeypatch.setattr(certify, "_SPLIT_CHUNK", chunk)
+    def test_matches_per_mask_loops(self, m, scale):
+        sigma, holds = sigma_and_complement(m)
+        m = scale * m
+        assert sigma_and_complement(m) == (scale * sigma, holds)
         assert sigma_strong(m) == sigma_loop(m)
         assert sigma_strong(m) == sigma_strong_recursive(m)
         assert complement_property_holds(m) == complement_loop(m)
-        assert sigma_and_complement(m) == (sigma_loop(m), complement_loop(m))
+        assert sigma_and_complement(m) == (sigma_loop(m), complement_loop(m)) == split_table(m)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            windowed_real_frame(3),
+            GeneratorModel(N=7).local_matrix,
+            np.random.default_rng(16).standard_normal((16, 4)),
+        ],
+        ids=["windowed-a3-14x6", "shiftinv-N7-13x7", "random-16x4"],
+    )
+    def test_search_matches_split_table(self, m):
+        assert sigma_and_complement(m) == split_table(m)
+
+    def test_cut_keeps_near_ties(self):
+        # zero rows give splits whose scores differ in the last bits; cut
+        # without the rounding slack, the search returned a sigma 3e-17 high
+        rng = np.random.default_rng(5)
+        m = np.vstack([rng.standard_normal((5, 3)), np.zeros((2, 3))])[rng.permutation(7)]
+        assert sigma_and_complement(m) == split_table(m) == (sigma_loop(m), complement_loop(m))
+
+    def test_rank_tolerance_grows_with_rows(self):
+        # rows 0 and 1 have last singular value 4.5e-16, between S.max * eps
+        # and matrix_rank's S.max * 2 * eps: the split {0, 1} | {2} fails
+        m = np.array([[1.0, 0.0], [1.0, 6.4e-16], [0.0, 1.0]])
+        assert not complement_property_holds(m)
+        assert not complement_loop(m) and not split_table(m)[1]
+
+    def test_search_prunes(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(1) or svd(a, **kw))
+        sigma_and_complement(windowed_real_frame(3))
+        assert len(calls) < 2**10  # the table factored all 2^14 row subsets
+
+    def test_search_memory_is_linear_in_rows(self):
+        m = np.random.default_rng(20).standard_normal((20, 4))
+        tracemalloc.start()
+        try:
+            sigma, holds = sigma_and_complement(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert holds and sigma > 0.0
+        assert peak < 2**16  # the 2^20-mask table traced 18 MB
 
     def test_runs_without_numpy_2_names(self, monkeypatch):
         # pyproject allows numpy 1.x, which lacks these
@@ -114,6 +190,15 @@ class TestSubsetTable:
             assert complement_property_holds(m) == complement_loop(m)
         m = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1j], [1.0, 1.0]])
         assert complement_property_holds(m) == complement_loop(m)
+
+    def test_real_certification_rejects_complex(self):
+        # a float64 cast used to drop the imaginary parts and certify 4.81 here
+        m = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1j], [1.0, 1.0]])
+        for route in (sigma_strong, sigma_strong_recursive, real_local_stability):
+            with pytest.raises(FieldError, match="complex"):
+                route(m)
+        with pytest.raises(FieldError):
+            real_local_stability(m, sigma=1.0)
 
     def test_no_rows(self):
         assert sigma_strong(np.zeros((0, 2))) == sigma_loop(np.zeros((0, 2))) == 0.0

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import resource
 import subprocess
@@ -552,6 +553,48 @@ class TestSchemeLoading:
         assert run(["validate", "--scheme", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load scheme") and "version" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("C0", math.nan),
+            ("C0", -1.0),
+            ("C0", 0.0),
+            ("C0", math.inf),
+            ("C1", math.nan),
+            ("C1", -2.0),
+            ("A", math.nan),
+            ("A", -0.5),
+            ("B", math.nan),
+            ("B", 0.1),
+            ("exhaustion", [math.nan, 2.0]),
+            ("exhaustion", [-1.0, 2.0]),
+            ("exhaustion", [2.0, 1.0]),
+            ("exhaustion", [1.0, math.nan]),
+        ],
+        ids=lambda v: str(v),
+    )
+    def test_bad_constants_rejected(self, tmp_path, capsys, key, value):
+        # C0 = NaN used to print NaN (not JSON) with boundSatisfied true, and
+        # C0 = -1 a positive C2
+        data = json.loads(scheme_to_json(toy_scheme()))
+        (data if key == "exhaustion" else data["constants"])[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert run(["analyze", "--scheme", str(path), "--signal", "1,2,3,4", "--trials", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot load scheme")
+
+    def test_open_constant_ranges_load(self, tmp_path, capsys):
+        # A = 0 and B = inf are the Frame defaults; exhaustion defaults to [0, inf]
+        data = json.loads(scheme_to_json(toy_scheme()))
+        data["constants"].update(A=0.0, B=math.inf)
+        del data["exhaustion"]
+        path = tmp_path / "open.json"
+        path.write_text(json.dumps(data))
+        assert run(["analyze", "--scheme", str(path), "--signal", "1,2,3,4", "--trials", "20"]) == 0
+        json.loads(capsys.readouterr().out)
 
     def test_env_seed_respected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LSCC_SEED", "99")

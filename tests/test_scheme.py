@@ -895,10 +895,13 @@ class TestBatchedLocalValidator:
     @pytest.mark.parametrize("name", sorted(LOCAL_ORACLE_SCHEMES))
     def test_matches_per_pair_loop(self, name, declared, on_frame, rng_kind):
         # "tiny" puts the declared C0, or with on_frame the declared B, below
-        # every observed ratio: the check fails and reports its witness
+        # every observed ratio: the check fails and reports its witness (A
+        # drops to 0, since a scheme needs A <= B)
         scheme = built = local_oracle_scheme(name)
         if declared == "tiny":
-            tiny = {"frame_upper": 1e-3} if on_frame else {"local_stability": 1e-3}
+            tiny = {"local_stability": 1e-3}
+            if on_frame:
+                tiny = {"frame_lower": 0.0, "frame_upper": 1e-3}
             scheme = dataclasses.replace(scheme, **tiny)
         rngs = [np.random.default_rng(50) if rng_kind == "seeded" else ZeroRng() for _ in "ab"]
         report = validate_local_phase_retrieval(scheme, 23, rngs[0])

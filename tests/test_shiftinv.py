@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lscc import certify
+from lscc import certify, shiftinv
 from lscc.certify import complement_property_holds
 from lscc.errors import DegenerateFrameError, SchemeError, UnsupportedPError
 from lscc.graphs import cheeger_exact, cheeger_interval, is_connected
@@ -77,10 +77,15 @@ class TestGeneratorModel:
             assert a > 0.0
 
 
-    def test_one_split_table_per_generator(self, monkeypatch):
+    def test_one_split_search_per_generator(self, monkeypatch):
         calls = []
-        table = certify._split_table
-        monkeypatch.setattr(certify, "_split_table", lambda m: calls.append(1) or table(m))
+        search = shiftinv.sigma_and_complement
+
+        def counted(m):
+            calls.append(1)
+            return search(m)
+
+        monkeypatch.setattr(shiftinv, "sigma_and_complement", counted)
         gen = GeneratorModel(N=2)
         for R in (8, 16):
             build_shiftinv_scheme(gen, R)
