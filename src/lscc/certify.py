@@ -161,16 +161,18 @@ def p_frame_bounds(m: np.ndarray, p: float, grid: int = 4096) -> tuple[float, fl
     """Numerical (lower, upper) constants of ||M c||_p against the domain
     p-norm ||c||_p.
 
-    Exact via singular values for p = 2.  Otherwise the scale-invariant ratio
-    is optimized over directions: dense angle grid for 2 columns, seeded
-    random starts for more, each refined by derivative-free descent.
+    Exact via singular values for p = 2, over either field.  Otherwise M must
+    be real, and the scale-invariant ratio is optimized over directions:
+    dense angle grid for 2 columns, seeded random starts for more, each
+    refined by derivative-free descent.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    m = np.atleast_2d(np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64))
     n = m.shape[1]
     if p == 2.0:
         svals = np.linalg.svd(m, compute_uv=False)
         lo = float(svals[-1]) if m.shape[0] >= n else 0.0
         return lo, float(svals[0])
+    m = _real(m)
 
     def ratio(c: np.ndarray) -> float:
         nc = float(np.sum(np.abs(c) ** p) ** (1.0 / p))

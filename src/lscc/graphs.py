@@ -10,13 +10,13 @@ EXACT_BUDGET vertices, then a spectral sweep producing a certified
 
 The interval reduction minimizes over the arcs of the ring by Dinkelbach's
 iteration on compensated prefix sums, taking window minima from a sparse table
-(small rings score every arc on the grid of window slots instead): O(n log n)
-time and memory, tied arcs included.  Up to EXACT_BUDGET vertices it re-scores
-its candidate arcs with the ascending running sums of exact enumeration, so the
-two agree bit for bit unless a cut that is not an arc ties the best arc or, by
-rounding, undercuts it.  Exact enumeration reads volumes from a doubling table
-over the low 16 vertex bits and continues over the high bits one chunk of 2^16
-masks at a time.
+(rings of up to EXACT_BUDGET vertices, or with narrow windows, score every arc
+on the grid of window slots instead): O(n log n) time and memory, tied arcs
+included.  Up to EXACT_BUDGET vertices it re-scores its candidate arcs with the
+ascending running sums of exact enumeration, so the two agree bit for bit
+unless a cut that is not an arc ties the best arc or, by rounding, undercuts
+it.  Exact enumeration reads volumes from a doubling table over the low 16
+vertex bits and continues over the high bits one chunk of 2^16 masks at a time.
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ SPECTRAL_SWEEP = "SpectralSweepSandwich"
 
 #: largest vertex count for exact 2^(n-1)-cut enumeration
 EXACT_BUDGET = 24
-#: cheeger_interval re-scores every arc with ratio <= t * (1 + _TIE_MARGIN),
-#: far above the rounding of any ratio it compares
+#: on the grid, cheeger_interval re-scores every arc with ratio <= t * (1 +
+#: _TIE_MARGIN), far above the rounding of any ratio it compares
 _TIE_MARGIN = 2.0**-40
 #: cheeger_interval's Dinkelbach iteration runs at t * (1 - _SETTLE), so that
-#: when it stops no arc's ratio is below that up to rounding; above
-#: EXACT_BUDGET, ratios this close to the best count as tied
+#: when it stops no arc's ratio is below that up to rounding; ratios this
+#: close to the best count as tied
 _SETTLE = 2.0**-48
 #: relative band around half the volume in which cheeger_interval decides an
 #: arc's feasibility by the rule's own sums (a running sum of up to
@@ -310,10 +310,10 @@ def _running_volume(w: np.ndarray, s: int, e: int) -> float:
     return float(members.cumsum()[-1])
 
 
-def _dinkelbach_arcs(p, ewp, ewd, first, last, t: float, small: bool):
+def _dinkelbach_arcs(p, ewp, ewd, first, last, t: float):
     """Candidate arcs (s, e) of cheeger_interval when its windows are too wide
-    for the grid: every arc whose ratio is within the tie margin of the
-    minimum, but a window's starts to the right of one that ties the best are
+    for the grid: every arc whose ratio is within _SETTLE of the minimum,
+    but a window's starts to the right of one that ties the best are
     left out (they have larger member tuples).  `t` is a ratio to start from."""
     n, ends = ewp.size, ewd.size
 
@@ -377,29 +377,25 @@ def _dinkelbach_arcs(p, ewp, ewd, first, last, t: float, small: bool):
         if ratio >= t:
             break
         t = ratio
-    # Every arc with a ratio up to t_up passes bd - t_up vol <= 0.  Below
-    # EXACT_BUDGET the band is wide enough for running sums to reorder it.
-    t_up = t * (1.0 + (_TIE_MARGIN if small else _SETTLE))
+    # Every arc with a ratio up to t_up passes bd - t_up vol <= 0.
+    t_up = t * (1.0 + _SETTLE)
     s, gap = gaps(t_up)
     e = (gap <= 0.0).nonzero()[0]
     s = s[e]
     if t == 0.0:  # all tie at 0; an end's leftmost start has its smallest tuple
         return s, e
     # List the other passing starts by splitting each window around its
-    # passing minimizer.  Above EXACT_BUDGET a start within _SETTLE of the
-    # best ratio found closes the part of its window to its right, and one
-    # further above is dropped.
+    # passing minimizer.  A start within _SETTLE of the best ratio found closes
+    # the part of its window to its right, and one further above is dropped.
     starts, stops = [], []
     a, b, best = first[e], last[e], t
     while s.size:
-        keep = np.ones(s.size, dtype=bool)
-        if not small:
-            r = (ewp[s] + ewd[e]) / vol(s, e)
-            best = min(best, float(r.min()))
-            keep = r <= best * (1.0 + _SETTLE)
+        r = (ewp[s] + ewd[e]) / vol(s, e)
+        best = min(best, float(r.min()))
+        keep = r <= best * (1.0 + _SETTLE)
         starts.append(s[keep])
         stops.append(e[keep])
-        more = ~keep | small
+        more = ~keep
         a = np.concatenate((a, s[more] + 1))
         b = np.concatenate((s - 1, b[more]))
         e = np.concatenate((e, e[more]))
@@ -420,14 +416,14 @@ def cheeger_interval(g: WeightedGraph) -> CheegerResult:
     boundary is ew[s-1] + ew[e mod n].  The starts of the arcs ending at e
     with vol <= half form a window [first(e), last(e)].
 
-    While all windows fit in _GRID_CELLS slots, every arc is scored on the
-    grid of those slots.  Otherwise Dinkelbach's iteration minimizes bd/vol:
-    for a fixed t, min (bd - t vol) is a minimum over ends of a window
-    minimum, read from a sparse table of the starts rebuilt for that t, and
-    t drops to the ratio of the minimizing arc until no arc improves it
-    strictly.  The arcs within the tie margin of the final t are then listed
-    by splitting each window around its passing minimizer.  Above
-    EXACT_BUDGET a start within _SETTLE of the best ratio closes the part of
+    Up to EXACT_BUDGET vertices, or while all windows fit in _GRID_CELLS
+    slots, every arc is scored on the grid of those slots.  Otherwise
+    Dinkelbach's iteration minimizes bd/vol: for a fixed t, min (bd - t vol)
+    is a minimum over ends of a window minimum, read from a sparse table of
+    the starts rebuilt for that t, and t drops to the ratio of the minimizing
+    arc until no arc improves it strictly.  The arcs within _SETTLE of the
+    final t are then listed by splitting each window around its passing
+    minimizer.  A start within _SETTLE of the best ratio closes the part of
     its window to its right, whose starts have larger member tuples, so tied
     arcs cost O(1) per end: a cycle with about n^2/8 tied arcs lists O(n).
     Only ratios crowding just above the minimum (within about 2^-47 of it,
@@ -499,7 +495,7 @@ def cheeger_interval(g: WeightedGraph) -> CheegerResult:
     span = last - first
     width = int(span[span.argmax()]) + 1
 
-    if ends * width <= _GRID_CELLS:
+    if small or ends * width <= _GRID_CELLS:
         # Slot (e, k) holds the start first(e) + k; past last(e) it repeats
         # last(e) under an infinite boundary.  Every arc has its slot, so the
         # minimum and its ties are read off directly.
@@ -512,7 +508,7 @@ def cheeger_interval(g: WeightedGraph) -> CheegerResult:
         s, e = s_slot.ravel()[hit], hit // width
     else:
         t = float(((ewp[first] + ewd) / v).min())  # the best largest arc of any end
-        s, e = _dinkelbach_arcs(p, ewp, ewd, first, last, t, small)
+        s, e = _dinkelbach_arcs(p, ewp, ewd, first, last, t)
 
     bd = ewp[s] + ewd[e]
     if small:

@@ -260,6 +260,45 @@ class LsccScheme:
         return digest.hexdigest()
 
 
+def sliding_scheme(
+    name: str, local: np.ndarray, stride: int, count: int, cycle: bool, p: float,
+    c0: float, c1: float, bounds: tuple[float, float], labels: tuple = (),
+) -> LsccScheme:
+    """One local frame slid along a path or a cycle of `count` windows.
+
+    Window k reads the width = local.shape[1] coordinates from k * stride on,
+    mod d = count * stride on a cycle (on a path d = (count - 1) * stride +
+    width), through `local` on its sorted support: a last window that wraps
+    reads np.roll(local, -stride, axis=1).  Neighbours are glued by one shared
+    identity block on the width - stride coordinates they share, the first
+    ones of the later window (window 0 for the wrap edge).  The exhaustion
+    constants are (min cover)^(1/p) and (max cover)^(1/p), where the cover
+    counts the windows holding each coordinate.
+    """
+    width = local.shape[1]
+    if cycle and not (count >= 3 and width <= 2 * stride):
+        raise SchemeError("a cycle needs 3 or more windows, and only the last may wrap")
+    dim = count * stride if cycle else (count - 1) * stride + width
+    graph = cycle_graph(count) if cycle else path_graph(count)
+    windows = np.sort((np.arange(count)[:, None] * stride + np.arange(width)) % dim, axis=1)
+    later = np.where(graph.v - graph.u == 1, graph.v, graph.u)
+    cover = np.bincount(windows.ravel(), minlength=dim)
+    field = COMPLEX if np.iscomplexobj(local) else REAL
+    consts = {"p": p, "field": field, "lower": bounds[0], "upper": bounds[1]}
+    frames = (Frame(local, **consts),) * (count - 1 if cycle else count)
+    if cycle:
+        frames += (Frame(np.roll(local, -stride, axis=1), **consts),)
+    return LsccScheme(
+        name=name, field=field, p=p, ambient_dim=dim, graph=graph, vertex_frames=frames,
+        vertex_projections=windows,
+        edge_functionals=(np.eye(width - stride, dtype=local.dtype),) * graph.u.size,
+        edge_supports=later[:, None] * stride + np.arange(width - stride),
+        local_stability=c0, edge_domination=c1, frame_lower=bounds[0], frame_upper=bounds[1],
+        exhaustion_lower=float(cover.min()) ** (1.0 / p),
+        exhaustion_upper=float(cover.max()) ** (1.0 / p), vertex_labels=labels,
+    )
+
+
 def _edge_keys(mapping: Mapping, what: str) -> list[tuple[int, int]]:
     """The keys of an edge dict as sorted pairs; an edge may appear once."""
     keys = [tuple(sorted(e)) for e in mapping]

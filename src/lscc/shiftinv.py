@@ -5,9 +5,9 @@ of a compactly supported generator B_N (support [0, N], dimension one).  The
 measurements of vertex ell are the point evaluations at Gamma + ell with
 Gamma inside the unit interval, which in coefficient coordinates apply one
 fixed local matrix (the generator sampled at Gamma against the N visible
-shifts) to the coefficient block {ell-N+1, ..., ell}.  Consecutive vertices
-share N-1 coefficients, which act as the gluing functionals, and the base
-graph is the path on vertices {-R, ..., R}.
+shifts) to the coefficient block {ell-N+1, ..., ell}.  The vertices {-R, ...,
+R} form a path, each sharing N-1 coefficients with the next, which act as the
+gluing functionals (`scheme.sliding_scheme` with stride 1).
 
 Decay profiles probe how connectivity of the induced graph behaves as the
 truncation radius grows: exponentially decaying coefficients keep the Cheeger
@@ -34,8 +34,8 @@ from .certify import (
 )
 from .errors import DegenerateFrameError, SchemeError, UnsupportedPError
 from .graphs import cheeger
-from .measurement import REAL, Frame
-from .scheme import LsccScheme, induce_graph, path_graph
+from .measurement import REAL
+from .scheme import LsccScheme, induce_graph, sliding_scheme
 
 EXPONENTIAL = "exponential"
 POLYNOMIAL = "polynomial"
@@ -159,41 +159,18 @@ def build_shiftinv_scheme(gen: GeneratorModel, R: int) -> LsccScheme:
     if R < gen.N:
         raise SchemeError("truncation radius must be at least N")
     gen.validate()
-    n_vert = 2 * R + 1
-    dim = ambient_dim(gen, R)
     local = gen.local_matrix
-    lower, upper = gen.frame_bounds
-
-    # vertex ell = v - R sees slots v..v+N-1, the coefficients ell-N+1..ell;
-    # the gluing functionals evaluate the N-1 coefficients vertices v, v+1 share
-    first = np.arange(n_vert)[:, None]
-    projections = first + np.arange(gen.N)
-    overlaps = first[1:] + np.arange(gen.N - 1)
-
     if gen.p == 2.0:
         c0, c1, _ = sigma_based_constants(gen)
     else:
         est = estimate_local_stability(local, REAL, gen.p, 2000, np.random.default_rng(0))
         c0 = COMPLEX_C0_MARGIN * est  # no certified route away from p = 2
-        c1 = 1.0 / lower
+        c1 = 1.0 / gen.frame_bounds[0]
 
-    return LsccScheme(
-        name=f"shiftinv(N={gen.N},R={R},p={gen.p:g})",
-        field=REAL,
-        p=gen.p,
-        ambient_dim=dim,
-        graph=path_graph(n_vert),
-        vertex_frames=(Frame(local, p=gen.p, field=REAL, lower=lower, upper=upper),) * n_vert,
-        vertex_projections=projections,
-        edge_functionals=(np.eye(gen.N - 1),) * (n_vert - 1),
-        edge_supports=overlaps,
-        local_stability=c0,
-        edge_domination=c1,
-        frame_lower=lower,
-        frame_upper=upper,
-        exhaustion_lower=1.0,
-        exhaustion_upper=float(gen.N) ** (1.0 / gen.p),
-        vertex_labels=tuple(range(-R, R + 1)),
+    return sliding_scheme(
+        f"shiftinv(N={gen.N},R={R},p={gen.p:g})",
+        local, 1, 2 * R + 1, False, gen.p, c0, c1, gen.frame_bounds,
+        labels=tuple(range(-R, R + 1)),
     )
 
 
@@ -224,10 +201,8 @@ class DecayProfile:
 def profile_signal(gen: GeneratorModel, R: int, profile: DecayProfile) -> np.ndarray:
     """Coefficient vector of the profile truncated to |k| <= R (zeros pad the
     N-1 leading slots only visible to boundary frames)."""
-    dim = ambient_dim(gen, R)
-    f = np.zeros(dim)
-    ks = np.arange(-R, R + 1)
-    f[[coefficient_index(gen, R, int(k)) for k in ks]] = profile.coefficient(ks, gen.p)
+    f = np.zeros(ambient_dim(gen, R))
+    f[coefficient_index(gen, R, -R) :] = profile.coefficient(np.arange(-R, R + 1), gen.p)
     return f
 
 

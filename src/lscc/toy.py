@@ -7,13 +7,10 @@ vertices are glued by the point evaluation on their shared coordinate.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .certify import real_local_stability, sigma_strong
-from .measurement import REAL, Frame
-from .scheme import LsccScheme, path_graph
+from .certify import p_frame_bounds, real_local_stability, sigma_strong
+from .scheme import LsccScheme, sliding_scheme
 
 FIXTURE_CONNECTED = (1.0, 2.0, 3.0, 4.0)
 FIXTURE_BROKEN = (1.0, 2.0, 0.0, 1.0)
@@ -24,24 +21,6 @@ _LOCAL_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
 def toy_scheme() -> LsccScheme:
-    svals = np.linalg.svd(_LOCAL_ROWS, compute_uv=False)
-    lower, upper = float(svals[-1]), float(svals[0])
+    lower, upper = p_frame_bounds(_LOCAL_ROWS, 2.0)
     c0 = real_local_stability(_LOCAL_ROWS, sigma_strong(_LOCAL_ROWS))
-    frame = Frame(_LOCAL_ROWS, p=2.0, field=REAL, lower=lower, upper=upper)
-    return LsccScheme(
-        name="toy",
-        field=REAL,
-        p=2.0,
-        ambient_dim=4,
-        graph=path_graph(3),
-        vertex_frames=(frame,) * 3,
-        vertex_projections=np.arange(3)[:, None] + np.arange(2),
-        edge_functionals=(np.ones((1, 1)),) * 2,
-        edge_supports=np.arange(1, 3)[:, None],
-        local_stability=c0,
-        edge_domination=1.0 / lower,
-        frame_lower=lower,
-        frame_upper=upper,
-        exhaustion_lower=1.0,
-        exhaustion_upper=math.sqrt(2.0),
-    )
+    return sliding_scheme("toy", _LOCAL_ROWS, 1, 3, False, 2.0, c0, 1.0 / lower, (lower, upper))

@@ -1,10 +1,9 @@
 """Cyclic scheme of overlapping local measurements on d = a*L coordinates.
 
-Window ell sees the 2a coordinates starting at ell*a (cyclically), measured by
-a shifted copy of one local frame; consecutive windows overlap in a
-coordinates and are glued by point evaluations there.  The base graph is the
-L-cycle, so connectivity constants of the induced graph have closed forms for
-signals whose windowed energy is pinned between s^2 and t^2.
+One local frame on 2a coordinates slides along the L-cycle with stride a
+(`scheme.sliding_scheme`): neighbouring windows share a coordinates, glued by
+point evaluations there.  Connectivity constants of the induced graph have
+closed forms for signals whose windowed energy is pinned between s^2 and t^2.
 
 The complex-field construction also carries the explicit adversarial pair
 (all-ones against the single-frequency exponential) whose measured stability
@@ -22,13 +21,14 @@ from .certify import (
     COMPLEX_C0_MARGIN,
     SIGMA_BUDGET,
     estimate_local_stability,
+    p_frame_bounds,
     real_local_stability,
     sigma_and_complement,
 )
 from .errors import ClassError, FieldError, SchemeError
 from .graphs import algebraic_connectivity, cheeger
-from .measurement import COMPLEX, REAL, Frame, as_field_array, gaussian, pair_ratios
-from .scheme import LsccScheme, cycle_graph, induce_graph
+from .measurement import COMPLEX, REAL, as_field_array, gaussian, pair_ratios
+from .scheme import LsccScheme, induce_graph, sliding_scheme
 from .stability import bound, empirical_worst_ratio, prefactor
 
 #: membership slack for window-average comparisons
@@ -107,9 +107,7 @@ def build_windowed_scheme(cfg: WindowedConfig) -> LsccScheme:
     if local.ndim != 2 or local.shape[1] != n_local:
         raise SchemeError(f"local frame must have {n_local} columns")
 
-    svals = np.linalg.svd(local, compute_uv=False)
-    lower = float(svals[-1]) if local.shape[0] >= n_local else 0.0
-    upper = float(svals[0])
+    lower, upper = p_frame_bounds(local, 2.0)
     if lower <= 0.0:
         raise SchemeError("local frame is rank deficient")
 
@@ -123,40 +121,12 @@ def build_windowed_scheme(cfg: WindowedConfig) -> LsccScheme:
             raise SchemeError("local frame fails the complement property")
         c0 = real_local_stability(local, sigma)
     else:
-        est = estimate_local_stability(
-            local, cfg.field, 2.0, 4000, np.random.default_rng(cfg.seed + 1)
-        )
-        c0 = COMPLEX_C0_MARGIN * est
+        rng = np.random.default_rng(cfg.seed + 1)
+        c0 = COMPLEX_C0_MARGIN * estimate_local_stability(local, cfg.field, 2.0, 4000, rng)
 
-    graph = cycle_graph(cfg.L)
-    # window ell < L-1 reads local column j at coordinate ell*a + j; the last
-    # window wraps, and its sorted support [0, a) + [d-a, d) puts columns a.. first
-    consts = {"p": 2.0, "field": cfg.field, "lower": lower, "upper": upper}
-    frames = (Frame(local, **consts),) * (cfg.L - 1)
-    frames += (Frame(np.roll(local, -cfg.a, axis=1), **consts),)
-    windows = np.sort((np.arange(cfg.L)[:, None] * cfg.a + np.arange(2 * cfg.a)) % cfg.d, axis=1)
-
-    # neighbouring windows share a coordinates, glued by point evaluations:
-    # edge (u, u+1) on the first a of window u+1, the wrap edge (0, L-1) on window 0's
-    later = np.where(graph.v - graph.u == 1, graph.v, graph.u)
-    overlaps = later[:, None] * cfg.a + np.arange(cfg.a)
-
-    return LsccScheme(
-        name=f"windowed(a={cfg.a},L={cfg.L},{cfg.field})",
-        field=cfg.field,
-        p=2.0,
-        ambient_dim=cfg.d,
-        graph=graph,
-        vertex_frames=frames,
-        vertex_projections=windows,
-        edge_functionals=(np.eye(cfg.a, dtype=local.dtype),) * cfg.L,
-        edge_supports=overlaps,
-        local_stability=c0,
-        edge_domination=1.0 / lower,
-        frame_lower=lower,
-        frame_upper=upper,
-        exhaustion_lower=math.sqrt(2.0),
-        exhaustion_upper=math.sqrt(2.0),
+    return sliding_scheme(
+        f"windowed(a={cfg.a},L={cfg.L},{cfg.field})",
+        local, cfg.a, cfg.L, True, 2.0, c0, 1.0 / lower, (lower, upper),
     )
 
 
@@ -166,9 +136,7 @@ def window_membership(cfg: WindowedConfig, f) -> WindowMembership:
     if vec.size != cfg.d:
         raise ClassError(f"signal length {vec.size} != ambient dimension {cfg.d}")
     sq = np.abs(vec) ** 2
-    averages = np.array(
-        [np.mean(sq[[(j + i) % cfg.d for i in range(cfg.a)]]) for j in range(cfg.d)]
-    )
+    averages = np.mean(sq[(np.arange(cfg.d)[:, None] + np.arange(cfg.a)) % cfg.d], axis=1)
     slack = CLASS_TOL * max(cfg.t**2, 1.0)
     in_class = bool(
         np.all(averages >= cfg.s**2 - slack) and np.all(averages <= cfg.t**2 + slack)

@@ -333,6 +333,23 @@ class TestPFrameBounds:
             val = np.sum(np.abs(m @ c)) / np.sum(np.abs(c))
             assert lo - 1e-6 <= val <= hi + 1e-6
 
+    def test_complex_matrix(self):
+        # a float64 cast dropped the imaginary part: this returned the real
+        # part's bounds (1.1756, 1.9021) with only a ComplexWarning
+        m = np.array([[1, 0], [0, 1], [1, 1j], [1, 1]])
+        svals = np.linalg.svd(m, compute_uv=False)
+        assert p_frame_bounds(m, 2.0) == (svals[-1], svals[0])
+        assert p_frame_bounds(m.real, 2.0) != p_frame_bounds(m, 2.0)
+        with pytest.raises(FieldError):
+            p_frame_bounds(m, 3.0)
+
+    def test_p2_keeps_real_bits(self):
+        # integer and float32 input are factored in float64, as before
+        m = np.array([[1, 0], [0, 2], [1, 1]])
+        svals = np.linalg.svd(m.astype(np.float64), compute_uv=False)
+        for given in (m, m.astype(np.float32), m.tolist()):
+            assert p_frame_bounds(given, 2.0) == (svals[-1], svals[0])
+
 
 class TestEstimate:
     def test_estimate_at_least_one(self):

@@ -730,8 +730,9 @@ class TestCheegerInterval:
 
     @pytest.fixture(params=["grid", "table"])
     def backend(self, request, monkeypatch):
-        """Range minima from the window grid, or from the sparse table, at
-        every size."""
+        """Range minima from the window grid at every size, or from the
+        sparse table above EXACT_BUDGET vertices (below it the grid always
+        serves)."""
         monkeypatch.setattr(lscc.graphs, "_GRID_CELLS", 1 << 62 if request.param == "grid" else 0)
         return request.param
 

@@ -11,6 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lscc import measurement
+from lscc.certify import (
+    COMPLEX_C0_MARGIN,
+    estimate_local_stability,
+    p_frame_bounds,
+    real_local_stability,
+    sigma_and_complement,
+    sigma_strong,
+)
 from lscc.errors import SchemeError
 from lscc.graphs import is_connected
 from lscc.harness import check_edge_mismatch_batch
@@ -31,6 +39,7 @@ from lscc.scheme import (
     scheme_from_json,
     scheme_to_dict,
     scheme_to_json,
+    sliding_scheme,
     validate_edge_domination,
     validate_exhaustion,
     validate_local_phase_retrieval,
@@ -50,8 +59,9 @@ from lscc.shiftinv import (
     build_shiftinv_scheme,
     coefficient_index,
     profile_signal,
+    sigma_based_constants,
 )
-from lscc.windowed import WindowedConfig, build_windowed_scheme
+from lscc.windowed import WindowedConfig, build_windowed_scheme, default_local_rows
 
 
 @pytest.fixture(scope="module")
@@ -1252,3 +1262,175 @@ class TestArrayBackedScheme:
         # the per-object layout kept 27 MB and peaked at 38 MB here
         assert graph.num_vertices == 16384 and x.shape == (12 * 16384,)
         assert kept <= 4e6 and peak <= 12e6, (kept, peak)
+
+
+def oracle_toy():
+    """The toy chain as spelled out before `sliding_scheme` built it."""
+    local = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    svals = np.linalg.svd(local, compute_uv=False)
+    lower, upper = float(svals[-1]), float(svals[0])
+    frame = Frame(local, p=2.0, field=REAL, lower=lower, upper=upper)
+    return LsccScheme(
+        name="toy",
+        field=REAL,
+        p=2.0,
+        ambient_dim=4,
+        graph=path_graph(3),
+        vertex_frames=(frame,) * 3,
+        vertex_projections=np.arange(3)[:, None] + np.arange(2),
+        edge_functionals=(np.ones((1, 1)),) * 2,
+        edge_supports=np.arange(1, 3)[:, None],
+        local_stability=real_local_stability(local, sigma_strong(local)),
+        edge_domination=1.0 / lower,
+        frame_lower=lower,
+        frame_upper=upper,
+        exhaustion_lower=1.0,
+        exhaustion_upper=math.sqrt(2.0),
+    )
+
+
+def oracle_windowed(cfg):
+    """The windowed cycle as spelled out before `sliding_scheme` built it."""
+    local = default_local_rows(cfg)
+    svals = np.linalg.svd(local, compute_uv=False)
+    lower, upper = float(svals[-1]), float(svals[0])
+    if cfg.field == REAL:
+        c0 = real_local_stability(local, sigma_and_complement(local)[0])
+    else:
+        rng = np.random.default_rng(cfg.seed + 1)
+        c0 = COMPLEX_C0_MARGIN * estimate_local_stability(local, cfg.field, 2.0, 4000, rng)
+    graph = cycle_graph(cfg.L)
+    consts = {"p": 2.0, "field": cfg.field, "lower": lower, "upper": upper}
+    frames = (Frame(local, **consts),) * (cfg.L - 1)
+    frames += (Frame(np.roll(local, -cfg.a, axis=1), **consts),)
+    later = np.where(graph.v - graph.u == 1, graph.v, graph.u)
+    return LsccScheme(
+        name=f"windowed(a={cfg.a},L={cfg.L},{cfg.field})",
+        field=cfg.field,
+        p=2.0,
+        ambient_dim=cfg.d,
+        graph=graph,
+        vertex_frames=frames,
+        vertex_projections=np.sort(
+            (np.arange(cfg.L)[:, None] * cfg.a + np.arange(2 * cfg.a)) % cfg.d, axis=1
+        ),
+        edge_functionals=(np.eye(cfg.a, dtype=local.dtype),) * cfg.L,
+        edge_supports=later[:, None] * cfg.a + np.arange(cfg.a),
+        local_stability=c0,
+        edge_domination=1.0 / lower,
+        frame_lower=lower,
+        frame_upper=upper,
+        exhaustion_lower=math.sqrt(2.0),
+        exhaustion_upper=math.sqrt(2.0),
+    )
+
+
+def oracle_shiftinv(gen, R):
+    """The shiftinv path as spelled out before `sliding_scheme` built it."""
+    n_vert = 2 * R + 1
+    lower, upper = gen.frame_bounds
+    first = np.arange(n_vert)[:, None]
+    if gen.p == 2.0:
+        c0, c1, _ = sigma_based_constants(gen)
+    else:
+        rng = np.random.default_rng(0)
+        c0 = COMPLEX_C0_MARGIN * estimate_local_stability(gen.local_matrix, REAL, gen.p, 2000, rng)
+        c1 = 1.0 / lower
+    return LsccScheme(
+        name=f"shiftinv(N={gen.N},R={R},p={gen.p:g})",
+        field=REAL,
+        p=gen.p,
+        ambient_dim=2 * R + gen.N,
+        graph=path_graph(n_vert),
+        vertex_frames=(Frame(gen.local_matrix, p=gen.p, field=REAL, lower=lower, upper=upper),)
+        * n_vert,
+        vertex_projections=first + np.arange(gen.N),
+        edge_functionals=(np.eye(gen.N - 1),) * (n_vert - 1),
+        edge_supports=first[1:] + np.arange(gen.N - 1),
+        local_stability=c0,
+        edge_domination=c1,
+        frame_lower=lower,
+        frame_upper=upper,
+        exhaustion_lower=1.0,
+        exhaustion_upper=float(gen.N) ** (1.0 / gen.p),
+        vertex_labels=tuple(range(-R, R + 1)),
+    )
+
+
+SLIDING_SPECS = {
+    "toy": (toy_scheme, oracle_toy),
+    **{
+        f"windowed-a{a}-L{L}-{field}": (
+            lambda cfg=WindowedConfig(a=a, L=L, field=field): build_windowed_scheme(cfg),
+            lambda cfg=WindowedConfig(a=a, L=L, field=field): oracle_windowed(cfg),
+        )
+        for a in (1, 2, 3)
+        for L in (3, 4, 8, 17)
+        for field in (REAL, COMPLEX)
+    },
+    **{
+        f"shiftinv-N{n}-R{radius}-p{p:g}": (
+            lambda n=n, radius=radius, p=p: build_shiftinv_scheme(GeneratorModel(N=n, p=p), radius),
+            lambda n=n, radius=radius, p=p: oracle_shiftinv(GeneratorModel(N=n, p=p), radius),
+        )
+        for n, radius, p in [(n, r, 2.0) for n in (2, 3, 5) for r in (5, 8, 33)]
+        + [(2, 8, 3.0), (3, 8, 1.5)]
+    },
+}
+
+
+class TestSlidingScheme:
+    """`sliding_scheme` and the three builders that call it."""
+
+    @pytest.mark.parametrize("name", sorted(SLIDING_SPECS))
+    def test_builders_match_oracles(self, name):
+        build, oracle = SLIDING_SPECS[name]
+        assert scheme_to_json(build()) == scheme_to_json(oracle())
+
+    @staticmethod
+    def slid(local, stride, count, cycle):
+        lower, upper = p_frame_bounds(local, 2.0)
+        return sliding_scheme("slid", local, stride, count, cycle, 2.0, 1.0, 1.0, (lower, upper))
+
+    @staticmethod
+    def window_measurements(local, stride, count, dim, f):
+        """Every window's measurements, reading `local` column j at k * stride + j."""
+        return np.concatenate(
+            [np.conj(local) @ f[(k * stride + np.arange(local.shape[1])) % dim] for k in range(count)]
+        )
+
+    def test_path_with_uneven_cover(self):
+        rng = np.random.default_rng(30)
+        local = rng.standard_normal((7, 3))
+        scheme = self.slid(local, 2, 4, False)
+        assert scheme.ambient_dim == 9 and scheme.graph.edges == ((0, 1), (1, 2), (2, 3))
+        assert [s.tolist() for s in scheme.vertex_projections] == [
+            [0, 1, 2], [2, 3, 4], [4, 5, 6], [6, 7, 8]
+        ]
+        assert [s.tolist() for s in scheme.edge_supports.values()] == [[2], [4], [6]]
+        # coordinates 2, 4 and 6 sit in two windows, the others in one
+        assert (scheme.exhaustion_lower, scheme.exhaustion_upper) == (1.0, math.sqrt(2.0))
+        assert validate_exhaustion(scheme, trials=50).passed
+        f = rng.standard_normal(9)
+        assert np.array_equal(scheme.measure(f), self.window_measurements(local, 2, 4, 9, f))
+
+    def test_cycle_last_window_wraps(self):
+        rng = np.random.default_rng(31)
+        local = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        scheme = self.slid(local, 2, 4, True)
+        assert scheme.field == COMPLEX and scheme.ambient_dim == 8
+        assert scheme.vertex_projections[3].tolist() == [0, 6, 7]
+        assert np.array_equal(scheme.vertex_frames[3].rows, local[:, [2, 0, 1]])
+        assert scheme.vertex_frames[0] is scheme.vertex_frames[2]
+        # the wrap edge (0, 3) is glued on the first coordinate of window 0
+        assert dict(scheme.edge_supports.items())[(0, 3)].tolist() == [0]
+        assert (scheme.exhaustion_lower, scheme.exhaustion_upper) == (1.0, math.sqrt(2.0))
+        assert validate_exhaustion(scheme, trials=50).passed
+        f = scheme.random_signal(rng)
+        expected = self.window_measurements(local, 2, 4, 8, f)
+        assert np.allclose(scheme.measure(f), expected, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("stride, count", [(1, 4), (2, 2)])
+    def test_cycle_rejects_more_wrapping_windows(self, stride, count):
+        with pytest.raises(SchemeError, match="only the last may wrap"):
+            self.slid(np.eye(3), stride, count, True)

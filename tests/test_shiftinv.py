@@ -303,3 +303,8 @@ def test_profile_signal_layout():
     assert f[coefficient_index(gen, 4, 0)] == pytest.approx(1.0)
     assert f[coefficient_index(gen, 4, -4)] == f[coefficient_index(gen, 4, 4)]
     assert np.all(f[: gen.N - 1] == 0.0)
+    # coefficient k sits in slot coefficient_index(k), one slot at a time
+    ks = np.arange(-4, 5)
+    loop = np.zeros(f.size)
+    loop[[coefficient_index(gen, 4, int(k)) for k in ks]] = np.exp(-np.abs(ks) / gen.p)
+    assert np.array_equal(f, loop)

@@ -115,6 +115,16 @@ class TestMembership:
         g = np.exp(2j * math.pi * np.arange(8) / 8)
         assert window_membership(cfg, g).in_class
 
+    @pytest.mark.parametrize("a, L", [(1, 3), (2, 5), (3, 4), (5, 7)])
+    def test_window_averages_match_loop(self, a, L):
+        # each cyclic a-window average, one np.mean per window
+        cfg = WindowedConfig(a=a, L=L, field=COMPLEX)
+        rng = np.random.default_rng(a * L)
+        f = sample_class_signal(cfg, rng) * 10.0 ** rng.uniform(-4, 4, cfg.d)
+        sq = np.abs(f) ** 2
+        loop = [np.mean(sq[[(j + i) % cfg.d for i in range(a)]]) for j in range(cfg.d)]
+        assert np.array_equal(window_membership(cfg, f).window_averages, loop)
+
     def test_sampled_members_always_in_class(self):
         cfg = WindowedConfig(a=2, L=6, field=COMPLEX, s=0.7, t=1.8)
         rng = np.random.default_rng(3)
