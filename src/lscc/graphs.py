@@ -8,15 +8,15 @@ reduction at any size; other graphs get exact subset enumeration up to
 EXACT_BUDGET vertices, then a spectral sweep producing a certified
 [lambda/2-derived lower, sweep-cut upper] sandwich.
 
-The interval reduction minimizes over the arcs of the ring by Dinkelbach's
+The interval reduction scores every arc of a ring of up to EXACT_BUDGET
+vertices in one pass, by the ascending running sums of exact enumeration, so
+the two agree bit for bit unless a cut that is not an arc ties the best arc
+or, by rounding, undercuts it.  Larger rings are minimized by Dinkelbach's
 iteration on compensated prefix sums, taking window minima from a sparse table
-(rings of up to EXACT_BUDGET vertices, or with narrow windows, score every arc
-on the grid of window slots instead): O(n log n) time and memory, tied arcs
-included.  Up to EXACT_BUDGET vertices it re-scores its candidate arcs with the
-ascending running sums of exact enumeration, so the two agree bit for bit
-unless a cut that is not an arc ties the best arc or, by rounding, undercuts
-it.  Exact enumeration reads volumes from a doubling table over the low 16
-vertex bits and continues over the high bits one chunk of 2^16 masks at a time.
+(with narrow windows every arc is scored on the grid of window slots instead):
+O(n log n) time and memory, tied arcs included.  Exact enumeration reads
+volumes from a doubling table over the low 16 vertex bits and continues over
+the high bits one chunk of 2^16 masks at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -48,9 +48,8 @@ _TIE_MARGIN = 2.0**-40
 #: when it stops no arc's ratio is below that up to rounding; ratios this
 #: close to the best count as tied
 _SETTLE = 2.0**-48
-#: relative band around half the volume in which cheeger_interval decides an
-#: arc's feasibility by the rule's own sums (a running sum of up to
-#: EXACT_BUDGET terms, or a compensated prefix difference)
+#: above EXACT_BUDGET vertices, cheeger_interval opens each window this much
+#: (relative) early on rounded sums; compensated sums then drop arcs over half
 _HALF_BAND = 2.0**-45
 #: cheeger_interval reads range minima off the grid of all window slots when
 #: it holds at most this many, and builds a sparse table otherwise
@@ -142,18 +141,31 @@ class WeightedGraph:
         return float(self.vertex_weights.cumsum()[-1]) if self.num_vertices else 0.0
 
     @cached_property
+    def _ring_slot(self) -> np.ndarray | None:
+        """Each edge's index in `ring_weights`, or None as there."""
+        n, step = self.num_vertices, self.v - self.u
+        unit = step == 1  # only (0, n-1) has step n-1 > 1
+        return np.where(unit, self.u, self.v) if (unit | (step == n - 1)).all() else None
+
+    @cached_property
     def ring_weights(self) -> np.ndarray | None:
         """ew[i] = weight of edge (i, i+1 mod n), 0 when absent; None unless the
         graph is ring-shaped (every edge (i, i+1) or, with n > 2, (0, n-1))."""
-        n = self.num_vertices
-        step = self.v - self.u
-        unit = step == 1
-        if not (unit | (step == n - 1)).all():  # only (0, n-1) has step n-1 > 1
+        if (slot := self._ring_slot) is None:
             return None
-        ew = np.zeros(n)
-        ew[np.where(unit, self.u, self.v)] = self.w
+        ew = np.zeros(self.num_vertices)
+        ew[slot] = self.w
         ew.setflags(write=False)
         return ew
+
+    def _reweighted(self, vertex_weights: np.ndarray, w: np.ndarray) -> "WeightedGraph":
+        """This structure and ring layout under float64 weights checked finite and > 0."""
+        for arr in (vertex_weights, w):
+            arr.setflags(write=False)
+        g = object.__new__(WeightedGraph)
+        g.__dict__.update(u=self.u, v=self.v, labels=self.labels, _ring_slot=self._ring_slot)
+        g.__dict__.update(vertex_weights=vertex_weights, w=w)
+        return g
 
     def scaled(self, c: float) -> "WeightedGraph":
         return WeightedGraph(self.vertex_weights * c, (self.u, self.v, self.w * c), self.labels)
@@ -234,7 +246,7 @@ def cheeger_exact(g: WeightedGraph) -> CheegerResult:
     Ties between optimal cuts are broken toward the lexicographically
     smallest witness vertex set.  Volumes add member weights in ascending
     vertex order and boundaries add cut edge weights in edge-list order, so
-    values match cheeger_interval's re-scored arcs bit for bit.  Memory is
+    values match cheeger_interval's running sums bit for bit.  Memory is
     O(n * 2^16): one table over the low vertex bits plus one chunk of masks.
     """
     if g.is_empty:
@@ -301,13 +313,6 @@ def cheeger_exact(g: WeightedGraph) -> CheegerResult:
     assert best_witness is not None
     witness = tuple(g.labels[i] for i in best_witness)
     return CheegerResult(best, best, EXACT_ENUMERATION, witness)
-
-
-def _running_volume(w: np.ndarray, s: int, e: int) -> float:
-    """Weight of the arc [s..e] of the doubled ring, added one member at a time
-    in ascending vertex order (w[0..e-n], then w[s..n-1] for a wrapping arc)."""
-    members = w[s : e + 1] if e < w.size else np.concatenate((w[: e - w.size + 1], w[s:]))
-    return float(members.cumsum()[-1])
 
 
 def _dinkelbach_arcs(p, ewp, ewd, first, last, t: float):
@@ -407,37 +412,55 @@ def _dinkelbach_arcs(p, ewp, ewd, first, last, t: float):
     return np.concatenate(starts), np.concatenate(stops)
 
 
+def _arc_members(s: int, e: int, n: int) -> list[int]:
+    """The vertices of the arc [s..e] of the doubled n-ring, ascending."""
+    return [*range(s, e + 1)] if e < n else [*range(e - n + 1), *range(s, n)]
+
+
+@cache
+def _ring_arcs(n: int, cycle: bool) -> tuple[np.ndarray, ...]:
+    """(s, e, s - 1, e mod n, rows, at) for the arcs [s..e] of a ring of n <=
+    EXACT_BUDGET vertices, sorted by member tuple.  Row s < n of `rows` is
+    1.0 on the vertices s..n-1, each further row on one wrapping arc's
+    members; arc k's volume is entry at[k] of cumsum(rows * w, axis=1)."""
+    spans = [(s, e) for s in range(n) for e in range(s, s + n - 1) if cycle or e < n]
+    s, e = np.array(sorted(spans, key=lambda a: _arc_members(*a, n))).T
+    k, wrap = np.arange(n), e >= n
+    rows = np.concatenate((k >= k[:, None], (k <= e[wrap, None] - n) | (k >= s[wrap, None])))
+    at = np.where(wrap, (n + wrap.cumsum()) * n - 1, s * n + e)
+    layout = (s, e, s - 1, e % n, rows.astype(np.float64), at)
+    for arr in layout:
+        arr.setflags(write=False)  # every call shares them
+    return layout
+
+
 def cheeger_interval(g: WeightedGraph) -> CheegerResult:
     """Exact Cheeger constant of a ring-shaped graph in O(n log n).
 
     A graph without the wrap edge is a path, otherwise a cycle.  On such
     graphs every optimal cut may be assumed connected: an arc [s..e] of the
     doubled ring with s < n, at most n - 1 long (e < n on a path), whose
-    boundary is ew[s-1] + ew[e mod n].  The starts of the arcs ending at e
-    with vol <= half form a window [first(e), last(e)].
+    boundary is ew[s-1] + ew[e mod n].  Up to EXACT_BUDGET vertices every arc
+    is scored in one pass by cheeger_exact's ascending running sums, so the
+    two agree bit for bit but for the module docstring's exception.
 
-    Up to EXACT_BUDGET vertices, or while all windows fit in _GRID_CELLS
-    slots, every arc is scored on the grid of those slots.  Otherwise
-    Dinkelbach's iteration minimizes bd/vol: for a fixed t, min (bd - t vol)
-    is a minimum over ends of a window minimum, read from a sparse table of
-    the starts rebuilt for that t, and t drops to the ratio of the minimizing
-    arc until no arc improves it strictly.  The arcs within _SETTLE of the
-    final t are then listed by splitting each window around its passing
-    minimizer.  A start within _SETTLE of the best ratio closes the part of
-    its window to its right, whose starts have larger member tuples, so tied
-    arcs cost O(1) per end: a cycle with about n^2/8 tied arcs lists O(n).
-    Only ratios crowding just above the minimum (within about 2^-47 of it,
-    not within 2^-48 of the best) lengthen the listing.
-
-    Volumes are differences of compensated (double-double) prefix sums, so a
-    light arc far from vertex 0 keeps its digits.  The listed arcs are
-    re-scored from their own sums: up to EXACT_BUDGET vertices by the
-    ascending running sum of cheeger_exact (so value and witness match it
-    bit for bit, with the exception in the module docstring), above by the
-    compensated difference (the chosen arc's is within about 2^-47 of the
-    least).  Ties go to the lexicographically smallest member tuple, and the
-    value is the witness's running-sum ratio.  Time and memory are
-    O(n log n).
+    Above, the starts of the arcs ending at e with vol <= half form a window
+    [first(e), last(e)].  While all windows fit in _GRID_CELLS slots, every arc
+    is scored on the grid of those slots.  Otherwise Dinkelbach's iteration
+    minimizes bd/vol: for a fixed t, min (bd - t vol) is a minimum over ends of
+    a window minimum, read from a sparse table of the starts rebuilt for that
+    t, and t drops to the ratio of the minimizing arc until no arc improves it
+    strictly.  The arcs within _SETTLE of the final t are then listed by
+    splitting each window around its passing minimizer.  A start within _SETTLE
+    of the best ratio closes the part of its window to its right, whose starts
+    have larger member tuples, so tied arcs cost O(1) per end: a cycle with
+    about n^2/8 tied arcs lists O(n).  Only ratios crowding just above the
+    minimum (within about 2^-47 of it, not within 2^-48 of the best) lengthen
+    the listing.  Volumes are differences of compensated (double-double) prefix
+    sums, so a light arc far from vertex 0 keeps its digits.  The listed arcs
+    are re-scored by those differences (the chosen arc's is within about 2^-47
+    of the least).  Ties go to the lexicographically smallest member tuple, and
+    the value is the witness's running-sum ratio.
     """
     if g.is_empty:
         raise EmptyGraphError("Cheeger constant of the empty graph is undefined")
@@ -448,7 +471,14 @@ def cheeger_interval(g: WeightedGraph) -> CheegerResult:
     if n == 1:
         return _singleton_result(g, INTERVAL_REDUCTION)
     w = g.vertex_weights
-    small = n <= EXACT_BUDGET
+    if n <= EXACT_BUDGET:
+        s, e, before, after, rows, at = _ring_arcs(n, bool(ew[-1] > 0.0))
+        vol = np.cumsum(rows * w, axis=1)  # adding 0.0 is exact; vol[0, -1] == total_volume()
+        v = vol.take(at)
+        ratio = np.where(v <= 0.5 * vol[0, -1], (ew[before] + ew[after]) / v, math.inf)
+        i = int(ratio.argmin())  # of tied arcs, the first has the smallest member tuple
+        value, members = float(ratio[i]), _arc_members(int(s[i]), int(e[i]), n)
+        return CheegerResult(value, value, INTERVAL_REDUCTION, tuple(g.labels[k] for k in members))
     if ew[-1] > 0.0:  # a cycle: arcs end anywhere in the doubled ring
         ends = 2 * n - 2
         step = np.concatenate(((0.0,), w, w[: n - 2]))
@@ -468,34 +498,25 @@ def cheeger_interval(g: WeightedGraph) -> CheegerResult:
         d = p[e + 1] - p[s]
         return d.real + d.imag
 
-    half = 0.5 * (g.total_volume() if small else float(hi[n] + lo[n]))
+    half = 0.5 * float(hi[n] + lo[n])
 
     # The search on rounded sums may open a window early, by arcs within
-    # _HALF_BAND of half; those advance by the exact rule, which below
-    # EXACT_BUDGET is the running sum.  An end with an empty window keeps
-    # its last start and an infinite boundary.
+    # _HALF_BAND of half; those advance by the compensated sums.  An end
+    # with an empty window keeps its last start and an infinite boundary.
     rounded = hi + lo
     first = rounded[:n].searchsorted(rounded[1:] - (1.0 + _HALF_BAND) * half)
     last = np.minimum(np.arange(ends), n - 1)
     v = vol(first, np.arange(ends))
-    while np.count_nonzero(near := (first <= last) & (v > (1.0 - _HALF_BAND) * half)):
-        over = near & (v > half)
-        if small:
-            for e in near.nonzero()[0].tolist():
-                if v[e] <= (1.0 + _HALF_BAND) * half:
-                    over[e] = _running_volume(w, int(first[e]), e) > half
-        if not np.count_nonzero(over):
-            break
+    while np.count_nonzero(over := (first <= last) & (v > half)):
         first[over] += 1
         v = vol(first, np.arange(ends))
     if np.count_nonzero(dead := first > last):
         ewd[dead] = math.inf
         first[dead] = last[dead]
         v[dead] = 1.0
-    span = last - first
-    width = int(span[span.argmax()]) + 1
+    width = int((last - first).max()) + 1
 
-    if small or ends * width <= _GRID_CELLS:
+    if ends * width <= _GRID_CELLS:
         # Slot (e, k) holds the start first(e) + k; past last(e) it repeats
         # last(e) under an infinite boundary.  Every arc has its slot, so the
         # minimum and its ties are read off directly.
@@ -511,11 +532,7 @@ def cheeger_interval(g: WeightedGraph) -> CheegerResult:
         s, e = _dinkelbach_arcs(p, ewp, ewd, first, last, t)
 
     bd = ewp[s] + ewd[e]
-    if small:
-        v = np.array([_running_volume(w, x, y) for x, y in zip(s.tolist(), e.tolist())])
-    else:
-        v = vol(s, e)
-    ratio = bd / v
+    ratio = bd / vol(s, e)
     best = (ratio == ratio[ratio.argmin()]).nonzero()[0]
     if best.size > 1:
         # member-tuple order: [0..e] by e; then wrapping arcs [0..e-n] +
@@ -527,10 +544,9 @@ def cheeger_interval(g: WeightedGraph) -> CheegerResult:
         major = np.where(wrap, n - eb, np.where(sb == 0, eb, sb))
         best = best[np.lexsort((np.where(wrap, sb, eb), major, group))]
     i = best[0]
-    s, e = int(s[i]), int(e[i])
-    value = float(ratio[i] if small else bd[i] / _running_volume(w, s, e))
-    members = range(s, e + 1) if e < n else [*range(e - n + 1), *range(s, n)]
-    return CheegerResult(value, value, INTERVAL_REDUCTION, tuple(g.labels[i] for i in members))
+    members = _arc_members(int(s[i]), int(e[i]), n)
+    value = float(bd[i] / w[members].cumsum()[-1])  # the witness's running sum
+    return CheegerResult(value, value, INTERVAL_REDUCTION, tuple(g.labels[k] for k in members))
 
 
 def _degrees(g: WeightedGraph) -> np.ndarray:

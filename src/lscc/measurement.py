@@ -89,7 +89,9 @@ class Frame:
     upper: float = dc_field(default=np.inf)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", as_field_array(self.rows, self.field))
+        rows = as_field_array(self.rows, self.field)
+        own = rows.flags.writeable and np.may_share_memory(rows, self.rows)
+        object.__setattr__(self, "rows", rows.copy() if own else rows)  # freeze no caller's array
         if self.rows.ndim != 2 or self.rows.shape[0] < 1 or self.rows.shape[1] < 1:
             raise DimensionError("frame rows must form a nonempty matrix")
         if not (1.0 <= self.p < math.inf):

@@ -229,6 +229,12 @@ class LsccScheme:
         n_v = self.num_vertices
         return BlockOperator(self._flat, self._bounds[n_v:], self._blocks, self._block_of[n_v:])
 
+    @cached_property
+    def _weighted_graph(self) -> WeightedGraph:
+        """The base graph under unit weights, checked once: `induce_graph` shares it."""
+        u, v, labels = self.graph.u, self.graph.v, self.vertex_labels
+        return WeightedGraph(np.ones(self.num_vertices), (u, v, np.ones(u.size)), labels)
+
     def coerce(self, f) -> np.ndarray:
         if isinstance(f, Signal):
             f = f.values
@@ -368,6 +374,10 @@ def induce_graph(scheme: LsccScheme, f, zero_tol: float = DEFAULT_ZERO_TOL) -> W
     if w_max == 0.0:
         return WeightedGraph(np.zeros(0), (), ())
     cut = zero_tol * w_max
+    if w_v.min() > cut and w_e.min(initial=math.inf) > cut:
+        # nothing dropped: every weight is > cut >= 0, and finite as w_max is (an
+        # infinite w_max makes cut inf or NaN, which no weight exceeds)
+        return scheme._weighted_graph._reweighted(w_v, w_e)
     keep = w_v > cut
     u, v = scheme.graph.u, scheme.graph.v
     kept = keep[u] & keep[v] & (w_e > cut)

@@ -103,6 +103,12 @@ def build_windowed_scheme(cfg: WindowedConfig) -> LsccScheme:
     """
     local = cfg.local_rows
     local = default_local_rows(cfg) if local is None else as_field_array(local, cfg.field)
+    name = f"windowed(a={cfg.a},L={cfg.L},{cfg.field})"
+    return sliding_scheme(name, local, cfg.a, cfg.L, True, 2.0, *_local_constants(cfg, local))
+
+
+def _local_constants(cfg: WindowedConfig, local: np.ndarray) -> tuple:
+    """(C0, C1, (A, B)) of the local frame; an estimated C0 draws on cfg.seed + 1."""
     n_local = 2 * cfg.a
     if local.ndim != 2 or local.shape[1] != n_local:
         raise SchemeError(f"local frame must have {n_local} columns")
@@ -123,11 +129,7 @@ def build_windowed_scheme(cfg: WindowedConfig) -> LsccScheme:
     else:
         rng = np.random.default_rng(cfg.seed + 1)
         c0 = COMPLEX_C0_MARGIN * estimate_local_stability(local, cfg.field, 2.0, 4000, rng)
-
-    return sliding_scheme(
-        f"windowed(a={cfg.a},L={cfg.L},{cfg.field})",
-        local, cfg.a, cfg.L, True, 2.0, c0, 1.0 / lower, (lower, upper),
-    )
+    return c0, 1.0 / lower, (lower, upper)
 
 
 def window_membership(cfg: WindowedConfig, f) -> WindowMembership:
@@ -238,9 +240,9 @@ def scaling_sweep(
 ) -> list[dict]:
     """Per-L rows of bound / sampled ratio / adversarial ratio / connectivity.
 
-    The local frame is generated once per (a, field, seed) and reused across
-    L, so the bound prefactor is constant and growth comes only from the
-    connectivity terms.
+    The local frame is generated and certified once per (a, field, seed) and
+    reused across L, so the bound prefactor is constant and growth comes only
+    from the connectivity terms.
     """
     if not L_values:
         raise SchemeError("empty L range")
@@ -248,16 +250,16 @@ def scaling_sweep(
         raise SchemeError("L values must be ascending")
     base_cfg = WindowedConfig(a=a, L=L_values[0], field=field, seed=seed)
     local = default_local_rows(base_cfg)
-    return [
-        _sweep_row(WindowedConfig(a=a, L=L, field=field, seed=seed, local_rows=local), idx, trials)
-        for idx, L in enumerate(L_values)
-    ]
+    constants = _local_constants(base_cfg, local)
+    cfgs = [WindowedConfig(a=a, L=L, field=field, seed=seed, local_rows=local) for L in L_values]
+    return [_sweep_row(cfg, constants, idx, trials) for idx, cfg in enumerate(cfgs)]
 
 
-def _sweep_row(cfg: WindowedConfig, idx: int, trials: int) -> dict:
+def _sweep_row(cfg: WindowedConfig, constants: tuple, idx: int, trials: int) -> dict:
     """Row `idx` of `scaling_sweep`; its scheme and graph are freed on return,
     before the next L is built."""
-    scheme = build_windowed_scheme(cfg)
+    name = f"windowed(a={cfg.a},L={cfg.L},{cfg.field})"  # as build_windowed_scheme names it
+    scheme = sliding_scheme(name, cfg.local_rows, cfg.a, cfg.L, True, 2.0, *constants)
     f = np.ones(cfg.d, dtype=np.complex128 if cfg.field == COMPLEX else np.float64)
     graph = induce_graph(scheme, f)
     che = cheeger(graph)

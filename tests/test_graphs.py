@@ -319,6 +319,75 @@ def weighted_ring(rng, n, kind, cycle):
 RING_KINDS = ("random", "uniform", "integer", "poly", "island")
 
 
+def grid_cheeger_small(g):
+    """Reference (value, witness) of a ring of at most EXACT_BUDGET vertices:
+    the grid route that cheeger_interval took there before it scored every
+    arc in one pass.  Windows from compensated prefix sums, arcs within 2^-45
+    of half the volume kept or dropped by their running sums, every slot of
+    the window grid scored, the arcs within 2^-40 of the least re-scored by
+    running sums, ties to the smallest member tuple."""
+    n, ew, w = g.num_vertices, g.ring_weights, g.vertex_weights
+    if n == 1:
+        return math.inf, ()
+    band, margin = 2.0**-45, 2.0**-40
+
+    def running(s, e):
+        members = w[s : e + 1] if e < n else np.concatenate((w[: e - n + 1], w[s:]))
+        return float(members.cumsum()[-1])
+
+    if ew[-1] > 0.0:
+        ends = 2 * n - 2
+        step = np.concatenate(((0.0,), w, w[: n - 2]))
+        ewd = np.concatenate((ew, ew[: n - 2]))
+    else:
+        ends, step, ewd = n, np.concatenate(((0.0,), w)), ew.copy()
+    ewp = np.concatenate((ew[-1:], ew[:-1]))
+    hi = np.add.accumulate(step)
+    z = hi[1:] - hi[:-1]
+    step[1:] = (hi[:-1] - (hi[1:] - z)) + (step[1:] - z)
+    lo = np.add.accumulate(step)
+    p = hi + 1j * lo
+
+    def vol(s, e):
+        d = p[e + 1] - p[s]
+        return d.real + d.imag
+
+    half = 0.5 * g.total_volume()
+    rounded = hi + lo
+    first = rounded[:n].searchsorted(rounded[1:] - (1.0 + band) * half)
+    last = np.minimum(np.arange(ends), n - 1)
+    v = vol(first, np.arange(ends))
+    while np.count_nonzero(near := (first <= last) & (v > (1.0 - band) * half)):
+        over = near & (v > half)
+        for e in near.nonzero()[0].tolist():
+            if v[e] <= (1.0 + band) * half:
+                over[e] = running(int(first[e]), e) > half
+        if not np.count_nonzero(over):
+            break
+        first[over] += 1
+        v = vol(first, np.arange(ends))
+    if np.count_nonzero(dead := first > last):
+        ewd[dead] = math.inf
+        first[dead] = last[dead]
+    width = int((last - first).max()) + 1
+    grid = first[:, None] + np.arange(width)
+    s_slot = np.minimum(grid, last[:, None])
+    d = p[1:, None] - p[s_slot]
+    bd = np.where(grid <= last[:, None], ewd[:, None], math.inf) + ewp[s_slot]
+    ratio = (bd / (d.real + d.imag)).ravel()
+    hit = (ratio <= ratio[ratio.argmin()] * (1.0 + margin)).nonzero()[0]
+    s, e = s_slot.ravel()[hit], hit // width
+    ratio = (ewp[s] + ewd[e]) / np.array([running(x, y) for x, y in zip(s.tolist(), e.tolist())])
+    best = (ratio == ratio[ratio.argmin()]).nonzero()[0]
+    wrap = e[best] >= n
+    group = np.where(wrap, 1, np.where(s[best] == 0, 0, 2))
+    major = np.where(wrap, n - e[best], np.where(s[best] == 0, e[best], s[best]))
+    i = best[np.lexsort((np.where(wrap, s[best], e[best]), major, group))][0]
+    s, e = int(s[i]), int(e[i])
+    members = range(s, e + 1) if e < n else [*range(e - n + 1), *range(s, n)]
+    return float(ratio[i]), tuple(g.labels[k] for k in members)
+
+
 def chunked_cheeger_exact(g, chunk=1 << 18):
     """Reference (value, witness) of exact enumeration: the mask-chunk loop
     that adds w[i] * bit and ew * |bit_u - bit_v| row by row over float bit
@@ -731,8 +800,8 @@ class TestCheegerInterval:
     @pytest.fixture(params=["grid", "table"])
     def backend(self, request, monkeypatch):
         """Range minima from the window grid at every size, or from the
-        sparse table above EXACT_BUDGET vertices (below it the grid always
-        serves)."""
+        sparse table above EXACT_BUDGET vertices (up to it every arc is
+        scored in one pass under both)."""
         monkeypatch.setattr(lscc.graphs, "_GRID_CELLS", 1 << 62 if request.param == "grid" else 0)
         return request.param
 
@@ -918,6 +987,63 @@ class TestCheegerInterval:
         assert running_ratio(g, res.witness) == res.value
         if scale == 1.0:
             assert (res.value, res.witness) == (value, witness)
+
+    @staticmethod
+    def small_rings(rng):
+        """Paths and cycles of 2-24 vertices: tie-prone weights from {0.1,
+        0.2, 0.3, 0.7}, continuous and decaying weights, each also with one
+        interior edge missing."""
+        for n in range(2, EXACT_BUDGET + 1):
+            for style in ("ties", "ties", "ties", "random", "decay"):
+                for cycle in (False, True) if n > 2 else (False,):
+                    for gap in (None, n // 2):
+                        if style == "ties":
+                            w, ew = rng.choice([0.1, 0.2, 0.3, 0.7], (2, n))
+                        elif style == "random":
+                            w, ew = rng.uniform(0.2, 3.0, n), rng.uniform(0.1, 2.0, n)
+                        else:
+                            w, ew = 0.5 ** np.arange(n), 0.3 ** np.arange(n)
+                        edges = [(i, i + 1, float(ew[i])) for i in range(n - 1)]
+                        edges += [(0, n - 1, float(ew[-1]))] if cycle else []
+                        if gap is not None and n > 2:
+                            del edges[gap - 1]
+                        yield WeightedGraph(w, tuple(edges))
+
+    def test_one_pass_matches_grid_oracle(self):
+        # the one-pass scoring of rings up to EXACT_BUDGET equals the grid
+        # route it replaced in value and witness, bit for bit
+        rng = np.random.default_rng(15)
+        count = 0
+        for g in self.small_rings(rng):
+            res = cheeger_interval(g)
+            assert (res.value, res.witness) == grid_cheeger_small(g), g.edges
+            count += 1
+        assert count == 450
+
+    def test_one_pass_matches_exact_on_small_rings(self):
+        rng = np.random.default_rng(16)
+        for g in self.small_rings(rng):
+            if g.num_vertices > 14:
+                continue
+            res, exact = cheeger_interval(g), cheeger_exact(g)
+            assert res.value == exact.value, g.edges
+            if exact.value > 0.0:  # zero-value cuts of disconnected graphs tie widely
+                assert res.witness == exact.witness, g.edges
+
+    def test_wrapping_arc_volume_in_vertex_order(self):
+        # the best arc [0..1] + [5..5] of this cycle: its running sum in
+        # ascending vertex order, (w0 + w1) + w5, is one bit above the sum in
+        # arc order, (w5 + w0) + w1, and so is the ratio
+        w = [0.7, 0.1, 0.7, 0.3, 0.2, 0.3]
+        ew = [0.3, 0.2, 0.2, 0.7, 0.3, 0.3]
+        g = WeightedGraph(w, tuple((i, i + 1, ew[i]) for i in range(5)) + ((0, 5, ew[5]),))
+        ascending, arc_order = (0.2 + 0.3) / ((0.7 + 0.1) + 0.3), (0.2 + 0.3) / ((0.3 + 0.7) + 0.1)
+        assert ascending != arc_order
+        res = cheeger_interval(g)
+        assert (res.value, res.witness) == (ascending, (0, 1, 5))
+        assert (res.value, res.witness) == grid_cheeger_small(g)
+        exact = cheeger_exact(g)
+        assert (res.value, res.witness) == (exact.value, exact.witness)
 
     def test_agreement_at_enumeration_budget(self):
         # the full 24-vertex budget: 2^23 cuts against the O(n^2) reduction

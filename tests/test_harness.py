@@ -424,3 +424,45 @@ class TestBenchTracerView:
         assert dense_bytes > 0
         assert calls["harness.signal_bound"] == 1
         assert calls["graphs.algebraic_connectivity"] == 1
+
+
+class TestBenchPins:
+    def test_traced_call_counts(self, tmp_path):
+        # the bench pins one harness.signal_bound and one scheme.induce_graph
+        # per fuzz reference, and one graphs.cheeger_interval per decay row
+        # (a 17-vertex path at R = 8); a change that routes bounds or small
+        # rings around these traced names should fail here
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(root / 'bench')!r})\n"
+            "import lscc, tracer\n"
+            "from lscc import harness, shiftinv, toy, windowed\n"
+            "t = tracer.install()\n"
+            "harness._fuzz_workers = lambda n: 1\n"
+            "cfg = windowed.WindowedConfig(a=1, L=4, field='complex', seed=7)\n"
+            "schemes = [toy.toy_scheme(), windowed.build_windowed_scheme(cfg)]\n"
+            "harness.fuzz_bounds(schemes, 600, seed=0, refs_per_scheme=3)\n"
+            "fuzz = dict(t.calls)\n"
+            "profile = shiftinv.DecayProfile(shiftinv.POLYNOMIAL, 2.0)\n"
+            "shiftinv.decay_cheeger_study(shiftinv.GeneratorModel(N=2), profile, [8, 16])\n"
+            "print(json.dumps([t.missing, fuzz, t.calls, t.counts['graphs.max_vertices']]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        missing, fuzz, calls, max_vertices = json.loads(proc.stdout)
+        assert missing == []
+        assert fuzz["harness.signal_bound"] == fuzz["scheme.induce_graph"] == 6
+        assert fuzz["graphs.cheeger_interval"] == fuzz["graphs.algebraic_connectivity"] == 3
+        decay = {name: calls[name] - fuzz[name] for name in calls}
+        assert decay["graphs.cheeger_interval"] == decay["scheme.induce_graph"] == 2
+        assert decay["harness.signal_bound"] == 0
+        assert max_vertices == 33  # R = 16's path

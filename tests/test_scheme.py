@@ -20,10 +20,11 @@ from lscc.certify import (
     sigma_strong,
 )
 from lscc.errors import SchemeError
-from lscc.graphs import is_connected
+from lscc.graphs import WeightedGraph, is_connected
 from lscc.harness import check_edge_mismatch_batch
 from lscc.measurement import COMPLEX, DENOM_CUTOFF, REAL, Frame, p_norm, pair_ratios
 from lscc.scheme import (
+    DEFAULT_ZERO_TOL,
     DESCRIPTOR_VERSION,
     INCONCLUSIVE,
     RETRIEVABLE,
@@ -234,6 +235,98 @@ class TestInduceGraph:
         g1 = induce_graph(scheme, f)
         g2 = induce_graph(scheme, xi * f)
         assert np.allclose(g2.vertex_weights, g1.vertex_weights, rtol=1e-12)
+
+
+def validating_induce(scheme, f, zero_tol=DEFAULT_ZERO_TOL):
+    """`induce_graph` through the validating WeightedGraph constructor alone:
+    the dropping rule written out, every graph checked and sorted afresh."""
+    vec = scheme.coerce(f)
+    w_v = scheme.vertex_operator.power_sums(vec, scheme.p)
+    w_e = scheme.edge_operator.power_sums(vec, scheme.p)
+    w_max = max(w_v.max(initial=0.0), w_e.max(initial=0.0))
+    if w_max == 0.0:
+        return WeightedGraph(np.zeros(0), (), ())
+    cut = zero_tol * w_max
+    keep = w_v > cut
+    u, v = scheme.graph.u, scheme.graph.v
+    kept = keep[u] & keep[v] & (w_e > cut)
+    index = keep.cumsum() - 1
+    labels = tuple(scheme.vertex_labels[i] for i in np.flatnonzero(keep))
+    return WeightedGraph(w_v[keep], (index[u[kept]], index[v[kept]], w_e[kept]), labels)
+
+
+def assert_same_graph(g, ref):
+    """Field by field: dtype, shape and bytes of every array, the very label
+    objects, and the bytes of `ring_weights`."""
+    for name in ("vertex_weights", "u", "v", "w"):
+        a, b = getattr(g, name), getattr(ref, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert not a.flags.writeable, name
+    assert g.labels == ref.labels
+    assert [type(x) for x in g.labels] == [type(x) for x in ref.labels]
+    if ref.ring_weights is None:
+        assert g.ring_weights is None
+    else:
+        assert g.ring_weights.tobytes() == ref.ring_weights.tobytes()
+        assert not g.ring_weights.flags.writeable
+
+
+def chord_scheme():
+    """`mixed_block_scheme` with the chord (0, 2) added, loaded from JSON: not
+    ring-shaped."""
+    d = scheme_to_dict(mixed_block_scheme())
+    d["graph"]["edges"].insert(1, [0, 2])
+    d["edgeFunctionals"].insert(1, {"m": 1, "support": [2], "block": [[[1.0, 0.5]]]})
+    return scheme_from_json(json.dumps(d))
+
+
+class TestInducedStructure:
+    """A graph that drops nothing shares its scheme's edges, labels and ring
+    layout; it must equal the one the validating constructor builds."""
+
+    @pytest.fixture(scope="class")
+    def schemes(self):
+        from test_harness import acceptance_schemes
+
+        return acceptance_schemes() + [chord_scheme()]
+
+    def test_acceptance_schemes_match_validating_path(self, schemes):
+        rng = np.random.default_rng(40)
+        for scheme in schemes:
+            for _ in range(20):
+                f = scheme.random_signal(rng)
+                for zero_tol in (DEFAULT_ZERO_TOL, 0.0):
+                    g = induce_graph(scheme, f, zero_tol)
+                    assert_same_graph(g, validating_induce(scheme, f, zero_tol))
+        assert chord_scheme()._weighted_graph.ring_weights is None
+
+    def test_structure_is_shared(self, schemes):
+        rng = np.random.default_rng(41)
+        for scheme in schemes:
+            g1, g2 = (induce_graph(scheme, scheme.random_signal(rng)) for _ in range(2))
+            assert g1.u is g2.u and g1.v is g2.v
+            assert g1.labels is g2.labels is scheme.vertex_labels
+
+    def test_dropped_window_and_zero_signal(self, schemes):
+        rng = np.random.default_rng(42)
+        for scheme in schemes:
+            for k in (0, scheme.num_vertices // 2):
+                f = scheme.random_signal(rng)
+                f[scheme.vertex_projections[k]] = 0.0
+                for zero_tol in (DEFAULT_ZERO_TOL, 0.0):
+                    g = induce_graph(scheme, f, zero_tol)
+                    assert g.num_vertices < scheme.num_vertices
+                    assert_same_graph(g, validating_induce(scheme, f, zero_tol))
+            zero = np.zeros(scheme.ambient_dim, dtype=f.dtype)
+            assert_same_graph(induce_graph(scheme, zero), validating_induce(scheme, zero))
+            assert induce_graph(scheme, zero).is_empty
+
+    def test_relative_dust_only_under_zero_tol(self, toy):
+        # a weight of 1e-20 relative is kept at zero_tol = 0 (nothing dropped,
+        # the shared structure) and dropped under the default
+        f = np.array([1.0, 1.0, 1e-10, 1.0])
+        for zero_tol in (0.0, DEFAULT_ZERO_TOL):
+            assert_same_graph(induce_graph(toy, f, zero_tol), validating_induce(toy, f, zero_tol))
 
 
 class TestValidators:

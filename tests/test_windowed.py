@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from lscc import toy, windowed
 from lscc.certify import COMPLEX_C0_MARGIN, SIGMA_BUDGET, estimate_local_stability
 from lscc.errors import ClassError, FieldError, SchemeError
 from lscc.graphs import is_connected
 from lscc.measurement import COMPLEX, REAL, align_phase
 from lscc.scheme import induce_graph, validate_scheme
+from lscc.stability import prefactor
 from lscc.windowed import (
     WindowedConfig,
     adversarial_pair,
@@ -59,6 +61,19 @@ class TestConstruction:
         assert scheme.num_vertices == 3
         for report in validate_scheme(scheme, trials=60, rng=np.random.default_rng(2)):
             assert report.passed
+
+    def test_caller_arrays_stay_writable(self):
+        rows = default_local_rows(WindowedConfig(a=1, L=4))
+        scheme = build_windowed_scheme(WindowedConfig(a=1, L=4, local_rows=rows))
+        assert rows.flags.writeable
+        frames = scheme.vertex_frames
+        assert not frames[0].rows.flags.writeable
+        assert frames[0].rows is frames[1].rows is frames[2].rows  # one block, shared
+        kept = frames[0].rows.copy()
+        rows[0, 0] += 1.0
+        assert np.array_equal(frames[0].rows, kept)
+        toy.toy_scheme()
+        assert toy._LOCAL_ROWS.flags.writeable
 
     def test_rejects_rank_deficient_local_frame(self):
         rows = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
@@ -251,6 +266,20 @@ class TestScalingSweep:
     def test_rejects_unsorted(self):
         with pytest.raises(SchemeError):
             scaling_sweep(1, [16, 8], REAL)
+
+    @pytest.mark.parametrize(
+        "field, certify", [(REAL, "sigma_and_complement"), (COMPLEX, "estimate_local_stability")]
+    )
+    def test_certifies_once_per_sweep(self, monkeypatch, field, certify):
+        calls = []
+        original = getattr(windowed, certify)
+        monkeypatch.setattr(windowed, certify, lambda *a: calls.append(1) or original(*a))
+        rows = scaling_sweep(1, [4, 8, 16], field, trials=10, seed=3)
+        assert len(calls) == 1
+        # each row's prefactor is the one a scheme certified for its own L has
+        for row in rows:
+            scheme = build_windowed_scheme(WindowedConfig(a=1, L=row["L"], field=field, seed=3))
+            assert row["C2_or_C3"] == prefactor(scheme)
 
     def test_real_slope_near_half(self):
         rows = scaling_sweep(2, [8, 16, 32, 64], REAL, trials=40, seed=14)
