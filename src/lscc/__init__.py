@@ -30,8 +30,6 @@ from .graphs import (
     cheeger_exact,
     cheeger_interval,
     cheeger_sweep,
-    graph_from_json,
-    graph_to_json,
     is_connected,
     laplacian,
     normalized_degree,
@@ -72,7 +70,6 @@ from .shiftinv import (
     build_shiftinv_scheme,
     sigma_based_constants,
     decay_cheeger_study,
-    sigma_crosscheck,
 )
 from .stability import (
     StabilityReport,
@@ -91,7 +88,6 @@ from .windowed import (
     adversarial_pair,
     build_windowed_scheme,
     lower_bound_constants,
-    sample_class_signal,
     scaling_sweep,
     window_membership,
 )

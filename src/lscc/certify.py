@@ -16,7 +16,6 @@ margin.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -124,26 +123,6 @@ def sigma_strong(m: np.ndarray) -> float:
     """Strong-split constant of a real m: min over row splits of the larger
     of the two sides' last singular values."""
     return sigma_and_complement(_real(m))[0]
-
-
-def sigma_strong_recursive(m: np.ndarray) -> float:
-    """Independent second enumeration path over subsets by size.
-
-    Uses itertools.combinations instead of bitmasks; shares only the singular
-    value kernel, so agreement with sigma_strong is a structural cross-check.
-    """
-    m = _real(m)
-    rows = m.shape[0]
-    _check_budget(rows)
-    all_rows = set(range(rows))
-    best = math.inf
-    for size in range(rows + 1):
-        for combo in itertools.combinations(range(rows), size):
-            rest = sorted(all_rows.difference(combo))
-            val = max(min_singular(m[list(combo)]), min_singular(m[rest]))
-            if val < best:
-                best = val
-    return best
 
 
 def real_local_stability(m: np.ndarray, sigma: float | None = None) -> float:

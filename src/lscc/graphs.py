@@ -21,7 +21,6 @@ the high bits one chunk of 2^16 masks at a time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -837,11 +836,3 @@ def graph_from_dict(d: dict) -> WeightedGraph:
     except KeyError as exc:
         raise InvalidWeightError(f"edge endpoint {exc.args[0]!r} is not a vertex label") from None
     return WeightedGraph(d["vertexWeights"], edges, labels)
-
-
-def graph_to_json(g: WeightedGraph) -> str:
-    return json.dumps(graph_to_dict(g), separators=(",", ":"), sort_keys=True)
-
-
-def graph_from_json(text: str) -> WeightedGraph:
-    return graph_from_dict(json.loads(text))

@@ -21,13 +21,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateFamilyError
-from .measurement import COMPLEX, align_phase_batch, gaussian, pair_ratios
+from .measurement import COMPLEX, align_phase_batch, gaussian, pair_ratios, ratio_brackets
 from .scheme import LsccScheme
 from .stability import signal_bound
 
 BOUND_SLACK = 1e-9
-#: measurement entries per fuzz_bounds column chunk: keeps pair_ratios' temporaries in cache
-_CHUNK = 1 << 14
+#: measurement entries per fuzz_bounds column chunk, measured and bracketed at
+#: once: 1.5 MB traced peak on windowed a=2, L=16 complex (2^16: 2.1 MB), and
+#: glibc serves the temporaries from its heap, not from fresh mappings
+_CHUNK = 1 << 15
 
 
 def derive_rng(seed: int, *keys) -> np.random.Generator:
@@ -46,17 +48,22 @@ def fuzz_bounds(
 ) -> dict:
     """Assert bound domination on random signal pairs for every scheme.
 
-    Pairs are organized as reference signals x comparison batches (scored in
-    column chunks of _CHUNK measurements) so the per-reference bound is
-    computed once.  Reports the max observed ratio/bound quotient per scheme;
-    quotients must stay <= 1 up to slack, else the offending pair is serialized.
+    Pairs are organized as reference signals x comparison batches (screened
+    in column chunks of _CHUNK measurements, see `_fuzz_samples`) so the
+    per-reference bound is computed once.  Reports the max observed
+    ratio/bound quotient per scheme; quotients must stay <= 1 up to slack,
+    else the offending pair is serialized.
     `pairs` counts the pairs that are not phase-equivalent under
     `pair_ratios`; a collision is a violation unless the bound is infinite.
 
     Sampling (`_fuzz_samples`) runs in forked workers when more than one CPU
     is ours (`_fuzz_workers`); the bounds are computed here, scheme by scheme
     as the samples arrive.  Every scheme draws from its own stream, so the
-    report is the same for any worker count.
+    report is the same for any worker count.  Code that runs in the workers
+    must not call threaded BLAS: a gemv bracket (`np.conj(x) @ ys`) ran on
+    OpenBLAS threads that oversubscribed the workers and this caller, and
+    took the two-worker fuzz of test_04's schemes from 1.2 to 5.2-7.3 s on
+    2 vCPUs.
     """
     if pairs_per_scheme < 1:
         raise DegenerateFamilyError("pairs_per_scheme must be >= 1")
@@ -116,8 +123,16 @@ class _FuzzSamples(NamedTuple):
 
 
 def _fuzz_samples(scheme: LsccScheme, refs: int, per_ref: int, seed: int) -> _FuzzSamples:
-    """The sampling half of `fuzz_bounds`: every draw and pair ratio of one
-    scheme, in stream order, with no bound."""
+    """The sampling half of `fuzz_bounds`: every draw of one scheme, in stream
+    order, with no bound.
+
+    Each column chunk is bracketed (`ratio_brackets`); only the columns whose
+    upper end reaches the largest lower end so far, and the undecided ones,
+    are kept.  One `pair_ratios` call per reference scores the kept columns
+    that still reach it, so the counts, the witness and the first collision
+    are its verdicts: every column dropped is provably not equivalent and
+    not the first largest ratio.
+    """
     rng = derive_rng(seed, "fuzz", scheme.name)
     F, pairs, best, witness, collided, collision = [], [], [], [], [], []
     for k in range(refs):
@@ -125,20 +140,31 @@ def _fuzz_samples(scheme: LsccScheme, refs: int, per_ref: int, seed: int) -> _Fu
         comparisons = scheme.random_signal(rng, per_ref)
         x = scheme.measure(f)
         width = max(1, _CHUNK // x.size)
-        cols = np.split(comparisons, range(width, per_ref, width), axis=1)
-        chunks = [pair_ratios(x, scheme.measure_batch(c), scheme.field, scheme.p) for c in cols]
-        num, den, equivalent, hit = (np.concatenate(parts) for parts in zip(*chunks))
+        floor, kept, tops, ys = -np.inf, [], [], []
+        for start in range(0, per_ref, width):
+            y = scheme.measure_batch(comparisons[:, start : start + width])
+            lo, hi = ratio_brackets(x, y, scheme.field, scheme.p)
+            floor = max(floor, lo.max())
+            keep = np.flatnonzero(hi >= floor)
+            kept.append(keep + start)
+            tops.append(hi[keep])
+            ys.append(y[:, keep])
+        reach = np.concatenate(tops) >= floor
+        kept = np.concatenate(kept)[reach]
+        num, den, equivalent, hit = pair_ratios(
+            x, np.concatenate(ys, axis=1)[:, reach], scheme.field, scheme.p
+        )
         good = np.flatnonzero(~equivalent)
         ratios = num[good] / den[good]
         F.append(f)
-        pairs.append(good.size)
+        pairs.append(per_ref - int(np.sum(equivalent)))
         best.append(np.max(ratios) if ratios.size else np.nan)
         # copies: a column view would keep the whole comparison batch alive
-        j = good[np.argmax(ratios)] if ratios.size else None
+        j = kept[good[np.argmax(ratios)]] if ratios.size else None
         witness.append(np.zeros_like(f) if j is None else comparisons[:, j].copy())
         if np.any(hit):
             collided.append(k)
-            collision.append(comparisons[:, np.argmax(hit)].copy())
+            collision.append(comparisons[:, kept[np.argmax(hit)]].copy())
     return _FuzzSamples(
         np.array(F),
         np.array(pairs, dtype=np.int64),
@@ -164,7 +190,9 @@ def _sample_all(schemes: list[LsccScheme], refs: int, per_ref: int, seed: int, s
     complex), over forked workers.  Each sends its samples back through its
     own pipe as length-prefixed pickles, and each scheme is scored as soon
     as its samples arrive, while the workers sample the rest.  A worker's
-    exception is raised here; no worker outlives this call.
+    exception is raised here; no worker outlives this call.  Two workers and
+    this caller already fill 2 vCPUs, so `_fuzz_samples` uses no threaded
+    BLAS (np.einsum and ufuncs only; a gemv made the fuzz 4-6x slower).
     """
     workers = _fuzz_workers(len(schemes))
     if workers <= 1:

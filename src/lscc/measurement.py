@@ -289,3 +289,42 @@ def pair_ratios(x, ys, field: str, p: float = 2.0):
         floor = np.maximum(scale, 1e-300)
     equivalent = den <= DENOM_CUTOFF * floor
     return num, den, equivalent, equivalent & (num > COLLISION_RTOL * floor)
+
+
+def ratio_brackets(x: np.ndarray, ys: np.ndarray, field: str, p: float = 2.0):
+    """(lo, hi) around pair_ratios' num / den for each column of ys, x 1-D.
+
+    At p = 2, with S = ||x||^2 + ||y||^2, the Gram form gives
+    num^2 = S - 2|<x, y>| and den^2 = S - 2<|x|, |y|>.  Both are widened by
+    err = (8m + 32) eps S, which covers their rounding (the dot-product bound
+    gamma_m, Higham §3.1) and pair_ratios' own.  A column is undecided,
+    (-inf, inf), when den^2 - err <= 1e-20 S (so every pair pair_ratios calls
+    equivalent, collisions included), when S is not finite or below 1e-250
+    (underflow), and at every p != 2.  einsum, not BLAS: see harness.fuzz_bounds.
+    """
+    _check_field(field)
+    if p != 2.0:
+        return np.full(ys.shape[1], -np.inf), np.full(ys.shape[1], np.inf)
+    ys = np.ascontiguousarray(ys, dtype=np.complex128 if field == COMPLEX else None)
+    ax, ay = np.abs(x), np.abs(ys)
+    total = np.einsum("ij,ij->j", ay, ay)
+    total += np.einsum("i,i->", ax, ax)
+    if field == COMPLEX:  # <x, y> from real dot products on the interleaved parts
+        parts = np.einsum("ki,ij->kj", np.stack([x.real, x.imag]), ys.view(np.float64))
+        inner = np.hypot(parts[0, 0::2] + parts[1, 1::2], parts[0, 1::2] - parts[1, 0::2])
+    else:
+        inner = np.abs(np.einsum("i,ij->j", x, ys))
+    # in units of 2S: num^2 +- err = 1/2 +- h - |<x, y>| / S, den^2 with <|x|, |y|>
+    h = (4 * len(ys) + 16) * np.finfo(np.float64).eps
+    with np.errstate(all="ignore"):  # undecided columns may divide by 0 or hold inf / inf
+        u = np.divide(inner, total, out=inner)
+        v = np.einsum("i,ij->j", ax, ay)
+        v /= total
+        gap = (0.5 - h) - v
+        lo = np.maximum((0.5 - h) - u, 0.0)
+        lo /= (0.5 + h) - v
+        hi = np.divide((0.5 + h) - u, gap)
+        lo, hi = np.sqrt(lo, out=lo), np.sqrt(hi, out=hi)
+    undecided = ~((gap > 0.5e-20) & (total >= 1e-250) & (total < np.inf))
+    lo[undecided], hi[undecided] = -np.inf, np.inf
+    return lo, hi

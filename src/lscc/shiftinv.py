@@ -29,8 +29,6 @@ from .certify import (
     estimate_local_stability,
     p_frame_bounds,
     sigma_and_complement,
-    sigma_strong,
-    sigma_strong_recursive,
 )
 from .errors import DegenerateFrameError, SchemeError, UnsupportedPError
 from .graphs import cheeger
@@ -118,11 +116,6 @@ class GeneratorModel:
             raise SchemeError("sampled generator rows are not phase retrievable")
         if self.frame_bounds[0] <= 0.0:
             raise SchemeError("local sampling matrix is rank deficient")
-
-
-def sigma_crosscheck(gen: GeneratorModel) -> tuple[float, float]:
-    """Both subset-enumeration routes to sigma; they must agree bitwise."""
-    return sigma_strong(gen.local_matrix), sigma_strong_recursive(gen.local_matrix)
 
 
 def sigma_based_constants(gen: GeneratorModel) -> tuple[float, float, float]:

@@ -146,14 +146,6 @@ def window_membership(cfg: WindowedConfig, f) -> WindowMembership:
     return WindowMembership(averages, in_class, cfg.s, cfg.t)
 
 
-def sample_class_signal(cfg: WindowedConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw a member of the window class: moduli uniform in [s, t], random phases."""
-    moduli = rng.uniform(cfg.s, cfg.t, cfg.d)
-    if cfg.field == COMPLEX:
-        return moduli * np.exp(2j * math.pi * rng.random(cfg.d))
-    return moduli * np.where(rng.random(cfg.d) < 0.5, 1.0, -1.0)
-
-
 def adversarial_pair(cfg: WindowedConfig, scheme: LsccScheme | None = None) -> AdversarialPair:
     """The all-ones / single-frequency pair with its closed-form ratio floors.
 

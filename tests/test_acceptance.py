@@ -33,7 +33,6 @@ from lscc.shiftinv import (
     sigma_based_constants,
     decay_cheeger_study,
     exponential_floor,
-    sigma_crosscheck,
 )
 from lscc.stability import SIGN_FLIPS, empirical_worst_ratio
 from lscc.toy import (
@@ -48,11 +47,11 @@ from lscc.windowed import (
     adversarial_pair,
     build_windowed_scheme,
     fit_loglog_slope,
-    sample_class_signal,
     scaling_sweep,
     unweighted_cycle_cheeger,
     unweighted_cycle_lambda,
 )
+from oracles import sample_class_signal, sigma_crosscheck
 
 
 def report(number: int, label: str, started: float, budget: float):

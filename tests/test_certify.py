@@ -13,12 +13,12 @@ from lscc.certify import (
     real_local_stability,
     sigma_and_complement,
     sigma_strong,
-    sigma_strong_recursive,
 )
 from lscc.errors import BudgetExceededError, DegenerateFrameError, FieldError
 from lscc.measurement import COMPLEX, REAL, align_phase, gaussian, pair_ratios
 from lscc.shiftinv import GeneratorModel
 from lscc.windowed import WindowedConfig, default_local_rows
+from oracles import sigma_strong_recursive
 
 
 def one_batch_estimate(m, field, p, trials, rng):

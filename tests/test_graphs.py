@@ -24,13 +24,12 @@ from lscc.graphs import (
     cheeger_interval,
     cheeger_sweep,
     graph_from_dict,
-    graph_from_json,
-    graph_to_json,
     is_connected,
     laplacian,
     normalized_degree,
     normalized_laplacian,
 )
+from oracles import graph_from_json, graph_to_json
 
 
 def unweighted_cycle(n):

@@ -2,8 +2,11 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from lscc.scheme import BaseGraph, LsccScheme
 from lscc.shiftinv import GeneratorModel, build_shiftinv_scheme
 from lscc.toy import FIXTURE_CONNECTED, toy_scheme
 from lscc.windowed import WindowedConfig, build_windowed_scheme
+from oracles import fuzz_samples_reference
 
 
 class TestSeeding:
@@ -178,6 +182,65 @@ class TestFuzzBounds:
         report = fuzz_bounds([toy], pairs_per_scheme=10, seed=2, refs_per_scheme=1)
         assert report["passed"]
         assert np.linalg.norm(np.abs(x) - np.abs(x)) == 0.0
+
+
+def assert_same_samples(got, want):
+    for name in ("refs", "pairs", "witness", "collided", "collision"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(np.isnan(got.best), np.isnan(want.best))
+    drift = np.abs(got.best - want.best)
+    assert np.all(drift[~np.isnan(drift)] <= 2e-15 * want.best[~np.isnan(drift)])
+
+
+class TestBracketScreen:
+    """_fuzz_samples screens with ratio_brackets; the oracle scores every column."""
+
+    def test_matches_the_unscreened_sampler(self):
+        for scheme in acceptance_schemes():
+            for per_ref in (500, 37):
+                got = harness._fuzz_samples(scheme, 12, per_ref, 5)
+                assert_same_samples(got, fuzz_samples_reference(scheme, 12, per_ref, 5))
+
+    @pytest.mark.parametrize("chunk", [1, 10**9])
+    def test_matches_on_collisions_and_equivalent_pairs(self, monkeypatch, chunk):
+        original = harness.derive_rng
+        monkeypatch.setattr(harness, "derive_rng", lambda *a: RoundedRng(original(*a)))
+        monkeypatch.setattr(harness, "_CHUNK", chunk)
+        broken = toy_scheme()
+        broken.local_stability = 1e-3
+        for scheme in (sign_blind_scheme(), broken):
+            got = harness._fuzz_samples(scheme, 6, 100, 1)
+            assert_same_samples(got, fuzz_samples_reference(scheme, 6, 100, 1))
+            assert np.any(got.pairs < 100) and got.collided.size
+
+    def test_p3_keeps_every_column(self):
+        scheme = build_shiftinv_scheme(GeneratorModel(N=2, p=3.0), 8)
+        assert_same_samples(
+            harness._fuzz_samples(scheme, 3, 200, 2), fuzz_samples_reference(scheme, 3, 200, 2)
+        )
+
+    def test_fuzz_makes_few_page_faults(self, tmp_path):
+        # chunk temporaries that glibc maps and trims afresh each time cost
+        # 145k-570k minor faults per fuzz; served from its heap, a few hundred
+        code = (
+            "import resource\n"
+            "import lscc.harness as h\n"
+            "from test_harness import acceptance_schemes\n"
+            "h._fuzz_workers = lambda n: 1\n"
+            "schemes = acceptance_schemes()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "assert h.fuzz_bounds(schemes, 20_000, seed=0)['passed']\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 5000
 
 
 class SamplingFailure(RuntimeError):

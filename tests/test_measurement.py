@@ -18,6 +18,7 @@ from lscc.measurement import (
     p_norm,
     p_norms,
     pair_ratios,
+    ratio_brackets,
 )
 from lscc.harness import BOUND_SLACK, derive_rng, inequality_suite
 from lscc.scheme import BaseGraph, LsccScheme
@@ -384,6 +385,98 @@ class TestPairRatios:
         assert equivalent and collision
         _, _, equivalent, collision = pair_ratios(x, y[:, None], REAL, toy.p)
         assert equivalent[0] and collision[0]
+
+
+def assert_brackets_hold(x, ys, field):
+    """Every column pair_ratios calls equivalent (collisions included) is
+    undecided, and every other column's ratio lies in its bracket."""
+    lo, hi = ratio_brackets(x, ys, field)
+    num, den, equivalent, _ = pair_ratios(x, ys, field)
+    undecided = (lo == -np.inf) & (hi == np.inf)
+    assert np.all(undecided[equivalent])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num[~equivalent] / den[~equivalent]
+    assert np.all((lo[~equivalent] <= ratio) & (ratio <= hi[~equivalent]))
+    return lo, hi, undecided
+
+
+def _near_multiples(rng, field, x):
+    """y = +-x and xi x exactly, then xi x + delta for delta = 1e-6 ... 1e-15
+    relative, then equal moduli with no common phase, then a zero column."""
+    phases = [1.0, -1.0] + ([1j, -1j, np.exp(0.7j)] if field == COMPLEX else [])
+    cols = [xi * x for xi in phases]
+    for delta in 10.0 ** -np.arange(6, 16):
+        for xi in phases:
+            cols.append(xi * x + delta * np.linalg.norm(x) * _columns(rng, field, len(x), 1)[:, 0])
+    flip = x.copy()
+    flip[-1] *= np.exp(2.0j) if field == COMPLEX else -1.0
+    cols.append(flip)
+    return np.column_stack(cols + [np.zeros_like(x)])
+
+
+class TestRatioBrackets:
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("m", [1, 4, 9, 40, 192])
+    def test_random_batches(self, field, m):
+        rng = np.random.default_rng(m)
+        x = _columns(rng, field, m, 1)[:, 0]
+        lo, hi, undecided = assert_brackets_hold(x, _columns(rng, field, m, 500), field)
+        assert not np.any(undecided)
+        assert np.median((hi - lo) / hi) < 1e-10  # tight enough to screen
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e-310])
+    def test_adversarial_columns(self, field, scale):
+        rng = np.random.default_rng(21)
+        for m in (2, 8, 64):
+            x = _columns(rng, field, m, 1)[:, 0]
+            x[0] = 0.0
+            ys = np.column_stack([_near_multiples(rng, field, x), _columns(rng, field, m, 20)])
+            for ref in (x, np.zeros_like(x)):
+                _, _, undecided = assert_brackets_hold(scale * ref, scale * ys, field)
+                if scale < 1.0:  # squares below 1e-250: nothing decided
+                    assert np.all(undecided)
+            _, _, equivalent, collision = pair_ratios(x, ys, field)
+            assert np.any(equivalent) and (m == 2 or np.any(collision))
+
+    def test_subnormal_entries(self):
+        rng = np.random.default_rng(5)
+        x = _columns(rng, COMPLEX, 16, 1)[:, 0]
+        ys = _columns(rng, COMPLEX, 16, 50)
+        ys[3] = 1e-310
+        x[5] = 5e-324
+        assert_brackets_hold(x, ys, COMPLEX)
+        assert_brackets_hold(x.real, ys.real, REAL)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_undecided_at_p_other_than_2(self, field):
+        rng = np.random.default_rng(8)
+        x = _columns(rng, field, 6, 1)[:, 0]
+        for p in (1.0, 3.0):
+            lo, hi = ratio_brackets(x, _columns(rng, field, 6, 30), field, p)
+            assert np.all(lo == -np.inf) and np.all(hi == np.inf)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_strided_batch(self, field):
+        rng = np.random.default_rng(9)
+        x = _columns(rng, field, 12, 1)[:, 0]
+        ys = _columns(rng, field, 12, 40)
+        for got, want in zip(ratio_brackets(x, ys[:, ::2], field), ratio_brackets(x, ys, field)):
+            assert np.array_equal(got, want[::2])
+
+    @given(
+        finite_vectors(6, complex_=True),
+        finite_vectors(6, complex_=True),
+        st.sampled_from([1.0, -1.0, 1j, np.exp(2.1j)]),
+        st.integers(0, 17),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_brackets_contain_the_exact_ratio(self, x, y, xi, digits, real):
+        if real:
+            x, y, xi = x.real, y.real, np.sign(xi.real) or 1.0
+        cols = np.column_stack([y, xi * x + 10.0**-digits * y, xi * x])
+        assert_brackets_hold(x, cols, REAL if real else COMPLEX)
 
 
 class TestPhaseInvariance:

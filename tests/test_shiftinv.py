@@ -22,9 +22,9 @@ from lscc.shiftinv import (
     decay_cheeger_study,
     exponential_floor,
     profile_signal,
-    sigma_crosscheck,
 )
 from lscc.windowed import fit_loglog_slope
+from oracles import sigma_crosscheck
 
 
 class TestBsplines:

@@ -17,10 +17,10 @@ from lscc.windowed import (
     default_local_rows,
     fit_loglog_slope,
     lower_bound_constants,
-    sample_class_signal,
     scaling_sweep,
     window_membership,
 )
+from oracles import sample_class_signal
 
 
 class TestConfig:
