@@ -39,7 +39,6 @@ from .measurement import (
     COMPLEX,
     REAL,
     Frame,
-    Signal,
     align_phase,
     p_norm,
 )

@@ -35,14 +35,6 @@ COMPLEX_C0_MARGIN = 2.0
 DEGENERATE_RTOL = 1e-12
 
 
-def min_singular(m: np.ndarray) -> float:
-    """inf over unit c of ||M c||_2; zero when M has a nontrivial null space."""
-    m = np.atleast_2d(m)
-    if m.shape[0] == 0 or m.shape[0] < m.shape[1]:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
-
-
 def max_singular(m: np.ndarray) -> float:
     m = np.atleast_2d(m)
     if m.shape[0] == 0:
@@ -72,9 +64,9 @@ def sigma_and_complement(m: np.ndarray) -> tuple[float, bool]:
     so a partial split is cut once its larger side value exceeds the best
     complete split by more than the SVD's rounding, `slack`.  Each side is
     scored on its rows in ascending order: under n rows it scores 0 and is
-    rank deficient, as in min_singular; full rank follows `matrix_rank`'s
-    tolerance rule, S.max * (max(k, n) * eps).  A rank-deficient side thus
-    scores under k * eps * ||m||_2 < slack, so no split whose sides are both
+    rank deficient; full rank follows `matrix_rank`'s tolerance rule,
+    S.max * (max(k, n) * eps).  A rank-deficient side thus scores under
+    k * eps * ||m||_2 < slack, so no split whose sides are both
     deficient, the only kind that breaks the complement property, is cut.
     """
     m = np.atleast_2d(m)

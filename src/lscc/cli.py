@@ -24,7 +24,7 @@ import numpy as np
 from .errors import LsccError
 from .graphs import graph_to_dict
 from .harness import format_cell, write_csv, write_manifest
-from .measurement import COMPLEX, REAL
+from .measurement import BOUND_SLACK, COMPLEX, REAL
 from .scheme import (
     DEFAULT_ZERO_TOL,
     LsccScheme,
@@ -252,7 +252,7 @@ def cmd_sweep_windowed(args) -> int:
     failure = None
     if args.field == COMPLEX:
         for row in rows:
-            if row["bound"] < row["adversarial_ratio"] * (1.0 - 1e-9):
+            if row["bound"] < row["adversarial_ratio"] * (1.0 - BOUND_SLACK):
                 failure = {"L": row["L"], "reason": "bound below adversarial ratio"}
                 break
     out_rows = [dict(row) for row in rows]

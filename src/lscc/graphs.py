@@ -416,14 +416,26 @@ def _arc_members(s: int, e: int, n: int) -> list[int]:
     return [*range(s, e + 1)] if e < n else [*range(e - n + 1), *range(s, n)]
 
 
+def _tuple_order(s: np.ndarray, e: np.ndarray, n: int) -> np.ndarray:
+    """Sorts arcs [s..e] of the doubled n-ring by member tuple: [0..e] by e, then
+    [0..e-n] + [s..n-1] by -e and s, then [s..e], s >= 1, by s and e."""
+    wrap = e >= n
+    group = np.where(wrap, 1, np.where(s == 0, 0, 2))
+    major = np.where(wrap, n - e, np.where(s == 0, e, s))
+    return np.lexsort((np.where(wrap, s, e), major, group))
+
+
 @cache
 def _ring_arcs(n: int, cycle: bool) -> tuple[np.ndarray, ...]:
     """(s, e, s - 1, e mod n, rows, at) for the arcs [s..e] of a ring of n <=
     EXACT_BUDGET vertices, sorted by member tuple.  Row s < n of `rows` is
     1.0 on the vertices s..n-1, each further row on one wrapping arc's
     members; arc k's volume is entry at[k] of cumsum(rows * w, axis=1)."""
-    spans = [(s, e) for s in range(n) for e in range(s, s + n - 1) if cycle or e < n]
-    s, e = np.array(sorted(spans, key=lambda a: _arc_members(*a, n))).T
+    s, e = np.divmod(np.arange(n * (n - 1)), n - 1)
+    e += s
+    order = _tuple_order(s, e, n)
+    order = order[cycle | (e[order] < n)]
+    s, e = s[order], e[order]
     k, wrap = np.arange(n), e >= n
     rows = np.concatenate((k >= k[:, None], (k <= e[wrap, None] - n) | (k >= s[wrap, None])))
     at = np.where(wrap, (n + wrap.cumsum()) * n - 1, s * n + e)
@@ -534,14 +546,7 @@ def cheeger_interval(g: WeightedGraph) -> CheegerResult:
     ratio = bd / vol(s, e)
     best = (ratio == ratio[ratio.argmin()]).nonzero()[0]
     if best.size > 1:
-        # member-tuple order: [0..e] by e; then wrapping arcs [0..e-n] +
-        # [s..n-1], longer low part first, then smaller s; then [s..e] with
-        # s >= 1 by s, then e
-        sb, eb = s[best], e[best]
-        wrap = eb >= n
-        group = np.where(wrap, 1, np.where(sb == 0, 0, 2))
-        major = np.where(wrap, n - eb, np.where(sb == 0, eb, sb))
-        best = best[np.lexsort((np.where(wrap, sb, eb), major, group))]
+        best = best[_tuple_order(s[best], e[best], n)]
     i = best[0]
     members = _arc_members(int(s[i]), int(e[i]), n)
     value = float(bd[i] / w[members].cumsum()[-1])  # the witness's running sum
@@ -824,15 +829,3 @@ def graph_to_dict(g: WeightedGraph) -> dict:
         "vertexWeights": g.vertex_weights.tolist(),
         "edges": [[label[u], label[v], w] for u, v, w in ends],
     }
-
-
-def graph_from_dict(d: dict) -> WeightedGraph:
-    labels = tuple(d["V"])
-    pos = {lab: i for i, lab in enumerate(labels)}
-    if len(pos) != len(labels):
-        raise InvalidWeightError("vertex labels must be distinct")
-    try:
-        edges = [(pos[u], pos[v], w) for u, v, w in d["edges"]]
-    except KeyError as exc:
-        raise InvalidWeightError(f"edge endpoint {exc.args[0]!r} is not a vertex label") from None
-    return WeightedGraph(d["vertexWeights"], edges, labels)

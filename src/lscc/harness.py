@@ -21,11 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateFamilyError
-from .measurement import COMPLEX, align_phase_batch, gaussian, pair_ratios, ratio_brackets
+from .measurement import BOUND_SLACK, COMPLEX, align_phase_batch, gaussian
+from .measurement import pair_ratios, ratio_brackets
 from .scheme import LsccScheme
 from .stability import signal_bound
 
-BOUND_SLACK = 1e-9
 #: measurement entries per fuzz_bounds column chunk, measured and bracketed at
 #: once: 1.5 MB traced peak on windowed a=2, L=16 complex (2^16: 2.1 MB), and
 #: glibc serves the temporaries from its heap, not from fresh mappings

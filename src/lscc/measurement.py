@@ -9,7 +9,7 @@ conjugate-linear in the row and plain matrix multiplication in the real case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,8 @@ PHASE_GRID = 4096
 PHASE_REFINE_RTOL = 1e-10
 #: phase-equivalence cutoff on || |x| - |y| ||_p relative to ||x||_p (pair_ratios)
 DENOM_CUTOFF = 1e-14
+#: relative slack of every verified inequality: pass within (1 +/- slack) x the bound
+BOUND_SLACK = 1e-9
 #: collision threshold on min_xi ||x - xi*y||_p relative to ||x||_p (pair_ratios)
 COLLISION_RTOL = 1e-9
 
@@ -52,41 +54,12 @@ def as_field_array(values, field: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Signal:
-    """A finite coordinate vector over the real or complex field."""
-
-    values: np.ndarray
-    field: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", as_field_array(self.values, self.field))
-        if self.values.ndim != 1 or self.values.size < 1:
-            raise DimensionError("signal must be a nonempty 1-D vector")
-        self.values.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-
-@dataclass(frozen=True)
 class Frame:
-    """A finite measurement family: one functional per matrix row.
-
-    `lower` and `upper` are the declared p-frame constants (A <= B).  The
-    scheme-level A and B are checked against probe signals by
-    `validate_local_phase_retrieval`, which fails when the observed ratios
-    ||Phi_v f||_p / ||f||_p leave [A, B]; a Frame itself never checks them.
-    """
+    """A finite measurement family, one functional per row, read-only in the
+    field's dtype; p and the frame constants A <= B are the scheme's."""
 
     rows: np.ndarray
-    p: float = 2.0
     field: str = REAL
-    lower: float = dc_field(default=0.0)
-    upper: float = dc_field(default=np.inf)
 
     def __post_init__(self):
         rows = as_field_array(self.rows, self.field)
@@ -94,15 +67,7 @@ class Frame:
         object.__setattr__(self, "rows", rows.copy() if own else rows)  # freeze no caller's array
         if self.rows.ndim != 2 or self.rows.shape[0] < 1 or self.rows.shape[1] < 1:
             raise DimensionError("frame rows must form a nonempty matrix")
-        if not (1.0 <= self.p < math.inf):
-            raise FieldError(f"p must lie in [1, inf), got {self.p}")
-        if self.lower > self.upper:
-            raise FieldError("frame constants must satisfy lower <= upper")
         self.rows.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
 
 
 def p_norm(v, p: float) -> float:

@@ -29,11 +29,12 @@ from .blocks import BlockOperator, Blocks, EdgeMap, Supports, by_identity, suppo
 from .errors import DimensionError, FieldError, SchemeError
 from .graphs import WeightedGraph, is_connected
 from .measurement import (
+    BOUND_SLACK,
     COMPLEX,
     DENOM_CUTOFF,
     REAL,
     Frame,
-    Signal,
+    _check_field,
     as_field_array,
     gaussian,
     p_norms,
@@ -43,7 +44,7 @@ from .measurement import (
 RETRIEVABLE = "RetrievableByConnectivity"
 INCONCLUSIVE = "Inconclusive"
 
-#: layout of `scheme_to_dict`: supports and local blocks instead of dense matrices
+#: descriptor layout: supports and local blocks instead of dense matrices
 DESCRIPTOR_VERSION = 2
 #: relative weight threshold below which induced vertices/edges are dropped
 DEFAULT_ZERO_TOL = 1e-12
@@ -168,8 +169,9 @@ class LsccScheme:
     vertex_labels: tuple[int, ...] = dc_field(default=())
 
     def __post_init__(self):
-        if self.field not in (REAL, COMPLEX):
-            raise FieldError(f"unknown field {self.field!r}")
+        _check_field(self.field)
+        if not 1.0 <= self.p < math.inf:  # NaN fails the comparison
+            raise FieldError(f"p must lie in [1, inf), got {self.p}")
         for name, value in (("C0", self.local_stability), ("C1", self.edge_domination)):
             if not 0.0 < value < math.inf:
                 raise SchemeError(f"{name} must be finite and > 0, got {value}")
@@ -236,8 +238,6 @@ class LsccScheme:
         return WeightedGraph(np.ones(self.num_vertices), (u, v, np.ones(u.size)), labels)
 
     def coerce(self, f) -> np.ndarray:
-        if isinstance(f, Signal):
-            f = f.values
         vec = as_field_array(f, self.field)
         if vec.ndim != 1 or vec.size != self.ambient_dim:
             raise DimensionError(
@@ -290,10 +290,9 @@ def sliding_scheme(
     later = np.where(graph.v - graph.u == 1, graph.v, graph.u)
     cover = np.bincount(windows.ravel(), minlength=dim)
     field = COMPLEX if np.iscomplexobj(local) else REAL
-    consts = {"p": p, "field": field, "lower": bounds[0], "upper": bounds[1]}
-    frames = (Frame(local, **consts),) * (count - 1 if cycle else count)
+    frames = (Frame(local, field),) * (count - 1 if cycle else count)
     if cycle:
-        frames += (Frame(np.roll(local, -stride, axis=1), **consts),)
+        frames += (Frame(np.roll(local, -stride, axis=1), field),)
     return LsccScheme(
         name=name, field=field, p=p, ambient_dim=dim, graph=graph, vertex_frames=frames,
         vertex_projections=windows,
@@ -439,7 +438,7 @@ def validate_local_phase_retrieval(
 
     The check also fails when the observed envelope of the per-vertex frame
     ratios ||Phi_v f||_p / ||f||_p leaves the declared [A, B] by more than a
-    relative 1e-9.  `detail` carries the worst ratio as "estimated_c0", a
+    relative BOUND_SLACK.  `detail` carries the worst ratio as "estimated_c0", a
     sampled lower bound on C0.  The witness is the first collision if there
     is one, else the worst pair, as (v, f, g) with full-length f and g; when
     only the frame envelope fails, (v, f, None) with f the first probe (f
@@ -484,9 +483,9 @@ def validate_local_phase_retrieval(
                 if not collision:
                     witness = (v, probes[0, k], probes[1, k])
     declared = scheme.local_stability
-    c0_holds = not collision and worst <= declared * (1.0 + 1e-9)
-    low_holds = scheme.frame_lower * (1.0 - 1e-9) <= frame_lo
-    passed = c0_holds and low_holds and frame_hi <= scheme.frame_upper * (1.0 + 1e-9)
+    c0_holds = not collision and worst <= declared * (1.0 + BOUND_SLACK)
+    low_holds = scheme.frame_lower * (1.0 - BOUND_SLACK) <= frame_lo
+    passed = c0_holds and low_holds and frame_hi <= scheme.frame_upper * (1.0 + BOUND_SLACK)
     if c0_holds and not passed:
         witness = (*envelope[1 if low_holds else 0], None)
     if witness is not None:
@@ -555,7 +554,7 @@ def validate_edge_domination(
                 worst, witness = float(ratios[e, t]), (edges[e], probes[:, t].copy())
         if math.isinf(worst):
             break
-    passed = worst <= scheme.edge_domination * (1.0 + 1e-9)
+    passed = worst <= scheme.edge_domination * (1.0 + BOUND_SLACK)
     detail = {"declared_c1": scheme.edge_domination}
     if math.isinf(worst):
         detail["edge"] = witness[0]
@@ -593,9 +592,8 @@ def validate_exhaustion(
             lo, witness_lo = float(ratios.min()), probes[:, live[np.argmin(ratios)]].copy()
         if live.size and ratios.max() > hi:
             hi, witness_hi = float(ratios.max()), probes[:, live[np.argmax(ratios)]].copy()
-    passed = lo >= scheme.exhaustion_lower * (1.0 - 1e-9) and hi <= scheme.exhaustion_upper * (
-        1.0 + 1e-9
-    )
+    passed = lo >= scheme.exhaustion_lower * (1.0 - BOUND_SLACK)
+    passed = passed and hi <= scheme.exhaustion_upper * (1.0 + BOUND_SLACK)
     return ValidationReport(
         check="exhaustion",
         passed=passed,
@@ -629,14 +627,8 @@ def _block_columns(block: np.ndarray, field: str) -> tuple[np.ndarray, list]:
     return keep, block.tolist()
 
 
-def _block_to_dict(support: np.ndarray, block: np.ndarray, field: str) -> dict:
-    """A local block as {m, support, block}: its nonzero columns only."""
-    keep, rows = _block_columns(block, field)
-    return {"m": len(rows), "support": support[keep].tolist(), "block": rows}
-
-
 def _block_from_dict(entry: dict, n: int, field: str) -> tuple[np.ndarray, np.ndarray]:
-    """The (support, block) pair `_block_to_dict` wrote."""
+    """A descriptor's {m, support, block} entry as its (support, block) pair."""
     m = int(entry["m"])
     support = _as_support(entry["support"], n)
     shape = (m, support.size, 2) if field == COMPLEX else (m, support.size)
@@ -669,22 +661,9 @@ def _descriptor_fields(scheme: LsccScheme) -> dict:
     }
 
 
-def scheme_to_dict(scheme: LsccScheme) -> dict:
-    """Descriptor v2: projections as supports, frames and functionals as local blocks."""
-    d = _descriptor_fields(scheme)
-    pairs = {
-        "frames": zip(scheme.vertex_projections, (fr.rows for fr in scheme.vertex_frames)),
-        "edgeFunctionals": zip(scheme.edge_supports.values(), scheme.edge_functionals.values()),
-    }
-    for key, objects in pairs.items():
-        d[key] = [_block_to_dict(support, block, scheme.field) for support, block in objects]
-    d["projections"] = [support.tolist() for support in scheme.vertex_projections]
-    return d
-
-
 def _descriptor_fragments(scheme: LsccScheme):
-    """`json.dumps(scheme_to_dict(scheme), sort_keys=True, separators=(",", ":"))`
-    as a sequence of ASCII byte fragments whose concatenation is that text.
+    """The compact, key-sorted descriptor JSON as a sequence of ASCII byte
+    fragments whose concatenation is that text.
 
     Neither the text nor the dict is built.  Each list is written one run of
     consecutive objects at a time: objects sharing a block (for projections, a
@@ -763,7 +742,7 @@ def scheme_from_dict(d: dict) -> LsccScheme:
                 raise SchemeError("a frame's support must lie inside its projection's support")
             rows = np.zeros((block.shape[0], projection.size), dtype=block.dtype)
             rows[:, np.searchsorted(projection, support)] = block
-            frames.append(Frame(rows, p, field, float(consts["A"]), float(consts["B"])))
+            frames.append(Frame(rows, field))
         pairs = [_block_from_dict(entry, n, field) for entry in d["edgeFunctionals"]]
         supports, functionals = zip(*pairs) if pairs else ((), ())
         lo, hi = d.get("exhaustion", [0.0, math.inf])

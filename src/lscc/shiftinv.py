@@ -32,7 +32,7 @@ from .certify import (
 )
 from .errors import DegenerateFrameError, SchemeError, UnsupportedPError
 from .graphs import cheeger
-from .measurement import REAL
+from .measurement import BOUND_SLACK, REAL
 from .scheme import LsccScheme, induce_graph, sliding_scheme
 
 EXPONENTIAL = "exponential"
@@ -244,10 +244,10 @@ def _decay_row(gen: GeneratorModel, profile: DecayProfile, R: int) -> dict:
     che = cheeger(graph)
     if profile.kind == EXPONENTIAL:
         reference = exponential_floor(gen, profile.beta)
-        passed = che.value >= reference * (1.0 - 1e-9)
+        passed = che.value >= reference * (1.0 - BOUND_SLACK)
     else:
         reference = polynomial_ceiling(gen, profile.beta, graph.vertex_weights, graph.labels)
-        passed = che.value <= reference * (1.0 + 1e-9)
+        passed = che.value <= reference * (1.0 + BOUND_SLACK)
     return {
         "R": R,
         "cheeger": che.value,

@@ -35,7 +35,7 @@ from .graphs import (
     algebraic_connectivity,
     cheeger,
 )
-from .measurement import DENOM_CUTOFF, REAL, pair_ratios
+from .measurement import BOUND_SLACK, DENOM_CUTOFF, REAL, pair_ratios
 from .scheme import LsccScheme, induce_graph, is_phase_retrievable
 
 RANDOM_GAUSSIAN = "RandomGaussian"
@@ -253,7 +253,7 @@ def stability_report(
         ratio, _ = empirical_worst_ratio(scheme, fv, strategy, trials, rng)
     except DegenerateFamilyError:
         ratio = 0.0
-    satisfied = ratio <= upper * (1.0 + 1e-9) if math.isfinite(upper) else True
+    satisfied = ratio <= upper * (1.0 + BOUND_SLACK) if math.isfinite(upper) else True
     return StabilityReport(
         scheme_name=scheme.name,
         field=scheme.field,
@@ -270,5 +270,5 @@ def stability_report(
         trials=trials,
         seed=seed,
         scheme_hash=scheme.descriptor_hash(),
-        tolerances={"denominatorCutoff": DENOM_CUTOFF, "boundSlack": 1e-9},
+        tolerances={"denominatorCutoff": DENOM_CUTOFF, "boundSlack": BOUND_SLACK},
     )

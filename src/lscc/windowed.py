@@ -27,7 +27,7 @@ from .certify import (
 )
 from .errors import ClassError, FieldError, SchemeError
 from .graphs import algebraic_connectivity, cheeger
-from .measurement import COMPLEX, REAL, as_field_array, gaussian, pair_ratios
+from .measurement import BOUND_SLACK, COMPLEX, REAL, as_field_array, gaussian, pair_ratios
 from .scheme import LsccScheme, induce_graph, sliding_scheme
 from .stability import bound, empirical_worst_ratio, prefactor
 
@@ -75,10 +75,6 @@ class AdversarialPair:
     measured_ratio: float
     statement_bound: float
     proof_bound: float
-
-    @property
-    def certified_ratio(self) -> float:
-        return min(self.statement_bound, self.proof_bound)
 
 
 def default_local_rows(cfg: WindowedConfig) -> np.ndarray:
@@ -187,10 +183,9 @@ class LowerBoundCheck:
 
     @property
     def ok(self) -> bool:
-        tol = 1e-9
         return (
-            self.cheeger_value >= self.cheeger_floor * (1.0 - tol)
-            and self.lambda_value >= self.lambda_floor * (1.0 - tol)
+            self.cheeger_value >= self.cheeger_floor * (1.0 - BOUND_SLACK)
+            and self.lambda_value >= self.lambda_floor * (1.0 - BOUND_SLACK)
         )
 
 

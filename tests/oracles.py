@@ -9,10 +9,11 @@ import math
 import numpy as np
 
 import lscc.harness as harness
-from lscc.certify import _check_budget, _real, min_singular, sigma_strong
-from lscc.graphs import WeightedGraph, graph_from_dict, graph_to_dict
+from lscc.certify import _check_budget, _real, sigma_strong
+from lscc.errors import InvalidWeightError
+from lscc.graphs import WeightedGraph, graph_to_dict
 from lscc.measurement import COMPLEX, pair_ratios
-from lscc.scheme import LsccScheme
+from lscc.scheme import LsccScheme, _block_columns, _descriptor_fields
 from lscc.shiftinv import GeneratorModel
 from lscc.windowed import WindowedConfig
 
@@ -52,6 +53,14 @@ def fuzz_samples_reference(
         np.array(collided, dtype=np.int64),
         np.array(collision).reshape(len(collided), scheme.ambient_dim),
     )
+
+
+def min_singular(m: np.ndarray) -> float:
+    """inf over unit c of ||M c||_2; zero when M has a nontrivial null space."""
+    m = np.atleast_2d(m)
+    if m.shape[0] == 0 or m.shape[0] < m.shape[1]:
+        return 0.0
+    return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
 def sigma_strong_recursive(m: np.ndarray) -> float:
@@ -94,3 +103,37 @@ def graph_to_json(g: WeightedGraph) -> str:
 
 def graph_from_json(text: str) -> WeightedGraph:
     return graph_from_dict(json.loads(text))
+
+
+def graph_from_dict(d: dict) -> WeightedGraph:
+    """The graph `graph_to_dict` wrote."""
+    labels = tuple(d["V"])
+    pos = {lab: i for i, lab in enumerate(labels)}
+    if len(pos) != len(labels):
+        raise InvalidWeightError("vertex labels must be distinct")
+    try:
+        edges = [(pos[u], pos[v], w) for u, v, w in d["edges"]]
+    except KeyError as exc:
+        raise InvalidWeightError(f"edge endpoint {exc.args[0]!r} is not a vertex label") from None
+    return WeightedGraph(d["vertexWeights"], edges, labels)
+
+
+def _block_to_dict(support: np.ndarray, block: np.ndarray, field: str) -> dict:
+    """A local block as {m, support, block}: its nonzero columns only."""
+    keep, rows = _block_columns(block, field)
+    return {"m": len(rows), "support": support[keep].tolist(), "block": rows}
+
+
+def scheme_to_dict(scheme: LsccScheme) -> dict:
+    """Descriptor v2 as a dict, object by object: projections as supports,
+    frames and functionals as local blocks.  `scheme_to_json`'s streamed
+    writer must give exactly its compact, key-sorted `json.dumps`."""
+    d = _descriptor_fields(scheme)
+    pairs = {
+        "frames": zip(scheme.vertex_projections, (fr.rows for fr in scheme.vertex_frames)),
+        "edgeFunctionals": zip(scheme.edge_supports.values(), scheme.edge_functionals.values()),
+    }
+    for key, objects in pairs.items():
+        d[key] = [_block_to_dict(support, block, scheme.field) for support, block in objects]
+    d["projections"] = [support.tolist() for support in scheme.vertex_projections]
+    return d

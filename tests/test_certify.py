@@ -8,7 +8,6 @@ from lscc.certify import (
     complement_property_holds,
     estimate_local_stability,
     max_singular,
-    min_singular,
     p_frame_bounds,
     real_local_stability,
     sigma_and_complement,
@@ -18,7 +17,7 @@ from lscc.errors import BudgetExceededError, DegenerateFrameError, FieldError
 from lscc.measurement import COMPLEX, REAL, align_phase, gaussian, pair_ratios
 from lscc.shiftinv import GeneratorModel
 from lscc.windowed import WindowedConfig, default_local_rows
-from oracles import sigma_strong_recursive
+from oracles import min_singular, sigma_strong_recursive
 
 
 def one_batch_estimate(m, field, p, trials, rng):

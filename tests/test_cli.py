@@ -272,7 +272,7 @@ class TestValidate:
         data = json.loads(scheme_to_json(toy_scheme()))
         consts = data["constants"]
         consts[key] *= factor
-        consts["B"] = max(consts["A"], consts["B"])  # a Frame needs A <= B
+        consts["B"] = max(consts["A"], consts["B"])  # a scheme needs A <= B
         path = tmp_path / "frame.json"
         path.write_text(json.dumps(data))
         assert run(["validate", "--scheme", str(path), "--trials", "50"]) == 2
@@ -586,8 +586,20 @@ class TestSchemeLoading:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot load scheme")
 
+    @pytest.mark.parametrize("p", [0.5, 0.0, math.nan, math.inf], ids=str)
+    def test_p_outside_range_rejected(self, tmp_path, capsys, p):
+        data = json.loads(scheme_to_json(toy_scheme()))
+        data["p"] = p
+        path = tmp_path / "bad_p.json"
+        path.write_text(json.dumps(data))
+        assert run(["analyze", "--scheme", str(path), "--signal", "1,2,3,4", "--trials", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot load scheme")
+        assert f"p must lie in [1, inf), got {p}" in captured.err
+
     def test_open_constant_ranges_load(self, tmp_path, capsys):
-        # A = 0 and B = inf are the Frame defaults; exhaustion defaults to [0, inf]
+        # A = 0 and B = inf leave the frame envelope open; exhaustion defaults to [0, inf]
         data = json.loads(scheme_to_json(toy_scheme()))
         data["constants"].update(A=0.0, B=math.inf)
         del data["exhaustion"]

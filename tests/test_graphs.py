@@ -23,13 +23,12 @@ from lscc.graphs import (
     cheeger_exact,
     cheeger_interval,
     cheeger_sweep,
-    graph_from_dict,
     is_connected,
     laplacian,
     normalized_degree,
     normalized_laplacian,
 )
-from oracles import graph_from_json, graph_to_json
+from oracles import graph_from_dict, graph_from_json, graph_to_json
 
 
 def unweighted_cycle(n):
@@ -1043,6 +1042,35 @@ class TestCheegerInterval:
         assert (res.value, res.witness) == grid_cheeger_small(g)
         exact = cheeger_exact(g)
         assert (res.value, res.witness) == (exact.value, exact.witness)
+
+    def test_ring_arcs_in_member_tuple_order(self):
+        # the arc table built by array sorts against a Python sort of the
+        # member tuples, ascending vertex lists
+        for n in range(2, EXACT_BUDGET + 1):
+            for cycle in (False, True):
+
+                def members(arc):
+                    s, e = arc
+                    return [*range(s, e + 1)] if e < n else [*range(e - n + 1), *range(s, n)]
+
+                spans = [(s, e) for s in range(n) for e in range(s, s + n - 1) if cycle or e < n]
+                expected = np.array(sorted(spans, key=members)).T
+                s, e = lscc.graphs._ring_arcs(n, cycle)[:2]
+                assert np.array_equal(s, expected[0]) and np.array_equal(e, expected[1]), (n, cycle)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a cut is admitted when its running sum is at most half the running-sum "
+        "total, and both halves of this cycle round above half",
+    )
+    @pytest.mark.parametrize("route", [cheeger_exact, cheeger_interval], ids=lambda r: r.__name__)
+    def test_equal_halves_are_cuts(self, route):
+        # {0, 1, 2} and {3, 4, 5} both sum to 0.1 + 0.1 + 0.1 =
+        # 0.30000000000000004, above half the total 0.3; neither is admitted,
+        # so the value is the 2-vertex arc's 2 / 0.2 = 10, not 2 / 0.3
+        ring = tuple((i, i + 1, 1.0) for i in range(5)) + ((0, 5, 1.0),)
+        g = WeightedGraph(np.full(6, 0.1), ring)
+        assert route(g).value == pytest.approx(2.0 / (3 * 0.1), rel=1e-12)
 
     def test_agreement_at_enumeration_budget(self):
         # the full 24-vertex budget: 2^23 cuts against the O(n^2) reduction

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lscc
 from lscc.errors import DimensionError, FieldError
 from lscc.measurement import (
     COLLISION_RTOL,
@@ -12,7 +14,6 @@ from lscc.measurement import (
     DENOM_CUTOFF,
     REAL,
     Frame,
-    Signal,
     align_phase,
     align_phase_batch,
     p_norm,
@@ -32,17 +33,17 @@ def measure(frame, f):
     scheme = LsccScheme(
         name="one-frame",
         field=frame.field,
-        p=frame.p,
-        ambient_dim=frame.dim,
+        p=2.0,
+        ambient_dim=frame.rows.shape[1],
         graph=BaseGraph(1),
         vertex_frames=(frame,),
-        vertex_projections=[np.arange(frame.dim)],
+        vertex_projections=[np.arange(frame.rows.shape[1])],
         edge_functionals=(),
         edge_supports=(),
         local_stability=1.0,
         edge_domination=1.0,
-        frame_lower=frame.lower,
-        frame_upper=frame.upper,
+        frame_lower=0.0,
+        frame_upper=math.inf,
         exhaustion_lower=1.0,
         exhaustion_upper=1.0,
     )
@@ -557,19 +558,13 @@ class TestLinearAlignment:
 
 
 class TestTypes:
-    def test_signal_rejects_complex_in_real_field(self):
+    def test_coerce_rejects_complex_in_real_field(self):
         with pytest.raises(FieldError):
-            Signal(np.array([1j, 0.0]), REAL)
+            toy_scheme().coerce(np.array([1j, 0.0, 0.0, 0.0]))
 
-    def test_signal_is_immutable(self):
-        s = Signal(np.array([1.0, 2.0]), REAL)
-        with pytest.raises(ValueError):
-            s.values[0] = 5.0
-
-    def test_frame_constants_ordered(self):
-        with pytest.raises(FieldError):
-            Frame(np.eye(2), lower=2.0, upper=1.0)
-
-    def test_frame_rejects_p_infinity(self):
-        with pytest.raises(FieldError):
-            Frame(np.eye(2), p=math.inf)
+    def test_frame_keeps_only_its_rows_and_field(self):
+        # p and the frame constants A <= B are the scheme's alone
+        assert [f.name for f in dataclasses.fields(Frame)] == ["rows", "field"]
+        frame = Frame(np.eye(2, dtype=int), COMPLEX)
+        assert frame.rows.dtype == np.complex128 and not frame.rows.flags.writeable
+        assert not hasattr(lscc, "Signal") and not hasattr(lscc.measurement, "Signal")

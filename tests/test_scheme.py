@@ -19,7 +19,7 @@ from lscc.certify import (
     sigma_and_complement,
     sigma_strong,
 )
-from lscc.errors import SchemeError
+from lscc.errors import FieldError, SchemeError
 from lscc.graphs import WeightedGraph, is_connected
 from lscc.harness import check_edge_mismatch_batch
 from lscc.measurement import COMPLEX, DENOM_CUTOFF, REAL, Frame, p_norm, pair_ratios
@@ -38,7 +38,6 @@ from lscc.scheme import (
     path_graph,
     scheme_from_dict,
     scheme_from_json,
-    scheme_to_dict,
     scheme_to_json,
     sliding_scheme,
     validate_edge_domination,
@@ -63,6 +62,7 @@ from lscc.shiftinv import (
     sigma_based_constants,
 )
 from lscc.windowed import WindowedConfig, build_windowed_scheme, default_local_rows
+from oracles import scheme_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,7 @@ def degenerate_two_row_scheme():
         p=2.0,
         ambient_dim=2,
         graph=BaseGraph(1, ()),
-        vertex_frames=(Frame(rows, lower=1.0, upper=1.0),),
+        vertex_frames=(Frame(rows),),
         vertex_projections=(np.array([0, 1]),),
         edge_functionals={},
         edge_supports={},
@@ -131,6 +131,20 @@ class TestBaseGraph:
         with pytest.raises(SchemeError, match="must be integers"):
             scheme_from_dict(d)
         assert BaseGraph(1, ()).u.dtype == np.int64
+
+
+class TestSchemeConstants:
+    @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, math.nan, math.inf], ids=str)
+    def test_rejects_p_outside_range(self, toy, p):
+        with pytest.raises(FieldError, match=r"p must lie in \[1, inf\), got"):
+            dataclasses.replace(toy, p=p)
+
+    def test_p_one_is_in_range(self, toy):
+        assert dataclasses.replace(toy, p=1.0).p == 1.0
+
+    def test_rejects_frame_bounds_out_of_order(self, toy):
+        with pytest.raises(SchemeError, match="0 <= A <= B"):
+            dataclasses.replace(toy, frame_lower=2.0, frame_upper=1.0)
 
 
 class TestToyFixtures:
@@ -794,7 +808,7 @@ class TestStreamedDescriptor:
         self.check(dataclasses.replace(base, vertex_frames=(frame,) * base.num_vertices))
 
     def test_edgeless_scheme(self):
-        frame = Frame(np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]), lower=0.5, upper=3.0)
+        frame = Frame(np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]))
         one = LsccScheme(
             name="edgeless",
             field=REAL,
@@ -1362,7 +1376,7 @@ def oracle_toy():
     local = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     svals = np.linalg.svd(local, compute_uv=False)
     lower, upper = float(svals[-1]), float(svals[0])
-    frame = Frame(local, p=2.0, field=REAL, lower=lower, upper=upper)
+    frame = Frame(local, REAL)
     return LsccScheme(
         name="toy",
         field=REAL,
@@ -1393,9 +1407,8 @@ def oracle_windowed(cfg):
         rng = np.random.default_rng(cfg.seed + 1)
         c0 = COMPLEX_C0_MARGIN * estimate_local_stability(local, cfg.field, 2.0, 4000, rng)
     graph = cycle_graph(cfg.L)
-    consts = {"p": 2.0, "field": cfg.field, "lower": lower, "upper": upper}
-    frames = (Frame(local, **consts),) * (cfg.L - 1)
-    frames += (Frame(np.roll(local, -cfg.a, axis=1), **consts),)
+    frames = (Frame(local, cfg.field),) * (cfg.L - 1)
+    frames += (Frame(np.roll(local, -cfg.a, axis=1), cfg.field),)
     later = np.where(graph.v - graph.u == 1, graph.v, graph.u)
     return LsccScheme(
         name=f"windowed(a={cfg.a},L={cfg.L},{cfg.field})",
@@ -1435,8 +1448,7 @@ def oracle_shiftinv(gen, R):
         p=gen.p,
         ambient_dim=2 * R + gen.N,
         graph=path_graph(n_vert),
-        vertex_frames=(Frame(gen.local_matrix, p=gen.p, field=REAL, lower=lower, upper=upper),)
-        * n_vert,
+        vertex_frames=(Frame(gen.local_matrix, REAL),) * n_vert,
         vertex_projections=first + np.arange(gen.N),
         edge_functionals=(np.eye(gen.N - 1),) * (n_vert - 1),
         edge_supports=first[1:] + np.arange(gen.N - 1),
