@@ -8,15 +8,17 @@ reduction at any size; other graphs get exact subset enumeration up to
 EXACT_BUDGET vertices, then a spectral sweep producing a certified
 [lambda/2-derived lower, sweep-cut upper] sandwich.
 
-The interval reduction scores every arc of a ring of up to EXACT_BUDGET
-vertices in one pass, by the ascending running sums of exact enumeration, so
-the two agree bit for bit unless a cut that is not an arc ties the best arc
-or, by rounding, undercuts it.  Larger rings are minimized by Dinkelbach's
-iteration on compensated prefix sums, taking window minima from a sparse table
-(with narrow windows every arc is scored on the grid of window slots instead):
-O(n log n) time and memory, tied arcs included.  Exact enumeration reads
-volumes from a doubling table over the low 16 vertex bits and continues over
-the high bits one chunk of 2^16 masks at a time.
+The interval reduction has two routes.  A ring whose arc table fits
+_ONE_PASS_CELLS (paths of up to 128 vertices, cycles of up to 32) has every
+arc scored in one pass, by the ascending running sums of exact enumeration,
+so the two agree bit for bit unless a cut that is not an arc ties the best
+arc or, by rounding, undercuts it.  Larger rings are minimized by
+Dinkelbach's iteration, taking window minima from a sparse table and arc
+volumes from a disjoint sparse table of running sums: O(n log n) time and
+memory, tied arcs included.  Every route reads "vol <= half" off running sums
+outside a narrow band around half and decides the cuts inside it exactly.
+Exact enumeration reads volumes from a doubling table over the low 16 vertex
+bits and continues over the high bits one chunk of 2^16 masks at a time.
 """
 
 from __future__ import annotations
@@ -40,19 +42,19 @@ SPECTRAL_SWEEP = "SpectralSweepSandwich"
 
 #: largest vertex count for exact 2^(n-1)-cut enumeration
 EXACT_BUDGET = 24
-#: on the grid, cheeger_interval re-scores every arc with ratio <= t * (1 +
-#: _TIE_MARGIN), far above the rounding of any ratio it compares
-_TIE_MARGIN = 2.0**-40
+#: cheeger_interval scores every arc in one pass while its arc table (a row
+#: of n cells per start and per wrapping arc) holds at most this many cells:
+#: paths of up to 128 vertices, cycles of up to 32
+_ONE_PASS_CELLS = 1 << 14
 #: cheeger_interval's Dinkelbach iteration runs at t * (1 - _SETTLE), so that
 #: when it stops no arc's ratio is below that up to rounding; ratios this
 #: close to the best count as tied
 _SETTLE = 2.0**-48
-#: above EXACT_BUDGET vertices, cheeger_interval opens each window this much
-#: (relative) early on rounded sums; compensated sums then drop arcs over half
-_HALF_BAND = 2.0**-45
-#: cheeger_interval reads range minima off the grid of all window slots when
-#: it holds at most this many, and builds a sparse table otherwise
-_GRID_CELLS = 1 << 12
+#: a running sum of k positive terms errs by less than k * 2^-53 (relative),
+#: so a volume summed over at most n terms is only decided "over half" or not
+#: by its computed value outside n * _HALF_BAND of half the total; inside, the
+#: Cheeger routes decide it exactly, for the cuts that would win
+_HALF_BAND = 2.0**-51
 #: cheeger_exact tabulates this many low vertex bits: 2^16 masks per chunk
 _EXACT_LOW_BITS = 16
 #: algebraic_connectivity takes the ring route from this many vertices on;
@@ -239,14 +241,32 @@ def _smallest_members(sets: np.ndarray) -> tuple[int, ...]:
     return tuple(members)
 
 
+def _half_bounds(w: np.ndarray) -> tuple[float, float]:
+    """(below, above) around half the total of w: a running sum of at most
+    w.size weights that is at most `below` is feasible, one above `above` not."""
+    half = 0.5 * math.fsum(w.tolist())
+    band = w.size * _HALF_BAND
+    return (1.0 - band) * half, (1.0 + band) * half
+
+
+def _over_half(w: np.ndarray, inside) -> bool:
+    """Whether the vertices `inside` weigh more than the rest, exactly: fsum
+    rounds the exact sum of their weights minus the others' once, keeping its sign."""
+    signed = -w
+    signed[inside] = w[inside]
+    return math.fsum(signed.tolist()) > 0.0
+
+
 def cheeger_exact(g: WeightedGraph) -> CheegerResult:
     """Exact Cheeger constant by enumeration of all 2^(n-1) cuts.
 
     Ties between optimal cuts are broken toward the lexicographically
     smallest witness vertex set.  Volumes add member weights in ascending
     vertex order and boundaries add cut edge weights in edge-list order, so
-    values match cheeger_interval's running sums bit for bit.  Memory is
-    O(n * 2^16): one table over the low vertex bits plus one chunk of masks.
+    values match cheeger_interval's running sums bit for bit, and so does
+    feasibility: by running sums outside the band of `_half_bounds`, by
+    `_over_half` for a chunk's least cuts inside it.  Memory is O(n * 2^16):
+    one table over the low vertex bits plus one chunk of masks.
     """
     if g.is_empty:
         raise EmptyGraphError("Cheeger constant of the empty graph is undefined")
@@ -257,7 +277,7 @@ def cheeger_exact(g: WeightedGraph) -> CheegerResult:
         return _singleton_result(g, EXACT_ENUMERATION)
 
     w = g.vertex_weights
-    half = 0.5 * g.total_volume()
+    below, above = _half_bounds(w)
     best = math.inf
     best_witness: tuple[int, ...] | None = None
 
@@ -292,20 +312,31 @@ def cheeger_exact(g: WeightedGraph) -> CheegerResult:
                 bd += cut * ew
         if start == 0:
             vol_s[0] = math.inf  # the empty set is not a cut
-        ratio_s = np.where(vol_s <= half, bd / vol_s, math.inf)
-        ratio_c = np.where(vol_c <= half, bd / vol_c, math.inf)
-        chunk_min = min(ratio_s.min(), ratio_c.min())
-        if chunk_min > best:
+        ratio_s = np.where(vol_s <= above, bd / vol_s, math.inf)
+        ratio_c = np.where(vol_c <= above, bd / vol_c, math.inf)
+        while (chunk_min := min(ratio_s.min(), ratio_c.min())) <= best:
+            # tied cuts as vertex bitmasks (the complement side holds vertex
+            # n-1); those near half and over it drop out, and when all do,
+            # the chunk's minimum is taken again
+            tied = []
+            for ratio, vol, flip in ((ratio_s, vol_s, 0), (ratio_c, vol_c, 2 * top - 1)):
+                k = (ratio == chunk_min).nonzero()[0]
+                masks = (start + k) ^ flip
+                near = (vol[k] > below).nonzero()[0]
+                inside = (masks[near, None] >> np.arange(n)) & 1 == 1
+                over = near[[_over_half(w, row) for row in inside]]
+                ratio[k[over]] = math.inf
+                tied.append(np.delete(masks, over))
+            if tied[0].size or tied[1].size:
+                break
+        else:
             continue
         if chunk_min < best:
             best = float(chunk_min)
             best_witness = None
-        # tied cuts as vertex bitmasks; the complement side holds vertex n-1
-        tied_s = start + np.flatnonzero(ratio_s == best)
-        tied_c = ((top - 1) ^ (start + np.flatnonzero(ratio_c == best))) | top
-        for tied in (tied_s, tied_c):
-            if tied.size:
-                members = _smallest_members(tied)
+        for masks in tied:
+            if masks.size:
+                members = _smallest_members(masks)
                 if best_witness is None or members < best_witness:
                     best_witness = members
 
@@ -314,61 +345,72 @@ def cheeger_exact(g: WeightedGraph) -> CheegerResult:
     return CheegerResult(best, best, EXACT_ENUMERATION, witness)
 
 
-def _dinkelbach_arcs(p, ewp, ewd, first, last, t: float):
-    """Candidate arcs (s, e) of cheeger_interval when its windows are too wide
-    for the grid: every arc whose ratio is within _SETTLE of the minimum,
-    but a window's starts to the right of one that ties the best are
-    left out (they have larger member tuples).  `t` is a ratio to start from."""
-    n, ends = ewp.size, ewd.size
+def _range_sums(x: np.ndarray):
+    """vol(s, e) = x[s] + ... + x[e] for index arrays s <= e, by a disjoint
+    sparse table: on level k every block of 2^k entries holds the running sums
+    outward from its middle, so a range is one or two running sums of positive
+    terms wherever it lies.  Its error is below its length times 2^-53 of
+    itself, where a difference of prefix sums errs relative to the prefix."""
+    levels = (x.size - 1).bit_length()
+    size = 1 << levels
+    table = np.zeros((levels + 1, size))
+    table[0, : x.size] = x
+    for k in range(1, levels + 1):
+        halves = table[0].reshape(-1, 2, 1 << (k - 1))
+        out = table[k].reshape(-1, 2, 1 << (k - 1))
+        np.add.accumulate(halves[:, 0, ::-1], axis=1, out=out[:, 0, ::-1])
+        np.add.accumulate(halves[:, 1], axis=1, out=out[:, 1])
+    flat = table.ravel()
+    row = np.frexp(np.arange(size, dtype=np.float64))[1] * size  # level bit_length(s ^ e)
 
     def vol(s, e):
-        d = p[e + 1] - p[s]
-        return d.real + d.imag
+        at = row[s ^ e]
+        return flat[at + s] + np.where(s == e, 0.0, flat[at + e])
 
-    # table[k, i] is the leftmost minimizer of key over [i, i + 2^k).  A
-    # range of length L + 1 from a is covered by the blocks at a and at
-    # a + shift[L], on level lg[L].
+    return vol
+
+
+def _dinkelbach_arcs(vol, ewp, ewd, first, last, t: float):
+    """Candidate arcs (s, e) on the windows [first, last]: every arc within
+    _SETTLE of the least ratio, but a window's starts to the right of one
+    that ties the best (larger member tuples).  `t` is a ratio to start from."""
+    n, ends = ewp.size, ewd.size
+
+    # table[k, i] is the leftmost minimizer over [i, i + 2^k).  A range of
+    # length L + 1 from a is covered by the blocks at a and at a + shift[L],
+    # on level lg[L].
     levels = (int((last - first).max()) + 1).bit_length()
     lg = np.repeat(np.arange(levels), 1 << np.arange(levels))
     row, shift = lg * n, np.arange(lg.size) + 1 - (1 << lg)
     table = np.empty((levels, n), dtype=np.int32)
     table[0] = np.arange(n)
     flat = table.ravel()
-    hi, lo = p.real[:n], p.imag[:n]
-    key = ewp  # gaps() rebinds it for each t
+
+    def pick(a, b, t: float):
+        """Of starts a <= b, the one whose arcs have the smaller bd - t vol at
+        every end past both, a on ties: b wins when ew[b-1] + t vol(a, b-1)
+        < ew[a-1], which compares sums of positive terms only."""
+        return np.where(ewp[b] + t * vol(a, np.maximum(b - 1, a)) < ewp[a], b, a)
 
     def blocks(a, b):
         """Table positions of the two blocks covering each range [a, b]."""
         at = row[b - a] + a
         return at, at + shift[b - a]
 
-    def argmin_in(at):
-        """Leftmost minimizer of key over the ranges covered at `at`."""
+    def argmin_in(at, t: float):
+        """Leftmost minimizer of bd - t vol over the ranges covered at `at`."""
         i, j = flat[at[0]], flat[at[1]]
-        return np.where(key[j] < key[i], j, i)
+        return pick(np.minimum(i, j), np.maximum(i, j), t)
 
     windows, every_end = blocks(first, last), np.arange(ends)  # the same for every t
 
     def gaps(t: float):
         """Each end's leftmost start minimizing bd - t vol, and that minimum."""
-        nonlocal key
-        if t > 0.0:
-            # key(s) = P[s] + ew[s-1]/t orders a window's starts as
-            # bd - t vol does: a normalized double-double hi + 1j lo,
-            # which compares as a complex number does
-            q = ewp / t
-            kh = hi + q
-            z = kh - hi
-            kl = lo + ((hi - (kh - z)) + (q - z))
-            key = kh + kl
-            key = key + 1j * (kl - (key - kh))
-        else:  # t = 0: the boundary alone
-            key = ewp + 0j
         for k in range(1, levels):
             left = table[k - 1, : n - (1 << k) + 1]
             right = table[k - 1, 1 << (k - 1) : n - (1 << (k - 1)) + 1]
-            table[k, : left.size] = np.where(key[right] < key[left], right, left)
-        s = argmin_in(windows)
+            table[k, : left.size] = pick(left, right, t)
+        s = argmin_in(windows, t)
         return s, ewp[s] + ewd - t * vol(s, every_end)
 
     # Lower t to the ratio of the arc minimizing bd - t' vol at t' = t (1 -
@@ -405,7 +447,7 @@ def _dinkelbach_arcs(p, ewp, ewd, first, last, t: float):
         e = np.concatenate((e, e[more]))
         ok = (a <= b).nonzero()[0]
         a, b, e = a[ok], b[ok], e[ok]
-        s = argmin_in(blocks(a, b))
+        s = argmin_in(blocks(a, b), t_up)
         ok = (ewp[s] + ewd[e] - t_up * vol(s, e) <= 0.0).nonzero()[0]
         a, b, s, e = a[ok], b[ok], s[ok], e[ok]
     return np.concatenate(starts), np.concatenate(stops)
@@ -425,12 +467,23 @@ def _tuple_order(s: np.ndarray, e: np.ndarray, n: int) -> np.ndarray:
     return np.lexsort((np.where(wrap, s, e), major, group))
 
 
+def _arc_result(g: WeightedGraph, s: int, e: int, vol=None) -> CheegerResult:
+    """The arc [s..e] of the doubled ring as the result: its members, and its
+    boundary over `vol`, by default their ascending running sum."""
+    n, ew = g.num_vertices, g.ring_weights
+    members = _arc_members(s, e, n)
+    if vol is None:
+        vol = g.vertex_weights[members].cumsum()[-1]
+    value = float((ew[s - 1] + ew[e % n]) / vol)
+    return CheegerResult(value, value, INTERVAL_REDUCTION, tuple(g.labels[k] for k in members))
+
+
 @cache
 def _ring_arcs(n: int, cycle: bool) -> tuple[np.ndarray, ...]:
-    """(s, e, s - 1, e mod n, rows, at) for the arcs [s..e] of a ring of n <=
-    EXACT_BUDGET vertices, sorted by member tuple.  Row s < n of `rows` is
-    1.0 on the vertices s..n-1, each further row on one wrapping arc's
-    members; arc k's volume is entry at[k] of cumsum(rows * w, axis=1)."""
+    """(s, e, s - 1, e mod n, rows, at) for the arcs [s..e] of a ring of n
+    vertices, sorted by member tuple.  Row s < n of `rows` is 1.0 on the
+    vertices s..n-1, each further row on one wrapping arc's members; arc k's
+    volume is entry at[k] of cumsum(rows * w, axis=1)."""
     s, e = np.divmod(np.arange(n * (n - 1)), n - 1)
     e += s
     order = _tuple_order(s, e, n)
@@ -445,33 +498,76 @@ def _ring_arcs(n: int, cycle: bool) -> tuple[np.ndarray, ...]:
     return layout
 
 
+def _one_pass(g: WeightedGraph) -> CheegerResult:
+    """`cheeger_interval` on a ring of n >= 2 vertices, every arc scored at
+    once from the arc table of `_ring_arcs`."""
+    n, w, ew = g.num_vertices, g.vertex_weights, g.ring_weights
+    s, e, before, after, rows, at = _ring_arcs(n, bool(ew[-1] > 0.0))
+    v = np.cumsum(rows * w, axis=1).take(at)  # adding 0.0 is exact
+    below, above = _half_bounds(w)
+    ratio = np.where(v <= above, (ew[before] + ew[after]) / v, math.inf)
+    # the first of tied arcs has the smallest tuple; near half, decide exactly
+    while v[i := int(ratio.argmin())] > below and _over_half(w, _arc_members(s[i], e[i], n)):
+        ratio[i] = math.inf
+    return _arc_result(g, int(s[i]), int(e[i]), v[i])
+
+
+def _dinkelbach(g: WeightedGraph) -> CheegerResult:
+    """`cheeger_interval` on a ring of n >= 2 vertices by Dinkelbach's
+    iteration.  The starts of the arcs ending at e with vol <= half form a
+    window [first(e), last(e)]; for a fixed t, min (bd - t vol) is a minimum
+    over ends of a window minimum, and t drops to the ratio of the minimizing
+    arc until no arc improves it (`_dinkelbach_arcs`).  Starts are compared
+    and arcs scored by sums of positive terms, with volumes from
+    `_range_sums`, so an arc keeps its digits however light it is beside its
+    prefix.  Tied arcs cost O(1) per end: n^2/8 tied arcs list as O(n)."""
+    n, w, ew = g.num_vertices, g.vertex_weights, g.ring_weights
+    ends = 2 * n - 2 if ew[-1] > 0.0 else n  # a cycle's arcs end anywhere in the doubled ring
+    x = np.concatenate((w, w[: ends - n]))  # x[k] = w[k mod n]
+    ewd = np.concatenate((ew, ew[: ends - n]))  # ewd[e] = ew[e mod n], the edge after e
+    ewp = np.concatenate((ew[-1:], ew[:-1]))  # ewp[s] = ew[s-1], the edge before s
+    vol = _range_sums(x)
+    below, above = _half_bounds(w)
+    every_end = np.arange(ends)
+    last = np.minimum(every_end, n - 1)
+    # open each window early by more than the rounding of differences of
+    # prefix sums of up to 2n terms (about 20n * 2^-53 of half), then close it
+    # to the arcs whose range sums are at most `above`
+    prefix = np.concatenate(((0.0,), x.cumsum()))
+    first = prefix[:n].searchsorted(prefix[1:] - (above + 4.0 * (above - below)))
+    while np.count_nonzero(over := (first <= last) & (vol(np.minimum(first, last), every_end) > above)):
+        first[over] += 1
+    while True:
+        # An end with an empty window keeps its last start and an infinite boundary.
+        dead = first > last
+        start, bd_after = np.where(dead, last, first), np.where(dead, math.inf, ewd)
+        t = float(((ewp[start] + bd_after) / vol(start, every_end)).min())  # the best largest arcs
+        s, e = _dinkelbach_arcs(vol, ewp, bd_after, start, last, t)
+        ratio = (ewp[s] + bd_after[e]) / vol(s, e)
+        best = (ratio == ratio.min()).nonzero()[0]
+        if best.size > 1:
+            best = best[_tuple_order(s[best], e[best], n)]
+        s, e = int(s[best[0]]), int(e[best[0]])
+        # the chosen arc, if within the band around half, is decided exactly;
+        # over half, it leaves its window and the search runs again
+        if not (vol(s, e) > below and _over_half(w, _arc_members(s, e, n))):
+            return _arc_result(g, s, e)
+        first[e] = s + 1
+
+
 def cheeger_interval(g: WeightedGraph) -> CheegerResult:
     """Exact Cheeger constant of a ring-shaped graph in O(n log n).
 
     A graph without the wrap edge is a path, otherwise a cycle.  On such
     graphs every optimal cut may be assumed connected: an arc [s..e] of the
     doubled ring with s < n, at most n - 1 long (e < n on a path), whose
-    boundary is ew[s-1] + ew[e mod n].  Up to EXACT_BUDGET vertices every arc
-    is scored in one pass by cheeger_exact's ascending running sums, so the
-    two agree bit for bit but for the module docstring's exception.
-
-    Above, the starts of the arcs ending at e with vol <= half form a window
-    [first(e), last(e)].  While all windows fit in _GRID_CELLS slots, every arc
-    is scored on the grid of those slots.  Otherwise Dinkelbach's iteration
-    minimizes bd/vol: for a fixed t, min (bd - t vol) is a minimum over ends of
-    a window minimum, read from a sparse table of the starts rebuilt for that
-    t, and t drops to the ratio of the minimizing arc until no arc improves it
-    strictly.  The arcs within _SETTLE of the final t are then listed by
-    splitting each window around its passing minimizer.  A start within _SETTLE
-    of the best ratio closes the part of its window to its right, whose starts
-    have larger member tuples, so tied arcs cost O(1) per end: a cycle with
-    about n^2/8 tied arcs lists O(n).  Only ratios crowding just above the
-    minimum (within about 2^-47 of it, not within 2^-48 of the best) lengthen
-    the listing.  Volumes are differences of compensated (double-double) prefix
-    sums, so a light arc far from vertex 0 keeps its digits.  The listed arcs
-    are re-scored by those differences (the chosen arc's is within about 2^-47
-    of the least).  Ties go to the lexicographically smallest member tuple, and
-    the value is the witness's running-sum ratio.
+    boundary is ew[s-1] + ew[e mod n].  An arc is feasible when its exact
+    volume is at most half the exact total: its computed volume decides
+    outside the band of `_half_bounds`, `_over_half` inside it.  Ties go to
+    the smallest member tuple; the value is the witness's running-sum ratio.
+    A ring whose arc table fits _ONE_PASS_CELLS takes `_one_pass`, equal to
+    cheeger_exact but for the module docstring's exception, and a larger
+    one `_dinkelbach`.
     """
     if g.is_empty:
         raise EmptyGraphError("Cheeger constant of the empty graph is undefined")
@@ -481,76 +577,8 @@ def cheeger_interval(g: WeightedGraph) -> CheegerResult:
     n = g.num_vertices
     if n == 1:
         return _singleton_result(g, INTERVAL_REDUCTION)
-    w = g.vertex_weights
-    if n <= EXACT_BUDGET:
-        s, e, before, after, rows, at = _ring_arcs(n, bool(ew[-1] > 0.0))
-        vol = np.cumsum(rows * w, axis=1)  # adding 0.0 is exact; vol[0, -1] == total_volume()
-        v = vol.take(at)
-        ratio = np.where(v <= 0.5 * vol[0, -1], (ew[before] + ew[after]) / v, math.inf)
-        i = int(ratio.argmin())  # of tied arcs, the first has the smallest member tuple
-        value, members = float(ratio[i]), _arc_members(int(s[i]), int(e[i]), n)
-        return CheegerResult(value, value, INTERVAL_REDUCTION, tuple(g.labels[k] for k in members))
-    if ew[-1] > 0.0:  # a cycle: arcs end anywhere in the doubled ring
-        ends = 2 * n - 2
-        step = np.concatenate(((0.0,), w, w[: n - 2]))
-        ewd = np.concatenate((ew, ew[: n - 2]))  # ewd[e] = ew[e mod n], the edge after e
-    else:
-        ends, step, ewd = n, np.concatenate(((0.0,), w)), ew.copy()
-    ewp = np.concatenate((ew[-1:], ew[:-1]))  # ewp[s] = ew[s-1], the edge before s
-    # compensated prefix sums p = hi + 1j lo over the doubled ring: lo adds
-    # up the exact rounding error (two-sum) of each step of the running sum
-    hi = np.add.accumulate(step)
-    z = hi[1:] - hi[:-1]
-    step[1:] = (hi[:-1] - (hi[1:] - z)) + (step[1:] - z)
-    lo = np.add.accumulate(step)
-    p = hi + 1j * lo
-
-    def vol(s, e):
-        d = p[e + 1] - p[s]
-        return d.real + d.imag
-
-    half = 0.5 * float(hi[n] + lo[n])
-
-    # The search on rounded sums may open a window early, by arcs within
-    # _HALF_BAND of half; those advance by the compensated sums.  An end
-    # with an empty window keeps its last start and an infinite boundary.
-    rounded = hi + lo
-    first = rounded[:n].searchsorted(rounded[1:] - (1.0 + _HALF_BAND) * half)
-    last = np.minimum(np.arange(ends), n - 1)
-    v = vol(first, np.arange(ends))
-    while np.count_nonzero(over := (first <= last) & (v > half)):
-        first[over] += 1
-        v = vol(first, np.arange(ends))
-    if np.count_nonzero(dead := first > last):
-        ewd[dead] = math.inf
-        first[dead] = last[dead]
-        v[dead] = 1.0
-    width = int((last - first).max()) + 1
-
-    if ends * width <= _GRID_CELLS:
-        # Slot (e, k) holds the start first(e) + k; past last(e) it repeats
-        # last(e) under an infinite boundary.  Every arc has its slot, so the
-        # minimum and its ties are read off directly.
-        grid = first[:, None] + np.arange(width)
-        s_slot = np.minimum(grid, last[:, None])
-        d = p[1:, None] - p[s_slot]
-        bd = np.where(grid <= last[:, None], ewd[:, None], math.inf) + ewp[s_slot]
-        ratio = (bd / (d.real + d.imag)).ravel()
-        hit = (ratio <= ratio[ratio.argmin()] * (1.0 + _TIE_MARGIN)).nonzero()[0]
-        s, e = s_slot.ravel()[hit], hit // width
-    else:
-        t = float(((ewp[first] + ewd) / v).min())  # the best largest arc of any end
-        s, e = _dinkelbach_arcs(p, ewp, ewd, first, last, t)
-
-    bd = ewp[s] + ewd[e]
-    ratio = bd / vol(s, e)
-    best = (ratio == ratio[ratio.argmin()]).nonzero()[0]
-    if best.size > 1:
-        best = best[_tuple_order(s[best], e[best], n)]
-    i = best[0]
-    members = _arc_members(int(s[i]), int(e[i]), n)
-    value = float(bd[i] / w[members].cumsum()[-1])  # the witness's running sum
-    return CheegerResult(value, value, INTERVAL_REDUCTION, tuple(g.labels[k] for k in members))
+    wrapping = (n - 1) * (n - 2) // 2 if ew[-1] > 0.0 else 0
+    return (_one_pass if n * (n + wrapping) <= _ONE_PASS_CELLS else _dinkelbach)(g)
 
 
 def _degrees(g: WeightedGraph) -> np.ndarray:

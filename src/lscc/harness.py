@@ -27,9 +27,10 @@ from .scheme import LsccScheme
 from .stability import signal_bound
 
 #: measurement entries per fuzz_bounds column chunk, measured and bracketed at
-#: once: 1.5 MB traced peak on windowed a=2, L=16 complex (2^16: 2.1 MB), and
-#: glibc serves the temporaries from its heap, not from fresh mappings
+#: once: 1.5 MB traced peak on windowed a=2, L=16 complex (2^16: 2.1 MB)
 _CHUNK = 1 << 15
+#: twice a chunk's complex measurements, in bytes: see `_fuzz_samples`
+_HEAP_RESERVE = 2 * 16 * _CHUNK
 
 
 def derive_rng(seed: int, *keys) -> np.random.Generator:
@@ -134,6 +135,10 @@ def _fuzz_samples(scheme: LsccScheme, refs: int, per_ref: int, seed: int) -> _Fu
     not the first largest ratio.
     """
     rng = derive_rng(seed, "fuzz", scheme.name)
+    # freeing an untouched mapping of _HEAP_RESERVE bytes raises glibc's mmap
+    # threshold to its size (mallopt(3)): chunk temporaries then reuse heap
+    # pages, not fresh mappings faulted in per chunk
+    np.empty(_HEAP_RESERVE, dtype=np.uint8)
     F, pairs, best, witness, collided, collision = [], [], [], [], [], []
     for k in range(refs):
         f = scheme.random_signal(rng)

@@ -28,7 +28,16 @@ from lscc.graphs import (
     normalized_degree,
     normalized_laplacian,
 )
+from lscc.scheme import induce_graph
+from lscc.shiftinv import (
+    EXPONENTIAL,
+    DecayProfile,
+    GeneratorModel,
+    build_shiftinv_scheme,
+    profile_signal,
+)
 from oracles import graph_from_dict, graph_from_json, graph_to_json
+from ring_oracles import grid_cheeger_interval, rational_ring_cheeger
 
 
 def unweighted_cycle(n):
@@ -169,6 +178,19 @@ def running_ratio(g, members):
         if (u in inside) != (v in inside):
             bd += w_e
     return float(bd / vol)
+
+
+def exact_ratio(g, members):
+    """Boundary over volume of a vertex set in exact rational arithmetic."""
+    inside = set(members)
+    bd = sum(Fraction(w_e) for u, v, w_e in g.edges if (u in inside) != (v in inside))
+    return bd / sum(map(Fraction, g.vertex_weights[sorted(inside)].tolist()))
+
+
+def exactly_feasible(g, members):
+    """Whether a vertex set's exact volume is at most half the exact total."""
+    vol = sum(map(Fraction, g.vertex_weights[list(members)].tolist()))
+    return 2 * vol <= sum(map(Fraction, g.vertex_weights.tolist()))
 
 
 def rayleigh_quotient(g, z):
@@ -315,75 +337,6 @@ def weighted_ring(rng, n, kind, cycle):
 
 
 RING_KINDS = ("random", "uniform", "integer", "poly", "island")
-
-
-def grid_cheeger_small(g):
-    """Reference (value, witness) of a ring of at most EXACT_BUDGET vertices:
-    the grid route that cheeger_interval took there before it scored every
-    arc in one pass.  Windows from compensated prefix sums, arcs within 2^-45
-    of half the volume kept or dropped by their running sums, every slot of
-    the window grid scored, the arcs within 2^-40 of the least re-scored by
-    running sums, ties to the smallest member tuple."""
-    n, ew, w = g.num_vertices, g.ring_weights, g.vertex_weights
-    if n == 1:
-        return math.inf, ()
-    band, margin = 2.0**-45, 2.0**-40
-
-    def running(s, e):
-        members = w[s : e + 1] if e < n else np.concatenate((w[: e - n + 1], w[s:]))
-        return float(members.cumsum()[-1])
-
-    if ew[-1] > 0.0:
-        ends = 2 * n - 2
-        step = np.concatenate(((0.0,), w, w[: n - 2]))
-        ewd = np.concatenate((ew, ew[: n - 2]))
-    else:
-        ends, step, ewd = n, np.concatenate(((0.0,), w)), ew.copy()
-    ewp = np.concatenate((ew[-1:], ew[:-1]))
-    hi = np.add.accumulate(step)
-    z = hi[1:] - hi[:-1]
-    step[1:] = (hi[:-1] - (hi[1:] - z)) + (step[1:] - z)
-    lo = np.add.accumulate(step)
-    p = hi + 1j * lo
-
-    def vol(s, e):
-        d = p[e + 1] - p[s]
-        return d.real + d.imag
-
-    half = 0.5 * g.total_volume()
-    rounded = hi + lo
-    first = rounded[:n].searchsorted(rounded[1:] - (1.0 + band) * half)
-    last = np.minimum(np.arange(ends), n - 1)
-    v = vol(first, np.arange(ends))
-    while np.count_nonzero(near := (first <= last) & (v > (1.0 - band) * half)):
-        over = near & (v > half)
-        for e in near.nonzero()[0].tolist():
-            if v[e] <= (1.0 + band) * half:
-                over[e] = running(int(first[e]), e) > half
-        if not np.count_nonzero(over):
-            break
-        first[over] += 1
-        v = vol(first, np.arange(ends))
-    if np.count_nonzero(dead := first > last):
-        ewd[dead] = math.inf
-        first[dead] = last[dead]
-    width = int((last - first).max()) + 1
-    grid = first[:, None] + np.arange(width)
-    s_slot = np.minimum(grid, last[:, None])
-    d = p[1:, None] - p[s_slot]
-    bd = np.where(grid <= last[:, None], ewd[:, None], math.inf) + ewp[s_slot]
-    ratio = (bd / (d.real + d.imag)).ravel()
-    hit = (ratio <= ratio[ratio.argmin()] * (1.0 + margin)).nonzero()[0]
-    s, e = s_slot.ravel()[hit], hit // width
-    ratio = (ewp[s] + ewd[e]) / np.array([running(x, y) for x, y in zip(s.tolist(), e.tolist())])
-    best = (ratio == ratio[ratio.argmin()]).nonzero()[0]
-    wrap = e[best] >= n
-    group = np.where(wrap, 1, np.where(s[best] == 0, 0, 2))
-    major = np.where(wrap, n - e[best], np.where(s[best] == 0, e[best], s[best]))
-    i = best[np.lexsort((np.where(wrap, s[best], e[best]), major, group))][0]
-    s, e = int(s[i]), int(e[i])
-    members = range(s, e + 1) if e < n else [*range(e - n + 1), *range(s, n)]
-    return float(ratio[i]), tuple(g.labels[k] for k in members)
 
 
 def chunked_cheeger_exact(g, chunk=1 << 18):
@@ -761,7 +714,7 @@ class TestCheegerInterval:
             chunk = 1 << 18 if trial % 2 else int(rng.integers(1, 4 * n + 1))
             assert block_cheeger_interval(g, chunk) == scalar_cheeger_interval(g), (trial, n, chunk)
 
-    def test_route_matches_scalar_oracle(self, backend):
+    def test_route_matches_scalar_oracle(self, route):
         # the rings above through the route: bit-identical value and witness
         # up to EXACT_BUDGET, and at any size for the integer and unit
         # styles, whose sums are exact; above it continuous weights give the
@@ -772,7 +725,7 @@ class TestCheegerInterval:
             g = random_ring_graph(rng, n, trial % 3)
             if trial % 2 == 0:
                 rng.integers(1, 4 * n + 1)  # the block oracle's chunk draw
-            res = cheeger_interval(g)
+            res = route(g)
             value, witness = scalar_cheeger_interval(g)
             if n <= EXACT_BUDGET or trial % 3:
                 assert (res.value, res.witness) == (value, witness), (trial, n)
@@ -795,15 +748,16 @@ class TestCheegerInterval:
         assert res.witness == tuple(range(n // 2))
         assert peak < 16 * 2**20
 
-    @pytest.fixture(params=["grid", "table"])
-    def backend(self, request, monkeypatch):
-        """Range minima from the window grid at every size, or from the
-        sparse table above EXACT_BUDGET vertices (up to it every arc is
-        scored in one pass under both)."""
-        monkeypatch.setattr(lscc.graphs, "_GRID_CELLS", 1 << 62 if request.param == "grid" else 0)
-        return request.param
+    @pytest.fixture(params=["interval", "table"])
+    def route(self, request):
+        """cheeger_interval as it dispatches (every arc in one pass up to
+        its cell budget, Dinkelbach above), or Dinkelbach's sparse-table
+        route called directly at every size from two vertices on."""
+        if request.param == "interval":
+            return cheeger_interval
+        return lambda g: lscc.graphs._dinkelbach(g) if g.num_vertices > 1 else cheeger_interval(g)
 
-    def test_dinkelbach_matches_exact_bitwise(self, backend):
+    def test_dinkelbach_matches_exact_bitwise(self, route):
         # value and witness equal to enumeration of all 2^(n-1) cuts,
         # tie-heavy uniform and integer rings included
         rng = np.random.default_rng(12)
@@ -811,35 +765,35 @@ class TestCheegerInterval:
             for kind in RING_KINDS[:3] + (("island",) if n >= 12 else ()):
                 for cycle in (False, True):
                     g = weighted_ring(rng, n, kind, cycle)
-                    res, exact = cheeger_interval(g), cheeger_exact(g)
+                    res, exact = route(g), cheeger_exact(g)
                     assert (res.value, res.witness) == (exact.value, exact.witness), (n, kind, cycle)
         for trial in range(150):
             g = random_ring_graph(rng, int(rng.integers(2, 15)), trial % 3)
-            res, exact = cheeger_interval(g), cheeger_exact(g)
+            res, exact = route(g), cheeger_exact(g)
             assert res.value == exact.value, trial
             if exact.value > 0.0:  # zero-value cuts of disconnected graphs tie widely
                 assert res.witness == exact.witness, trial
         g = weighted_ring(rng, EXACT_BUDGET, "integer", True)
-        res, exact = cheeger_interval(g), cheeger_exact(g)
+        res, exact = route(g), cheeger_exact(g)
         assert (res.value, res.witness) == (exact.value, exact.witness)
 
     @pytest.mark.parametrize("n", [20, 60])
-    def test_near_tie_at_one_end(self, backend, n):
+    def test_near_tie_at_one_end(self, route, n):
         # arcs [n-8..n-1] and [n-3..n-1] of a unit path share their end; the
-        # longer is 5e-13 worse (less than _TIE_MARGIN) but minimizes
-        # bd - t vol near the optimum, so the shorter must still be found;
-        # every other cut's ratio is well above 1/3
+        # longer is 5e-13 worse but minimizes bd - t vol near the optimum, so
+        # the shorter must still be found; every other cut's ratio is well
+        # above 1/3
         ew = np.full(n - 1, 100.0)
         ew[n - 4], ew[n - 9] = 1.0, 8.0 / 3.0 * (1.0 + 5e-13)
         g = WeightedGraph(np.ones(n), tuple((i, i + 1, ew[i]) for i in range(n - 1)))
-        res = cheeger_interval(g)
+        res = route(g)
         assert res.witness == (n - 3, n - 2, n - 1)
         assert (res.value, res.witness) == block_cheeger_interval(g)
         if n <= EXACT_BUDGET:
             exact = cheeger_exact(g)
             assert (res.value, res.witness) == (exact.value, exact.witness)
 
-    def test_light_near_tie_right_of_heavy(self, backend):
+    def test_light_near_tie_right_of_heavy(self, route):
         # at the last end of the path, [52..59] (volume 5) has ratio 1/3 and
         # the light [57..59] (volume 3e-6) a ratio 1e-12 lower; near 1/3,
         # bd - t vol favours the heavy arc by its volume, so a search that
@@ -851,7 +805,7 @@ class TestCheegerInterval:
         ew = np.full(n - 1, 100.0)
         ew[n - 4], ew[n - 9] = 1e-6 * (1.0 - 1e-12), (5.0 + 3e-6) / 3.0
         g = WeightedGraph(w, tuple((i, i + 1, ew[i]) for i in range(n - 1)))
-        res = cheeger_interval(g)
+        res = route(g)
         assert res.witness == (n - 3, n - 2, n - 1)
         assert (res.value, res.witness) == block_cheeger_interval(g)
 
@@ -864,33 +818,40 @@ class TestCheegerInterval:
             ([0.3, 0.7, 0.7, 0.3, 0.2, 0.7, 0.3, 0.7, 0.1, 0.1, 0.3], False),
         ],
     )
-    def test_half_volume_by_running_sums(self, backend, w, cycle):
-        # an arc whose volume is within rounding of half the total is kept
-        # or dropped as the running sums of cheeger_exact decide
+    def test_half_volume_by_running_sums(self, route, w, cycle):
+        # arcs whose running sums lie within rounding of half the total: each
+        # is kept or dropped by its exact volume, as a Fraction decides, and
+        # cheeger_exact decides the same way.  Dinkelbach compares range sums,
+        # not running sums, so of two arcs whose ratios tie by rounding (as
+        # [1..2] and [5..8] of the first cycle do) it may pick the other one.
         n = len(w)
         ring = [(i, i + 1, 1.0) for i in range(n - 1)] + ([(0, n - 1, 1.0)] if cycle else [])
         g = WeightedGraph(w, tuple(ring))
-        res, exact = cheeger_interval(g), cheeger_exact(g)
-        assert (res.value, res.witness) == (exact.value, exact.witness)
+        res, best = route(g), rational_ring_cheeger(g)
+        assert exactly_feasible(g, res.witness)
+        assert abs(exact_ratio(g, res.witness) - best) <= Fraction(1, 10**15) * best
+        assert running_ratio(g, res.witness) == res.value
+        if route is cheeger_interval:
+            exact = cheeger_exact(g)
+            assert (res.value, res.witness) == (exact.value, exact.witness)
 
-    def test_matches_block_oracle_above_budget(self, backend):
+    def test_matches_block_oracle_above_budget(self, route):
         # within 1e-13 of the enumeration; the witness is a feasible cut whose
         # own running-sum ratio is the value
         rng = np.random.default_rng(13)
-        sizes = (25, 40, 100, 333) if backend == "grid" else (25, 40, 100, 333, 1000)
+        sizes = (25, 40, 100, 333, 1000)
         cases = [(n, kind, cycle) for n in sizes for kind in RING_KINDS for cycle in (False, True)]
-        if backend == "table":
-            cases += [(4096, "random", True), (4096, "island", True), (4096, "poly", False)]
+        cases += [(4096, "random", True), (4096, "island", True), (4096, "poly", False)]
         for n, kind, cycle in cases:
             g = weighted_ring(rng, n, kind, cycle)
-            res = cheeger_interval(g)
+            res = route(g)
             expected, _ = block_cheeger_interval(g)
             assert res.value == pytest.approx(expected, rel=1e-13, abs=0.0), (n, kind, cycle)
             assert running_ratio(g, res.witness) == res.value, (n, kind, cycle)
-            assert np.cumsum(g.vertex_weights[list(res.witness)])[-1] <= 0.5 * g.total_volume()
+            assert exactly_feasible(g, res.witness), (n, kind, cycle)
         for trial in range(60):
             g = random_ring_graph(rng, int(rng.integers(25, 200)), trial % 3)
-            res = cheeger_interval(g)
+            res = route(g)
             expected, _ = block_cheeger_interval(g)
             assert res.value == pytest.approx(expected, rel=1e-13, abs=0.0), trial
             assert running_ratio(g, res.witness) == res.value, trial
@@ -976,10 +937,10 @@ class TestCheegerInterval:
         assert peak <= 4 * 2**20
 
     @pytest.mark.parametrize("scale", [1.0, 0.1])
-    def test_many_ties_match_block_oracle(self, backend, scale):
+    def test_many_ties_match_block_oracle(self, route, scale):
         # with weights 0.1 the tied ratios differ in their last bits
         g = self.v_cycle(300, scale)
-        res = cheeger_interval(g)
+        res = route(g)
         value, witness = block_cheeger_interval(g)
         assert res.value == pytest.approx(value, rel=1e-13, abs=0.0)
         assert running_ratio(g, res.witness) == res.value
@@ -987,11 +948,11 @@ class TestCheegerInterval:
             assert (res.value, res.witness) == (value, witness)
 
     @staticmethod
-    def small_rings(rng):
+    def small_rings(rng, sizes=range(2, EXACT_BUDGET + 1)):
         """Paths and cycles of 2-24 vertices: tie-prone weights from {0.1,
         0.2, 0.3, 0.7}, continuous and decaying weights, each also with one
         interior edge missing."""
-        for n in range(2, EXACT_BUDGET + 1):
+        for n in sizes:
             for style in ("ties", "ties", "ties", "random", "decay"):
                 for cycle in (False, True) if n > 2 else (False,):
                     for gap in (None, n // 2):
@@ -1008,15 +969,19 @@ class TestCheegerInterval:
                         yield WeightedGraph(w, tuple(edges))
 
     def test_one_pass_matches_grid_oracle(self):
-        # the one-pass scoring of rings up to EXACT_BUDGET equals the grid
-        # route it replaced in value and witness, bit for bit
+        # the one-pass scoring equals the window grid it replaced in value
+        # and witness, bit for bit: on rings up to EXACT_BUDGET, and on paths
+        # and cycles up to the one-pass limits and past them
         rng = np.random.default_rng(15)
         count = 0
         for g in self.small_rings(rng):
             res = cheeger_interval(g)
-            assert (res.value, res.witness) == grid_cheeger_small(g), g.edges
+            assert (res.value, res.witness) == grid_cheeger_interval(g), g.edges
             count += 1
         assert count == 450
+        for g in self.small_rings(rng, (25, 32, 33, 64, 128)):
+            res = lscc.graphs._one_pass(g)
+            assert (res.value, res.witness) == grid_cheeger_interval(g), g.edges
 
     def test_one_pass_matches_exact_on_small_rings(self):
         rng = np.random.default_rng(16)
@@ -1039,14 +1004,14 @@ class TestCheegerInterval:
         assert ascending != arc_order
         res = cheeger_interval(g)
         assert (res.value, res.witness) == (ascending, (0, 1, 5))
-        assert (res.value, res.witness) == grid_cheeger_small(g)
+        assert (res.value, res.witness) == grid_cheeger_interval(g)
         exact = cheeger_exact(g)
         assert (res.value, res.witness) == (exact.value, exact.witness)
 
     def test_ring_arcs_in_member_tuple_order(self):
         # the arc table built by array sorts against a Python sort of the
         # member tuples, ascending vertex lists
-        for n in range(2, EXACT_BUDGET + 1):
+        for n in (*range(2, EXACT_BUDGET + 1), 32, 64, 128):
             for cycle in (False, True):
 
                 def members(arc):
@@ -1058,19 +1023,16 @@ class TestCheegerInterval:
                 s, e = lscc.graphs._ring_arcs(n, cycle)[:2]
                 assert np.array_equal(s, expected[0]) and np.array_equal(e, expected[1]), (n, cycle)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a cut is admitted when its running sum is at most half the running-sum "
-        "total, and both halves of this cycle round above half",
-    )
     @pytest.mark.parametrize("route", [cheeger_exact, cheeger_interval], ids=lambda r: r.__name__)
     def test_equal_halves_are_cuts(self, route):
-        # {0, 1, 2} and {3, 4, 5} both sum to 0.1 + 0.1 + 0.1 =
-        # 0.30000000000000004, above half the total 0.3; neither is admitted,
-        # so the value is the 2-vertex arc's 2 / 0.2 = 10, not 2 / 0.3
+        # {0, 1, 2} and {3, 4, 5} both have the running sum 0.1 + 0.1 + 0.1 =
+        # 0.30000000000000004, above half the running-sum total 0.3; by exact
+        # volumes each is half, so both are cuts and the value is 2 / 0.3,
+        # not the 2-vertex arc's 2 / 0.2 = 10
         ring = tuple((i, i + 1, 1.0) for i in range(5)) + ((0, 5, 1.0),)
         g = WeightedGraph(np.full(6, 0.1), ring)
         assert route(g).value == pytest.approx(2.0 / (3 * 0.1), rel=1e-12)
+        assert route(g).witness == (0, 1, 2)
 
     def test_agreement_at_enumeration_budget(self):
         # the full 24-vertex budget: 2^23 cuts against the O(n^2) reduction
@@ -1085,6 +1047,62 @@ class TestCheegerInterval:
         interval = cheeger_interval(cyc)
         assert interval.upper == exact.upper
         assert interval.witness == exact.witness
+
+    def test_tie_prone_rings_match_rational_minimum(self, route):
+        # weights from {0.1, 0.2, 0.3, 0.7} on paths of up to 128 and cycles
+        # of up to 32 vertices (the one-pass limits), one edge missing in every
+        # fifth: the witness is feasible by its exact volume and its exact
+        # ratio is the exact rational minimum within 1e-15; the value is its
+        # running-sum ratio, whose own rounding grows with its length
+        rng = np.random.default_rng(17)
+        for trial in range(80):
+            cycle = trial % 2 == 1
+            n = int(rng.integers(3, 33 if cycle else 129))
+            w, ew = rng.choice([0.1, 0.2, 0.3, 0.7], (2, n))
+            edges = [(i, i + 1, float(ew[i])) for i in range(n - 1)]
+            edges += [(0, n - 1, float(ew[-1]))] if cycle else []
+            if trial % 5 == 0:
+                del edges[int(rng.integers(0, len(edges)))]
+            g = WeightedGraph(w, tuple(edges))
+            res, best = route(g), rational_ring_cheeger(g)
+            assert exactly_feasible(g, res.witness), (trial, n)
+            assert abs(exact_ratio(g, res.witness) - best) <= Fraction(1, 10**15) * best, (trial, n)
+            assert running_ratio(g, res.witness) == res.value, (trial, n)
+
+    @staticmethod
+    def exp_sweep_graph(N, beta, R):
+        """The path that `lscc sweep shiftinv --kind exp` scores at radius R:
+        weights decay as exp(-beta |k|) both ways from the middle, to about
+        1e-56 of the heaviest at N = 2, beta = 2, R = 64.  Its vertices are
+        relabelled by position."""
+        gen = GeneratorModel(N=N)
+        f = profile_signal(gen, R, DecayProfile(EXPONENTIAL, beta))
+        g = induce_graph(build_shiftinv_scheme(gen, R), f, zero_tol=0.0)
+        return WeightedGraph(g.vertex_weights, (g.u, g.v, g.w))  # labels 0..n-1
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_exp_sweep_graphs_match_rational_minimum(self, route, N):
+        # light tails far below their prefix sums: within 1e-15 of the exact
+        # rational minimum at every radius up to 64 (paths of up to 129 or
+        # 130 vertices, past the one-pass limit at R = 64)
+        for beta in (0.5, 1.0, 1.5, 2.0, 3.0):
+            for R in (8, 16, 32, 64):
+                g = self.exp_sweep_graph(N, beta, R)
+                res, best = route(g), rational_ring_cheeger(g)
+                assert abs(Fraction(res.value) - best) <= Fraction(1, 10**15) * best, (beta, R)
+                assert exactly_feasible(g, res.witness), (beta, R)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_exp_sweep_paths_match_block_oracle(self, N):
+        # up to R = 512, where N = 2, beta = 2 once raised on an empty
+        # candidate list: within 1e-13 of the O(n^2) enumeration
+        for beta in (0.5, 1.0, 1.5, 2.0, 3.0):
+            for R in (128, 256, 512):
+                g = self.exp_sweep_graph(N, beta, R)
+                expected, _ = block_cheeger_interval(g)
+                res = cheeger_interval(g)
+                assert res.value == pytest.approx(expected, rel=1e-13, abs=0.0), (beta, R)
+                assert running_ratio(g, res.witness) == res.value, (beta, R)
 
 
 class TestLaplacian:
