@@ -45,7 +45,6 @@ from .measurement import (
 from .scheme import (
     INCONCLUSIVE,
     RETRIEVABLE,
-    BaseGraph,
     LsccScheme,
     ValidationReport,
     induce_graph,

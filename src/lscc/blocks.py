@@ -60,8 +60,8 @@ class Blocks(Sequence):
 
 
 class EdgeMap(Mapping):
-    """Per-edge values keyed by the edges (u, v), u < v, of a `BaseGraph`, in
-    `graph.edges` order: `by_edge[k]` belongs to edge k."""
+    """Per-edge values keyed by the edges (u, v) of a graph, in the order of
+    its sorted arrays u < v: `by_edge[k]` belongs to edge (u[k], v[k])."""
 
     __slots__ = ("graph", "by_edge")
 
@@ -72,10 +72,20 @@ class EdgeMap(Mapping):
         return len(self.by_edge)
 
     def __iter__(self):
-        return iter(self.graph.edges)
+        return zip(self.graph.u.tolist(), self.graph.v.tolist())
 
     def __getitem__(self, e):
-        return self.by_edge[self.graph.edge_index(e)]
+        u, v = self.graph.u, self.graph.v
+        try:
+            a, b = e
+            lo, hi = u.searchsorted(a), u.searchsorted(a, "right")  # the edges at a
+            k = int(lo + v[lo:hi].searchsorted(b))
+            found = k < hi and v[k] == b
+        except (TypeError, ValueError, OverflowError):
+            found = False
+        if not found:
+            raise KeyError(e)
+        return self.by_edge[k]
 
     def values(self):
         return _EdgeValues(self)
@@ -95,7 +105,7 @@ class _EdgeItems(ItemsView):
     __slots__ = ()
 
     def __iter__(self):
-        return zip(self._mapping.graph.edges, self._mapping.by_edge)
+        return zip(self._mapping, self._mapping.by_edge)
 
 
 class BlockOperator:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,6 +46,10 @@ EXACT_BUDGET = 24
 #: of n cells per start and per wrapping arc) holds at most this many cells:
 #: paths of up to 128 vertices, cycles of up to 32
 _ONE_PASS_CELLS = 1 << 14
+#: arc tables `_ring_arcs` keeps, least recently used dropped first (each up
+#: to 0.5 MB): one fuzz run of the acceptance schemes scores rings of 6
+#: sizes, one `lscc sweep` at most 5
+_RING_TABLES = 8
 #: cheeger_interval's Dinkelbach iteration runs at t * (1 - _SETTLE), so that
 #: when it stops no arc's ratio is below that up to rounding; ratios this
 #: close to the best count as tied
@@ -70,7 +74,7 @@ _RING_MAX_STEPS = 200
 _RING_INDEPENDENT = 2.0**-40
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class WeightedGraph:
     """Vertex- and edge-weighted graph; all retained weights strictly positive.
 
@@ -136,6 +140,11 @@ class WeightedGraph:
     @property
     def is_empty(self) -> bool:
         return self.num_vertices == 0
+
+    @cached_property
+    def degree_bound(self) -> int:
+        """The most edges at one vertex (0 without vertices)."""
+        return int(np.bincount(np.concatenate((self.u, self.v)), minlength=1).max())
 
     def total_volume(self) -> float:
         # a running sum adds in ascending index order, as the Cheeger routes do
@@ -478,7 +487,7 @@ def _arc_result(g: WeightedGraph, s: int, e: int, vol=None) -> CheegerResult:
     return CheegerResult(value, value, INTERVAL_REDUCTION, tuple(g.labels[k] for k in members))
 
 
-@cache
+@lru_cache(maxsize=_RING_TABLES)
 def _ring_arcs(n: int, cycle: bool) -> tuple[np.ndarray, ...]:
     """(s, e, s - 1, e mod n, rows, at) for the arcs [s..e] of a ring of n
     vertices, sorted by member tuple.  Row s < n of `rows` is 1.0 on the

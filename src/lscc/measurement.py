@@ -62,12 +62,20 @@ class Frame:
     field: str = REAL
 
     def __post_init__(self):
-        rows = as_field_array(self.rows, self.field)
-        own = rows.flags.writeable and np.may_share_memory(rows, self.rows)
-        object.__setattr__(self, "rows", rows.copy() if own else rows)  # freeze no caller's array
-        if self.rows.ndim != 2 or self.rows.shape[0] < 1 or self.rows.shape[1] < 1:
+        rows = read_only(as_field_array(self.rows, self.field), self.rows)
+        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise DimensionError("frame rows must form a nonempty matrix")
-        self.rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+
+
+def read_only(arr: np.ndarray, source) -> np.ndarray:
+    """`arr`, made from `source`, as a read-only array: a writable `arr` that
+    may share memory with `source` is copied first, so no caller's array is
+    frozen and no later write to it reaches the result."""
+    if arr.flags.writeable and np.may_share_memory(arr, source):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 def p_norm(v, p: float) -> float:

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .blocks import BlockOperator, Blocks, EdgeMap, Supports, by_identity, support_table
-from .errors import DimensionError, FieldError, SchemeError
+from .errors import DimensionError, FieldError, InvalidWeightError, SchemeError
 from .graphs import WeightedGraph, is_connected
 from .measurement import (
     BOUND_SLACK,
@@ -39,6 +39,7 @@ from .measurement import (
     gaussian,
     p_norms,
     pair_ratios,
+    read_only,
 )
 
 RETRIEVABLE = "RetrievableByConnectivity"
@@ -52,81 +53,16 @@ DEFAULT_ZERO_TOL = 1e-12
 _TEXT_BYTES = 1 << 16
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class BaseGraph:
-    """Unweighted simple graph with its maximum degree.
-
-    Edge k joins vertices u[k] < v[k]; the two read-only int64 arrays are
-    sorted lexicographically by (u, v).  `edges` may be given as (u, v)
-    pairs or as an (E, 2) integer array; the `edges` property lists the
-    arrays as tuples of Python ints, made on access.
-    """
-
-    num_vertices: int
-    u: np.ndarray
-    v: np.ndarray
-
-    def __init__(self, num_vertices: int, edges=()):
-        if num_vertices < 1:
-            raise SchemeError("graph needs at least one vertex")
-        ends = np.asarray(edges)
-        ends = ends.reshape(0, 2) if ends.size == 0 else ends
-        if ends.ndim != 2 or ends.shape[1] != 2:
-            raise SchemeError("edges must be (u, v) pairs")
-        a, b = ends.T
-        bad = (a == b) | ~((0 <= a) & (a < num_vertices) & (0 <= b) & (b < num_vertices))
-        if bad.any():
-            u, v = ends[np.argmax(bad)].tolist()
-            raise SchemeError(f"self-loop at {u}" if u == v else f"edge ({u},{v}) out of range")
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        key = lo * num_vertices + hi
-        if not (key[1:] > key[:-1]).all():
-            order = np.argsort(key, kind="stable")
-            lo, hi, key = lo[order], hi[order], key[order]
-            if np.any(key[1:] == key[:-1]):
-                raise SchemeError("duplicate edges")
-        if ends.size and ends.dtype.kind not in "iu":
-            raise SchemeError("edge endpoints must be integers")
-        object.__setattr__(self, "num_vertices", num_vertices)
-        for name, column in (("u", lo), ("v", hi)):
-            column = column.astype(np.int64)
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.u.tolist(), self.v.tolist()))
-
-    @cached_property
-    def degree_bound(self) -> int:
-        return int(np.bincount(np.concatenate((self.u, self.v)), minlength=self.num_vertices).max())
-
-    @cached_property
-    def _keys(self) -> np.ndarray:
-        return self.u * self.num_vertices + self.v  # ascending, as the edges are sorted
-
-    def edge_index(self, e) -> int:
-        """Position of the edge e = (u, v), u < v, in the arrays; KeyError if absent."""
-        try:
-            a, b = e
-            k = int(np.searchsorted(self._keys, a * self.num_vertices + b))
-            found = k < self.u.size and self.u[k] == a and self.v[k] == b
-        except (TypeError, ValueError, OverflowError):
-            found = False
-        if not found:
-            raise KeyError(e)
-        return k
-
-
-def path_graph(n: int) -> BaseGraph:
+def path_graph(n: int) -> WeightedGraph:
+    """The unit-weight path 0 - 1 - ... - (n-1)."""
     i = np.arange(n - 1)
-    return BaseGraph(n, np.stack((i, i + 1), axis=1))
+    return WeightedGraph(np.ones(n), (i, i + 1, np.ones(i.size)))
 
 
-def cycle_graph(n: int) -> BaseGraph:
-    i = np.arange(n - 1)
-    ends = np.stack((i, i + 1), axis=1)
-    return BaseGraph(n, np.vstack((ends, [[0, n - 1]])) if n > 2 else ends)
+def cycle_graph(n: int) -> WeightedGraph:
+    """The unit-weight cycle on n > 2 vertices; n = 2 gives one edge."""
+    i = np.arange(n)
+    return WeightedGraph(np.ones(n), (i, (i + 1) % n, np.ones(n))) if n > 2 else path_graph(n)
 
 
 @dataclass
@@ -138,24 +74,25 @@ class LsccScheme:
     the functional of edge e is an r_e x |supp_e| block on
     `edge_supports[e]`.
 
-    The supports may be given as a sequence of 1-D integer arrays (for the
-    edges: a dict keyed by edge, or a sequence in `graph.edges` order) or
-    as an (n, s) table with one support per row; the edge functionals as a
-    dict keyed by edge or a sequence in `graph.edges` order.  The scheme
-    keeps one CSR support table, the vertices then the edges in
-    `graph.edges` order, and each distinct block once (builders share one
-    Frame or one block object between objects), with the index of every
-    object's block.  `vertex_projections`, `edge_supports` and
-    `edge_functionals` are read-only views of them, which make a per-object
-    array only when asked.  Treat instances as immutable; every operation
-    on them is pure.
+    Of the given `graph` only the vertex count and the sorted edges u[k] <
+    v[k] are read: the scheme keeps the unit-weight graph on them, labelled
+    by `vertex_labels`, which `induce_graph` reweights.  Supports may be
+    given as 1-D integer arrays (for the edges: a dict keyed by edge, or a
+    sequence in edge order) or as an (n, s) table with one support per row;
+    edge functionals as a dict keyed by edge or a sequence in edge order.
+    The scheme keeps one CSR support table, vertices then edges, and each
+    distinct block once and read-only (builders share one Frame or block
+    object between objects), with the index of every object's block.
+    `vertex_projections`, `edge_supports` and `edge_functionals` are
+    read-only views of them, making a per-object array only when asked.
+    Treat instances as immutable; every operation on them is pure.
     """
 
     name: str
     field: str
     p: float
     ambient_dim: int
-    graph: BaseGraph
+    graph: WeightedGraph
     vertex_frames: tuple[Frame, ...]
     vertex_projections: Sequence[np.ndarray]  # P_v as its sorted int64 coordinate support
     edge_functionals: Mapping[tuple[int, int], np.ndarray]  # Psi_uv as a block on its support
@@ -183,7 +120,18 @@ class LsccScheme:
             # NaN fails every comparison; the upper end may be inf
             if not (0.0 <= lo < math.inf and lo <= hi):
                 raise SchemeError(f"constants must satisfy 0 <= {name}, got [{lo}, {hi}]")
-        graph, n_v = self.graph, self.graph.num_vertices
+        n_v = self.graph.num_vertices
+        if n_v < 1:
+            raise SchemeError("graph needs at least one vertex")
+        if not self.vertex_labels:
+            self.vertex_labels = tuple(range(n_v))
+        if len(self.vertex_labels) != n_v:
+            raise SchemeError(f"{len(self.vertex_labels)} vertex labels for {n_v} vertices")
+        if len(set(self.vertex_labels)) != len(self.vertex_labels):
+            raise SchemeError("vertex labels must be distinct")
+        u, v = self.graph.u, self.graph.v
+        graph = WeightedGraph(np.ones(n_v), (u, v, np.ones(u.size)), self.vertex_labels)
+        self.graph = graph
         self.vertex_frames = tuple(self.vertex_frames)
         if len(self.vertex_frames) != n_v:
             raise SchemeError("one frame per vertex required")
@@ -197,7 +145,7 @@ class LsccScheme:
         bad = (rows[block_of] < 1) | (cols[block_of] != np.diff(bounds))
         if bad.any():
             k = int(np.argmax(bad))
-            name = f"frame {k}" if k < n_v else f"edge {graph.edges[k - n_v]}"
+            name = f"frame {k}" if k < n_v else f"edge {(int(u[k - n_v]), int(v[k - n_v]))}"
             raise SchemeError(
                 f"{name} has shape {blocks[block_of[k]].shape}: a block needs a row and must "
                 f"stay inside its support of {bounds[k + 1] - bounds[k]} coordinates"
@@ -206,12 +154,6 @@ class LsccScheme:
         self.vertex_projections = Supports(flat, bounds[: n_v + 1])
         self.edge_supports = EdgeMap(graph, Supports(flat, bounds[n_v:]))
         self.edge_functionals = EdgeMap(graph, Blocks(blocks, block_of[n_v:]))
-        if not self.vertex_labels:
-            self.vertex_labels = tuple(range(n_v))
-        if len(self.vertex_labels) != n_v:
-            raise SchemeError(f"{len(self.vertex_labels)} vertex labels for {n_v} vertices")
-        if len(set(self.vertex_labels)) != len(self.vertex_labels):
-            raise SchemeError("vertex labels must be distinct")
 
     @property
     def num_vertices(self) -> int:
@@ -227,15 +169,9 @@ class LsccScheme:
 
     @cached_property
     def edge_operator(self) -> BlockOperator:
-        """Every edge functional on its support, in `graph.edges` order."""
+        """Every edge functional on its support, in edge order."""
         n_v = self.num_vertices
         return BlockOperator(self._flat, self._bounds[n_v:], self._blocks, self._block_of[n_v:])
-
-    @cached_property
-    def _weighted_graph(self) -> WeightedGraph:
-        """The base graph under unit weights, checked once: `induce_graph` shares it."""
-        u, v, labels = self.graph.u, self.graph.v, self.vertex_labels
-        return WeightedGraph(np.ones(self.num_vertices), (u, v, np.ones(u.size)), labels)
 
     def coerce(self, f) -> np.ndarray:
         vec = as_field_array(f, self.field)
@@ -304,25 +240,20 @@ def sliding_scheme(
     )
 
 
-def _edge_keys(mapping: Mapping, what: str) -> list[tuple[int, int]]:
-    """The keys of an edge dict as sorted pairs; an edge may appear once."""
-    keys = [tuple(sorted(e)) for e in mapping]
-    seen = set()
-    for e in keys:
-        if e in seen:
-            raise SchemeError(f"edge {e} has a {what} under both orientations")
-        seen.add(e)
-    return keys
-
-
-def _in_edge_order(values, graph: BaseGraph, what: str) -> Sequence:
-    """Per-edge values, a Mapping keyed by edge or a sequence already in
-    `graph.edges` order, as a sequence in that order."""
+def _in_edge_order(values, graph: WeightedGraph, what: str) -> Sequence:
+    """Per-edge values, a Mapping keyed by edge (u, v) in either orientation,
+    but only one, or a sequence already in edge order, as a sequence in that
+    order."""
     if isinstance(values, Mapping):
-        keyed = dict(zip(_edge_keys(values, what), values.values()))
-        if keyed.keys() != set(graph.edges):
+        keyed = {}
+        for e, value in values.items():
+            if (key := tuple(sorted(e))) in keyed:
+                raise SchemeError(f"edge {key} has a {what} under both orientations")
+            keyed[key] = value
+        edges = list(zip(graph.u.tolist(), graph.v.tolist()))
+        if keyed.keys() != set(edges):
             raise SchemeError("edge functionals and supports must cover exactly the base edges")
-        return [keyed[e] for e in graph.edges]
+        return [keyed[e] for e in edges]
     if len(values) != graph.u.size:
         raise SchemeError("edge functionals and supports must cover exactly the base edges")
     return values
@@ -342,10 +273,10 @@ def _as_support(support, dim: int) -> np.ndarray:
 def _distinct_blocks(frames, functionals, field: str) -> tuple[list, np.ndarray]:
     """The distinct local blocks, frame rows first, and the block index of
     every object: the vertices, then the edges.  Each distinct edge block is
-    coerced to `field` once."""
+    coerced to `field` and made read-only once, as `Frame` does its rows."""
     rows, frame_of = by_identity([fr.rows for fr in frames])
     edge_blocks, edge_of = by_identity(functionals)
-    blocks = rows + [as_field_array(block, field) for block in edge_blocks]
+    blocks = rows + [read_only(as_field_array(block, field), block) for block in edge_blocks]
     return blocks, np.concatenate((frame_of, edge_of + len(rows)))
 
 
@@ -376,7 +307,7 @@ def induce_graph(scheme: LsccScheme, f, zero_tol: float = DEFAULT_ZERO_TOL) -> W
     if w_v.min() > cut and w_e.min(initial=math.inf) > cut:
         # nothing dropped: every weight is > cut >= 0, and finite as w_max is (an
         # infinite w_max makes cut inf or NaN, which no weight exceeds)
-        return scheme._weighted_graph._reweighted(w_v, w_e)
+        return scheme.graph._reweighted(w_v, w_e)
     keep = w_v > cut
     u, v = scheme.graph.u, scheme.graph.v
     kept = keep[u] & keep[v] & (w_e > cut)
@@ -531,14 +462,14 @@ def validate_edge_domination(
 ) -> ValidationReport:
     """Check ||Psi_uv f||_p <= C1 * min(||Phi_u f||_p, ||Phi_v f||_p) on probes.
 
-    Probes are taken in order, and the edges of each probe in `graph.edges`
-    order; the first pair whose min(...) vanishes against ||Psi_uv f||_p
-    fails the check, otherwise the first worst pair is the witness.
+    Probes are taken in order, and the edges of each probe in edge order;
+    the first pair whose min(...) vanishes against ||Psi_uv f||_p fails the
+    check, otherwise the first worst pair is the witness.
     """
     if trials < 1:
         raise SchemeError("trials must be >= 1")
     rng = np.random.default_rng(0) if rng is None else rng
-    p, edges = scheme.p, scheme.graph.edges
+    p, edges = scheme.p, list(scheme.edge_supports)
     worst = 0.0
     witness = None
     for probes in _probe_chunks(scheme, trials, rng):
@@ -635,6 +566,7 @@ def _block_from_dict(entry: dict, n: int, field: str) -> tuple[np.ndarray, np.nd
     block = np.reshape(np.asarray(entry["block"], dtype=np.float64), shape)
     if field == COMPLEX:
         block = block.view(np.complex128)[..., 0]
+    block.setflags(write=False)  # the loader's own array: the scheme keeps it uncopied
     return support, block
 
 
@@ -732,7 +664,11 @@ def scheme_from_dict(d: dict) -> LsccScheme:
         p = float(d["p"])
         n = int(d["n"])
         labels = tuple(d["graph"]["V"])
-        graph = BaseGraph(len(labels), d["graph"]["edges"])
+        ends = np.asarray(d["graph"]["edges"])
+        ends = ends.reshape(0, 2) if ends.size == 0 else ends
+        if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iuf":
+            raise ValueError("edges must be (u, v) pairs of numbers")
+        graph = WeightedGraph(np.ones(len(labels)), (*ends.T, np.ones(len(ends))))
         consts = d["constants"]
         projections = _as_supports(d["projections"], n)
         frames = []
@@ -742,6 +678,7 @@ def scheme_from_dict(d: dict) -> LsccScheme:
                 raise SchemeError("a frame's support must lie inside its projection's support")
             rows = np.zeros((block.shape[0], projection.size), dtype=block.dtype)
             rows[:, np.searchsorted(projection, support)] = block
+            rows.setflags(write=False)
             frames.append(Frame(rows, field))
         pairs = [_block_from_dict(entry, n, field) for entry in d["edgeFunctionals"]]
         supports, functionals = zip(*pairs) if pairs else ((), ())
@@ -764,7 +701,7 @@ def scheme_from_dict(d: dict) -> LsccScheme:
             exhaustion_upper=float(hi),
             vertex_labels=labels,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidWeightError) as exc:
         raise SchemeError(f"malformed scheme descriptor: {exc!r}") from exc
 
 

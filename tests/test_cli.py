@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -546,7 +547,7 @@ class TestSchemeLoading:
             for s in toy.vertex_projections
         ]
         data["edgeFunctionals"] = [
-            dense(toy.edge_functionals[e], toy.edge_supports[e]) for e in toy.graph.edges
+            dense(toy.edge_functionals[e], toy.edge_supports[e]) for e in toy.edge_supports
         ]
         path = tmp_path / "old.json"
         path.write_text(json.dumps(data))
@@ -597,6 +598,27 @@ class TestSchemeLoading:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot load scheme")
         assert f"p must lie in [1, inf), got {p}" in captured.err
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([[0, 1], [1, 1]], "self-loop at vertex 1"),
+            ([[0, 1], [1, 0]], r"duplicate edge \(0,1\)"),
+            ([[0, 1], [1, 3]], r"edge \(1,3\) outside vertex range"),
+            ([[0, 1], [0.5, 2]], "must be integers"),
+        ],
+        ids=["self-loop", "duplicate", "out-of-range", "non-integer"],
+    )
+    def test_malformed_graph_rejected(self, tmp_path, capsys, edges, message):
+        data = json.loads(scheme_to_json(toy_scheme()))
+        data["graph"]["edges"] = edges
+        path = tmp_path / "bad_graph.json"
+        path.write_text(json.dumps(data))
+        assert run(["analyze", "--scheme", str(path), "--signal", "1,2,3,4", "--trials", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.match(r"error: cannot load scheme .*malformed scheme descriptor: ", captured.err)
+        assert re.search(message, captured.err)
 
     def test_open_constant_ranges_load(self, tmp_path, capsys):
         # A = 0 and B = inf leave the frame envelope open; exhaustion defaults to [0, inf]

@@ -28,7 +28,7 @@ from lscc.graphs import (
     normalized_degree,
     normalized_laplacian,
 )
-from lscc.scheme import induce_graph
+from lscc.scheme import cycle_graph, induce_graph, path_graph
 from lscc.shiftinv import (
     EXPONENTIAL,
     DecayProfile,
@@ -38,17 +38,6 @@ from lscc.shiftinv import (
 )
 from oracles import graph_from_dict, graph_from_json, graph_to_json
 from ring_oracles import grid_cheeger_interval, rational_ring_cheeger
-
-
-def unweighted_cycle(n):
-    edges = [(i, i + 1, 1.0) for i in range(n - 1)]
-    if n > 2:
-        edges.append((0, n - 1, 1.0))
-    return WeightedGraph(np.ones(n), tuple(edges))
-
-
-def unweighted_path(n):
-    return WeightedGraph(np.ones(n), tuple((i, i + 1, 1.0) for i in range(n - 1)))
 
 
 def scalar_cheeger_interval(g):
@@ -561,12 +550,12 @@ class TestConnectivity:
 
 class TestCheegerExact:
     def test_four_cycle(self):
-        res = cheeger_exact(unweighted_cycle(4))
+        res = cheeger_exact(cycle_graph(4))
         assert res.upper == 1.0 and res.lower == 1.0
         assert res.witness == (0, 1)
 
     def test_two_path(self):
-        res = cheeger_exact(unweighted_path(2))
+        res = cheeger_exact(path_graph(2))
         assert res.upper == 1.0
         assert res.witness == (0,)
 
@@ -578,7 +567,7 @@ class TestCheegerExact:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            cheeger_exact(unweighted_cycle(25))
+            cheeger_exact(cycle_graph(25))
 
     def test_single_vertex_infimum_over_empty_family(self):
         res = cheeger_exact(WeightedGraph(np.ones(1), ()))
@@ -613,7 +602,7 @@ class TestCheegerExact:
                 g = random_sparse_graph(rng, n, ties=kind == 1)
             if kind == 2 and n > 2:  # a path plus a chord
                 chord = (0, int(rng.integers(2, n)), 0.5)
-                g = WeightedGraph(g.vertex_weights, (*unweighted_path(n).edges, chord))
+                g = WeightedGraph(g.vertex_weights, (*path_graph(n).edges, chord))
             low = default if rng.random() < 0.5 else max(1, n - 1 - int(rng.integers(1, 5)))
             monkeypatch.setattr(lscc.graphs, "_EXACT_LOW_BITS", low)
             res = cheeger_exact(g)
@@ -667,10 +656,10 @@ class TestCheegerInterval:
             assert cheeger_interval(g).upper == cheeger_exact(g).upper
 
     def test_four_cycle(self):
-        assert cheeger_interval(unweighted_cycle(4)).upper == 1.0
+        assert cheeger_interval(cycle_graph(4)).upper == 1.0
 
     def test_two_path(self):
-        assert cheeger_interval(unweighted_path(2)).upper == 1.0
+        assert cheeger_interval(path_graph(2)).upper == 1.0
 
     def test_topology_mismatch(self):
         g = WeightedGraph(np.ones(4), ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
@@ -679,7 +668,7 @@ class TestCheegerInterval:
 
     def test_cycle_closed_form_large(self):
         for L in (32, 48, 64):
-            res = cheeger_interval(unweighted_cycle(L))
+            res = cheeger_interval(cycle_graph(L))
             assert res.upper == pytest.approx(2.0 / (L // 2), abs=1e-10)
 
     def test_ring_route_matches_exact(self):
@@ -737,7 +726,7 @@ class TestCheegerInterval:
         # every 2048-arc of the unweighted 4096-cycle ties; the smallest
         # witness wins, and no n x n block (134 MB of float64) is formed
         n = 4096
-        g = unweighted_cycle(n)
+        g = cycle_graph(n)
         tracemalloc.start()
         try:
             res = cheeger_interval(g)
@@ -1107,10 +1096,10 @@ class TestCheegerInterval:
 
 class TestLaplacian:
     def test_two_path(self):
-        assert np.array_equal(laplacian(unweighted_path(2)), [[1.0, -1.0], [-1.0, 1.0]])
+        assert np.array_equal(laplacian(path_graph(2)), [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_triangle(self):
-        g = unweighted_cycle(3)
+        g = cycle_graph(3)
         lap = laplacian(g)
         adjacency = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
         assert np.array_equal(lap, np.diag([2.0, 2.0, 2.0]) - adjacency)
@@ -1123,7 +1112,7 @@ class TestLaplacian:
 class TestAlgebraicConnectivity:
     def test_cycle_closed_forms(self):
         for L in range(3, 65):
-            res = algebraic_connectivity(unweighted_cycle(L))
+            res = algebraic_connectivity(cycle_graph(L))
             assert res.lam == pytest.approx(2.0 * (1.0 - math.cos(2.0 * math.pi / L)), abs=1e-10)
 
     def test_disconnected_zero(self):
@@ -1132,7 +1121,7 @@ class TestAlgebraicConnectivity:
 
     def test_complete_three_unit_weights(self):
         # S = I so the normalized operator is the plain Laplacian: gap 3
-        assert algebraic_connectivity(unweighted_cycle(3)).lam == pytest.approx(3.0, abs=1e-10)
+        assert algebraic_connectivity(cycle_graph(3)).lam == pytest.approx(3.0, abs=1e-10)
 
     def test_fiedler_conventions(self):
         rng = np.random.default_rng(3)
@@ -1183,23 +1172,58 @@ def ring_route(g, dtype=np.float64):
     )
 
 
+class TestUnitRings:
+    """Closed forms on the unit-weight rings a scheme's base graph is: both
+    Cheeger routes (one pass up to 32 / 128 vertices, Dinkelbach above) and
+    both spectral routes (dense below 56 vertices, the ring route from 56)."""
+
+    @staticmethod
+    def rings():
+        """(graph, cut boundary, angle): a cycle's best cut has two boundary
+        edges and lambda = 4 sin^2(pi / n), a path's one and 4 sin^2(pi / 2n)."""
+        for n in (*range(3, 41), 55, 56, 64, 100, 257):
+            yield cycle_graph(n), 2.0, math.pi / n
+        for n in (*range(2, 131), 257, 513):
+            yield path_graph(n), 1.0, math.pi / (2 * n)
+
+    def test_cheeger_is_boundary_over_half(self):
+        for graph, boundary, _ in self.rings():
+            n = graph.num_vertices
+            assert cheeger(graph).value == boundary / (n // 2), (n, boundary)
+
+    def test_lambda_is_the_sine_form(self):
+        # the sine form has no cancellation, unlike 2 (1 - cos(2 pi / n))
+        for graph, _, angle in self.rings():
+            exact = 4.0 * math.sin(angle) ** 2
+            lam = algebraic_connectivity(graph).lam
+            assert abs(lam - exact) <= 1e-12 * exact, graph.num_vertices
+
+    def test_arc_tables_stay_bounded(self):
+        lscc.graphs._ring_arcs.cache_clear()
+        for n in range(2, 131):
+            cheeger(path_graph(n))
+        for n in range(3, 41):
+            cheeger(cycle_graph(n))
+        assert lscc.graphs._ring_arcs.cache_info().currsize == lscc.graphs._RING_TABLES == 8
+
+
 class TestRingSpectral:
     """The O(n) inverse iteration on paths and cycles."""
 
     def test_unit_cycle_closed_form(self):
         for n in (56, 64, 100, 257, 1000, 2048, 4096, 8192):
             exact = 4.0 * math.sin(math.pi / n) ** 2
-            lam = algebraic_connectivity(unweighted_cycle(n)).lam
+            lam = algebraic_connectivity(cycle_graph(n)).lam
             assert abs(lam - exact) <= 1e-14 * exact, n
 
     def test_unit_path_closed_form(self):
         for n in (56, 300, 4096):
             exact = 4.0 * math.sin(math.pi / (2 * n)) ** 2
-            assert abs(algebraic_connectivity(unweighted_path(n)).lam - exact) <= 1e-14 * exact
+            assert abs(algebraic_connectivity(path_graph(n)).lam - exact) <= 1e-14 * exact
 
     @pytest.mark.parametrize("signal", ["ones", "random"])
     def test_matches_longdouble_on_windowed(self, signal):
-        from lscc.scheme import induce_graph
+        from lscc.scheme import cycle_graph, induce_graph, path_graph
         from lscc.windowed import WindowedConfig, build_windowed_scheme
 
         scheme = build_windowed_scheme(WindowedConfig(a=2, L=4096, field="complex"))
@@ -1322,10 +1346,10 @@ class TestCheegerSweep:
             assert sw.upper >= exact - 1e-10
 
     def test_four_cycle_finds_optimum(self):
-        assert cheeger_sweep(unweighted_cycle(4)).upper == pytest.approx(1.0)
+        assert cheeger_sweep(cycle_graph(4)).upper == pytest.approx(1.0)
 
     def test_two_path_single_cut(self):
-        assert cheeger_sweep(unweighted_path(2)).upper == pytest.approx(1.0)
+        assert cheeger_sweep(path_graph(2)).upper == pytest.approx(1.0)
 
     def test_sweep_witness_achieves_upper(self):
         rng = np.random.default_rng(11)
@@ -1341,7 +1365,7 @@ class TestCheegerSweep:
     def test_fallback_dispatch(self):
         # the route follows the edges: a ring takes the interval reduction at
         # any size; one chord sends it to enumeration, then to the sandwich
-        assert cheeger(unweighted_cycle(30)).method == "IntervalReduction"
+        assert cheeger(cycle_graph(30)).method == "IntervalReduction"
         for n, method in ((12, "ExactEnumeration"), (30, "SpectralSweepSandwich")):
             ring = tuple((i, i + 1, 1.0) for i in range(n - 1)) + ((0, n - 1, 1.0),)
             chorded = WeightedGraph(np.ones(n), ring + ((0, n // 2, 1.0),))
@@ -1350,7 +1374,7 @@ class TestCheegerSweep:
 
 class TestCheegerInequality:
     def test_four_cycle_closed_forms(self):
-        g = unweighted_cycle(4)
+        g = cycle_graph(4)
         assert check_cheeger_inequality(g, d_n=2.0)
 
     def test_disconnected(self):

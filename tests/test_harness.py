@@ -24,7 +24,8 @@ from lscc.harness import (
     write_csv,
 )
 from lscc.measurement import COMPLEX, REAL, Frame
-from lscc.scheme import BaseGraph, LsccScheme
+from lscc.graphs import WeightedGraph
+from lscc.scheme import LsccScheme
 from lscc.shiftinv import GeneratorModel, build_shiftinv_scheme
 from lscc.toy import FIXTURE_CONNECTED, toy_scheme
 from lscc.windowed import WindowedConfig, build_windowed_scheme
@@ -51,7 +52,7 @@ def sign_blind_scheme():
         field=REAL,
         p=2.0,
         ambient_dim=2,
-        graph=BaseGraph(1, ()),
+        graph=WeightedGraph(np.ones(1)),
         vertex_frames=(Frame(np.eye(2)),),
         vertex_projections=(np.array([0, 1]),),
         edge_functionals={},

@@ -22,7 +22,8 @@ from lscc.measurement import (
     ratio_brackets,
 )
 from lscc.harness import BOUND_SLACK, derive_rng, inequality_suite
-from lscc.scheme import BaseGraph, LsccScheme
+from lscc.graphs import WeightedGraph
+from lscc.scheme import LsccScheme
 from lscc.toy import FIXTURE_BROKEN, FIXTURE_BROKEN_TWIN, toy_scheme
 
 TOY_LOCAL = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
@@ -35,7 +36,7 @@ def measure(frame, f):
         field=frame.field,
         p=2.0,
         ambient_dim=frame.rows.shape[1],
-        graph=BaseGraph(1),
+        graph=WeightedGraph(np.ones(1)),
         vertex_frames=(frame,),
         vertex_projections=[np.arange(frame.rows.shape[1])],
         edge_functionals=(),

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lscc import measurement
+from lscc.blocks import EdgeMap
 from lscc.certify import (
     COMPLEX_C0_MARGIN,
     estimate_local_stability,
@@ -19,8 +20,8 @@ from lscc.certify import (
     sigma_and_complement,
     sigma_strong,
 )
-from lscc.errors import FieldError, SchemeError
-from lscc.graphs import WeightedGraph, is_connected
+from lscc.errors import FieldError, InvalidWeightError, SchemeError
+from lscc.graphs import WeightedGraph, algebraic_connectivity, cheeger, is_connected
 from lscc.harness import check_edge_mismatch_batch
 from lscc.measurement import COMPLEX, DENOM_CUTOFF, REAL, Frame, p_norm, pair_ratios
 from lscc.scheme import (
@@ -28,7 +29,6 @@ from lscc.scheme import (
     DESCRIPTOR_VERSION,
     INCONCLUSIVE,
     RETRIEVABLE,
-    BaseGraph,
     LsccScheme,
     _as_support,
     _as_supports,
@@ -99,7 +99,7 @@ def degenerate_two_row_scheme():
         field=REAL,
         p=2.0,
         ambient_dim=2,
-        graph=BaseGraph(1, ()),
+        graph=WeightedGraph(np.ones(1)),
         vertex_frames=(Frame(rows),),
         vertex_projections=(np.array([0, 1]),),
         edge_functionals={},
@@ -113,24 +113,55 @@ def degenerate_two_row_scheme():
     )
 
 
-class TestBaseGraph:
-    def test_degree_bound_is_actual_max(self):
-        g = BaseGraph(4, ((0, 1), (1, 2), (1, 3)))
-        assert g.degree_bound == 3
+def with_edges(scheme, edges):
+    """`scheme`'s descriptor with its graph's edges replaced."""
+    d = scheme_to_dict(scheme)
+    d["graph"]["edges"] = [list(e) for e in edges]
+    return d
 
-    def test_rejects_self_loop(self):
-        with pytest.raises(SchemeError):
-            BaseGraph(2, ((1, 1),))
+
+class TestBaseGraph:
+    """A scheme's base graph is the unit-weight WeightedGraph on its edges."""
+
+    def test_degree_bound_is_actual_max(self):
+        g = WeightedGraph(np.ones(4), ((0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0)))
+        assert g.degree_bound == 3
+        assert WeightedGraph(np.ones(1)).degree_bound == 0
+        assert WeightedGraph(np.zeros(0)).degree_bound == 0
+
+    def test_rejects_self_loop(self, toy):
+        with pytest.raises(InvalidWeightError, match="self-loop"):
+            WeightedGraph(np.ones(2), ((1, 1, 1.0),))
+        with pytest.raises(SchemeError, match="malformed scheme descriptor: .*self-loop"):
+            scheme_from_dict(with_edges(toy, [(0, 1), (1, 1)]))
 
     def test_rejects_fractional_endpoint(self, toy):
         # a descriptor edge [0.5, 1] used to be accepted, and its end arrays truncated it
+        with pytest.raises(InvalidWeightError, match="must be integers"):
+            WeightedGraph(np.ones(3), ((0.5, 1, 1.0), (1, 2, 1.0)))
         with pytest.raises(SchemeError, match="must be integers"):
-            BaseGraph(3, ((0.5, 1), (1, 2)))
-        d = scheme_to_dict(toy)
-        d["graph"]["edges"][0] = [0.5, 1]
-        with pytest.raises(SchemeError, match="must be integers"):
-            scheme_from_dict(d)
-        assert BaseGraph(1, ()).u.dtype == np.int64
+            scheme_from_dict(with_edges(toy, [(0.5, 1), (1, 2)]))
+        assert WeightedGraph(np.ones(1)).u.dtype == np.int64
+
+    def test_scheme_keeps_unit_weight_graph(self, toy):
+        weighted = WeightedGraph([2.0, 3.0, 4.0], ((1, 2, 5.0), (0, 1, 7.0)), ("x", "y", "z"))
+        scheme = dataclasses.replace(toy, graph=weighted, vertex_labels=("a", "b", "c"))
+        g = scheme.graph
+        assert isinstance(g, WeightedGraph) and g is not weighted
+        assert g.edges == ((0, 1, 1.0), (1, 2, 1.0)) and g.labels == ("a", "b", "c")
+        assert g.vertex_weights.tolist() == [1.0, 1.0, 1.0]
+        assert scheme.descriptor_hash() == dataclasses.replace(
+            toy, vertex_labels=("a", "b", "c")
+        ).descriptor_hash()
+        with pytest.raises(SchemeError, match="graph needs at least one vertex"):
+            dataclasses.replace(toy, graph=WeightedGraph(np.zeros(0)))
+
+    def test_induced_graph_reweights_base_graph(self, toy):
+        g = induce_graph(toy, FIXTURE_CONNECTED)
+        assert g.u is toy.graph.u and g.v is toy.graph.v and g.labels is toy.graph.labels
+        che = cheeger(toy.graph)
+        assert (che.value, che.witness) == (1.0, (0,))
+        assert algebraic_connectivity(toy.graph).lam == pytest.approx(1.0, rel=1e-12)
 
 
 class TestSchemeConstants:
@@ -312,7 +343,7 @@ class TestInducedStructure:
                 for zero_tol in (DEFAULT_ZERO_TOL, 0.0):
                     g = induce_graph(scheme, f, zero_tol)
                     assert_same_graph(g, validating_induce(scheme, f, zero_tol))
-        assert chord_scheme()._weighted_graph.ring_weights is None
+        assert chord_scheme().graph.ring_weights is None
 
     def test_structure_is_shared(self, schemes):
         rng = np.random.default_rng(41)
@@ -668,7 +699,7 @@ def dense_rows(scheme):
         return rows
 
     vertex = [dense(fr.rows, s) for fr, s in zip(scheme.vertex_frames, scheme.vertex_projections)]
-    edge = [dense(scheme.edge_functionals[e], scheme.edge_supports[e]) for e in scheme.graph.edges]
+    edge = [dense(scheme.edge_functionals[e], scheme.edge_supports[e]) for e in scheme.edge_supports]
     return vertex, edge
 
 
@@ -698,7 +729,7 @@ class TestBlockOperatorOracle:
             w_e = [np.sum(np.abs(np.conj(rows) @ f) ** p) for rows in edge]
             assert graph.num_vertices == scheme.num_vertices
             assert_rel_close(graph.vertex_weights, w_v)
-            assert [e[:2] for e in graph.edges] == list(scheme.graph.edges)
+            assert [e[:2] for e in graph.edges] == list(scheme.edge_supports)
             assert_rel_close([e[2] for e in graph.edges], w_e)
 
     def test_mixed_shapes_form_one_stack_per_shape(self):
@@ -814,7 +845,7 @@ class TestStreamedDescriptor:
             field=REAL,
             p=2.0,
             ambient_dim=3,
-            graph=BaseGraph(1),
+            graph=WeightedGraph(np.ones(1)),
             vertex_frames=(frame,),
             vertex_projections=[np.array([0, 2])],
             edge_functionals=(),
@@ -850,7 +881,7 @@ def reference_edge_domination(scheme, trials, rng):
     probes.extend(np.eye(scheme.ambient_dim, dtype=dtype))
     worst, witness = 0.0, None
     for f in probes:
-        for rows, (u, v) in zip(edge, scheme.graph.edges):
+        for rows, (u, v) in zip(edge, scheme.edge_supports):
             n_psi = p_norm(np.conj(rows) @ f, scheme.p)
             low = min(p_norm(np.conj(vertex[w]) @ f, scheme.p) for w in (u, v))
             if n_psi == 0.0:
@@ -907,7 +938,7 @@ class TestBatchedValidators:
         else:
             assert report.worst == pytest.approx(worst, rel=1e-12)
             witness_edge, witness_probe = report.witness
-            i = scheme.graph.edges.index(witness_edge)
+            i = list(scheme.edge_supports).index(witness_edge)
             n_psi = scheme.edge_operator.power_sums(witness_probe, scheme.p)[i]
             n_phi = scheme.vertex_operator.power_sums(witness_probe, scheme.p)[list(witness_edge)]
             ratio = (n_psi / min(n_phi)) ** (1.0 / scheme.p)
@@ -1153,13 +1184,13 @@ FUZZ_SPECS = (
 
 def descriptor_layout(descriptor):
     """The per-object layout a JSON descriptor spells out."""
-    graph = BaseGraph(len(descriptor["graph"]["V"]), descriptor["graph"]["edges"])
+    edges = sorted(tuple(sorted(e)) for e in descriptor["graph"]["edges"])
     entries = descriptor["edgeFunctionals"]
-    supports = {e: entry["support"] for e, entry in zip(graph.edges, entries)}
+    supports = {e: entry["support"] for e, entry in zip(edges, entries)}
     blocks = [np.asarray(entry["block"]) for entry in entries]
     if descriptor["field"] == COMPLEX:
         blocks = [block[..., 0] + 1j * block[..., 1] for block in blocks]
-    return descriptor["projections"], supports, dict(zip(graph.edges, blocks))
+    return descriptor["projections"], supports, dict(zip(edges, blocks))
 
 
 def assert_same_layout(scheme, layout):
@@ -1168,7 +1199,7 @@ def assert_same_layout(scheme, layout):
     for view, support in zip(scheme.vertex_projections, projections):
         assert view.tolist() == support
         assert view.dtype == np.int64 and not view.flags.writeable
-    assert list(scheme.edge_supports) == list(supports) == list(scheme.graph.edges)
+    assert list(scheme.edge_supports) == list(supports) == [e[:2] for e in scheme.graph.edges]
     assert list(scheme.edge_functionals) == list(functionals)
     for e, support in supports.items():
         view = scheme.edge_supports[e]
@@ -1178,7 +1209,7 @@ def assert_same_layout(scheme, layout):
         legacy = measurement.as_field_array(block, scheme.field)
         mat = scheme.edge_functionals[e]
         assert mat.dtype == legacy.dtype and np.array_equal(mat, legacy)
-        assert mat.flags.writeable == legacy.flags.writeable
+        assert not mat.flags.writeable  # frozen as frame rows are
     items = [(e, v.tolist()) for e, v in scheme.edge_supports.items()]
     assert items == [(e, v.tolist()) for e, v in zip(supports, scheme.edge_supports.values())]
 
@@ -1296,30 +1327,46 @@ class TestArrayBackedScheme:
     @pytest.mark.parametrize(
         "edges, message",
         [
-            (((0, 1), (1, 1)), "self-loop at 1"),
-            (((0, 5), (1, 1)), r"edge \(0,5\) out of range"),
-            (((0, 1), (-1, 2)), r"edge \(-1,2\) out of range"),
-            (((0, 1), (1, 0)), "duplicate edges"),
-            (((1, 2), (0, 1), (2, 1)), "duplicate edges"),
+            (((0, 1), (1, 1)), "self-loop at vertex 1"),
+            (((0, 5), (1, 1)), r"edge \(0,5\) outside vertex range"),
+            (((0, 1), (-1, 2)), r"edge \(-1,2\) outside vertex range"),
+            (((0, 1), (1, 0)), r"duplicate edge \(0,1\)"),
+            (((1, 2), (0, 1), (2, 1)), r"duplicate edge \(1,2\)"),
             (((0, 1), (0.5, 2)), "must be integers"),
             (((0, 1, 2),), r"\(u, v\) pairs"),
         ],
     )
-    def test_malformed_edges_keep_their_messages(self, edges, message):
-        with pytest.raises(SchemeError, match=message):
-            BaseGraph(3, edges)
+    def test_malformed_edges_keep_their_messages(self, toy, edges, message):
+        # a descriptor's graph is checked by WeightedGraph, whose error the loader reports
+        with pytest.raises(SchemeError, match="malformed scheme descriptor: .*" + message):
+            scheme_from_dict(with_edges(toy, edges))
+        if all(len(e) == 2 for e in edges):
+            with pytest.raises(InvalidWeightError, match=message):
+                WeightedGraph(np.ones(3), [(a, b, 1.0) for a, b in edges])
 
     def test_graph_arrays(self):
-        g = BaseGraph(4, np.array([[2, 3], [1, 0], [0, 2]]))
-        assert g.edges == ((0, 1), (0, 2), (2, 3))
+        g = WeightedGraph(np.ones(4), (np.array([2, 1, 0]), np.array([3, 0, 2]), np.ones(3)))
+        assert g.edges == ((0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0))
         assert g.u.tolist() == [0, 0, 2] and g.v.tolist() == [1, 2, 3]
         assert g.u.dtype == np.int64 and not g.u.flags.writeable
-        assert g.edge_index((0, 2)) == 1
-        for missing in [(2, 0), (1, 3), (0, 2.5), "ab", 7]:
+        by_edge = EdgeMap(g, "abc")
+        assert by_edge[(0, 2)] == "b" and list(by_edge) == [(0, 1), (0, 2), (2, 3)]
+        for missing in [(2, 0), (1, 3), (0, 2.5), "ab", 7, (2**70, 1)]:
             with pytest.raises(KeyError):
-                g.edge_index(missing)
-        assert cycle_graph(4).edges == ((0, 1), (0, 3), (1, 2), (2, 3))
-        assert path_graph(1).edges == () and cycle_graph(2).edges == ((0, 1),)
+                by_edge[missing]
+        ring = ((0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 3, 1.0))
+        assert cycle_graph(4).edges == ring and cycle_graph(4).vertex_weights.tolist() == [1.0] * 4
+        assert path_graph(1).edges == () and cycle_graph(2).edges == ((0, 1, 1.0),)
+
+    def test_edge_blocks_are_frozen_copies(self, toy):
+        blocks = {e: np.array(m) for e, m in toy.edge_functionals.items()}
+        scheme = dataclasses.replace(toy, edge_functionals=blocks)
+        digest = scheme.descriptor_hash()
+        blocks[(0, 1)][0, 0] = 99.0
+        assert scheme.descriptor_hash() == digest and scheme.edge_functionals[(0, 1)][0, 0] == 1.0
+        assert not any(m.flags.writeable for m in scheme.edge_functionals.values())
+        loaded = scheme_from_json(scheme_to_json(scheme))
+        assert not any(m.flags.writeable for m in loaded.edge_functionals.values())
 
     def test_malformed_tables_keep_their_messages(self, toy):
         for table, message in [
@@ -1508,7 +1555,7 @@ class TestSlidingScheme:
         rng = np.random.default_rng(30)
         local = rng.standard_normal((7, 3))
         scheme = self.slid(local, 2, 4, False)
-        assert scheme.ambient_dim == 9 and scheme.graph.edges == ((0, 1), (1, 2), (2, 3))
+        assert scheme.ambient_dim == 9 and list(scheme.edge_supports) == [(0, 1), (1, 2), (2, 3)]
         assert [s.tolist() for s in scheme.vertex_projections] == [
             [0, 1, 2], [2, 3, 4], [4, 5, 6], [6, 7, 8]
         ]
