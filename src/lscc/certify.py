@@ -123,9 +123,15 @@ def real_local_stability(m: np.ndarray, sigma: float | None = None) -> float:
     if sigma is None:
         sigma = sigma_strong(m)
     lmax = max_singular(m)
-    if sigma <= DEGENERATE_RTOL * lmax:
-        raise DegenerateFrameError("sigma = 0: the row family is not phase retrievable")
+    _check_sigma(sigma, lmax, "the row family is not phase retrievable")
     return math.sqrt(2.0) * lmax / sigma
+
+
+def _check_sigma(sigma: float, lmax: float, meaning: str) -> None:
+    """Refuse sigma at or below DEGENERATE_RTOL * lmax, naming both values."""
+    if sigma <= (floor := DEGENERATE_RTOL * lmax):
+        message = f"sigma = {sigma:.3g} <= DEGENERATE_RTOL * lmax = {floor:.3g}: {meaning}"
+        raise DegenerateFrameError(message)
 
 
 def p_frame_bounds(m: np.ndarray, p: float, grid: int = 4096) -> tuple[float, float]:

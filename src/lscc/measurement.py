@@ -13,15 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FieldError
+from .errors import DimensionError, FieldError, UnsupportedPError
 
 REAL = "real"
 COMPLEX = "complex"
 
-#: number of coarse grid points used for unimodular alignment when p != 2
-PHASE_GRID = 4096
-#: relative tolerance of the golden-section refinement for p != 2 alignment
-PHASE_REFINE_RTOL = 1e-10
 #: phase-equivalence cutoff on || |x| - |y| ||_p relative to ||x||_p (pair_ratios)
 DENOM_CUTOFF = 1e-14
 #: relative slack of every verified inequality: pass within (1 +/- slack) x the bound
@@ -34,6 +30,12 @@ def _check_field(field: str) -> str:
     if field not in (REAL, COMPLEX):
         raise FieldError(f"unknown field {field!r}")
     return field
+
+
+def _check_exponent(field: str, p: float) -> None:
+    """Refuse complex p != 2: the complex alignment and bound are p = 2 statements."""
+    if _check_field(field) == COMPLEX and p != 2.0:
+        raise UnsupportedPError(f"complex schemes require p = 2, got p = {p:g}")
 
 
 def as_field_array(values, field: str) -> np.ndarray:
@@ -125,11 +127,9 @@ def p_norms(rows: np.ndarray, p: float) -> np.ndarray:
 def align_phase(x, y, field: str, p: float = 2.0) -> tuple[complex, float]:
     """Unimodular xi minimizing ||x - xi*y||_p, with the achieved residual.
 
-    Real field: both signs are evaluated exactly (ties prefer +1).  Complex
-    field with p = 2: closed form, xi is the phase of <x, y> (xi = 1 when the
-    inner product vanishes).  Complex field with p != 2 has no closed form; a
-    4096-point phase grid followed by golden-section refinement is used, and
-    the result is accurate to ~1e-10 relative in the phase angle.
+    Real field, any p: both signs are evaluated exactly (ties prefer +1).
+    Complex field, p = 2 only: xi is the phase of <x, y> (xi = 1 when the
+    inner product vanishes); complex p != 2 raises UnsupportedPError.
     """
     _check_field(field)
     xv = np.asarray(x).ravel()
@@ -142,42 +142,11 @@ def align_phase(x, y, field: str, p: float = 2.0) -> tuple[complex, float]:
         if r_plus <= r_minus:
             return 1.0, r_plus
         return -1.0, r_minus
-    if p == 2.0:
-        inner = np.vdot(yv, xv)  # <x, y> = sum x_j conj(y_j)
-        mag = abs(inner)
-        xi = inner / mag if mag > 0.0 else 1.0 + 0.0j
-        return complex(xi), p_norm(xv - xi * yv, p)
-    return _align_phase_grid(xv, yv, p)
-
-
-def _align_phase_grid(xv: np.ndarray, yv: np.ndarray, p: float) -> tuple[complex, float]:
-    thetas = np.linspace(0.0, 2.0 * math.pi, PHASE_GRID, endpoint=False)
-    diffs = xv[None, :] - np.exp(1j * thetas)[:, None] * yv[None, :]
-    vals = np.sum(np.abs(diffs) ** p, axis=1)
-    k = int(np.argmin(vals))
-    lo = thetas[k] - 2.0 * math.pi / PHASE_GRID
-    hi = thetas[k] + 2.0 * math.pi / PHASE_GRID
-
-    def objective(theta: float) -> float:
-        return float(np.sum(np.abs(xv - np.exp(1j * theta) * yv) ** p))
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while (b - a) > PHASE_REFINE_RTOL * 2.0 * math.pi:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = objective(d)
-    theta = 0.5 * (a + b)
-    xi = complex(np.exp(1j * theta))
-    return xi, p_norm(xv - xi * yv, p)
+    _check_exponent(field, p)
+    inner = np.vdot(yv, xv)  # <x, y> = sum x_j conj(y_j)
+    mag = abs(inner)
+    xi = inner / mag if mag > 0.0 else 1.0 + 0.0j
+    return complex(xi), p_norm(xv - xi * yv, p)
 
 
 def gaussian(rng: np.random.Generator, shape, field: str) -> np.ndarray:
@@ -205,20 +174,15 @@ def align_phase_batch(
     """Column-wise align_phase: (phases xi_j, residuals ||x_j - xi_j y_j||_p).
 
     y holds (m, T) measurement columns, x the same shape or one (m, 1) column.
-    Real field: both signs as column p-norms (ties prefer +1); complex field:
-    the closed form in one (m, T) temporary at p = 2, else align_phase per column.
+    Real field: both signs as column p-norms (ties prefer +1); complex field
+    (p = 2 only): the closed form in one (m, T) temporary.
     """
-    _check_field(field)
+    _check_exponent(field, p)
     if x.shape != y.shape and x.shape != (len(y), 1):
         raise DimensionError(f"shape mismatch {x.shape} != {y.shape}")
     if field == REAL:
         r_plus, r_minus = _column_pnorms(x - y, p), _column_pnorms(x + y, p)
         return np.where(r_plus <= r_minus, 1.0, -1.0), np.minimum(r_plus, r_minus)
-    if p != 2.0:
-        x = np.broadcast_to(x, y.shape)
-        aligned = [align_phase(x[:, j], y[:, j], field, p) for j in range(x.shape[1])]
-        aligned = np.array(aligned, dtype=np.complex128).reshape(-1, 2)
-        return aligned[:, 0], aligned[:, 1].real
     work = np.multiply(np.conj(x), y, out=np.empty(y.shape, dtype=np.complex128))
     inner = np.conj(np.add.reduce(work, axis=0))  # == sum(x * conj(y)), bit for bit
     mag = np.abs(inner)
@@ -236,7 +200,8 @@ def pair_ratios(x, ys, field: str, p: float = 2.0):
     phase-equivalent when den <= DENOM_CUTOFF * ||x||_p (its ratio is 0/0),
     and a collision when it is equivalent with num > COLLISION_RTOL * ||x||_p:
     equal moduli, no common phase.  ||x||_p is floored at 1e-300, so x = y = 0
-    is equivalent.  A 1-D `ys` is one pair (p_norm and one align_phase call,
+    is equivalent.  Complex p != 2 raises UnsupportedPError, as align_phase
+    does.  A 1-D `ys` is one pair (p_norm and one align_phase call,
     scalar results); a 2-D `ys` holds columns compared against a 1-D x (one
     (m, 1) column) or a same-shape x, with in-place temporaries; a real den
     comes from the residuals, as | |a|-|b| | == min(|a-b|, |a+b|) in IEEE.
@@ -273,9 +238,10 @@ def ratio_brackets(x: np.ndarray, ys: np.ndarray, field: str, p: float = 2.0):
     gamma_m, Higham §3.1) and pair_ratios' own.  A column is undecided,
     (-inf, inf), when den^2 - err <= 1e-20 S (so every pair pair_ratios calls
     equivalent, collisions included), when S is not finite or below 1e-250
-    (underflow), and at every p != 2.  einsum, not BLAS: see harness.fuzz_bounds.
+    (underflow), and at every real p != 2 (complex p != 2 raises
+    UnsupportedPError).  einsum, not BLAS: see harness.fuzz_bounds.
     """
-    _check_field(field)
+    _check_exponent(field, p)
     if p != 2.0:
         return np.full(ys.shape[1], -np.inf), np.full(ys.shape[1], np.inf)
     ys = np.ascontiguousarray(ys, dtype=np.complex128 if field == COMPLEX else None)

@@ -34,7 +34,7 @@ from .measurement import (
     DENOM_CUTOFF,
     REAL,
     Frame,
-    _check_field,
+    _check_exponent,
     as_field_array,
     gaussian,
     p_norms,
@@ -106,9 +106,9 @@ class LsccScheme:
     vertex_labels: tuple[int, ...] = dc_field(default=())
 
     def __post_init__(self):
-        _check_field(self.field)
         if not 1.0 <= self.p < math.inf:  # NaN fails the comparison
             raise FieldError(f"p must lie in [1, inf), got {self.p}")
+        _check_exponent(self.field, self.p)
         for name, value in (("C0", self.local_stability), ("C1", self.edge_domination)):
             if not 0.0 < value < math.inf:
                 raise SchemeError(f"{name} must be finite and > 0, got {value}")
@@ -272,10 +272,16 @@ def _as_support(support, dim: int) -> np.ndarray:
 
 def _distinct_blocks(frames, functionals, field: str) -> tuple[list, np.ndarray]:
     """The distinct local blocks, frame rows first, and the block index of
-    every object: the vertices, then the edges.  Each distinct edge block is
-    coerced to `field` and made read-only once, as `Frame` does its rows."""
-    rows, frame_of = by_identity([fr.rows for fr in frames])
+    every object: the vertices, then the edges.  Each distinct frame must be
+    in `field`; each distinct edge block is coerced to `field` and made
+    read-only once, as `Frame` does its rows."""
+    distinct, frame_of = by_identity(frames)
+    for k, frame in enumerate(distinct):
+        if frame.field != field:
+            v = int(np.argmax(frame_of == k))
+            raise FieldError(f"frame {v} is {frame.field}, the scheme {field}")
     edge_blocks, edge_of = by_identity(functionals)
+    rows = [frame.rows for frame in distinct]
     blocks = rows + [read_only(as_field_array(block, field), block) for block in edge_blocks]
     return blocks, np.concatenate((frame_of, edge_of + len(rows)))
 
@@ -680,8 +686,10 @@ def scheme_from_dict(d: dict) -> LsccScheme:
             rows[:, np.searchsorted(projection, support)] = block
             rows.setflags(write=False)
             frames.append(Frame(rows, field))
-        pairs = [_block_from_dict(entry, n, field) for entry in d["edgeFunctionals"]]
-        supports, functionals = zip(*pairs) if pairs else ((), ())
+        # the k-th functional is keyed by the k-th listed edge, in its orientation
+        listed = zip(map(tuple, ends.tolist()), d["edgeFunctionals"], strict=True)
+        pairs = {e: _block_from_dict(entry, n, field) for e, entry in listed}
+        supports, functionals = ({e: pair[k] for e, pair in pairs.items()} for k in (0, 1))
         lo, hi = d.get("exhaustion", [0.0, math.inf])
         return LsccScheme(
             name=d.get("name", "loaded"),

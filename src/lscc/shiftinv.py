@@ -25,12 +25,12 @@ import numpy as np
 
 from .certify import (
     COMPLEX_C0_MARGIN,
-    DEGENERATE_RTOL,
+    _check_sigma,
     estimate_local_stability,
     p_frame_bounds,
     sigma_and_complement,
 )
-from .errors import DegenerateFrameError, SchemeError, UnsupportedPError
+from .errors import SchemeError, UnsupportedPError
 from .graphs import cheeger
 from .measurement import BOUND_SLACK, REAL
 from .scheme import LsccScheme, induce_graph, sliding_scheme
@@ -129,8 +129,7 @@ def sigma_based_constants(gen: GeneratorModel) -> tuple[float, float, float]:
         raise UnsupportedPError("closed-form constants require p = 2")
     sigma = gen.sigma
     lmax = gen.frame_bounds[1]  # the top singular value at p = 2
-    if sigma <= DEGENERATE_RTOL * lmax:
-        raise DegenerateFrameError("sigma = 0: a row split defeats sign recovery")
+    _check_sigma(sigma, lmax, "a row split defeats sign recovery")
     k0 = gen.N  # number of coefficients any vertex sees
     c0 = math.sqrt(2.0) * math.sqrt(k0) * lmax / sigma
     c1 = math.sqrt(2.0) / sigma

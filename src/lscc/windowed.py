@@ -194,7 +194,8 @@ def unweighted_cycle_cheeger(L: int) -> float:
 
 
 def unweighted_cycle_lambda(L: int) -> float:
-    return 2.0 * (1.0 - math.cos(2.0 * math.pi / L))
+    """2 (1 - cos(2 pi / L)) as 4 sin^2(pi / L), which does not cancel at large L."""
+    return 4.0 * math.sin(math.pi / L) ** 2
 
 
 def lower_bound_constants(cfg: WindowedConfig, f, scheme: LsccScheme | None = None) -> LowerBoundCheck:

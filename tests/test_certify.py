@@ -271,7 +271,8 @@ class TestSigma:
 
 class TestRealLocalStability:
     def test_degenerate_frame_raises(self):
-        with pytest.raises(DegenerateFrameError):
+        message = r"sigma = 0 <= DEGENERATE_RTOL \* lmax = 1e-12"
+        with pytest.raises(DegenerateFrameError, match=message):
             real_local_stability(np.eye(2))
 
     def test_certified_dominates_sampled_ratios(self):

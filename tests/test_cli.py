@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from lscc.cli import main
+from lscc.measurement import COMPLEX
 from lscc.scheme import scheme_to_json
 from lscc.toy import toy_scheme
+from lscc.windowed import WindowedConfig, build_windowed_scheme
 
 
 def run(argv):
@@ -619,6 +621,19 @@ class TestSchemeLoading:
         assert captured.out == ""
         assert re.match(r"error: cannot load scheme .*malformed scheme descriptor: ", captured.err)
         assert re.search(message, captured.err)
+
+    def test_complex_p_not_two_rejected(self, tmp_path, capsys):
+        scheme = build_windowed_scheme(WindowedConfig(a=2, L=8, field=COMPLEX))
+        data = json.loads(scheme_to_json(scheme))
+        data["p"] = 3
+        path = tmp_path / "complex_p3.json"
+        path.write_text(json.dumps(data))
+        for argv in (["analyze", "--signal", "ones"], ["validate"], ["graph", "--signal", "ones"]):
+            assert run([*argv, "--scheme", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: cannot load scheme")
+            assert "complex schemes require p = 2, got p = 3" in captured.err
 
     def test_open_constant_ranges_load(self, tmp_path, capsys):
         # A = 0 and B = inf leave the frame envelope open; exhaustion defaults to [0, inf]

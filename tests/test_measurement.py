@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lscc
-from lscc.errors import DimensionError, FieldError
+from lscc.errors import DimensionError, FieldError, UnsupportedPError
 from lscc.measurement import (
     COLLISION_RTOL,
     COMPLEX,
@@ -235,26 +235,22 @@ class TestAlignPhase:
         sampled = np.linalg.norm(x[:, None] - xis[None, :] * y[:, None], axis=0)
         assert res <= sampled.min() + 1e-9
 
-    def test_grid_search_matches_closed_form_shape(self):
-        # p != 2 path cross-checked against the p = 2 closed form on the
-        # same inputs, where both must find the same phase
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        xi2, _ = align_phase(x, y, COMPLEX, 2.0)
-        from lscc.measurement import _align_phase_grid
-
-        xi_grid, _ = _align_phase_grid(x, y, 2.0)
-        assert abs(xi_grid - xi2) < 1e-8
-
-    def test_p_not_two_residual_near_optimal(self):
+    def test_complex_p_not_two_is_refused(self):
+        # a complex scheme is a p = 2 scheme: no kernel aligns complex p != 2
         rng = np.random.default_rng(5)
         x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        _, res = align_phase(x, y, COMPLEX, 3.0)
-        thetas = 2.0 * math.pi * rng.random(2000)
-        vals = [p_norm(x - np.exp(1j * t) * y, 3.0) for t in thetas]
-        assert res <= min(vals) + 1e-9
+        for p in (1.0, 3.0):
+            with pytest.raises(UnsupportedPError, match="p = 2"):
+                align_phase(x, y, COMPLEX, p)
+            with pytest.raises(UnsupportedPError, match="p = 2"):
+                align_phase_batch(x[:, None], y[:, None], COMPLEX, p)
+            with pytest.raises(UnsupportedPError, match="p = 2"):
+                pair_ratios(x, y, COMPLEX, p)
+            with pytest.raises(UnsupportedPError, match="p = 2"):
+                pair_ratios(x, y[:, None], COMPLEX, p)
+            with pytest.raises(UnsupportedPError, match="p = 2"):
+                ratio_brackets(x, y[:, None], COMPLEX, p)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(6)
@@ -264,7 +260,7 @@ class TestAlignPhase:
             if cplx:
                 x = x + 1j * rng.standard_normal((7, 20))
                 y = y + 1j * rng.standard_normal((7, 20))
-            for p in (2.0, 1.0, 3.0):
+            for p in (2.0,) if cplx else (2.0, 1.0, 3.0):
                 phases, residuals = align_phase_batch(x, y, field, p)
                 for j in range(20):
                     xi, res = align_phase(x[:, j], y[:, j], field, p)
@@ -349,12 +345,19 @@ class TestPairRatios:
         ys[:, 3] = np.abs(x)  # equal moduli, no common phase in general
         scale = p_norm(x, p)
         for refs in (x, np.repeat(x[:, None], ys.shape[1], axis=1)):
+            if field == COMPLEX and p != 2.0:  # a complex scheme is a p = 2 scheme
+                for pair in ((refs, ys), (x, ys[:, 0])):
+                    with pytest.raises(UnsupportedPError, match="p = 2"):
+                        pair_ratios(*pair, field, p)
+                continue
             num, den, equivalent, collision = pair_ratios(refs, ys, field, p)
             for j in range(ys.shape[1]):
                 n1, d1, e1, c1 = pair_ratios(x, ys[:, j], field, p)
                 assert e1 == equivalent[j] and c1 == collision[j]
                 assert num[j] == pytest.approx(n1, rel=1e-12, abs=1e-12 * scale)
                 assert den[j] == pytest.approx(d1, rel=1e-12, abs=1e-12 * scale)
+        if field == COMPLEX and p != 2.0:
+            return
         assert list(equivalent[:4]) == [True, True, False, True]
         assert list(collision[:4]) == [False, False, False, True]
         assert not np.any(equivalent[4:])
@@ -365,6 +368,10 @@ class TestPairRatios:
         num, den, equivalent, collision = pair_ratios(zero, zero, field)
         assert num == 0.0 and den == 0.0
         assert equivalent and not collision
+        if field == COMPLEX:
+            with pytest.raises(UnsupportedPError, match="p = 2"):
+                pair_ratios(zero, np.zeros((5, 3)), field, 3.0)
+            return
         _, _, equivalent, collision = pair_ratios(zero, np.zeros((5, 3)), field, 3.0)
         assert np.all(equivalent) and not np.any(collision)
 
@@ -373,6 +380,10 @@ class TestPairRatios:
         rng = np.random.default_rng(12)
         x = _columns(rng, COMPLEX, 8, 1)[:, 0]
         for xi in (np.exp(0.7j), -1.0, 1j):
+            if p != 2.0:
+                with pytest.raises(UnsupportedPError, match="p = 2"):
+                    pair_ratios(x, xi * x, COMPLEX, p)
+                continue
             _, _, equivalent, collision = pair_ratios(x, xi * x, COMPLEX, p)
             assert equivalent and not collision
         _, _, equivalent, collision = pair_ratios(x.real, -x.real, REAL, p)
@@ -455,6 +466,10 @@ class TestRatioBrackets:
         rng = np.random.default_rng(8)
         x = _columns(rng, field, 6, 1)[:, 0]
         for p in (1.0, 3.0):
+            if field == COMPLEX:  # a complex scheme is a p = 2 scheme
+                with pytest.raises(UnsupportedPError, match="p = 2"):
+                    ratio_brackets(x, _columns(rng, field, 6, 30), field, p)
+                continue
             lo, hi = ratio_brackets(x, _columns(rng, field, 6, 30), field, p)
             assert np.all(lo == -np.inf) and np.all(hi == np.inf)
 

@@ -20,7 +20,7 @@ from lscc.certify import (
     sigma_and_complement,
     sigma_strong,
 )
-from lscc.errors import FieldError, InvalidWeightError, SchemeError
+from lscc.errors import FieldError, InvalidWeightError, SchemeError, UnsupportedPError
 from lscc.graphs import WeightedGraph, algebraic_connectivity, cheeger, is_connected
 from lscc.harness import check_edge_mismatch_batch
 from lscc.measurement import COMPLEX, DENOM_CUTOFF, REAL, Frame, p_norm, pair_ratios
@@ -563,6 +563,48 @@ class TestEdgePhaseConsistency:
             assert (checked, bad) == (len(scheme.graph.edges), 0)
 
 
+KEYED_SPECS = {
+    "toy": toy_scheme,
+    "windowed-complex": lambda: build_windowed_scheme(
+        WindowedConfig(a=1, L=5, field=COMPLEX, seed=3)
+    ),
+    "shiftinv": lambda: build_shiftinv_scheme(GeneratorModel(N=2), 3),
+}
+
+
+@functools.cache
+def keyed_descriptor(name: str) -> tuple[dict, str]:
+    """A built-in scheme's descriptor dict and its hash."""
+    scheme = KEYED_SPECS[name]()
+    return scheme_to_dict(scheme), scheme.descriptor_hash()
+
+
+class TestFieldRules:
+    """A complex scheme is a p = 2 scheme, and its frames are in its field."""
+
+    def test_complex_p_not_two_refused(self):
+        scheme = build_windowed_scheme(WindowedConfig(a=1, L=4, field=COMPLEX, seed=4))
+        with pytest.raises(UnsupportedPError, match="complex schemes require p = 2"):
+            dataclasses.replace(scheme, p=3.0)
+        local = scheme.vertex_frames[0].rows
+        with pytest.raises(UnsupportedPError, match="complex schemes require p = 2"):
+            sliding_scheme("slid", local, 1, 4, True, 1.5, 1.0, 1.0, (1.0, 2.0))
+        d = scheme_to_dict(scheme)
+        d["p"] = 3.0
+        with pytest.raises(UnsupportedPError, match="complex schemes require p = 2"):
+            scheme_from_dict(d)
+
+    def test_frames_in_the_scheme_field(self, toy):
+        frames = [Frame(fr.rows, COMPLEX) for fr in toy.vertex_frames]
+        with pytest.raises(FieldError, match="frame 0 is complex, the scheme real"):
+            dataclasses.replace(toy, vertex_frames=frames)
+        scheme = build_windowed_scheme(WindowedConfig(a=1, L=4, field=COMPLEX, seed=4))
+        frames = list(scheme.vertex_frames)
+        frames[2] = Frame(frames[2].rows.real, REAL)
+        with pytest.raises(FieldError, match="frame 2 is real, the scheme complex"):
+            dataclasses.replace(scheme, vertex_frames=frames)
+
+
 class TestSerialization:
     def test_roundtrip_real(self, toy):
         for scheme in (toy, build_shiftinv_scheme(GeneratorModel(N=3), 6)):
@@ -624,6 +666,34 @@ class TestSerialization:
         assert scheme_to_json(again) == scheme_to_json(scheme)
         f = scheme.random_signal(np.random.default_rng(12))
         assert np.array_equal(again.measure(f), scheme.measure(f))
+
+    def test_edge_objects_keyed_by_the_listed_edge(self, toy):
+        # reversing both lists used to give edge (0, 1) the support [2]
+        d = scheme_to_dict(toy)
+        d["graph"]["edges"].reverse()
+        d["edgeFunctionals"].reverse()
+        again = scheme_from_dict(d)
+        assert again.edge_supports[(0, 1)].tolist() == [1]
+        assert again.descriptor_hash() == toy.descriptor_hash()
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_listed_edge_order_leaves_the_hash(self, data):
+        name = data.draw(st.sampled_from(sorted(KEYED_SPECS)))
+        d, digest = keyed_descriptor(name)
+        count = len(d["graph"]["edges"])
+        order = data.draw(st.permutations(range(count)))
+        flips = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+        edges = [d["graph"]["edges"][k][:: -1 if flip else 1] for k, flip in zip(order, flips)]
+        listed = dict(d, graph=dict(d["graph"], edges=edges))
+        listed["edgeFunctionals"] = [d["edgeFunctionals"][k] for k in order]
+        assert scheme_from_dict(listed).descriptor_hash() == digest
+
+    def test_rejects_edge_list_and_functionals_of_two_lengths(self, toy):
+        d = scheme_to_dict(toy)
+        d["edgeFunctionals"].pop()
+        with pytest.raises(SchemeError, match="malformed scheme descriptor"):
+            scheme_from_dict(d)
 
     def test_rejects_duplicate_vertex_labels(self, toy):
         d = scheme_to_dict(toy)

@@ -144,6 +144,14 @@ class TestSigmaConstants:
         with pytest.raises(DegenerateFrameError):
             sigma_based_constants(gen)
 
+    def test_degenerate_sigma_names_its_threshold(self):
+        # at N = 9 sigma is about 1.8e-12: not 0, but under DEGENERATE_RTOL * lmax
+        gen = GeneratorModel(N=9)
+        assert gen.sigma > 0.0
+        message = r"sigma = \S+ <= DEGENERATE_RTOL \* lmax = \S+: a row split defeats"
+        with pytest.raises(DegenerateFrameError, match=message):
+            sigma_based_constants(gen)
+
 
 class TestSchemeConstruction:
     def test_dimensions_and_labels(self):

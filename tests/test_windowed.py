@@ -244,6 +244,15 @@ class TestLowerBounds:
         assert unweighted_cycle_cheeger(4) == pytest.approx(1.0)
         assert unweighted_cycle_lambda(4) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("L", [3, 64, 4096, 1 << 20])
+    def test_cycle_lambda_without_cancellation(self, L):
+        mpmath = pytest.importorskip("mpmath")
+        from lscc.windowed import unweighted_cycle_lambda
+
+        with mpmath.workdps(50):
+            exact = 2 * (1 - mpmath.cos(2 * mpmath.pi / L))
+            assert abs(unweighted_cycle_lambda(L) - exact) <= 1e-15 * exact
+
     def test_scaled_signal_same_floor_behavior(self):
         cfg = WindowedConfig(a=1, L=6, s=1.0, t=1.0, seed=12)
         scheme = build_windowed_scheme(cfg)
