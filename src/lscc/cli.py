@@ -1,11 +1,11 @@
 """Command-line interface: analyze, validate, sweep, graph, report.
 
-Scheme sources are builtin descriptors ("toy", "windowed:a=2,L=8,field=real",
-"shiftinv:N=2,R=8") or a path to a scheme JSON file.  Signals are inline
-comma-separated values, "@file.json", or the builtin families "ones" and
-"random".  Every run resolves its full configuration into a manifest next to
-the outputs; all randomness derives from --seed (or LSCC_SEED), so reruns are
-byte-identical.
+Scheme sources are the builtins of `SOURCES` ("toy", "windowed:a=2,L=8",
+"shiftinv:N=2,R=8"), named exactly before any ":", or else a path to a scheme
+JSON file.  Signals are the families "ones" and "random[:seed]", named exactly,
+"@file.json", or inline comma-separated values.  Every --out is written with
+a manifest of the run's full configuration next to it; all randomness derives
+from --seed (or LSCC_SEED), so reruns are byte-identical.
 
 Exit codes: 0 success, 1 input error, 2 a verified inequality failed.
 """
@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -25,34 +26,15 @@ from .errors import LsccError
 from .graphs import graph_to_dict
 from .harness import format_cell, write_csv, write_manifest
 from .measurement import BOUND_SLACK, COMPLEX, REAL
-from .scheme import (
-    DEFAULT_ZERO_TOL,
-    LsccScheme,
-    induce_graph,
-    scheme_from_json,
-    validate_scheme,
-)
-from .shiftinv import (
-    EXPONENTIAL,
-    POLYNOMIAL,
-    DecayProfile,
-    GeneratorModel,
-    build_shiftinv_scheme,
-    decay_cheeger_study,
-)
+from .scheme import DEFAULT_ZERO_TOL, LsccScheme, induce_graph, scheme_from_json, validate_scheme
+from .shiftinv import EXPONENTIAL, POLYNOMIAL, DecayProfile, GeneratorModel
+from .shiftinv import build_shiftinv_scheme, decay_cheeger_study
 from .stability import RANDOM_GAUSSIAN, SIGN_FLIPS, stability_report
 from .toy import toy_scheme
 from .windowed import WindowedConfig, build_windowed_scheme, fit_loglog_slope, scaling_sweep
 
 SWEEP_CSV_HEADER = [
-    "L",
-    "d",
-    "bound",
-    "empirical_ratio",
-    "adversarial_ratio",
-    "cheeger",
-    "lambda",
-    "C2_or_C3",
+    "L", "d", "bound", "empirical_ratio", "adversarial_ratio", "cheeger", "lambda", "C2_or_C3"
 ]
 DECAY_CSV_HEADER = ["R", "cheeger", "reference_bound", "pass"]
 
@@ -61,71 +43,85 @@ class InputError(Exception):
     pass
 
 
-def _parse_kv(spec: str) -> dict:
-    out = {}
-    if not spec:
-        return out
-    for part in spec.split(","):
-        if "=" not in part:
-            raise InputError(f"malformed option {part!r} (expected key=value)")
-        key, value = part.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+def _seed(text: str) -> int:
+    """A seed: a non-negative integer."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
+#: builtin scheme sources: name -> ({key: (type, default)}, builder of those
+#: keys).  A default of None is --seed.
+SOURCES = {
+    "toy": ({}, toy_scheme),
+    "windowed": (
+        {"a": (int, 2), "L": (int, 8), "field": (str, REAL), "seed": (_seed, None)},
+        lambda **keys: build_windowed_scheme(WindowedConfig(**keys)),
+    ),
+    "shiftinv": (
+        {"N": (int, 2), "R": (int, 8), "p": (float, 2.0)},
+        lambda N, R, p: build_shiftinv_scheme(GeneratorModel(N=N, p=p), R),
+    ),
+}
 
 
 def _env_seed() -> int:
     """The default seed: LSCC_SEED if set, which must be a non-negative integer."""
     text = os.environ.get("LSCC_SEED", "0")
     try:
-        seed = int(text)
+        return _seed(text)
     except ValueError:
-        seed = -1
-    if seed < 0:
-        raise InputError(f"LSCC_SEED must be a non-negative integer, got {text!r}")
-    return seed
+        raise InputError(f"LSCC_SEED must be a non-negative integer, got {text!r}") from None
+
+
+def _source_keys(name: str, spec: str, seed: int) -> dict:
+    """The keys of a builtin source's "key=value,..." spec, parsed as their
+    declared types, with every key not given at its default."""
+    declared = SOURCES[name][0]
+    accepts = f"{name} accepts {', '.join(declared) or 'no keys'}"
+    given = {}
+    for part in spec.split(",") if spec else ():
+        key, eq, text = part.partition("=")
+        if not eq:
+            raise InputError(f"malformed option {part!r} (expected key=value); {accepts}")
+        if key not in declared or key in given:
+            fault = "repeated" if key in given else "unknown"
+            raise InputError(f"{fault} key {key!r} in {name!r}; {accepts}")
+        try:
+            given[key] = declared[key][0](text)
+        except ValueError as exc:
+            raise InputError(f"bad {name} key {key}={text!r}: {exc}") from None
+    defaults = {key: seed if value is None else value for key, (_, value) in declared.items()}
+    return {**defaults, **given}
 
 
 def resolve_scheme(source: str, seed: int) -> LsccScheme:
-    if source == "toy":
-        return toy_scheme()
-    if source.startswith("windowed"):
-        opts = _parse_kv(source.partition(":")[2])
-        try:
-            cfg = WindowedConfig(
-                a=int(opts.get("a", 2)),
-                L=int(opts.get("L", 8)),
-                field=opts.get("field", REAL),
-                s=float(opts.get("s", 1.0)),
-                t=float(opts.get("t", 1.0)),
-                seed=int(opts.get("seed", seed)),
-            )
-            return build_windowed_scheme(cfg)
-        except (ValueError, LsccError) as exc:
-            raise InputError(f"bad windowed descriptor: {exc}") from exc
-    if source.startswith("shiftinv"):
-        opts = _parse_kv(source.partition(":")[2])
-        try:
-            gen = GeneratorModel(N=int(opts.get("N", 2)), p=float(opts.get("p", 2.0)))
-            return build_shiftinv_scheme(gen, int(opts.get("R", 8)))
-        except (ValueError, LsccError) as exc:
-            raise InputError(f"bad shiftinv descriptor: {exc}") from exc
-    if os.path.exists(source):
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                return scheme_from_json(handle.read())
-        except (OSError, json.JSONDecodeError, LsccError, KeyError) as exc:
-            raise InputError(f"cannot load scheme {source!r}: {exc}") from exc
-    raise InputError(f"unknown scheme source {source!r}")
+    """A builtin source when the text before ":" is exactly a `SOURCES` name,
+    else the scheme JSON file at that path."""
+    name, _, spec = source.partition(":")
+    if name in SOURCES:
+        return SOURCES[name][1](**_source_keys(name, spec, seed))
+    if not os.path.exists(source):
+        builtins = ", ".join(SOURCES)
+        raise InputError(f"scheme source {source!r} is neither a builtin ({builtins}) nor a file")
+    try:
+        with open(source, "r", encoding="utf-8") as handle:
+            return scheme_from_json(handle.read())
+    except (OSError, json.JSONDecodeError, LsccError, KeyError) as exc:
+        raise InputError(f"cannot load scheme {source!r}: {exc}") from exc
 
 
 def resolve_signal(spec: str, scheme: LsccScheme, seed: int) -> np.ndarray:
+    """The family "ones" or "random[:seed]", named exactly, else "@file.json",
+    else inline comma-separated values."""
+    name, _, arg = spec.partition(":")
     if spec == "ones":
         dtype = np.complex128 if scheme.field == COMPLEX else np.float64
         return np.ones(scheme.ambient_dim, dtype=dtype)
-    if spec.startswith("random"):
-        opts = spec.partition(":")[2]
+    if name == "random":
         try:
-            rng = np.random.default_rng(int(opts) if opts else seed)
+            rng = np.random.default_rng(_seed(arg) if arg else seed)
         except ValueError as exc:
             raise InputError(f"malformed signal {spec!r}: {exc}") from exc
         return scheme.random_signal(rng)
@@ -174,11 +170,20 @@ def _file_entry(entry) -> complex:
     return complex(parts[0], parts[1])
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        digest.update(handle.read())
-    return digest.hexdigest()
+def _write_out(path: str, write, manifest: dict) -> None:
+    """Every --out: `write(path)`, then `<path>.manifest.json`, the manifest
+    with the artefact's sha256.  A path that cannot be written is an input error."""
+    try:
+        write(path)
+        with open(path, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        write_manifest(path + ".manifest.json", {**manifest, "outputs": {path: digest}})
+    except OSError as exc:
+        raise InputError(f"cannot write {path!r}: {exc}") from exc
+
+
+def _text_writer(text: str):
+    return lambda path: Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
 def cmd_analyze(args) -> int:
@@ -190,20 +195,9 @@ def cmd_analyze(args) -> int:
     )
     text = report.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text + "\n")
-        write_manifest(
-            args.out + ".manifest.json",
-            {
-                "command": "analyze",
-                "scheme": args.scheme,
-                "signal": args.signal,
-                "seed": args.seed,
-                "trials": args.trials,
-                "strategy": args.strategy,
-                "outputs": {args.out: _sha256(args.out)},
-            },
-        )
+        manifest = {"command": "analyze", "scheme": args.scheme, "signal": args.signal,
+                    "seed": args.seed, "trials": args.trials, "strategy": args.strategy}
+        _write_out(args.out, _text_writer(text), manifest)
     print(text)
     if report.retrievability != "RetrievableByConnectivity":
         print(
@@ -246,8 +240,7 @@ def _json_slope(slope: float) -> float | None:
 def cmd_sweep_windowed(args) -> int:
     l_values = _doubling(args.Lmin, args.Lmax, "--Lmin")
     if not l_values:
-        print("error: empty L range", file=sys.stderr)
-        return 1
+        raise InputError("empty L range")
     rows = scaling_sweep(args.a, l_values, args.field, trials=args.trials, seed=args.seed)
     failure = None
     if args.field == COMPLEX:
@@ -255,12 +248,11 @@ def cmd_sweep_windowed(args) -> int:
             if row["bound"] < row["adversarial_ratio"] * (1.0 - BOUND_SLACK):
                 failure = {"L": row["L"], "reason": "bound below adversarial ratio"}
                 break
-    out_rows = [dict(row) for row in rows]
+    out_rows = rows
     if failure is not None:
         marker = {h: "" for h in SWEEP_CSV_HEADER}
         marker["L"] = f"FAILED:{failure['reason']}"
-        out_rows.append(marker)
-    write_csv(args.out, SWEEP_CSV_HEADER, out_rows)
+        out_rows = [*rows, marker]
     slope = fit_loglog_slope([r["L"] for r in rows], [r["bound"] for r in rows])
     manifest = {
         "command": "sweep windowed",
@@ -271,13 +263,12 @@ def cmd_sweep_windowed(args) -> int:
         "trials": args.trials,
         "bound_slope": _json_slope(slope),
         "failure": failure,
-        "outputs": {args.out: _sha256(args.out)},
     }
     if args.field == COMPLEX:
         manifest["adversarial_slope"] = _json_slope(
             fit_loglog_slope([r["L"] for r in rows], [r["adversarial_ratio"] for r in rows])
         )
-    write_manifest(args.out + ".manifest.json", manifest)
+    _write_out(args.out, lambda path: write_csv(path, SWEEP_CSV_HEADER, out_rows), manifest)
     if math.isnan(slope):
         print(f"wrote {args.out}: bound slope vs L is undefined for one L value")
     else:
@@ -288,29 +279,14 @@ def cmd_sweep_windowed(args) -> int:
 def cmd_sweep_shiftinv(args) -> int:
     r_values = [r for r in _doubling(args.Rmin, args.Rmax, "--Rmin") if r >= args.N]
     if not r_values:
-        print("error: empty R range", file=sys.stderr)
-        return 1
+        raise InputError("empty R range")
     kind = EXPONENTIAL if args.kind == "exp" else POLYNOMIAL
-    try:
-        profile = DecayProfile(kind, args.beta)
-        gen = GeneratorModel(N=args.N, p=args.p)
-        rows = decay_cheeger_study(gen, profile, r_values)
-    except LsccError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out_rows = [
-        {
-            "R": row["R"],
-            "cheeger": row["cheeger"],
-            "reference_bound": row["reference"],
-            "pass": row["pass"],
-        }
-        for row in rows
-    ]
-    write_csv(args.out, DECAY_CSV_HEADER, out_rows)
+    gen = GeneratorModel(N=args.N, p=args.p)
+    rows = decay_cheeger_study(gen, DecayProfile(kind, args.beta), r_values)
     all_ok = all(row["pass"] for row in rows)
-    write_manifest(
-        args.out + ".manifest.json",
+    _write_out(
+        args.out,
+        lambda path: write_csv(path, DECAY_CSV_HEADER, rows),
         {
             "command": "sweep shiftinv",
             "kind": args.kind,
@@ -319,7 +295,6 @@ def cmd_sweep_shiftinv(args) -> int:
             "p": args.p,
             "R_values": r_values,
             "all_pass": all_ok,
-            "outputs": {args.out: _sha256(args.out)},
         },
     )
     print(f"wrote {args.out}: {'all rows pass' if all_ok else 'FAILURES present'}")
@@ -334,8 +309,9 @@ def cmd_graph(args) -> int:
     payload["empty"] = graph.is_empty
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text + "\n")
+        manifest = {"command": "graph", "scheme": args.scheme, "signal": args.signal,
+                    "seed": args.seed, "zero_tol": args.zero_tol}
+        _write_out(args.out, _text_writer(text), manifest)
     print(text)
     return 0
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -564,9 +565,18 @@ def _block_columns(block: np.ndarray, field: str) -> tuple[np.ndarray, list]:
     return keep, block.tolist()
 
 
+def _count(value, key: str) -> int:
+    """A descriptor's integer field: an integer, or a float with no fraction, never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _block_from_dict(entry: dict, n: int, field: str) -> tuple[np.ndarray, np.ndarray]:
     """A descriptor's {m, support, block} entry as its (support, block) pair."""
-    m = int(entry["m"])
+    m = _count(entry["m"], "m")
     support = _as_support(entry["support"], n)
     shape = (m, support.size, 2) if field == COMPLEX else (m, support.size)
     block = np.reshape(np.asarray(entry["block"], dtype=np.float64), shape)
@@ -668,7 +678,7 @@ def scheme_from_dict(d: dict) -> LsccScheme:
     try:
         field = d["field"]
         p = float(d["p"])
-        n = int(d["n"])
+        n = _count(d["n"], "n")
         labels = tuple(d["graph"]["V"])
         ends = np.asarray(d["graph"]["edges"])
         ends = ends.reshape(0, 2) if ends.size == 0 else ends

@@ -250,7 +250,7 @@ def _decay_row(gen: GeneratorModel, profile: DecayProfile, R: int) -> dict:
     return {
         "R": R,
         "cheeger": che.value,
-        "reference": reference,
+        "reference_bound": reference,
         "kind": profile.kind,
         "pass": passed,
     }

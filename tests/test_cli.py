@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lscc.cli import main
+from lscc.cli import main, resolve_scheme
 from lscc.measurement import COMPLEX
 from lscc.scheme import scheme_to_json
 from lscc.toy import toy_scheme
@@ -651,3 +651,105 @@ class TestSchemeLoading:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["provenance"]["seed"] == 99
+
+
+# descriptor hashes at seed 0 of the builtin specs that tests, bench/ and CI run
+BUILTIN_HASHES = {
+    "toy": "f7cb81efdc0ef02cfa747f98d138dec05ed1584e71b6668c407fbfbd1849890d",
+    "windowed": "a668e52f0ad86ce74f4f7f78ce256c99ca883c0252a0f09b812548b3dfc46918",
+    "windowed:a=2,L=8": "a668e52f0ad86ce74f4f7f78ce256c99ca883c0252a0f09b812548b3dfc46918",
+    "windowed:a=2,L=8,field=real": "a668e52f0ad86ce74f4f7f78ce256c99ca883c0252a0f09b812548b3dfc46918",
+    "windowed:a=2,L=8,field=complex": "536390d49626d480ed3d112855d28d10aac6a0030c67d7e43d1b192924a11f72",
+    "windowed:a=1,L=8,field=complex": "ff8fe1b9d9f8d310506aa30892e3b18d361696ad945bcc50f1e3c552b6905a0a",
+    "windowed:a=4,L=8,field=real": "7d366f8420443f64fcb9ecb52c966df2efe472f5d51318dd469275eb380eaf98",
+    "windowed:a=2,L=64,field=complex": "18e0690e0aedf035b166537321e49633d8502677a797f33e040587b9f8368dc6",
+    "windowed:a=2,L=4096,field=complex": "e08aa3896be72d29ece2fb0aff994a4ef2bb55a6dc5b94ae96706a72c449ad01",
+    "windowed:seed=1": "ab4b0616946a87b61c034719d99f8e4a05e0117f8fe4b0bd460948aee1bb6673",
+    "shiftinv": "8f87b5991c46336159627c55544a399566310cf5d2f17821f4e6fd02d5c2d55e",
+    "shiftinv:N=2,R=8": "8f87b5991c46336159627c55544a399566310cf5d2f17821f4e6fd02d5c2d55e",
+    "shiftinv:R=10": "2e7c5b74dd17ab57033f38d6d2afd90840c3336bf2008fb3edc54c9a7d1d13c3",
+    "shiftinv:p=3": "df0e4ef17171c78e545be99581a2a8f3b50e598734156ee3bd72288b6f4af07a",
+    "shiftinv:N=2,R=8,p=3": "df0e4ef17171c78e545be99581a2a8f3b50e598734156ee3bd72288b6f4af07a",
+    "shiftinv:N=2,R=64": "755af875a96357b1d1dbeddc465eb90b641d7a940193d8f7272b0ba18d853d05",
+    "shiftinv:N=3,R=64": "50b59c8391eed4aa009d622971350d5c2e1d6e163af15630848c5fa9f7a16909",
+    "shiftinv:N=2,R=512": "a762535081daca176b0454b80e919b49c4e18ee3cc441888df4cbbbcee0d7c77",
+}
+
+
+def one_error_line(capsys) -> str:
+    """The run's single stderr line, asserting it is an `error:` line and stdout is empty."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+class TestSourceGrammar:
+    @pytest.mark.parametrize("spec", sorted(BUILTIN_HASHES))
+    def test_builtin_spec_hash(self, spec):
+        assert resolve_scheme(spec, 0).descriptor_hash() == BUILTIN_HASHES[spec]
+
+    def test_windowed_seed_defaults_to_the_run_seed(self):
+        assert resolve_scheme("windowed", 1).descriptor_hash() == BUILTIN_HASHES["windowed:seed=1"]
+
+    @pytest.mark.parametrize(
+        "scheme, message",
+        [
+            # each of these used to build a scheme the spec did not name
+            ("windowed:a=2,l=64", "unknown key 'l' in 'windowed'; windowed accepts a, L, field, seed"),
+            ("shiftinv:n=3", "unknown key 'n' in 'shiftinv'; shiftinv accepts N, R, p"),
+            ("windowed:s=5,t=9", "unknown key 's' in 'windowed'"),
+            ("windowed:a=2,a=3", "repeated key 'a' in 'windowed'"),
+            ("toy:x=1", "toy accepts no keys"),
+            ("windowed:a", "malformed option 'a' (expected key=value)"),
+            ("windowed:a=x", "bad windowed key a='x'"),
+            ("windowed:seed=-1", "bad windowed key seed='-1'"),
+            ("shiftinv:p=x", "bad shiftinv key p='x'"),
+            ("windowedx", "neither a builtin (toy, windowed, shiftinv) nor a file"),
+        ],
+    )
+    def test_bad_spec_exit_one(self, capsys, scheme, message):
+        assert run(["analyze", "--scheme", scheme, "--signal", "ones", "--trials", "5"]) == 1
+        assert message in one_error_line(capsys)
+
+    @pytest.mark.parametrize("signal", ["random5", "ones:3", "random:-1"])
+    def test_signal_family_named_exactly(self, capsys, signal):
+        # "random5" used to read as "random"
+        assert run(["analyze", "--scheme", "toy", "--signal", signal, "--trials", "5"]) == 1
+        assert f"malformed signal {signal!r}" in one_error_line(capsys)
+
+    def test_relative_file_named_like_a_builtin_loads_the_file(self, tmp_path, monkeypatch, capsys):
+        # "shiftinv_R64.json" used to build the builtin shiftinv (N=2, R=8)
+        monkeypatch.chdir(tmp_path)
+        Path("shiftinv_R64.json").write_text(scheme_to_json(resolve_scheme("shiftinv:N=2,R=64", 0)))
+        Path("toy").write_text(scheme_to_json(resolve_scheme("windowed", 0)))
+        for source, spec in [("shiftinv_R64.json", "shiftinv:N=2,R=64"), ("toy", "toy"),
+                             ("./toy", "windowed")]:
+            assert run(["analyze", "--scheme", source, "--signal", "ones", "--trials", "5"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["provenance"]["schemeHash"] == BUILTIN_HASHES[spec]
+
+
+class TestOutputs:
+    COMMANDS = {
+        "analyze": ["analyze", "--scheme", "toy", "--signal", "ones", "--trials", "5"],
+        "graph": ["graph", "--scheme", "toy", "--signal", "ones"],
+        "sweep-windowed": ["sweep", "windowed", "--Lmin", "8", "--Lmax", "8", "--trials", "5"],
+        "sweep-shiftinv": ["sweep", "shiftinv", "--kind", "exp", "--beta", "1", "--Rmax", "8"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_every_out_writes_a_manifest(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        assert run([*self.COMMANDS[name], "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert manifest["command"] == name.replace("-", " ")
+        assert manifest["outputs"] == {str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_unwritable_out_exit_one(self, tmp_path, capsys, name):
+        # each used to end in a FileNotFoundError traceback
+        out = tmp_path / "missing" / "out"
+        assert run([*self.COMMANDS[name], "--out", str(out)]) == 1
+        assert one_error_line(capsys).startswith(f"error: cannot write '{out}': ")

@@ -689,6 +689,31 @@ class TestSerialization:
         listed["edgeFunctionals"] = [d["edgeFunctionals"][k] for k in order]
         assert scheme_from_dict(listed).descriptor_hash() == digest
 
+    @pytest.mark.parametrize("value", [4.9, True, "4", math.inf, math.nan], ids=repr)
+    def test_rejects_non_integral_n(self, toy, value):
+        # n = 4.9 used to load as n = 4 under toy's hash
+        d = scheme_to_dict(toy)
+        d["n"] = value
+        with pytest.raises(SchemeError, match="n must be an integer"):
+            scheme_from_dict(d)
+
+    @pytest.mark.parametrize("value", [3.7, False], ids=repr)
+    def test_rejects_non_integral_m(self, toy, value):
+        d = scheme_to_dict(toy)
+        d["frames"][1]["m"] = value
+        with pytest.raises(SchemeError, match="m must be an integer"):
+            scheme_from_dict(d)
+        d = scheme_to_dict(toy)
+        d["edgeFunctionals"][0]["m"] = value
+        with pytest.raises(SchemeError, match="m must be an integer"):
+            scheme_from_dict(d)
+
+    def test_integral_float_counts_load(self, toy):
+        d = scheme_to_dict(toy)
+        d["n"] = 4.0
+        d["frames"][1]["m"] = 3.0
+        assert scheme_from_dict(d).descriptor_hash() == toy.descriptor_hash()
+
     def test_rejects_edge_list_and_functionals_of_two_lengths(self, toy):
         d = scheme_to_dict(toy)
         d["edgeFunctionals"].pop()
@@ -1651,6 +1676,26 @@ class TestSlidingScheme:
         f = scheme.random_signal(rng)
         expected = self.window_measurements(local, 2, 4, 8, f)
         assert np.allclose(scheme.measure(f), expected, rtol=1e-14, atol=1e-14)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_write_load_write_is_identity(self, data):
+        width = data.draw(st.integers(2, 4), label="width")
+        stride = data.draw(st.integers(1, width - 1), label="stride")
+        cycle = width <= 2 * stride and data.draw(st.booleans(), label="cycle")
+        count = data.draw(st.integers(3 if cycle else 2, 6), label="count")
+        rows = data.draw(st.integers(width, 2 * width), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        local = rng.standard_normal((rows, width))
+        if data.draw(st.booleans(), label="complex"):
+            local = local + 1j * rng.standard_normal(local.shape)
+        local[rng.random(local.shape) < 0.2] = 0.0  # blocks keep only their nonzero columns
+        p = 2.0 if np.iscomplexobj(local) else data.draw(st.sampled_from([2.0, 3.0]), label="p")
+        scheme = sliding_scheme("slid", local, stride, count, cycle, p, 1.0, 1.0, (0.5, 2.0))
+        text = scheme_to_json(scheme)
+        again = scheme_from_json(text)
+        assert scheme_to_json(again) == text
+        assert again.descriptor_hash() == scheme.descriptor_hash()
 
     @pytest.mark.parametrize("stride, count", [(1, 4), (2, 2)])
     def test_cycle_rejects_more_wrapping_windows(self, stride, count):

@@ -231,7 +231,7 @@ class TestDecayStudies:
         floor = exponential_floor(gen, 1.0)
         assert floor > 0.0
         for row in rows:
-            assert row["pass"]
+            assert row["pass"] and row["reference_bound"] == floor
             assert row["cheeger"] >= floor * (1.0 - 1e-9)
 
     def test_polynomial_decays_to_zero_like_one_over_r(self):
