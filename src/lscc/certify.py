@@ -11,7 +11,7 @@ sum) decomposition controlled by sigma, giving
 
 No closed-form analogue exists over the complex field, so complex local
 constants are estimated by adversarial sampling and inflated by a safety
-margin.
+margin.  `local_c0` is the one rule that picks between the two routes.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .errors import BudgetExceededError, DegenerateFrameError, FieldError
-from .measurement import COMPLEX, gaussian, pair_ratios
+from .errors import BudgetExceededError, DegenerateFrameError, FieldError, SchemeError
+from .measurement import COMPLEX, REAL, gaussian, pair_ratios
 
 #: largest row count the split search takes
 SIGMA_BUDGET = 20
@@ -191,8 +191,8 @@ def estimate_local_stability(
 
     Samples random pairs plus near-phase-equivalent pairs, where the ratio
     approaches its supremum; pairs that `pair_ratios` calls phase-equivalent
-    are skipped.  A lower bound on the true constant: callers needing an
-    upper bound must add a margin.
+    are skipped.  A lower bound on the true constant: `local_c0` adds the
+    margin that makes it a scheme's C0.
 
     The draws come in one order (fs, gs, then f, h and the phases), and the
     random pairs are scored before the near-collinear ones are drawn.  Pairs
@@ -239,3 +239,21 @@ def estimate_local_stability(
         xi = np.where(rng.random(half) < 0.5, 1.0, -1.0)
     near = worst_of(f, lambda a, b: xi[None, a:b] * f[:, a:b] + eps[None, a:b] * h[:, a:b])
     return max(worst, near)
+
+
+def local_c0(local: np.ndarray, field: str, p: float, trials: int, seed: int) -> float:
+    """The one rule for a local frame's stability constant C0.
+
+    A real frame at p = 2 of at most SIGMA_BUDGET rows must have the
+    complement property and gets the certified sqrt(2)*lmax/sigma (Bandeira,
+    Cahill, Mixon and Nelson, *Saving phase*).  Any other frame gets
+    COMPLEX_C0_MARGIN times `estimate_local_stability` over `trials` pairs
+    drawn from default_rng(seed).
+    """
+    if field == REAL and p == 2.0 and local.shape[0] <= SIGMA_BUDGET:
+        sigma, retrievable = sigma_and_complement(local)
+        if not retrievable:
+            raise SchemeError("local frame fails the complement property")
+        return real_local_stability(local, sigma)
+    rng = np.random.default_rng(seed)
+    return COMPLEX_C0_MARGIN * estimate_local_stability(local, field, p, trials, rng)

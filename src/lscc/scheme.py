@@ -66,7 +66,7 @@ def cycle_graph(n: int) -> WeightedGraph:
     return WeightedGraph(np.ones(n), (i, (i + 1) % n, np.ones(n))) if n > 2 else path_graph(n)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LsccScheme:
     """A validated-by-construction measurement scheme.
 
@@ -86,7 +86,9 @@ class LsccScheme:
     object between objects), with the index of every object's block.
     `vertex_projections`, `edge_supports` and `edge_functionals` are
     read-only views of them, making a per-object array only when asked.
-    Treat instances as immutable; every operation on them is pure.
+    A scheme is frozen: its fields cannot be reassigned once the constructor
+    has checked them, and `dataclasses.replace`, which checks them again, is
+    the way to derive one.  Equality is identity, so schemes hash.
     """
 
     name: str
@@ -124,24 +126,22 @@ class LsccScheme:
         n_v = self.graph.num_vertices
         if n_v < 1:
             raise SchemeError("graph needs at least one vertex")
-        if not self.vertex_labels:
-            self.vertex_labels = tuple(range(n_v))
-        if len(self.vertex_labels) != n_v:
-            raise SchemeError(f"{len(self.vertex_labels)} vertex labels for {n_v} vertices")
-        if len(set(self.vertex_labels)) != len(self.vertex_labels):
+        labels = tuple(self.vertex_labels) or tuple(range(n_v))
+        if len(labels) != n_v:
+            raise SchemeError(f"{len(labels)} vertex labels for {n_v} vertices")
+        if len(set(labels)) != len(labels):
             raise SchemeError("vertex labels must be distinct")
         u, v = self.graph.u, self.graph.v
-        graph = WeightedGraph(np.ones(n_v), (u, v, np.ones(u.size)), self.vertex_labels)
-        self.graph = graph
-        self.vertex_frames = tuple(self.vertex_frames)
-        if len(self.vertex_frames) != n_v:
+        graph = WeightedGraph(np.ones(n_v), (u, v, np.ones(u.size)), labels)
+        frames = tuple(self.vertex_frames)
+        if len(frames) != n_v:
             raise SchemeError("one frame per vertex required")
         if len(self.vertex_projections) != n_v:
             raise SchemeError("one projection per vertex required")
         supports = _in_edge_order(self.edge_supports, graph, "support")
         functionals = _in_edge_order(self.edge_functionals, graph, "functional")
         flat, bounds = support_table((self.vertex_projections, supports), self.ambient_dim)
-        blocks, block_of = _distinct_blocks(self.vertex_frames, functionals, self.field)
+        blocks, block_of = _distinct_blocks(frames, functionals, self.field)
         rows, cols = np.array([b.shape[:2] if b.ndim == 2 else (0, -1) for b in blocks]).T
         bad = (rows[block_of] < 1) | (cols[block_of] != np.diff(bounds))
         if bad.any():
@@ -151,10 +151,13 @@ class LsccScheme:
                 f"{name} has shape {blocks[block_of[k]].shape}: a block needs a row and must "
                 f"stay inside its support of {bounds[k + 1] - bounds[k]} coordinates"
             )
-        self._flat, self._bounds, self._blocks, self._block_of = flat, bounds, blocks, block_of
-        self.vertex_projections = Supports(flat, bounds[: n_v + 1])
-        self.edge_supports = EdgeMap(graph, Supports(flat, bounds[n_v:]))
-        self.edge_functionals = EdgeMap(graph, Blocks(blocks, block_of[n_v:]))
+        # the normalized state, written once past the frozen __setattr__
+        self.__dict__.update(
+            vertex_labels=labels, graph=graph, vertex_frames=frames, _flat=flat, _bounds=bounds,
+            _blocks=blocks, _block_of=block_of, vertex_projections=Supports(flat, bounds[:n_v + 1]),
+            edge_supports=EdgeMap(graph, Supports(flat, bounds[n_v:])),
+            edge_functionals=EdgeMap(graph, Blocks(blocks, block_of[n_v:])),
+        )
 
     @property
     def num_vertices(self) -> int:
@@ -574,6 +577,13 @@ def _count(value, key: str) -> int:
     return int(value)
 
 
+def _number(value, key: str) -> float:
+    """A descriptor's real field: an integer or a float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _block_from_dict(entry: dict, n: int, field: str) -> tuple[np.ndarray, np.ndarray]:
     """A descriptor's {m, support, block} entry as its (support, block) pair."""
     m = _count(entry["m"], "m")
@@ -676,8 +686,10 @@ def scheme_from_dict(d: dict) -> LsccScheme:
             f"version {DESCRIPTOR_VERSION} (supports and local blocks)"
         )
     try:
-        field = d["field"]
-        p = float(d["p"])
+        name, field = d.get("name", "loaded"), d["field"]
+        if not isinstance(name, str):
+            raise ValueError(f"name must be a string, got {name!r}")
+        p = _number(d["p"], "p")
         n = _count(d["n"], "n")
         labels = tuple(d["graph"]["V"])
         ends = np.asarray(d["graph"]["edges"])
@@ -686,6 +698,8 @@ def scheme_from_dict(d: dict) -> LsccScheme:
             raise ValueError("edges must be (u, v) pairs of numbers")
         graph = WeightedGraph(np.ones(len(labels)), (*ends.T, np.ones(len(ends))))
         consts = d["constants"]
+        if "D" in consts and _count(consts["D"], "D") != (degree := graph.degree_bound):
+            raise ValueError(f"D = {consts['D']!r} is not the graph's degree bound {degree}")
         projections = _as_supports(d["projections"], n)
         frames = []
         for projection, entry in zip(projections, d["frames"], strict=True):
@@ -700,24 +714,16 @@ def scheme_from_dict(d: dict) -> LsccScheme:
         listed = zip(map(tuple, ends.tolist()), d["edgeFunctionals"], strict=True)
         pairs = {e: _block_from_dict(entry, n, field) for e, entry in listed}
         supports, functionals = ({e: pair[k] for e, pair in pairs.items()} for k in (0, 1))
-        lo, hi = d.get("exhaustion", [0.0, math.inf])
+        c0, c1, a, b = (_number(consts[key], key) for key in ("C0", "C1", "A", "B"))
+        exhaustion = d.get("exhaustion", [0.0, math.inf])
+        if not isinstance(exhaustion, list) or len(exhaustion) != 2:
+            raise ValueError(f"exhaustion must be a list of two numbers, got {exhaustion!r}")
+        lo, hi = (_number(end, "exhaustion") for end in exhaustion)
         return LsccScheme(
-            name=d.get("name", "loaded"),
-            field=field,
-            p=p,
-            ambient_dim=n,
-            graph=graph,
-            vertex_frames=tuple(frames),
-            vertex_projections=projections,
-            edge_functionals=functionals,
-            edge_supports=supports,
-            local_stability=float(consts["C0"]),
-            edge_domination=float(consts["C1"]),
-            frame_lower=float(consts["A"]),
-            frame_upper=float(consts["B"]),
-            exhaustion_lower=float(lo),
-            exhaustion_upper=float(hi),
-            vertex_labels=labels,
+            name=name, field=field, p=p, ambient_dim=n, graph=graph, vertex_frames=tuple(frames),
+            vertex_projections=projections, edge_functionals=functionals, edge_supports=supports,
+            local_stability=c0, edge_domination=c1, frame_lower=a, frame_upper=b,
+            exhaustion_lower=lo, exhaustion_upper=hi, vertex_labels=labels,
         )
     except (KeyError, TypeError, ValueError, InvalidWeightError) as exc:
         raise SchemeError(f"malformed scheme descriptor: {exc!r}") from exc

@@ -23,13 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .certify import (
-    COMPLEX_C0_MARGIN,
-    _check_sigma,
-    estimate_local_stability,
-    p_frame_bounds,
-    sigma_and_complement,
-)
+from .certify import _check_sigma, local_c0, p_frame_bounds, sigma_and_complement
 from .errors import SchemeError, UnsupportedPError
 from .graphs import cheeger
 from .measurement import BOUND_SLACK, REAL
@@ -154,10 +148,8 @@ def build_shiftinv_scheme(gen: GeneratorModel, R: int) -> LsccScheme:
     local = gen.local_matrix
     if gen.p == 2.0:
         c0, c1, _ = sigma_based_constants(gen)
-    else:
-        est = estimate_local_stability(local, REAL, gen.p, 2000, np.random.default_rng(0))
-        c0 = COMPLEX_C0_MARGIN * est  # no certified route away from p = 2
-        c1 = 1.0 / gen.frame_bounds[0]
+    else:  # no certified route away from p = 2
+        c0, c1 = local_c0(local, REAL, gen.p, 2000, 0), 1.0 / gen.frame_bounds[0]
 
     return sliding_scheme(
         f"shiftinv(N={gen.N},R={R},p={gen.p:g})",

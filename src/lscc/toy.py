@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .certify import p_frame_bounds, real_local_stability, sigma_strong
+from .certify import local_c0, p_frame_bounds
+from .measurement import REAL
 from .scheme import LsccScheme, sliding_scheme
 
 FIXTURE_CONNECTED = (1.0, 2.0, 3.0, 4.0)
@@ -22,5 +23,5 @@ _LOCAL_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 def toy_scheme() -> LsccScheme:
     lower, upper = p_frame_bounds(_LOCAL_ROWS, 2.0)
-    c0 = real_local_stability(_LOCAL_ROWS, sigma_strong(_LOCAL_ROWS))
+    c0 = local_c0(_LOCAL_ROWS, REAL, 2.0, 0, 0)  # 3 real rows: certified, nothing sampled
     return sliding_scheme("toy", _LOCAL_ROWS, 1, 3, False, 2.0, c0, 1.0 / lower, (lower, upper))

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import (
-    COMPLEX_C0_MARGIN,
-    SIGMA_BUDGET,
-    estimate_local_stability,
-    p_frame_bounds,
-    real_local_stability,
-    sigma_and_complement,
-)
+from .certify import local_c0, p_frame_bounds
 from .errors import ClassError, FieldError, SchemeError
 from .graphs import algebraic_connectivity, cheeger
 from .measurement import BOUND_SLACK, COMPLEX, REAL, as_field_array, gaussian, pair_ratios
@@ -91,12 +84,7 @@ def default_local_rows(cfg: WindowedConfig) -> np.ndarray:
 
 
 def build_windowed_scheme(cfg: WindowedConfig) -> LsccScheme:
-    """Assemble the cyclic scheme and certify/estimate its constants.
-
-    Real local frames get a certified stability constant from the
-    strong-split constant sigma; complex ones get an adversarially sampled
-    estimate inflated by a fixed margin (no closed form exists).
-    """
+    """Assemble the cyclic scheme; `certify.local_c0` decides its C0."""
     local = cfg.local_rows
     local = default_local_rows(cfg) if local is None else as_field_array(local, cfg.field)
     name = f"windowed(a={cfg.a},L={cfg.L},{cfg.field})"
@@ -117,15 +105,7 @@ def _local_constants(cfg: WindowedConfig, local: np.ndarray) -> tuple:
         raise SchemeError(
             f"complex local frame needs at least {4 * n_local - 4} rows for retrievability"
         )
-    if cfg.field == REAL and local.shape[0] <= SIGMA_BUDGET:
-        sigma, retrievable = sigma_and_complement(local)
-        if not retrievable:
-            raise SchemeError("local frame fails the complement property")
-        c0 = real_local_stability(local, sigma)
-    else:
-        rng = np.random.default_rng(cfg.seed + 1)
-        c0 = COMPLEX_C0_MARGIN * estimate_local_stability(local, cfg.field, 2.0, 4000, rng)
-    return c0, 1.0 / lower, (lower, upper)
+    return local_c0(local, cfg.field, 2.0, 4000, cfg.seed + 1), 1.0 / lower, (lower, upper)
 
 
 def window_membership(cfg: WindowedConfig, f) -> WindowMembership:

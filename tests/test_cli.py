@@ -622,6 +622,23 @@ class TestSchemeLoading:
         assert re.match(r"error: cannot load scheme .*malformed scheme descriptor: ", captured.err)
         assert re.search(message, captured.err)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("p", True), ("p", "2"), ("name", None), ("exhaustion", "12"), ("exhaustion", [1.0]),
+            ("C0", True), ("C1", "1e3"), ("A", False), ("D", 1), ("D", "x"),
+        ],
+        ids=repr,
+    )
+    def test_non_number_fields_rejected(self, tmp_path, capsys, key, value):
+        # each of these used to load, most of them under another constant
+        data = json.loads(scheme_to_json(toy_scheme()))
+        (data["constants"] if key in data["constants"] else data)[key] = value
+        path = tmp_path / "bad_field.json"
+        path.write_text(json.dumps(data))
+        assert run(["graph", "--scheme", str(path), "--signal", "ones"]) == 1
+        assert "malformed scheme descriptor" in one_error_line(capsys)
+
     def test_complex_p_not_two_rejected(self, tmp_path, capsys):
         scheme = build_windowed_scheme(WindowedConfig(a=2, L=8, field=COMPLEX))
         data = json.loads(scheme_to_json(scheme))
@@ -662,6 +679,8 @@ BUILTIN_HASHES = {
     "windowed:a=2,L=8,field=complex": "536390d49626d480ed3d112855d28d10aac6a0030c67d7e43d1b192924a11f72",
     "windowed:a=1,L=8,field=complex": "ff8fe1b9d9f8d310506aa30892e3b18d361696ad945bcc50f1e3c552b6905a0a",
     "windowed:a=4,L=8,field=real": "7d366f8420443f64fcb9ecb52c966df2efe472f5d51318dd469275eb380eaf98",
+    # the one builtin real frame past SIGMA_BUDGET rows: its C0 is sampled
+    "windowed:a=5,L=8,field=real": "033e30564fbdecc260a690146524b998bb0e06a075a88c666b4e68154e628c4f",
     "windowed:a=2,L=64,field=complex": "18e0690e0aedf035b166537321e49633d8502677a797f33e040587b9f8368dc6",
     "windowed:a=2,L=4096,field=complex": "e08aa3896be72d29ece2fb0aff994a4ef2bb55a6dc5b94ae96706a72c449ad01",
     "windowed:seed=1": "ab4b0616946a87b61c034719d99f8e4a05e0117f8fe4b0bd460948aee1bb6673",

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -123,8 +124,7 @@ class TestFuzzBounds:
         # collision witnesses and their order included
         original = harness.derive_rng
         monkeypatch.setattr(harness, "derive_rng", lambda *a: RoundedRng(original(*a)))
-        broken = toy_scheme()
-        broken.local_stability = 1e-3
+        broken = dataclasses.replace(toy_scheme(), local_stability=1e-3)
         schemes = [sign_blind_scheme(), broken]
         one, whole = fuzz_by_chunk(
             monkeypatch, schemes, (1, 10**9), 600, seed=1, refs_per_scheme=6
@@ -207,8 +207,7 @@ class TestBracketScreen:
         original = harness.derive_rng
         monkeypatch.setattr(harness, "derive_rng", lambda *a: RoundedRng(original(*a)))
         monkeypatch.setattr(harness, "_CHUNK", chunk)
-        broken = toy_scheme()
-        broken.local_stability = 1e-3
+        broken = dataclasses.replace(toy_scheme(), local_stability=1e-3)
         for scheme in (sign_blind_scheme(), broken):
             got = harness._fuzz_samples(scheme, 6, 100, 1)
             assert_same_samples(got, fuzz_samples_reference(scheme, 6, 100, 1))
@@ -252,6 +251,17 @@ def fail_sampling(_columns):
     raise SamplingFailure("measure_batch failed")
 
 
+def break_measure_batch(monkeypatch, scheme, replacement):
+    """Route `scheme`'s measure_batch, and no other scheme's, to
+    `replacement`: a frozen scheme takes no method of its own."""
+    original = LsccScheme.measure_batch
+    monkeypatch.setattr(
+        LsccScheme,
+        "measure_batch",
+        lambda self, columns: replacement(columns) if self is scheme else original(self, columns),
+    )
+
+
 def force_workers(monkeypatch, count):
     monkeypatch.setattr(harness, "_fuzz_workers", lambda n: min(count, n))
 
@@ -283,8 +293,7 @@ class TestFuzzWorkers:
         # the monkeypatched stream reaches the workers through fork
         original = harness.derive_rng
         monkeypatch.setattr(harness, "derive_rng", lambda *a: RoundedRng(original(*a)))
-        broken = toy_scheme()
-        broken.local_stability = 1e-3
+        broken = dataclasses.replace(toy_scheme(), local_stability=1e-3)
         schemes = [sign_blind_scheme(), broken, toy_scheme()]
         out = tmp_path / "fuzz.csv"
         spec = ExperimentSpec(kind="fuzz", scheme="rounded", trials=600, seed=1, output=str(out))
@@ -304,7 +313,7 @@ class TestFuzzWorkers:
     def test_worker_exception_is_raised_in_the_caller(self, monkeypatch):
         force_workers(monkeypatch, 2)
         bad = toy_scheme()
-        bad.measure_batch = fail_sampling
+        break_measure_batch(monkeypatch, bad, fail_sampling)
         with pytest.raises(SamplingFailure, match="measure_batch failed") as info:
             fuzz_bounds([toy_scheme(), bad], 1000, seed=0)
         notes = getattr(info.value, "__notes__", None)
@@ -316,7 +325,7 @@ class TestFuzzWorkers:
     def test_worker_that_dies_is_reported(self, monkeypatch):
         force_workers(monkeypatch, 2)
         dead = toy_scheme()
-        dead.measure_batch = lambda _columns: os._exit(3)
+        break_measure_batch(monkeypatch, dead, lambda _columns: os._exit(3))
         with pytest.raises(RuntimeError, match="fuzz worker ended with 1 schemes unsent"):
             fuzz_bounds([toy_scheme(), dead], 1000, seed=0)
         assert_no_child_left()
@@ -447,8 +456,8 @@ class TestExperimentRunners:
     def test_fuzz_experiment_flags_corrupt_constants(self, tmp_path):
         from lscc.harness import run_fuzz_experiment
 
-        broken = toy_scheme()
-        broken.local_stability = 1e-3  # declared constant far below reality
+        # declared constant far below reality
+        broken = dataclasses.replace(toy_scheme(), local_stability=1e-3)
         out = tmp_path / "bad.csv"
         spec = ExperimentSpec(kind="fuzz", scheme="toy", trials=500, seed=5, output=str(out))
         assert run_fuzz_experiment(spec, [broken]) == 2

@@ -177,6 +177,16 @@ class TestSchemeConstants:
         with pytest.raises(SchemeError, match="0 <= A <= B"):
             dataclasses.replace(toy, frame_lower=2.0, frame_upper=1.0)
 
+    def test_fields_cannot_be_reassigned(self, toy):
+        # a constant set after the constructor checked it would reach the bound unchecked
+        for f in dataclasses.fields(LsccScheme):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(toy, f.name, getattr(toy, f.name))
+        assert toy.local_stability > 0.0
+        # equality is identity, so schemes hash
+        assert toy == toy and toy != dataclasses.replace(toy)
+        assert {toy: 1}[toy] == 1
+
 
 class TestToyFixtures:
     def test_connected_signal_reproduces_base_graph(self, toy):
@@ -322,6 +332,7 @@ def chord_scheme():
     d = scheme_to_dict(mixed_block_scheme())
     d["graph"]["edges"].insert(1, [0, 2])
     d["edgeFunctionals"].insert(1, {"m": 1, "support": [2], "block": [[[1.0, 0.5]]]})
+    d["constants"]["D"] = 3  # the chord gives vertex 0 a third edge
     return scheme_from_json(json.dumps(d))
 
 
@@ -739,6 +750,14 @@ class TestSerialization:
     def test_hash_stable(self, toy):
         assert toy.descriptor_hash() == toy_scheme().descriptor_hash()
 
+    @pytest.mark.parametrize("value", [2, 2.0], ids=repr)
+    def test_declared_degree_bound_loads(self, toy, value):
+        d = scheme_to_dict(toy)
+        d["constants"]["D"] = value
+        assert scheme_from_dict(d).descriptor_hash() == toy.descriptor_hash()
+        del d["constants"]["D"]  # the graph's own degree bound is the one read
+        assert scheme_from_dict(d).descriptor_hash() == toy.descriptor_hash()
+
 
 def mixed_block_scheme():
     """A complex JSON scheme whose frames and functionals come in three block
@@ -1023,7 +1042,8 @@ class TestBatchedValidators:
     )
     def test_edge_domination_matches_loop(self, name):
         scheme = toy_with_blind_frames() if name == "blind" else ORACLE_SCHEMES[name]()
-        scheme.edge_domination = 1e-3  # below the worst ratio, so the witness is reported
+        # below the worst ratio, so the witness is reported
+        scheme = dataclasses.replace(scheme, edge_domination=1e-3)
         report = validate_edge_domination(scheme, trials=40, rng=np.random.default_rng(30))
         worst, edge, probe = reference_edge_domination(scheme, 40, np.random.default_rng(30))
         assert not report.passed

@@ -1,5 +1,6 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -96,20 +97,13 @@ def fuzz_schemes():
     return schemes
 
 
-def scheme_with_constants(p, c0, c1, degree):
-    """Minimal scheme stub carrying just the constants the formulas read."""
-    base = toy_scheme()
-    base.p = p
-    base.local_stability = c0
-    base.edge_domination = c1
-
-    class _G:
-        degree_bound = degree
-        edges = base.graph.edges
-        num_vertices = base.graph.num_vertices
-
-    base.graph = _G()
-    return base
+def scheme_with_constants(p, c0, c1, degree, field=REAL):
+    """Minimal scheme stub carrying just what the prefactor formulas read,
+    constants a built scheme refuses (C0 = 0, C1 = 0) included."""
+    return types.SimpleNamespace(
+        p=p, field=field, local_stability=c0, edge_domination=c1,
+        graph=types.SimpleNamespace(degree_bound=degree),
+    )
 
 
 class TestPrefactors:
@@ -383,7 +377,6 @@ class TestBoundOracle:
         assert complex_bound(scheme, np.ones(8), spec, graph) == bound(scheme, graph)
 
     def test_complex_p3_raises_even_when_empty(self):
-        stub = scheme_with_constants(3.0, 1.0, 1.0, 2)
-        stub.field = COMPLEX
+        stub = scheme_with_constants(3.0, 1.0, 1.0, 2, COMPLEX)
         with pytest.raises(UnsupportedPError):  # before the emptiness test, as before
             bound(stub, WeightedGraph([]))

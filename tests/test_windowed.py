@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lscc import toy, windowed
+from lscc import certify, toy
 from lscc.certify import COMPLEX_C0_MARGIN, SIGMA_BUDGET, estimate_local_stability
 from lscc.errors import ClassError, FieldError, SchemeError
 from lscc.graphs import is_connected
@@ -277,12 +277,12 @@ class TestScalingSweep:
             scaling_sweep(1, [16, 8], REAL)
 
     @pytest.mark.parametrize(
-        "field, certify", [(REAL, "sigma_and_complement"), (COMPLEX, "estimate_local_stability")]
+        "field, search", [(REAL, "sigma_and_complement"), (COMPLEX, "estimate_local_stability")]
     )
-    def test_certifies_once_per_sweep(self, monkeypatch, field, certify):
+    def test_certifies_once_per_sweep(self, monkeypatch, field, search):
         calls = []
-        original = getattr(windowed, certify)
-        monkeypatch.setattr(windowed, certify, lambda *a: calls.append(1) or original(*a))
+        original = getattr(certify, search)
+        monkeypatch.setattr(certify, search, lambda *a: calls.append(1) or original(*a))
         rows = scaling_sweep(1, [4, 8, 16], field, trials=10, seed=3)
         assert len(calls) == 1
         # each row's prefactor is the one a scheme certified for its own L has
